@@ -63,4 +63,4 @@ from .walsh import (
     walsh_eval,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

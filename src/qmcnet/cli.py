@@ -11,7 +11,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .nets import (
     save_pointset,
 )
 from .norms import coeff_bound_audit, scaling_table, warnock_l2
-from .walsh import fine_price_coeff, residual_check, theta, walsh_eval_1d
+from .walsh import fine_price_coeff, residual_check, walsh_eval_1d
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -69,16 +69,11 @@ class IntegrandSpec:
         return 0.5**self.d
 
 
-def qmc_error(p: PointSet, spec: IntegrandSpec) -> float:
-    vals = spec.evaluate(p.coordinates())
-    return abs(float(vals.mean()) - spec.exact())
-
-
 # --- option plumbing --------------------------------------------------------------
 
 
 def _load_net(args) -> PointSet:
-    if getattr(args, "net", None):
+    if args.net:
         return load_pointset(args.net)
     return cs_point_set(_cs_params(args))
 
@@ -232,16 +227,12 @@ def cmd_scaling(args) -> int:
     family = fam.FAMILIES[args.family]
     sizes = range(args.nmin, args.nmax + 1)
     params = BesovParams(p=args.p, q=args.q, r=args.r)
-    notices: list[str] = []
     study = scaling_table(
-        family, sizes, params, kinds=tuple(args.kinds.split(",")), cap=args.cap,
-        notice=notices.append,
+        family, sizes, params, kinds=tuple(args.kinds.split(",")), cap=args.cap
     )
     text = study.csv()
     if study.degenerate:
         text += "# degenerate: single size, slopes undefined\n"
-    for msg in notices:
-        text += f"# {msg}\n"
     _emit(text, args.out)
     return EXIT_OK
 
@@ -282,60 +273,51 @@ def cmd_walsh_check(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+FLAGS = {
+    "net": dict(help="netfile path"),
+    "base": dict(type=int, help="prime base b"),
+    "dim": dict(type=int, help="dimension d"),
+    "w": dict(type=int, default=1, help="derivative depth w"),
+    "matrices": dict(help="generating-matrix JSON file"),
+    "p": dict(type=float, default=2.0),
+    "q": dict(type=float, default=2.0),
+    "r": dict(type=float, default=0.25),
+    "cap": dict(type=int, default=None),
+    "seed": dict(type=int, default=0),
+    "warnock": dict(action="store_true", help="L2 cross-check"),
+    "integrand": dict(default=None),
+    "family": dict(default="balanced_hammersley"),
+    "nmin": dict(type=int, default=4),
+    "nmax": dict(type=int, default=10),
+    "kinds": dict(default="l2"),
+    "out": dict(help="output path (default stdout)"),
+}
+
+_NET = ("net", "base", "dim", "w", "out")
+_BESOV = ("p", "q", "r", "cap")
+
+# (name, help, handler, the flags the handler reads)
+SUBCOMMANDS = (
+    ("generate", "construct a net and write a netfile", cmd_generate,
+     ("base", "dim", "w", "matrices", "out")),
+    ("verify", "structural checks on a net", cmd_verify, _NET),
+    ("norm", "spectral norm reports", cmd_norm, _NET + _BESOV + ("warnock",)),
+    ("integrate", "QMC integration error table", cmd_integrate, _NET + ("integrand",)),
+    ("audit", "coefficient-magnitude audit", cmd_audit, _NET + ("cap", "seed")),
+    ("scaling", "multi-size norm table", cmd_scaling,
+     ("family", "nmin", "nmax", "kinds") + _BESOV + ("out",)),
+    ("walsh-check", "spectral oracle self-test", cmd_walsh_check, ("seed", "out")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qmcnet")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(sp, net=True):
-        if net:
-            sp.add_argument("--net", help="netfile path")
-        sp.add_argument("--base", type=int, help="prime base b")
-        sp.add_argument("--dim", type=int, help="dimension d")
-        sp.add_argument("--w", type=int, default=1, help="derivative depth w")
-        sp.add_argument("--matrices", help="generating-matrix JSON file")
-        sp.add_argument("--p", type=float, default=2.0)
-        sp.add_argument("--q", type=float, default=2.0)
-        sp.add_argument("--r", type=float, default=0.25)
-        sp.add_argument("--cap", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", default=None, choices=["json", "csv", "netfile"])
-
-    sp = sub.add_parser("generate", help="construct a net and write a netfile")
-    common(sp, net=False)
-    sp.set_defaults(func=cmd_generate)
-
-    sp = sub.add_parser("verify", help="structural checks on a net")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("norm", help="spectral norm reports")
-    common(sp)
-    sp.add_argument("--warnock", action="store_true", help="L2 cross-check")
-    sp.set_defaults(func=cmd_norm)
-
-    sp = sub.add_parser("integrate", help="QMC integration error table")
-    common(sp)
-    sp.add_argument("--integrand", default=None)
-    sp.set_defaults(func=cmd_integrate)
-
-    sp = sub.add_parser("audit", help="coefficient-magnitude audit")
-    common(sp)
-    sp.set_defaults(func=cmd_audit)
-
-    sp = sub.add_parser("scaling", help="multi-size norm table")
-    common(sp, net=False)
-    sp.add_argument("--family", default="balanced_hammersley")
-    sp.add_argument("--nmin", type=int, default=4)
-    sp.add_argument("--nmax", type=int, default=10)
-    sp.add_argument("--kinds", default="l2")
-    sp.set_defaults(func=cmd_scaling)
-
-    sp = sub.add_parser("walsh-check", help="spectral oracle self-test")
-    common(sp, net=False)
-    sp.set_defaults(func=cmd_walsh_check)
-
+    for name, help_text, func, flags in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
+        sp.set_defaults(func=func)
     return top
 
 

@@ -203,10 +203,6 @@ def nrt_weight_d(alpha: Sequence[int], b: int) -> int:
     return sum(nrt_weight(a, b) for a in alpha)
 
 
-def hamming_weight_d(alpha: Sequence[int], b: int) -> int:
-    return sum(hamming_weight(a, b) for a in alpha)
-
-
 def v_weight(a: Sequence[int]) -> int:
     """v_n(a) = max{nu : a_nu != 0} with positions 1-based; 0 for a = 0."""
     arr = np.asarray(a)

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from .cs import CSParams, cs_point_set
 from .errors import InvalidParams
 from .nets import GeneratingMatrices, PointSet, generate_points
 
@@ -76,10 +75,6 @@ def balanced_hammersley(n: int, gap_factor: float = 2.8) -> PointSet:
         numerators=nums,
         provenance={"family": "balanced_hammersley", "n": n, "shift": shift},
     )
-
-
-def cs_family(b: int, d: int, w: int) -> PointSet:
-    return cs_point_set(CSParams(b=b, d=d, w=w))
 
 
 FAMILIES = {

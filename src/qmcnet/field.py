@@ -64,51 +64,10 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.b})"
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.b, self)
-
     def inv(self, value: int) -> int:
         if value % self.b == 0:
             raise ZeroInverse(f"0 has no inverse in F_{self.b}")
         return pow(value, self.b - 2, self.b)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A value in [0, b) carrying its field by reference.
-
-    Mixed-base arithmetic is a hard error, never a coercion.
-    """
-
-    value: int
-    field: PrimeField
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field.b != other.field.b:
-            raise BaseMismatch(
-                f"bases differ: {self.field.b} vs {other.field.b}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.field.b, self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.field.b, self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value * other.value) % self.field.b, self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement((-self.value) % self.field.b, self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __repr__(self) -> str:
-        return f"F{self.field.b}({self.value})"
 
 
 def lucas_binomial(i: int, lam: int, b: int) -> int:
@@ -177,12 +136,8 @@ class Polynomial:
     def scale(self, c: int) -> "Polynomial":
         return Polynomial(tuple((c * x) % self.field.b for x in self.coeffs), self.field)
 
-    def __call__(self, x: int | FieldElement) -> int:
+    def __call__(self, x: int) -> int:
         """Horner evaluation; returns the value in [0, b)."""
-        if isinstance(x, FieldElement):
-            if x.field.b != self.field.b:
-                raise BaseMismatch("evaluation point base differs")
-            x = x.value
         b = self.field.b
         acc = 0
         for c in reversed(self.coeffs):

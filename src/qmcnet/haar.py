@@ -330,29 +330,25 @@ class NormReport:
         return json.dumps(obj, sort_keys=True)
 
 
-def _sin_sq_sum(b: int) -> float:
-    """sum over l of 1/|e^(2 pi i l / b) - 1|^2 = (b^2 - 1) / 12."""
-    return (b * b - 1) / 12.0
+def _pow_gap(full: float, gap: float, d: int) -> float:
+    """full**d - (full - gap)**d without cancellation.
 
-
-def _volume_l2_partial(b: int, cap: int) -> float:
-    """Per-coordinate Parseval mass of f(x)=x on levels -1..cap (weighted)."""
-    s = _sin_sq_sum(b)
-    partial = 0.25
-    for j in range(cap + 1):
-        partial += float(b) ** (-2 * j - 2) * s
-    return partial
+    Subtracting two close powers loses the leading digits; the factored form
+    gap * sum_(k<d) full^k (full - gap)^(d-1-k) keeps them.
+    """
+    part = full - gap
+    return gap * math.fsum(full**k * part ** (d - 1 - k) for k in range(d))
 
 
 def _volume_l2_tail(b: int, d: int, cap: int) -> float:
     """Exact Parseval mass of the volume function on levels beyond cap.
 
-    Per coordinate the weighted mass of levels -1..infinity is 1/3 (giving
-    the full product 3^-d = ||x_1...x_d||_2^2 check); the tail is the
-    difference of products.
+    Per coordinate, level -1 carries 1/4 and level j >= 0 carries
+    b^(-2j-2) (b^2 - 1) / 12, so all levels hold 1/3 (giving the full
+    product 3^-d = ||x_1...x_d||_2^2) and the levels beyond cap hold
+    b^(-2(cap+1)) / 12; the tail is the difference of products.
     """
-    partial = _volume_l2_partial(b, cap)
-    return (1.0 / 3.0) ** d - partial**d
+    return _pow_gap(1.0 / 3.0, float(b) ** (-2 * (cap + 1)) / 12.0, d)
 
 
 def _occupied_l2_tail_bound(p: PointSet, cap: int) -> float:
@@ -479,9 +475,9 @@ def _besov_volume_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> fl
     phi_m1 = 2.0**-q
     ratio = float(b) ** (ratio_exp * q)
     const = float(b) ** -q * w**q
+    gap = const * ratio ** (cap + 1) / (1.0 - ratio)
     full = phi_m1 + const / (1.0 - ratio)
-    part = phi_m1 + const * (1.0 - ratio ** (cap + 1)) / (1.0 - ratio)
-    return max(full**d - part**d, 0.0)
+    return _pow_gap(full, gap, d)
 
 
 def _besov_counting_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> float:
@@ -505,9 +501,9 @@ def _besov_counting_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> 
         return psi(cap + 1) * best_other ** (d - 1)
     ratio = float(b) ** (ratio_exp * q)
     const = per_coord**q
+    gap = const * ratio ** (cap + 1) / (1.0 - ratio)
     full = 1.0 + const / (1.0 - ratio)
-    part = 1.0 + const * (1.0 - ratio ** (cap + 1)) / (1.0 - ratio)
-    return max(full**d - part**d, 0.0)
+    return _pow_gap(full, gap, d)
 
 
 def besov_quasi_norm(

@@ -21,7 +21,7 @@ from .errors import (
     NotPowerCardinality,
     SizeOverflow,
 )
-from .field import PrimeField, digits_lsb, enum_limit, enumerate_span, gf_nullspace, gf_rank
+from .field import PrimeField, digits_lsb, enum_limit, enumerate_span, gf_nullspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +108,6 @@ class PointSet:
         return [
             tuple(Fraction(int(k), denom) for k in row) for row in self.numerators
         ]
-
-    def digit_rows(self, index: int) -> np.ndarray:
-        """Digits h_(r,i,1..n) of point `index`, most significant first, (d, n)."""
-        denom_digits = digits_lsb(self.numerators[index], self.n, self.b)
-        return denom_digits[:, ::-1]
 
 
 def phi_map(digits: Sequence[int], b: int) -> int:
@@ -239,11 +234,6 @@ def dual_set(g: GeneratingMatrices, limit: int | None = None) -> DualSet:
         if any(t):
             elems.append(t)
     return DualSet(b, n, d, tuple(sorted(elems)))
-
-
-def stacked_nullity(g: GeneratingMatrices) -> int:
-    stacked = np.concatenate([g.mats[i].T for i in range(g.d)], axis=1)
-    return g.d * g.n - gf_rank(stacked, g.b)
 
 
 def char_sum(p: PointSet, t: Sequence[int]) -> complex:

@@ -1,4 +1,4 @@
-"""Direct discrepancy evaluation, the exact O(N^2) L2 oracle, the
+"""Direct discrepancy evaluation, the exact Warnock L2 route, the
 coefficient-magnitude audit, and multi-size scaling studies."""
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams, SizeOverflow
+from .errors import CapExceeded, InvalidParams
 from .haar import (
     BesovParams,
     HaarIndex,
@@ -22,9 +22,6 @@ from .haar import (
     volume_coeff,
 )
 from .nets import PointSet
-
-WARNOCK_MAX_POINTS = 200_000
-WARNOCK_EXACT_MAX = 256
 
 
 def disc_eval(p: PointSet, x: Sequence[Fraction]) -> Fraction:
@@ -42,49 +39,59 @@ def disc_eval(p: PointSet, x: Sequence[Fraction]) -> Fraction:
     return Fraction(int(inside.sum()), p.size) - volume
 
 
-def _warnock_exact(p: PointSet) -> Fraction:
-    pts = [[Fraction(int(v), p.denominator) for v in row] for row in p.numerators]
-    n_pts = len(pts)
-    d = p.d
-    lin = Fraction(0)
-    for z in pts:
-        lin += math.prod(((1 - zi * zi) / 2 for zi in z), start=Fraction(1))
-    quad = Fraction(0)
-    for a in range(n_pts):
-        for bb in range(n_pts):
-            quad += math.prod(
-                (min(1 - pts[a][i], 1 - pts[bb][i]) for i in range(d)),
-                start=Fraction(1),
-            )
-    return Fraction(1, 3**d) - 2 * lin / n_pts + quad / n_pts**2
+def _pair_min_sum(rows: list[list[int]], w: list[int], i: int) -> int:
+    """sum_(a, b) w_a w_b prod_(c >= i) min(rows[a][c], rows[b][c]), exactly.
 
-
-def warnock_l2(p: PointSet, block: int = 1024) -> float:
-    """||D_P||_2 by the pairwise closed form.
-
-    Exact rational arithmetic for tiny sets; otherwise blocked float with
-    compensated accumulation of the block sums.
+    Heinrich's divide and conquer: sort on coordinate i and split at the
+    middle into L (smaller) and R.  A cross pair has min = u_ai with a in L,
+    so the cross pairs are the sum over L + R on the remaining coordinates
+    with weights w * u_i on L, minus that sum over L and over R alone.  On the
+    last coordinate a descending sweep with suffix weight sums ends it.
     """
-    n_pts = p.size
-    if n_pts > WARNOCK_MAX_POINTS:
-        raise SizeOverflow(f"warnock_l2 needs N <= {WARNOCK_MAX_POINTS}")
-    if n_pts <= WARNOCK_EXACT_MAX:
-        return math.sqrt(float(_warnock_exact(p)))
-    z = p.numerators / float(p.denominator)  # (N, d)
-    lin = math.fsum(np.prod((1.0 - z * z) / 2.0, axis=1))
-    one_minus = 1.0 - z
-    blocks = []
-    for a0 in range(0, n_pts, block):
-        za = one_minus[a0 : a0 + block]
-        row = 0.0
-        for b0 in range(0, n_pts, block):
-            zb = one_minus[b0 : b0 + block]
-            prod = np.minimum(za[:, None, :], zb[None, :, :]).prod(axis=2)
-            row += float(prod.sum())
-        blocks.append(row)
-    quad = math.fsum(blocks)
-    sq = 3.0**-p.d - 2.0 * lin / n_pts + quad / n_pts**2
-    return math.sqrt(max(sq, 0.0))
+    if i == len(rows[0]) - 1:
+        total = suffix = 0
+        for u, wa in sorted(zip((r[i] for r in rows), w), reverse=True):
+            suffix += wa
+            total += wa * u * (2 * suffix - wa)
+        return total
+    if len(rows) == 1:
+        return w[0] * w[0] * math.prod(rows[0][i:])
+    order = sorted(range(len(rows)), key=lambda a: rows[a][i])
+    half = len(order) // 2
+    lo = [rows[a] for a in order[:half]]
+    hi = [rows[a] for a in order[half:]]
+    w_lo = [w[a] for a in order[:half]]
+    w_hi = [w[a] for a in order[half:]]
+    w_lo_u = [wa * r[i] for wa, r in zip(w_lo, lo)]
+    cross = (
+        _pair_min_sum(lo + hi, w_lo_u + w_hi, i + 1)
+        - _pair_min_sum(lo, w_lo_u, i + 1)
+        - _pair_min_sum(hi, w_hi, i + 1)
+    )
+    return _pair_min_sum(lo, w_lo, i) + _pair_min_sum(hi, w_hi, i) + cross
+
+
+def warnock_l2_sq(p: PointSet) -> Fraction:
+    """||D_P||_2^2 exactly, by Warnock's formula on the integer numerators.
+
+    With u = b^n - k (so 1 - z = u / b^n) every term is an integer; the
+    pairwise sum of prod_i min(1 - z_ai, 1 - z_bi) is `_pair_min_sum`.
+    """
+    denom, d, n_pts = p.denominator, p.d, p.size
+    rows = (denom - p.numerators).tolist()
+    lin = sum(math.prod(u * (2 * denom - u) for u in row) for row in rows)
+    quad = _pair_min_sum(rows, [1] * n_pts, 0)
+    return (
+        Fraction(1, 3**d)
+        - Fraction(lin, n_pts * 2 ** (d - 1) * denom ** (2 * d))
+        + Fraction(quad, n_pts**2 * denom**d)
+    )
+
+
+def warnock_l2(p: PointSet) -> float:
+    """||D_P||_2 by Warnock's formula: the float square root of the exact
+    `warnock_l2_sq`."""
+    return math.sqrt(warnock_l2_sq(p))
 
 
 @dataclass
@@ -310,35 +317,28 @@ def scaling_table(
     params: BesovParams,
     kinds: Sequence[str] = ("l2",),
     cap: Optional[int] = None,
-    notice: Optional[Callable[[str], None]] = None,
 ) -> ScalingStudy:
     """Per-size norm values with theory envelopes and running log-log slopes.
 
-    kinds from {"l2" (Warnock), "parseval", "besov"}.  A row whose
-    computation exceeds resource limits is skipped with a notice.
+    kinds from {"l2" (Warnock), "parseval", "besov"}.
     """
     rows: list[ScalingRow] = []
     history: dict[str, list[tuple[float, float]]] = {k: [] for k in kinds}
     for n in sizes:
         p = family(n)
         for kind in kinds:
-            try:
-                if kind == "l2":
-                    value, tail = warnock_l2(p), 0.0
-                elif kind == "parseval":
-                    rep = parseval_l2(p, cap if cap is not None else max(p.n - 1, 0))
-                    value, tail = math.sqrt(rep.value), rep.tail_bound
-                elif kind == "besov":
-                    rep = besov_quasi_norm(
-                        p, params, cap if cap is not None else max(p.n - 1, 0)
-                    )
-                    value, tail = rep.value, rep.tail_bound
-                else:
-                    raise InvalidParams(f"unknown norm kind {kind!r}")
-            except SizeOverflow as exc:
-                if notice is not None:
-                    notice(f"skipped n={n} kind={kind}: {exc}")
-                continue
+            if kind == "l2":
+                value, tail = warnock_l2(p), 0.0
+            elif kind == "parseval":
+                rep = parseval_l2(p, cap if cap is not None else max(p.n - 1, 0))
+                value, tail = math.sqrt(rep.value), rep.tail_bound
+            elif kind == "besov":
+                rep = besov_quasi_norm(
+                    p, params, cap if cap is not None else max(p.n - 1, 0)
+                )
+                value, tail = rep.value, rep.tail_bound
+            else:
+                raise InvalidParams(f"unknown norm kind {kind!r}")
             history[kind].append((math.log(p.size), math.log(value)))
             slope = fit_slope(*zip(*history[kind])) if len(history[kind]) >= 2 else math.nan
             rows.append(

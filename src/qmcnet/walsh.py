@@ -116,16 +116,6 @@ def truncated_indicator_1d(y: Fraction, n: int, x: Fraction, b: int) -> complex:
     )
 
 
-def truncated_indicator(
-    y: Sequence[Fraction], n: int, x: Sequence[Fraction], b: int
-) -> complex:
-    """Tensor product of the 1-d truncated indicator expansions."""
-    value = 1.0 + 0.0j
-    for yi, xi in zip(y, x):
-        value *= truncated_indicator_1d(yi, n, xi, b)
-    return value
-
-
 # --- fast transforms on the b^n grid -------------------------------------------
 
 
@@ -409,22 +399,6 @@ def v_gamma_lambda(
             )
         bound_ok = count_d <= b**d
     return VCountReport(count_c, count_d, identity_ok, bound_ok, sigma)
-
-
-def proposition_count(
-    dual_words: np.ndarray, gamma: Sequence[int], lam: Sequence[int], d: int, n: int
-) -> int:
-    """#{A in Cperp : v_n(a_i) <= gamma_i and a_ik = 0 for lambda_i < k < gamma_i}."""
-    m = dual_words.reshape(len(dual_words), d, n)
-    ok = np.ones(len(dual_words), dtype=bool)
-    for i in range(d):
-        g, lm = int(gamma[i]), int(lam[i])
-        block = m[:, i, :]
-        if g < n:
-            ok &= ~block[:, g:].any(axis=1)  # v_n(a_i) <= gamma_i
-        for k in range(lm + 1, g):
-            ok &= block[:, k - 1] == 0
-    return int(ok.sum())
 
 
 def haar_walsh_inner(idx: HaarIndex, alpha: Sequence[int], b: int) -> complex:

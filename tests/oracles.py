@@ -62,3 +62,28 @@ def indicator_coeff_oracle(z, idx: HaarIndex, b: int) -> complex:
         indicator_factor_1d(zi, j, m, l, b)
         for zi, j, m, l in zip(z, idx.j, idx.m, idx.l)
     )
+
+
+def warnock_sq_oracle(numerators, denom: int) -> Fraction:
+    """||D||_2^2 by Warnock's formula as a plain O(N^2) double sum.
+
+    The pairwise term sums prod_i min(denom - k_ai, denom - k_bi) over all
+    ordered pairs in integers; the linear term uses the Fraction coordinates.
+    """
+    rows = [[int(k) for k in row] for row in numerators]
+    n_pts, d = len(rows), len(rows[0])
+    lin = Fraction(0)
+    for row in rows:
+        term = Fraction(1)
+        for k in row:
+            z = Fraction(k, denom)
+            term *= (1 - z * z) / 2
+        lin += term
+    quad = 0
+    for ra in rows:
+        for rb in rows:
+            term = 1
+            for ka, kb in zip(ra, rb):
+                term *= denom - max(ka, kb)
+            quad += term
+    return Fraction(1, 3**d) - 2 * lin / n_pts + Fraction(quad, n_pts**2 * denom**d)

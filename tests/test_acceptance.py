@@ -155,7 +155,7 @@ def test_criterion_6_parseval_vs_warnock(cs_points):
     w = warnock_l2(cs_points)
     gap = abs(rep.value - w * w)
     rel = gap / (w * w)
-    ok_cs = gap <= rep.tail_bound and rel <= 1e-3
+    ok_cs = gap <= rep.tail_bound and rel <= 1e-10
 
     ident = np.eye(6, dtype=np.int64)
     p1 = generate_points(GeneratingMatrices(2, 6, 1, ident[None]))
@@ -163,7 +163,7 @@ def test_criterion_6_parseval_vs_warnock(cs_points):
     w1 = warnock_l2(p1)
     gap1 = abs(rep1.value - w1 * w1)
     rel1 = gap1 / (w1 * w1)
-    ok_d1 = gap1 <= rep1.tail_bound and rel1 <= 1e-9
+    ok_d1 = gap1 <= rep1.tail_bound and rel1 <= 1e-14
     report(
         6,
         ok_cs and ok_d1,

@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmcnet
 from qmcnet.cli import IntegrandSpec, main
 from qmcnet.errors import InvalidParams
 from qmcnet.nets import GeneratingMatrices
@@ -135,3 +138,24 @@ def test_outputs_deterministic(tmp_path):
     for target in (a, b):
         run(["norm", "--net", path, "--cap", "4", "--out", str(target)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--format", "csv"],
+        ["norm", "--workers", "2"],
+        ["generate", "--seed", "1"],
+        ["walsh-check", "--p", "3"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert qmcnet.__version__ == declared.group(1)

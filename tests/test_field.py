@@ -34,16 +34,16 @@ def test_prime_field_requires_prime():
 
 def test_field_arithmetic():
     f = PrimeField(7)
-    a, c = f.element(3), f.element(5)
-    assert (a + c).value == 1
-    assert (a - c).value == 5
-    assert (a * c).value == 1
-    assert (-a).value == 4
-    assert (a.inv() * a).value == 1
+    assert all(f.inv(a) * a % 7 == 1 for a in range(1, 7))
     with pytest.raises(ZeroInverse):
-        f.element(0).inv()
+        f.inv(0)
+    with pytest.raises(ZeroInverse):
+        f.inv(14)
+    p7 = Polynomial((3, 1), f)
     with pytest.raises(BaseMismatch):
-        a + PrimeField(5).element(1)
+        p7 + Polynomial((1,), PrimeField(5))
+    with pytest.raises(BaseMismatch):
+        p7 * Polynomial((1,), PrimeField(5))
 
 
 def test_lucas_vs_binomial():

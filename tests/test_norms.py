@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmcnet.errors import SizeOverflow
+from oracles import warnock_sq_oracle
+from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import BesovParams, parseval_l2
 from qmcnet.nets import PointSet, is_net
@@ -14,6 +15,7 @@ from qmcnet.norms import (
     fit_slope,
     scaling_table,
     warnock_l2,
+    warnock_l2_sq,
 )
 
 
@@ -65,32 +67,25 @@ def test_warnock_hand_values():
     assert warnock_l2(p01) == pytest.approx(math.sqrt(float(pieces)), abs=1e-12)
 
 
-def test_warnock_blocked_path_matches_exact():
-    p = hammersley(5)  # 32 points: exact path
-    exact = warnock_l2(p)
-    # force the float blocked path
-    import qmcnet.norms as nm
-
-    old = nm.WARNOCK_EXACT_MAX
-    nm.WARNOCK_EXACT_MAX = 0
-    try:
-        blocked = warnock_l2(p, block=7)
-    finally:
-        nm.WARNOCK_EXACT_MAX = old
-    assert blocked == pytest.approx(exact, abs=1e-12)
+def test_warnock_matches_integer_double_sum_oracle():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 4):
+        for size in (1, 2, 5, 16, 41):
+            for b, n in ((2, 3), (3, 2), (5, 2)):
+                # few grid values per coordinate, so coordinates repeat
+                nums = rng.integers(0, b**n, size=(size, d))
+                p = PointSet(b, n, d, nums)
+                assert warnock_l2_sq(p) == warnock_sq_oracle(nums, b**n)
 
 
-def test_warnock_size_guard():
-    p = PointSet(2, 1, 1, np.array([[0]]))
-    import qmcnet.norms as nm
-
-    old = nm.WARNOCK_MAX_POINTS
-    nm.WARNOCK_MAX_POINTS = 0
-    try:
-        with pytest.raises(SizeOverflow):
-            warnock_l2(p)
-    finally:
-        nm.WARNOCK_MAX_POINTS = old
+def test_parseval_at_cap_n_minus_1_matches_exact_warnock():
+    for p, tol in (
+        (balanced_hammersley(14), 1e-13),
+        (cs_point_set(CSParams(b=11, d=2, w=1)), 1e-11),
+    ):
+        exact = warnock_l2_sq(p)
+        value = Fraction(parseval_l2(p, cap=p.n - 1).value)
+        assert abs(value - exact) <= tol * exact
 
 
 def test_parseval_within_warnock_tail():
@@ -145,23 +140,3 @@ def test_scaling_table_rows_and_degenerate_flag():
         hammersley, [4], BesovParams(2, 2, 0.25), kinds=("l2",)
     )
     assert single.degenerate
-
-
-def test_scaling_table_skips_oversized_rows():
-    import qmcnet.norms as nm
-
-    notices = []
-    old = nm.WARNOCK_MAX_POINTS
-    nm.WARNOCK_MAX_POINTS = 40
-    try:
-        study = scaling_table(
-            hammersley,
-            range(4, 8),
-            BesovParams(2, 2, 0.25),
-            kinds=("l2",),
-            notice=notices.append,
-        )
-    finally:
-        nm.WARNOCK_MAX_POINTS = old
-    assert len(study.rows) == 2  # n = 4, 5 fit under the forced limit
-    assert len(notices) == 2
