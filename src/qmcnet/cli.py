@@ -18,7 +18,7 @@ import numpy as np
 from . import families as fam
 from .cs import CSParams, cs_code_space, cs_generating_matrices, cs_point_set, dual_code, verify_dual_properties
 from .errors import CapExceeded, InvalidParams, QmcNetError, SizeOverflow
-from .haar import BesovParams, besov_quasi_norm, parseval_l2
+from .haar import BesovParams, haar_norms
 from .nets import (
     GeneratingMatrices,
     PointSet,
@@ -160,13 +160,9 @@ def cmd_verify(args) -> int:
 
 def cmd_norm(args) -> int:
     p = _load_net(args)
-    cap = args.cap if args.cap is not None else max(p.n - 1, 0)
     params = BesovParams(p=args.p, q=args.q, r=args.r)
-    lines = []
-    pv = parseval_l2(p, cap)
-    lines.append(pv.to_json())
-    bs = besov_quasi_norm(p, params, cap)
-    lines.append(bs.to_json())
+    pv, bs = haar_norms(p, params)
+    lines = [pv.to_json(), bs.to_json()]
     if args.warnock:
         w = warnock_l2(p)
         agree = abs(pv.value - w * w) <= pv.tail_bound
@@ -227,9 +223,7 @@ def cmd_scaling(args) -> int:
     family = fam.FAMILIES[args.family]
     sizes = range(args.nmin, args.nmax + 1)
     params = BesovParams(p=args.p, q=args.q, r=args.r)
-    study = scaling_table(
-        family, sizes, params, kinds=tuple(args.kinds.split(",")), cap=args.cap
-    )
+    study = scaling_table(family, sizes, params, kinds=tuple(args.kinds.split(",")))
     text = study.csv()
     if study.degenerate:
         text += "# degenerate: single size, slopes undefined\n"
@@ -294,7 +288,7 @@ FLAGS = {
 }
 
 _NET = ("net", "base", "dim", "w", "out")
-_BESOV = ("p", "q", "r", "cap")
+_BESOV = ("p", "q", "r")
 
 # (name, help, handler, the flags the handler reads)
 SUBCOMMANDS = (

@@ -13,11 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BaseTooSmall, DegreeTooLarge, InvalidParams, SizeOverflow
+from .errors import BaseTooSmall, DegreeTooLarge, InvalidParams
 from .field import (
     PrimeField,
     Polynomial,
-    enum_limit,
     enumerate_span,
     gf_nullspace,
     gf_rank,

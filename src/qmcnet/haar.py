@@ -1,9 +1,15 @@
 """The d-dimensional b-adic Haar system.
 
 Closed-form coefficients for the volume function and for anchored-box
-indicators, exact discrepancy coefficients, the Parseval L2 identity and the
-Besov quasi-norm assembly.  Levels are vectors j in {-1, 0, 1, ...}^d; a
+indicators, exact discrepancy coefficients, and the Parseval and Besov norms
+of the discrepancy function.  Levels are vectors j in {-1, 0, 1, ...}^d; a
 coordinate at level -1 carries the constant (indicator-of-cube) factor.
+
+One sweep (`haar_levels`) aggregates the coefficients of every level with all
+j_i <= n - 1; deeper levels hold no interior point, so there mu = -volume and
+their mass has a closed form.  One reduction (`_qsum`) turns the sweep into
+sum_j Xi_j^q plus that exact tail: its q-th root is the Besov quasi-norm, and
+at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams
+from .errors import InvalidParams
 from .nets import PointSet
 
 Point = Sequence[Fraction]
@@ -134,14 +140,7 @@ def discrepancy_coeff(p: PointSet, idx: HaarIndex) -> complex:
     return total / p.size - volume_coeff(idx, p.b)
 
 
-def composition_count(lam: int, s: int) -> int:
-    """Number of s-tuples of nonnegative integers summing to lam."""
-    if lam < 0 or s < 1:
-        raise InvalidParams("need lam >= 0 and s >= 1")
-    return math.comb(lam + s - 1, s - 1)
-
-
-# --- vectorized per-level machinery -------------------------------------------
+# --- the level sweep ------------------------------------------------------------
 
 
 def _bracket_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,33 +155,49 @@ def _bracket_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class LevelAggregate:
-    """Occupied/empty split of one level j for a fixed point set.
+    """The discrepancy coefficients mu_jml of one level j for a fixed point set.
 
-    `counting` holds (1/N) * sum of indicator coefficients per occupied box
-    and per l-combination; empty boxes all share the volume-only coefficient.
+    `mu` holds them for the occupied boxes and every l-combination; the empty
+    boxes all carry mu = -volume.
     """
 
     j: tuple[int, ...]
     box_ids: np.ndarray  # (n_occ,) packed occupied-box indices
-    counting: np.ndarray  # (n_occ, n_lcombos) complex
+    mu: np.ndarray  # (n_occ, n_lcombos) complex
     l_combos: list[tuple[int, ...]]
     n_boxes: float  # b**|j| (float; may exceed integer range at deep levels)
     volume: np.ndarray  # (n_lcombos,) volume coefficients
 
     @property
     def occupied(self) -> int:
-        return self.counting.shape[0]
+        return self.mu.shape[0]
 
     @property
     def empty_count(self) -> float:
         return self.n_boxes - self.occupied
 
+    @property
+    def total_level(self) -> int:
+        return sum(v for v in self.j if v >= 0)
 
-def level_aggregate(p: PointSet, j: Sequence[int], cap: int | None = None) -> LevelAggregate:
+    def mass(self, p: float) -> float:
+        """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf."""
+        occ = np.abs(self.mu)
+        vol = np.abs(self.volume)
+        if math.isinf(p):
+            empty_sup = float(vol.max()) if self.empty_count > 0 else 0.0
+            return max(float(occ.max(initial=0.0)), empty_sup)
+        return float(np.sum(occ**p)) + self.empty_count * float(np.sum(vol**p))
+
+
+def level_aggregate(
+    p: PointSet, j: Sequence[int], tables: tuple[np.ndarray, np.ndarray]
+) -> LevelAggregate:
     """Bucket the points of p into the boxes of level j via digit prefixes.
 
     Only points interior to their box (in every active coordinate) contribute;
-    boundary points have vanishing indicator coefficients.
+    boundary points have vanishing indicator coefficients.  `tables` is
+    `_bracket_tables(p.b)`.
     """
     j = tuple(int(v) for v in j)
     if len(j) != p.d:
@@ -190,13 +205,11 @@ def level_aggregate(p: PointSet, j: Sequence[int], cap: int | None = None) -> Le
     if any(v < -1 for v in j):
         raise InvalidParams("levels start at -1")
     total_level = sum(v for v in j if v >= 0)
-    if cap is not None and total_level > cap:
-        raise CapExceeded(f"|j| = {total_level} > cap = {cap}")
     b, n, N = p.b, p.n, p.size
     active = [i for i, v in enumerate(j) if v >= 0]
     s = len(active)
 
-    omega, tails = _bracket_tables(b)
+    omega, tails = tables
 
     # constant factors from level -1 coordinates: prod (1 - z_i)
     base = np.full(N, b ** float(-total_level - s)) / N
@@ -206,79 +219,77 @@ def level_aggregate(p: PointSet, j: Sequence[int], cap: int | None = None) -> Le
 
     l_combos = list(itertools.product(range(1, b), repeat=s))
     n_boxes = float(b) ** total_level
-    vol = np.array(
-        [volume_coeff(_index_for_level(j, combo), b) for combo in l_combos]
-    )
+    # volume_coeff for every l-combination: b^(-2|j|-s) over the outer
+    # product of 2^(d-s) and one (omega^l - 1) vector per active coordinate
+    roots = [_root(b, l) - 1.0 for l in range(1, b)]
+    denoms = [2.0 ** (p.d - s)]
+    for _ in active:
+        denoms = [x * r for x in denoms for r in roots]
+    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
 
     if s == 0:
+        box_ids = np.zeros(1, np.int64)
         counting = np.array([[base.sum()]], dtype=complex)
-        return LevelAggregate(j, np.zeros(1, np.int64), counting, [()], 1.0, vol)
-
-    if any(j[i] >= n for i in active):
+    elif any(j[i] >= n for i in active):
         # points sit on the level grid, none are interior
-        return LevelAggregate(
-            j,
-            np.zeros(0, np.int64),
-            np.zeros((0, len(l_combos)), dtype=complex),
-            l_combos,
-            n_boxes,
-            vol,
-        )
+        box_ids = np.zeros(0, np.int64)
+        counting = np.zeros((0, len(l_combos)), dtype=complex)
+    else:
+        interior = np.ones(N, dtype=bool)
+        box = np.zeros(N, dtype=np.int64)
+        brackets = []  # per active coordinate: (N, b-1) complex
+        for i in active:
+            ji = j[i]
+            k_num = p.numerators[:, i]
+            step = b ** (n - ji)
+            interior &= (k_num % step) != 0
+            m = k_num // step
+            rem = k_num % step
+            sub = b ** (n - ji - 1)
+            ksub = rem // sub
+            u = 1.0 - (rem % sub) / float(sub)
+            br = u[:, None] * omega[(ksub[:, None] * np.arange(1, b)[None, :]) % b]
+            br = br + tails[ksub]
+            brackets.append(br)
+            box = box * (b**ji) + m
 
-    interior = np.ones(N, dtype=bool)
-    box = np.zeros(N, dtype=np.int64)
-    brackets = []  # per active coordinate: (N, b-1) complex
-    for i in active:
-        ji = j[i]
-        k_num = p.numerators[:, i]
-        step = b ** (n - ji)
-        interior &= (k_num % step) != 0
-        m = k_num // step
-        rem = k_num % step
-        sub = b ** (n - ji - 1)
-        ksub = rem // sub
-        u = 1.0 - (rem % sub) / float(sub)
-        br = u[:, None] * omega[(ksub[:, None] * np.arange(1, b)[None, :]) % b]
-        br = br + tails[ksub]
-        brackets.append(br)
-        box = box * (b**ji) + m
-
-    idx_pts = np.nonzero(interior)[0]
-    if idx_pts.size == 0:
-        return LevelAggregate(
-            j,
-            np.zeros(0, np.int64),
-            np.zeros((0, len(l_combos)), dtype=complex),
-            l_combos,
-            n_boxes,
-            vol,
-        )
-    uniq, inv = np.unique(box[idx_pts], return_inverse=True)
-    counting = np.zeros((uniq.size, len(l_combos)), dtype=complex)
-    base_in = base[idx_pts]
-    brs = [br[idx_pts] for br in brackets]
-    for ci, combo in enumerate(l_combos):
-        prod = base_in.astype(complex)
-        for a, li in enumerate(combo):
-            prod = prod * brs[a][:, li - 1]
-        np.add.at(counting[:, ci], inv, prod)
-    return LevelAggregate(j, uniq, counting, l_combos, n_boxes, vol)
-
-
-def _index_for_level(j: tuple[int, ...], combo: tuple[int, ...]) -> HaarIndex:
-    """HaarIndex at level j with m = 0 and the given l values on active coords."""
-    l_full = []
-    it = iter(combo)
-    for ji in j:
-        l_full.append(1 if ji == -1 else next(it))
-    return HaarIndex(j, tuple(0 for _ in j), tuple(l_full))
+        idx_pts = np.nonzero(interior)[0]
+        box_ids, inv = np.unique(box[idx_pts], return_inverse=True)
+        counting = np.zeros((box_ids.size, len(l_combos)), dtype=complex)
+        base_in = base[idx_pts]
+        brs = [br[idx_pts] for br in brackets]
+        for ci, combo in enumerate(l_combos):
+            prod = base_in.astype(complex)
+            for a, li in enumerate(combo):
+                prod = prod * brs[a][:, li - 1]
+            np.add.at(counting[:, ci], inv, prod)
+    counting -= vol  # in place, now mu: one (n_occ, n_lcombos) array per level
+    return LevelAggregate(j, box_ids, counting, l_combos, n_boxes, vol)
 
 
 def levels_up_to(cap: int, d: int) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(range(-1, cap + 1), repeat=d)
 
 
+def haar_levels(p: PointSet) -> Iterator[LevelAggregate]:
+    """The one sweep: `level_aggregate` on every level with all j_i <= n - 1.
+
+    Deeper levels hold no interior point, so there mu = -volume and the
+    reductions sum them in closed form.  Levels come one at a time, so only
+    one level's mu array is alive.
+    """
+    tables = _bracket_tables(p.b)
+    for j in levels_up_to(p.n - 1, p.d):
+        yield level_aggregate(p, j, tables)
+
+
 # --- norm reports --------------------------------------------------------------
+
+
+#: Relative allowance for floating-point roundoff in the Haar-side norm
+#: values, reported as their tail_bound.  It is checked against the exact
+#: Warnock value (measured gap 2.1e-12 on the CS net b=11 d=2), not proven.
+ROUNDOFF_ALLOWANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -300,12 +311,15 @@ class BesovParams:
         return not (0 < self.r < inv_p) if inv_p > 0 else True
 
 
+#: At (p, q, r) = (2, 2, 0) the q-sum is Parseval's identity for ||D_P||_2^2.
+PARSEVAL = BesovParams(2.0, 2.0, 0.0)
+
+
 @dataclass
 class NormReport:
     kind: str
     value: float
     tail_bound: float
-    cap: int
     b: int
     n: int
     d: int
@@ -319,7 +333,6 @@ class NormReport:
             "kind": self.kind,
             "value": self.value,
             "tail_bound": self.tail_bound,
-            "cap": self.cap,
             "b": self.b,
             "n": self.n,
             "d": self.d,
@@ -338,115 +351,6 @@ def _pow_gap(full: float, gap: float, d: int) -> float:
     """
     part = full - gap
     return gap * math.fsum(full**k * part ** (d - 1 - k) for k in range(d))
-
-
-def _volume_l2_tail(b: int, d: int, cap: int) -> float:
-    """Exact Parseval mass of the volume function on levels beyond cap.
-
-    Per coordinate, level -1 carries 1/4 and level j >= 0 carries
-    b^(-2j-2) (b^2 - 1) / 12, so all levels hold 1/3 (giving the full
-    product 3^-d = ||x_1...x_d||_2^2) and the levels beyond cap hold
-    b^(-2(cap+1)) / 12; the tail is the difference of products.
-    """
-    return _pow_gap(1.0 / 3.0, float(b) ** (-2 * (cap + 1)) / 12.0, d)
-
-
-def _occupied_l2_tail_bound(p: PointSet, cap: int) -> float:
-    """Crude analytic bound on the counting-part mass beyond the cap.
-
-    Uses |indicator coefficient| <= b^(-|j|) per point and one box per point
-    per level, plus a volume cross term; only relevant when cap < n - 1
-    (beyond that no point is interior and the tail is volume-only).
-    """
-    b, d = p.b, p.d
-    if cap >= p.n - 1:
-        return 0.0
-    total = 0.0
-    horizon = cap + 80
-    for j in levels_up_to(horizon, d):
-        tl = sum(v for v in j if v >= 0)
-        if max(j) <= cap:
-            continue
-        s = sum(1 for v in j if v >= 0)
-        # sqrt(sum |c|^2) <= b^-|j| * 2^s; sqrt(#m) * |v| worst case over l
-        c_part = float(b) ** (-tl) * (2.0**s)
-        v_part = float(b) ** (tl / 2.0) * float(b) ** (-2 * tl - s) / (
-            2.0 ** (d - s) * (2.0 * math.sin(math.pi / b)) ** s
-        )
-        total += float(b) ** tl * (b - 1) ** s * (c_part + v_part) ** 2
-    # geometric remainder beyond the horizon: per level b^(-|j|) 4^s (b-1)^s...
-    rem = d * (4.0 * (b - 1)) ** d * float(b) ** (-horizon) * (2.0 * b / (b - 1.0)) ** d
-    return total + rem
-
-
-def parseval_l2(p: PointSet, cap: int, max_cap: int = 64) -> NormReport:
-    """Partial Parseval sum of ||D_P||_2^2 with an analytic tail bound.
-
-    Levels with all j_i <= cap are summed explicitly.  When cap >= n - 1 every
-    omitted level contains no interior point, the omitted mass is exactly the
-    closed-form volume tail and is folded into the value; the reported
-    tail_bound then only covers floating-point roundoff.  For smaller caps the
-    omitted mass is bounded analytically and reported in tail_bound.
-    """
-    if cap < 0 or cap > max_cap:
-        raise CapExceeded(f"cap {cap} outside [0, {max_cap}]")
-    b, d = p.b, p.d
-    partial_terms = []
-    for j in levels_up_to(cap, d):
-        agg = level_aggregate(p, j)
-        tl = sum(v for v in j if v >= 0)
-        weight = float(b) ** tl
-        level_sum = 0.0
-        for ci in range(len(agg.l_combos)):
-            mu_occ = agg.counting[:, ci] - agg.volume[ci]
-            level_sum += float(np.sum(np.abs(mu_occ) ** 2))
-            level_sum += agg.empty_count * abs(agg.volume[ci]) ** 2
-        partial_terms.append(weight * level_sum)
-    value = math.fsum(partial_terms)
-
-    vol_tail = _volume_l2_tail(b, d, cap)
-    occ_tail = _occupied_l2_tail_bound(p, cap)
-    exact_tail = occ_tail == 0.0
-    if exact_tail:
-        value += vol_tail
-        tail_bound = 1e-12 * (1.0 + value)  # roundoff allowance only
-    else:
-        tail_bound = vol_tail + occ_tail
-    return NormReport(
-        kind="parseval",
-        value=value,
-        tail_bound=tail_bound,
-        cap=cap,
-        b=b,
-        n=p.n,
-        d=d,
-        N=p.size,
-        metadata={"tail_exact": exact_tail},
-    )
-
-
-def _besov_level_term(
-    agg: LevelAggregate, params: BesovParams, b: int
-) -> float:
-    """Xi_j = b^(|j|(r - 1/p + 1)) * (sum_(m,l) |mu|^p)^(1/p), sup at p = inf."""
-    tl = sum(v for v in agg.j if v >= 0)
-    inv_p = 0.0 if math.isinf(params.p) else 1.0 / params.p
-    weight = float(b) ** (tl * (params.r - inv_p + 1.0))
-    if math.isinf(params.p):
-        inner = 0.0
-        for ci in range(len(agg.l_combos)):
-            occ = np.abs(agg.counting[:, ci] - agg.volume[ci])
-            if occ.size:
-                inner = max(inner, float(occ.max()))
-            if agg.empty_count > 0:
-                inner = max(inner, abs(agg.volume[ci]))
-        return weight * inner
-    inner = 0.0
-    for ci in range(len(agg.l_combos)):
-        occ = np.abs(agg.counting[:, ci] - agg.volume[ci])
-        inner += float(np.sum(occ**params.p))
-        inner += agg.empty_count * abs(agg.volume[ci]) ** params.p
-    return weight * inner ** (1.0 / params.p)
 
 
 def _besov_volume_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> float:
@@ -480,80 +384,68 @@ def _besov_volume_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> fl
     return _pow_gap(full, gap, d)
 
 
-def _besov_counting_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> float:
-    """Bound on the q-sum of the counting-part Xi_j beyond the cap.
-
-    Uses the per-point bracket bound: the inner p-norm of the counting
-    coefficients at level j is at most (b-1)^(s/p) b^(-|j|-s) (2b)^s, giving a
-    per-coordinate geometric factor b^(j(r-1/p)) (finite iff r < 1/p).
-    """
-    q = params.q
+def _xi_q(agg: LevelAggregate, params: BesovParams, b: int) -> float:
+    """Xi_j^q with Xi_j = b^(|j|(r - 1/p + 1)) (sum_(m,l) |mu_jml|^p)^(1/p);
+    the inner sum is a sup at p = inf, and Xi_j itself is returned at q = inf."""
+    q = 1.0 if math.isinf(params.q) else params.q
     inv_p = 0.0 if math.isinf(params.p) else 1.0 / params.p
-    if params.r >= inv_p and inv_p > 0:
-        return math.inf
-    if inv_p == 0.0 and params.r >= 0:
-        return math.inf
-    per_coord = 2.0 * (b - 1) ** inv_p
-    ratio_exp = params.r - inv_p
-    if math.isinf(q):
-        psi = lambda j: 1.0 if j == -1 else float(b) ** (j * ratio_exp) * per_coord
-        best_other = max(psi(-1), psi(0))
-        return psi(cap + 1) * best_other ** (d - 1)
-    ratio = float(b) ** (ratio_exp * q)
-    const = per_coord**q
-    gap = const * ratio ** (cap + 1) / (1.0 - ratio)
-    full = 1.0 + const / (1.0 - ratio)
-    return _pow_gap(full, gap, d)
+    root = 1.0 if math.isinf(params.p) else inv_p
+    weight = float(b) ** (agg.total_level * (params.r - inv_p + 1.0) * q)
+    return weight * agg.mass(params.p) ** (root * q)
 
 
-def besov_quasi_norm(
-    p: PointSet, params: BesovParams, cap: int, max_cap: int = 64
-) -> NormReport:
-    """Haar-side Besov quasi-norm expression of D_P up to the level cap.
+def _qsum(terms: list[float], params: BesovParams, b: int, d: int, cap: int) -> float:
+    """The one reduction: sum_j Xi_j^q over the swept levels (all j_i <= cap)
+    plus the exact closed-form mass of every deeper level; a sup at q = inf."""
+    tail = _besov_volume_tail_qsum(params, b, d, cap)
+    if math.isinf(params.q):
+        return max(terms + [tail])
+    return math.fsum(terms) + tail
 
-    The outer q-sum runs over levels with all j_i <= cap; suprema replace
-    sums at p = inf or q = inf.  Omitted levels are bounded analytically:
-    their volume part in closed form (exact shape once cap >= n - 1, where no
-    point is interior) plus a counting-part bound below that threshold; the
-    tail bound on the norm follows by Minkowski.
+
+def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport]:
+    """Parseval's ||D_P||_2^2 and the Besov quasi-norm of D_P, one sweep.
+
+    Both reduce the same Haar levels (`haar_levels`) with `_qsum`: the
+    Parseval report is the q-sum at (p, q, r) = (2, 2, 0), the Besov report
+    the q-th root of the q-sum at `params` (a sup at q = inf).  The levels
+    beyond n - 1 are folded into the values exactly, so r >= 1 gives inf;
+    tail_bound is the roundoff allowance `ROUNDOFF_ALLOWANCE * value`.
     """
-    if cap < 0 or cap > max_cap:
-        raise CapExceeded(f"cap {cap} outside [0, {max_cap}]")
-    b, d = p.b, p.d
-    terms = []
-    for j in levels_up_to(cap, d):
-        agg = level_aggregate(p, j)
-        terms.append(_besov_level_term(agg, params, b))
-
-    q_inf = math.isinf(params.q)
-    if q_inf:
-        value = max(terms)
-    else:
-        value = math.fsum(t**params.q for t in terms) ** (1.0 / params.q)
-
-    tail_q = _besov_volume_tail_qsum(params, b, d, cap)
-    if cap < p.n - 1:
-        tail_q += _besov_counting_tail_qsum(params, b, d, cap)
-    if math.isinf(tail_q):
-        tail_bound = math.inf
-    elif q_inf:
-        tail_bound = max(tail_q - value, 0.0)
-    else:
-        tail_bound = (value**params.q + tail_q) ** (1.0 / params.q) - value
-
-    return NormReport(
-        kind="besov",
-        value=value,
-        tail_bound=tail_bound,
-        cap=cap,
-        b=b,
-        n=p.n,
-        d=d,
-        N=p.size,
-        params={
-            "p": None if math.isinf(params.p) else params.p,
-            "q": None if math.isinf(params.q) else params.q,
-            "r": params.r,
-        },
-        metadata={"out_of_window": params.out_of_window},
+    b, d, cap = p.b, p.d, p.n - 1
+    pv_terms, bs_terms = [], []
+    for agg in haar_levels(p):
+        pv_terms.append(_xi_q(agg, PARSEVAL, b))
+        bs_terms.append(_xi_q(agg, params, b))
+    pv = _qsum(pv_terms, PARSEVAL, b, d, cap)
+    bs = _qsum(bs_terms, params, b, d, cap)
+    if not math.isinf(params.q):
+        bs **= 1.0 / params.q
+    sizes = dict(b=b, n=p.n, d=d, N=p.size)
+    return (
+        NormReport("parseval", pv, ROUNDOFF_ALLOWANCE * pv, **sizes),
+        NormReport(
+            "besov",
+            bs,
+            ROUNDOFF_ALLOWANCE * bs,
+            **sizes,
+            params={
+                "p": None if math.isinf(params.p) else params.p,
+                "q": None if math.isinf(params.q) else params.q,
+                "r": params.r,
+            },
+            metadata={"out_of_window": params.out_of_window},
+        ),
     )
+
+
+def parseval_l2(p: PointSet) -> NormReport:
+    """||D_P||_2^2 by Parseval's identity over the b-adic Haar system; see
+    `haar_norms`."""
+    return haar_norms(p, PARSEVAL)[0]
+
+
+def besov_quasi_norm(p: PointSet, params: BesovParams) -> NormReport:
+    """Haar-side Besov quasi-norm expression of D_P at `params`; see
+    `haar_norms`."""
+    return haar_norms(p, params)[1]

@@ -2,6 +2,7 @@
 coefficient-magnitude audit, and multi-size scaling studies."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -11,16 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams
-from .haar import (
-    BesovParams,
-    HaarIndex,
-    besov_quasi_norm,
-    discrepancy_coeff,
-    level_aggregate,
-    levels_up_to,
-    parseval_l2,
-    volume_coeff,
-)
+from .haar import BesovParams, haar_levels, haar_norms, levels_up_to
 from .nets import PointSet
 
 
@@ -144,25 +136,30 @@ class AuditReport:
 
 
 def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> int:
-    """Exact-equality check mu = -volume_coeff at sampled (m, l); returns #fails.
+    """Sampled boxes (m, l) of level j holding a point strictly inside; #fails.
 
-    Uses the direct per-point indicator route (exact interiority tests), so it
-    does not share code with the aggregated path it certifies.
+    mu_jml = -volume_coeff exactly unless a point lies strictly inside the box
+    in every active coordinate.  For z_i = k_i / b^n that is
+    m_i b^n < k_i b^(j_i) < (m_i + 1) b^n, tested on the integer numerators in
+    Python integers (no float, no overflow at any level), so the check shares
+    no code with the aggregated path it certifies.
     """
-    b = p.b
+    b, n = p.b, p.n
+    nums = p.numerators.astype(object)
     fails = 0
-    active = [i for i, v in enumerate(j) if v >= 0]
     for _ in range(samples):
         m = tuple(
             int(rng.integers(0, b ** j[i])) if j[i] >= 0 else 0 for i in range(p.d)
         )
-        l = tuple(
-            int(rng.integers(1, b)) if j[i] >= 0 else 1 for i in range(p.d)
-        )
-        idx = HaarIndex(j, m, l)
-        mu = discrepancy_coeff(p, idx)
-        if mu != -volume_coeff(idx, b):
-            fails += 1
+        for ji in j:  # l: no effect on interiority, drawn to keep the stream of m
+            if ji >= 0:
+                rng.integers(1, b)
+        inside = np.ones(p.size, dtype=bool)
+        for i, ji in enumerate(j):
+            if ji >= 0:
+                scaled = nums[:, i] * b**ji
+                inside &= (m[i] * b**n < scaled) & (scaled < (m[i] + 1) * b**n)
+        fails += bool(inside.any())
     return fails
 
 
@@ -173,11 +170,12 @@ def coeff_bound_audit(
     part_iv_samples: int = 5,
     seed: int = 0,
 ) -> AuditReport:
-    """Scan all levels with entries <= cap and record per-regime constants.
+    """Record per-regime constants over all levels with entries <= cap.
 
-    Hard structural checks: the occupied-box count never exceeds b^n on any
-    regime-(iii) level, and sampled regime-(iv) coefficients equal the
-    negated volume coefficient exactly.
+    Regimes (i)-(iii) read the coefficients of one `haar_levels` sweep;
+    regime (iv) is spot-checked on its first 8 levels.  Hard structural
+    checks: the occupied-box count never exceeds b^n on any regime-(iii)
+    level, and no sampled regime-(iv) box holds a point in its interior.
     """
     b, n, d = p.b, p.n, p.d
     if cap is None:
@@ -192,24 +190,15 @@ def coeff_bound_audit(
     const_iii_exc = 0.0
     counts: dict[str, int] = {}
     part_iii_ok = True
-    iv_checked = 0
-    iv_fails = 0
 
-    for j in levels_up_to(cap, d):
-        tl = sum(v for v in j if v >= 0)
-        active = [v for v in j if v >= 0]
-        if active and max(active) >= n:
-            # regime (iv): structurally point-free level
-            if iv_checked < 8:
-                iv_fails += _part_iv_spot_check(p, j, part_iv_samples, rng)
-                iv_checked += 1
+    for agg in haar_levels(p):
+        j, tl = agg.j, agg.total_level
+        if max(j) > cap:
             continue
-        agg = level_aggregate(p, j)
-        if not active:
-            mu = abs(complex(agg.counting[0, 0]) - complex(agg.volume[0]))
-            const_i = mu * b**n
+        if max(j) == -1:
+            const_i = abs(complex(agg.mu[0, 0])) * b**n
             continue
-        occ_mu = np.abs(agg.counting - agg.volume[None, :])
+        occ_mu = np.abs(agg.mu)
         vol_mu = float(np.max(np.abs(agg.volume)))
         occ_max = float(occ_mu.max()) if occ_mu.size else 0.0
         if tl <= n:
@@ -223,6 +212,11 @@ def coeff_bound_audit(
                 const_iii_exc = max(
                     const_iii_exc, occ_max * float(b) ** (tl + n)
                 )
+
+    # regime (iv): levels with some j_i >= n, structurally point-free
+    deep = (j for j in levels_up_to(cap, d) if max(j) >= n)
+    iv_levels = list(itertools.islice(deep, 8))
+    iv_fails = sum(_part_iv_spot_check(p, j, part_iv_samples, rng) for j in iv_levels)
     passed = part_iii_ok and iv_fails == 0
     return AuditReport(
         b=b,
@@ -235,7 +229,7 @@ def coeff_bound_audit(
         const_exceptional=const_iii_exc,
         exceptional_counts=counts,
         part_iii_ok=part_iii_ok,
-        part_iv_levels_checked=iv_checked,
+        part_iv_levels_checked=len(iv_levels),
         part_iv_exceptions=iv_fails,
         passed=passed,
     )
@@ -316,27 +310,26 @@ def scaling_table(
     sizes: Sequence[int],
     params: BesovParams,
     kinds: Sequence[str] = ("l2",),
-    cap: Optional[int] = None,
 ) -> ScalingStudy:
     """Per-size norm values with theory envelopes and running log-log slopes.
 
-    kinds from {"l2" (Warnock), "parseval", "besov"}.
+    kinds from {"l2" (Warnock), "parseval", "besov"}; every row reports the
+    unsquared norm, and "parseval" and "besov" share one Haar sweep per size.
     """
     rows: list[ScalingRow] = []
     history: dict[str, list[tuple[float, float]]] = {k: [] for k in kinds}
     for n in sizes:
         p = family(n)
+        if "parseval" in kinds or "besov" in kinds:
+            pv, bs = haar_norms(p, params)
         for kind in kinds:
             if kind == "l2":
                 value, tail = warnock_l2(p), 0.0
             elif kind == "parseval":
-                rep = parseval_l2(p, cap if cap is not None else max(p.n - 1, 0))
-                value, tail = math.sqrt(rep.value), rep.tail_bound
+                value = math.sqrt(pv.value)
+                tail = math.sqrt(pv.value + pv.tail_bound) - value
             elif kind == "besov":
-                rep = besov_quasi_norm(
-                    p, params, cap if cap is not None else max(p.n - 1, 0)
-                )
-                value, tail = rep.value, rep.tail_bound
+                value, tail = bs.value, bs.tail_bound
             else:
                 raise InvalidParams(f"unknown norm kind {kind!r}")
             history[kind].append((math.log(p.size), math.log(value)))

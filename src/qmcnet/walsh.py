@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cs import CodeSpace, dual_code, nrt_weight, v_weight
+from .cs import CodeSpace, dual_code, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
 from .field import enum_limit
 from .haar import HaarIndex
@@ -119,19 +119,28 @@ def truncated_indicator_1d(y: Fraction, n: int, x: Fraction, b: int) -> complex:
 # --- fast transforms on the b^n grid -------------------------------------------
 
 
+def _digit_dft(a: np.ndarray, b: int, sign: int) -> np.ndarray:
+    """sum over x of exp(sign 2 pi i x y / b) a[..., x, ...] along every axis.
+
+    The radix-b tensor transform shared by the Walsh syntheses and analyses:
+    one b-point DFT per digit axis of a (b,) * k tensor, O(k b^(k+1)).
+    """
+    w = np.exp(sign * 2j * np.pi * np.outer(np.arange(b), np.arange(b)) / b)
+    for axis in range(a.ndim):
+        a = np.tensordot(w, a, axes=([1], [axis]))
+        a = np.moveaxis(a, 0, axis)
+    return a
+
+
 def walsh_synthesis(coeffs: np.ndarray, b: int, n: int) -> np.ndarray:
     """Evaluate sum_t coeffs[t] wal_t at every grid point g / b^n.
 
     Radix-b tensor transform: digit nu of t (LSB first) pairs with digit
     nu+1 of the point (MSB first).  O(n b^(n+1)) instead of O(b^(2n)).
     """
-    w = np.exp(2j * np.pi * np.outer(np.arange(b), np.arange(b)) / b)
     # tensor axes ordered (tau_0, ..., tau_(n-1)) with tau_0 varying slowest
     # after this reshape of the index t = sum tau_nu b^nu: axis k <-> tau_(n-1-k)
-    a = np.asarray(coeffs, dtype=complex).reshape((b,) * n)
-    for axis in range(n):
-        a = np.tensordot(w, a, axes=([1], [axis]))
-        a = np.moveaxis(a, 0, axis)
+    a = _digit_dft(np.asarray(coeffs, dtype=complex).reshape((b,) * n), b, 1)
     # axis k now carries grid digit x_(n-k): reorder so axis 0 is x_1 (MSB)
     a = np.transpose(a, axes=tuple(range(n - 1, -1, -1)))
     return a.reshape(-1)
@@ -152,13 +161,8 @@ def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
     if g < b**n and theta:
         weights[g] = float(theta)
     weights /= float(b) ** n
-    # analysis with conj(wal): same tensor transform with conjugated matrix
-    w = np.exp(-2j * np.pi * np.outer(np.arange(b), np.arange(b)) / b)
-    a = weights.reshape((b,) * n)  # axis k <-> grid digit x_(k+1)
-    # pair grid digit x_(nu+1) (axis nu) with tau_nu
-    for axis in range(n):
-        a = np.tensordot(w, a, axes=([1], [axis]))
-        a = np.moveaxis(a, 0, axis)
+    # analysis with conj(wal): axis nu <-> grid digit x_(nu+1), paired with tau_nu
+    a = _digit_dft(weights.reshape((b,) * n), b, -1)
     # axis nu now carries tau_nu; flatten with tau_0 least significant
     a = np.transpose(a, axes=tuple(range(n - 1, -1, -1)))
     return a.reshape(-1)
@@ -296,12 +300,7 @@ def group_walsh_transform(table: np.ndarray, b: int, width: int) -> np.ndarray:
     table = np.asarray(table, dtype=complex)
     if table.size != size:
         raise InvalidParams("table size must be b**width")
-    w = np.exp(2j * np.pi * np.outer(np.arange(b), np.arange(b)) / b)
-    a = table.reshape((b,) * width)
-    for axis in range(width):
-        a = np.tensordot(w, a, axes=([1], [axis]))
-        a = np.moveaxis(a, 0, axis)
-    return a.reshape(-1)
+    return _digit_dft(table.reshape((b,) * width), b, 1).reshape(-1)
 
 
 def word_index(word: Sequence[int], b: int) -> int:

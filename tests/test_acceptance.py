@@ -151,7 +151,7 @@ def test_criterion_5_theta_duality_and_residual(cs_points, cs_matrices):
 
 
 def test_criterion_6_parseval_vs_warnock(cs_points):
-    rep = parseval_l2(cs_points, cap=2 * cs_points.n)
+    rep = parseval_l2(cs_points)
     w = warnock_l2(cs_points)
     gap = abs(rep.value - w * w)
     rel = gap / (w * w)
@@ -159,7 +159,7 @@ def test_criterion_6_parseval_vs_warnock(cs_points):
 
     ident = np.eye(6, dtype=np.int64)
     p1 = generate_points(GeneratingMatrices(2, 6, 1, ident[None]))
-    rep1 = parseval_l2(p1, cap=p1.n + 10)
+    rep1 = parseval_l2(p1)
     w1 = warnock_l2(p1)
     gap1 = abs(rep1.value - w1 * w1)
     rel1 = gap1 / (w1 * w1)
@@ -167,7 +167,7 @@ def test_criterion_6_parseval_vs_warnock(cs_points):
     report(
         6,
         ok_cs and ok_d1,
-        f"CS rel gap {rel:.2e} (cap {2 * cs_points.n}); d=1 rel gap {rel1:.2e}",
+        f"CS rel gap {rel:.2e}; d=1 rel gap {rel1:.2e}",
     )
 
 
@@ -194,7 +194,7 @@ def test_criterion_7_coefficient_bound_audit(cs_points):
 
 def test_criterion_8a_single_instance_besov_envelope(cs_points):
     params = BesovParams(2, 2, 0.25)
-    rep = besov_quasi_norm(cs_points, params, cap=2 * cs_points.n)
+    rep = besov_quasi_norm(cs_points, params)
     n_pts = cs_points.size
     envelope = n_pts ** (params.r - 1.0) * math.log(n_pts) ** 0.5
     c_measured = rep.value / envelope

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import qmcnet
+from qmcnet import haar
 from qmcnet.cli import IntegrandSpec, main
 from qmcnet.errors import InvalidParams
 from qmcnet.nets import GeneratingMatrices
@@ -59,7 +61,7 @@ def test_verify_corrupted_netfile(tmp_path):
 def test_norm_reports(tmp_path, capsys):
     path = small_netfile(tmp_path)
     assert (
-        run(["norm", "--net", path, "--p", "2", "--q", "2", "--r", "0.25", "--cap", "5", "--warnock"])
+        run(["norm", "--net", path, "--p", "2", "--q", "2", "--r", "0.25", "--warnock"])
         == 0
     )
     out = capsys.readouterr().out.strip().splitlines()
@@ -82,9 +84,23 @@ def test_norm_out_of_window_warning(tmp_path, capsys):
     assert "outside 0 < r < 1/p window" in out
 
 
-def test_norm_cap_resource_exit(tmp_path):
+def test_audit_cap_resource_exit(tmp_path):
     path = small_netfile(tmp_path)
-    assert run(["norm", "--net", path, "--cap", "100"]) == 3
+    assert run(["audit", "--net", path, "--cap", "100"]) == 3
+
+
+def test_norm_sweeps_each_level_once(monkeypatch):
+    levels = []
+    aggregate = haar.level_aggregate
+
+    def counted(p, j, *tables):
+        levels.append(tuple(j))
+        return aggregate(p, j, *tables)
+
+    monkeypatch.setattr(haar, "level_aggregate", counted)
+    # the CS net b=11 d=2 w=1 (n=4): (n+1)^d = 25 levels, each aggregated once
+    assert run(["norm", "--base", "11", "--dim", "2", "--w", "1"]) == 0
+    assert sorted(levels) == list(itertools.product(range(-1, 4), repeat=2))
 
 
 def test_integrate_table(tmp_path, capsys):
@@ -136,7 +152,7 @@ def test_outputs_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     for target in (a, b):
-        run(["norm", "--net", path, "--cap", "4", "--out", str(target)])
+        run(["norm", "--net", path, "--out", str(target)])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -147,6 +163,8 @@ def test_outputs_deterministic(tmp_path):
         ["norm", "--workers", "2"],
         ["generate", "--seed", "1"],
         ["walsh-check", "--p", "3"],
+        ["norm", "--cap", "3"],
+        ["scaling", "--cap", "3"],
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(argv):

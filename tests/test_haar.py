@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import indicator_coeff_oracle, volume_coeff_oracle
-from qmcnet.errors import CapExceeded, InvalidParams
+from qmcnet.errors import InvalidParams
+from qmcnet.families import balanced_hammersley
 from qmcnet.haar import (
     BesovParams,
     HaarIndex,
+    _bracket_tables,
     besov_quasi_norm,
-    composition_count,
     discrepancy_coeff,
     haar_eval,
     indicator_coeff,
@@ -121,18 +122,11 @@ def test_discrepancy_coeff_single_point():
     assert discrepancy_coeff(p, idx) == pytest.approx(0.5)
 
 
-def test_composition_count():
-    assert composition_count(0, 3) == 1
-    assert composition_count(2, 2) == 3
-    with pytest.raises(InvalidParams):
-        composition_count(-1, 2)
-
-
 def test_level_aggregate_matches_direct_coefficients():
     p = hammersley(3)
     b = p.b
     for j in [(-1, -1), (0, -1), (1, 1), (2, 0), (4, 0), (2, 3)]:
-        agg = level_aggregate(p, j)
+        agg = level_aggregate(p, j, _bracket_tables(b))
         # every occupied box must agree with the direct per-index computation
         for row, box in enumerate(agg.box_ids):
             m = []
@@ -153,13 +147,13 @@ def test_level_aggregate_matches_direct_coefficients():
                         ll.append(1)
                 idx = HaarIndex(tuple(j), tuple(mm), tuple(ll))
                 direct = discrepancy_coeff(p, idx)
-                agg_mu = agg.counting[row, ci] - agg.volume[ci]
-                assert abs(direct - agg_mu) < 1e-12
+                assert abs(direct - agg.mu[row, ci]) < 1e-12
+                assert agg.volume[ci] == volume_coeff(idx, b)
 
 
 def test_level_aggregate_empty_boxes_carry_volume_only():
     p = hammersley(2)
-    agg = level_aggregate(p, (3, 3))  # deeper than n: no interior points
+    agg = level_aggregate(p, (3, 3), _bracket_tables(2))  # deeper than n: none interior
     assert agg.occupied == 0
     idx = HaarIndex((3, 3), (1, 2), (1, 1))
     assert discrepancy_coeff(p, idx) == pytest.approx(-volume_coeff(idx, 2))
@@ -167,37 +161,25 @@ def test_level_aggregate_empty_boxes_carry_volume_only():
 
 def test_parseval_single_point_is_exact_third():
     p = PointSet(2, 1, 1, np.array([[0]]))
-    rep = parseval_l2(p, cap=4)
+    rep = parseval_l2(p)
     # D(x) = 1 - x on (0, 1]: squared L2 norm 1/3
     assert rep.value == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert rep.metadata["tail_exact"]
-
-
-def test_parseval_cap_guard():
-    p = PointSet(2, 1, 1, np.array([[0]]))
-    with pytest.raises(CapExceeded):
-        parseval_l2(p, cap=100)
 
 
 def test_besov_222_r0_matches_parseval():
-    # at (p, q, r) = (2, 2, 0) the quasi-norm is the L2 norm; parseval_l2
-    # folds the exact beyond-cap volume mass into its value while the besov
-    # report keeps it in the tail bound, so compare within the tails
-    p = hammersley(4)
-    pv = parseval_l2(p, cap=6)
-    bs = besov_quasi_norm(p, BesovParams(2, 2, 0.0), cap=6)
-    low = bs.value**2
-    high = (bs.value + bs.tail_bound) ** 2
-    assert low <= pv.value + pv.tail_bound
-    assert pv.value <= high + pv.tail_bound
+    # at (p, q, r) = (2, 2, 0) the quasi-norm is the L2 norm: the Besov value
+    # is the square root of the same q-sum, exact tail included
+    for p in (hammersley(4), balanced_hammersley(9)):
+        pv = parseval_l2(p).value
+        assert besov_quasi_norm(p, BesovParams(2, 2, 0)).value ** 2 == pytest.approx(
+            pv, rel=1e-15
+        )
 
 
-def test_besov_tail_decreases_with_cap():
-    p = hammersley(4)
-    params = BesovParams(2, 2, 0.25)
-    t3 = besov_quasi_norm(p, params, cap=3).tail_bound
-    t6 = besov_quasi_norm(p, params, cap=6).tail_bound
-    assert t6 < t3
+def test_besov_r_at_least_one_is_infinite():
+    p = hammersley(3)
+    for q in (2, math.inf):
+        assert besov_quasi_norm(p, BesovParams(2, q, 1.0)).value == math.inf
 
 
 def test_besov_out_of_window_flag():
@@ -209,10 +191,10 @@ def test_besov_out_of_window_flag():
 def test_besov_infinite_q_is_sup():
     p = hammersley(3)
     params_sup = BesovParams(2, math.inf, 0.25)
-    rep = besov_quasi_norm(p, params_sup, cap=4)
+    rep = besov_quasi_norm(p, params_sup)
     assert rep.value > 0
     # sup is dominated by any finite-q sum over the same levels
-    rep_q1 = besov_quasi_norm(p, BesovParams(2, 1, 0.25), cap=4)
+    rep_q1 = besov_quasi_norm(p, BesovParams(2, 1, 0.25))
     assert rep.value <= rep_q1.value + 1e-12
 
 

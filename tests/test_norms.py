@@ -7,9 +7,19 @@ import pytest
 from oracles import warnock_sq_oracle
 from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
-from qmcnet.haar import BesovParams, parseval_l2
+from qmcnet.haar import (
+    BesovParams,
+    HaarIndex,
+    besov_quasi_norm,
+    discrepancy_coeff,
+    haar_norms,
+    levels_up_to,
+    parseval_l2,
+    volume_coeff,
+)
 from qmcnet.nets import PointSet, is_net
 from qmcnet.norms import (
+    _part_iv_spot_check,
     coeff_bound_audit,
     disc_eval,
     fit_slope,
@@ -79,21 +89,49 @@ def test_warnock_matches_integer_double_sum_oracle():
 
 
 def test_parseval_at_cap_n_minus_1_matches_exact_warnock():
+    # the Besov (2, 2, 0) value squared is the same q-sum, exact tail included
     for p, tol in (
         (balanced_hammersley(14), 1e-13),
         (cs_point_set(CSParams(b=11, d=2, w=1)), 1e-11),
     ):
         exact = warnock_l2_sq(p)
-        value = Fraction(parseval_l2(p, cap=p.n - 1).value)
+        value = Fraction(parseval_l2(p).value)
         assert abs(value - exact) <= tol * exact
+        besov_sq = Fraction(besov_quasi_norm(p, BesovParams(2, 2, 0)).value) ** 2
+        assert abs(besov_sq - exact) <= tol * exact
 
 
 def test_parseval_within_warnock_tail():
     for n in (3, 4, 5):
         p = hammersley(n)
-        rep = parseval_l2(p, cap=n + 2)
+        rep = parseval_l2(p)
         w = warnock_l2(p)
         assert abs(rep.value - w * w) <= rep.tail_bound + 1e-15
+        exact = warnock_l2_sq(p)
+        assert abs(Fraction(rep.value) - exact) <= Fraction(1, 10**14) * exact
+
+
+def test_roundoff_allowance_covers_exact_gap_and_is_relative():
+    for p in (cs_point_set(CSParams(b=11, d=2, w=1)), balanced_hammersley(14)):
+        rep = parseval_l2(p)
+        assert abs(Fraction(rep.value) - warnock_l2_sq(p)) <= rep.tail_bound
+        assert rep.tail_bound < 1e-6 * rep.value
+
+
+def test_part_iv_integer_test_flags_what_the_fraction_route_flags():
+    # on levels below n points are interior, so the two routes can disagree
+    p = hammersley(4)
+    flagged = 0
+    for j in levels_up_to(p.n - 1, p.d):
+        rng_int, rng_frac = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(4):
+            fails = _part_iv_spot_check(p, j, 1, rng_int)
+            m = tuple(int(rng_frac.integers(0, 2**ji)) if ji >= 0 else 0 for ji in j)
+            l = tuple(int(rng_frac.integers(1, 2)) if ji >= 0 else 1 for ji in j)
+            idx = HaarIndex(j, m, l)
+            assert fails == (discrepancy_coeff(p, idx) != -volume_coeff(idx, 2))
+            flagged += fails
+    assert 0 < flagged < 4 * (p.n + 1) ** p.d
 
 
 def test_audit_small_net_passes():
@@ -140,3 +178,13 @@ def test_scaling_table_rows_and_degenerate_flag():
         hammersley, [4], BesovParams(2, 2, 0.25), kinds=("l2",)
     )
     assert single.degenerate
+
+
+def test_scaling_parseval_row_is_in_norm_units():
+    # the row reports ||D||_2, so its tail is that of the root, not of ||D||_2^2
+    params = BesovParams(2, 2, 0.25)
+    (row,) = scaling_table(hammersley, [5], params, kinds=("parseval",)).rows
+    pv, _ = haar_norms(hammersley(5), params)
+    assert row.value == math.sqrt(pv.value)
+    upper = (row.value + row.tail_bound) ** 2
+    assert upper == pytest.approx(pv.value + pv.tail_bound, rel=1e-15)
