@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
         for t in samples:
             s = char_sum(p, t)
             expect = p.size if t in ds else 0
-            ok &= abs(s - expect) < 1e-6 * p.size
+            ok &= s == expect
         report["char_sum_ok"] = ok
     structural_ok = report["is_net"] and report.get("dual_ok") in (True, None)
     report["passed"] = structural_ok and report.get("char_sum_ok", True)

@@ -124,11 +124,9 @@ class CodeSpace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def words(self, limit: int | None = None) -> np.ndarray:
+    def words(self) -> np.ndarray:
         """All b**dim codewords, shape (b**dim, d*n)."""
-        if self.dim == 0:
-            return np.zeros((1, self.d * self.n), dtype=np.int64)
-        return enumerate_span(self.basis, self.b, limit)
+        return enumerate_span(self.basis, self.b)
 
 
 def cs_code_space(params: CSParams) -> CodeSpace:
@@ -158,10 +156,9 @@ def cs_generating_matrices(params: CSParams) -> GeneratingMatrices:
     return GeneratingMatrices(params.b, n, d, mats)
 
 
-def cs_point_set(params: CSParams, limit: int | None = None) -> PointSet:
+def cs_point_set(params: CSParams) -> PointSet:
     """CS_n = Phi_n^d(C_n) with b**n points, generated via the matrices."""
-    g = cs_generating_matrices(params)
-    p = generate_points(g, limit=limit)
+    p = generate_points(cs_generating_matrices(params))
     prov = {"kind": "cs", "params": json.loads(params.to_json())}
     return PointSet(p.b, p.n, p.d, p.numerators, provenance=prov)
 
@@ -209,10 +206,6 @@ def v_weight(a: Sequence[int]) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
-def kappa_weight(a: Sequence[int]) -> int:
-    return int(np.count_nonzero(np.asarray(a)))
-
-
 def v_weight_d(word: Sequence[int], d: int, n: int) -> int:
     arr = np.asarray(word).reshape(d, n)
     return sum(v_weight(arr[i]) for i in range(d))
@@ -239,9 +232,7 @@ class DualPropertyReport:
     words_checked: int
 
 
-def verify_dual_properties(
-    c_dual: CodeSpace, d: int, n: int, limit: int | None = None
-) -> DualPropertyReport:
+def verify_dual_properties(c_dual: CodeSpace, d: int, n: int) -> DualPropertyReport:
     """Exact minima of kappa_n^d and v_n^d over the dual, by full enumeration.
 
     Pass requires kappa_min >= 2d+1 and delta_min >= n+1; the zero code has
@@ -251,7 +242,7 @@ def verify_dual_properties(
         return DualPropertyReport(
             kappa_min=d * n + 1, delta_min=d * n + 1, passed=True, words_checked=1
         )
-    words = c_dual.words(limit)
+    words = c_dual.words()
     nonzero = words[np.any(words != 0, axis=1)]
     kappa_min = int(np.count_nonzero(nonzero, axis=1).min())
     delta_min = int(_blockwise_v(nonzero, d, n).min())

@@ -162,9 +162,7 @@ class Polynomial:
         return Polynomial(tuple(out) if out else (0,), self.field)
 
 
-def poly_space_iter(
-    n: int, field: PrimeField, limit: int | None = None
-) -> Iterator[Polynomial]:
+def poly_space_iter(n: int, field: PrimeField) -> Iterator[Polynomial]:
     """All b**n polynomials of degree < n, coefficient f_0 cycling fastest.
 
     The k-th polynomial has the base-b digits of k (least significant first)
@@ -175,9 +173,8 @@ def poly_space_iter(
         raise ValueError("n must be >= 1")
     b = field.b
     total = b**n
-    cap = limit if limit is not None else enum_limit()
-    if total > cap:
-        raise SizeOverflow(f"b**n = {total} exceeds enumeration limit {cap}")
+    if total > enum_limit():
+        raise SizeOverflow(f"b**n = {total} exceeds enumeration limit {enum_limit()}")
     for k in range(total):
         coeffs = []
         v = k
@@ -240,24 +237,17 @@ def gf_row_space_equal(a: np.ndarray, c: np.ndarray, b: int) -> bool:
     return bool(np.array_equal(ra[: len(pa)], rc[: len(pc)]))
 
 
-def enumerate_span(basis: np.ndarray, b: int, limit: int | None = None) -> np.ndarray:
+def enumerate_span(basis: np.ndarray, b: int) -> np.ndarray:
     """All b**k words spanned by the k basis rows, as a (b**k, width) array.
 
-    Row order follows the base-b digits of the combination index,
-    least significant digit multiplying the first basis row.
+    Row r is sum_k digit_k(r) basis[k] mod b, digit_k(r) the k-th base-b digit
+    of r counted from the least significant; k = 0 gives the one zero word.
     """
     basis = np.asarray(basis, dtype=np.int64) % b
-    k, width = basis.shape
-    total = b**k
-    cap = limit if limit is not None else enum_limit()
-    if total > cap:
-        raise SizeOverflow(f"b**k = {total} exceeds enumeration limit {cap}")
-    idx = np.arange(total, dtype=np.int64)
-    words = np.zeros((total, width), dtype=np.int64)
-    for row in range(k):
-        digit = (idx // (b**row)) % b
-        words = (words + digit[:, None] * basis[row][None, :]) % b
-    return words
+    total = b ** len(basis)
+    if total > enum_limit():
+        raise SizeOverflow(f"b**k = {total} exceeds enumeration limit {enum_limit()}")
+    return digits_lsb(np.arange(total), len(basis), b) @ basis % b
 
 
 def digits_lsb(values: Sequence[int] | np.ndarray, n: int, b: int) -> np.ndarray:

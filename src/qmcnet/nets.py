@@ -120,9 +120,7 @@ def phi_map(digits: Sequence[int], b: int) -> int:
     return k
 
 
-def generate_points(
-    g: GeneratingMatrices, limit: int | None = None
-) -> PointSet:
+def generate_points(g: GeneratingMatrices) -> PointSet:
     """The digital method: point r has digit vectors C_i @ rbar, r = 0..b**n-1.
 
     rbar holds the base-b digits of r least significant first; row nu of the
@@ -130,9 +128,8 @@ def generate_points(
     """
     b, n, d = g.b, g.n, g.d
     total = b**n
-    cap = limit if limit is not None else enum_limit()
-    if total > cap:
-        raise SizeOverflow(f"b**n = {total} points exceed limit {cap}")
+    if total > enum_limit():
+        raise SizeOverflow(f"b**n = {total} points exceed limit {enum_limit()}")
     if n == 0:
         return PointSet(b, 0, d, np.zeros((1, d), dtype=np.int64))
     rbar = digits_lsb(np.arange(total), n, b).T  # (n, N)
@@ -195,52 +192,51 @@ def is_net(p: PointSet) -> NetCheck:
 
 @dataclass(frozen=True)
 class DualSet:
-    """Nonzero frequency tuples annihilated by the transposed matrices."""
+    """Nonzero frequency tuples annihilated by the transposed matrices.
+
+    `elements` is the sorted tuple of int tuples; `array` holds the same rows
+    as an (M, d) int64 array, and membership reads a set built once.
+    """
 
     b: int
     n: int
     d: int
     elements: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    _members: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arr = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), self.d)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __contains__(self, t) -> bool:
-        return tuple(int(v) for v in t) in set(self.elements)
+        return tuple(int(v) for v in t) in self._members
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def dual_set(g: GeneratingMatrices, limit: int | None = None) -> DualSet:
+def dual_set(g: GeneratingMatrices) -> DualSet:
     """Solve C_1^T tbar_1 + ... + C_d^T tbar_d = 0 over F_b, excluding t = 0.
 
     tbar_i holds the digits of t_i least significant first, matching rbar.
     """
     b, n, d = g.b, g.n, g.d
-    if n == 0:
-        return DualSet(b, 0, d, ())
-    stacked = np.concatenate(
-        [g.mats[i].T for i in range(d)], axis=1
-    )  # (n, d*n)
-    basis = gf_nullspace(stacked, b)
-    cap = limit if limit is not None else enum_limit()
-    if b ** len(basis) > cap:
-        raise SizeOverflow(
-            f"null space has b**{len(basis)} elements, exceeding limit {cap}"
-        )
-    words = enumerate_span(basis, b, cap) if len(basis) else np.zeros((1, d * n), np.int64)
+    stacked = np.concatenate([g.mats[i].T for i in range(d)], axis=1)  # (n, d*n)
+    words = enumerate_span(gf_nullspace(stacked, b), b)
     powers = np.array([b**k for k in range(n)], dtype=np.int64)
-    elems = []
-    for w in words:
-        t = tuple(int(w[i * n : (i + 1) * n] @ powers) for i in range(d))
-        if any(t):
-            elems.append(t)
-    return DualSet(b, n, d, tuple(sorted(elems)))
+    t = words.reshape(len(words), d, n) @ powers
+    elems = sorted(map(tuple, t[t.any(axis=1)].tolist()))
+    return DualSet(b, n, d, tuple(elems))
 
 
 def char_sum(p: PointSet, t: Sequence[int]) -> complex:
-    """sum_h wal_t(x_h) as an exact sum of b-th roots of unity.
+    """sum_h wal_t(x_h) from the residue counts of the exponents.
 
-    For a digital net this is b**n on the dual set (plus t = 0) and 0
-    elsewhere; the function itself evaluates any point set.
+    Exactly N when every exponent is 0 mod b and exactly 0 when all b
+    residues are equally frequent, which for a digital net are the dual set
+    (plus t = 0) and its complement; otherwise the float root sum.
     """
     b, n = p.b, p.n
     t = [int(v) for v in t]
@@ -260,6 +256,10 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
             if nu >= n and ti:
                 raise InvalidParams("t coordinate has more digits than n")
     counts = np.bincount(exponents % b, minlength=b)
+    if counts[0] == p.size:
+        return complex(p.size)
+    if (counts == counts[0]).all():
+        return 0j
     roots = [cmath.exp(2j * cmath.pi * k / b) for k in range(b)]
     return sum(int(c) * r for c, r in zip(counts, roots))
 
@@ -300,14 +300,20 @@ def load_pointset(path: str) -> PointSet:
             if not line:
                 continue
             if line.startswith("#provenance"):
-                provenance = json.loads(line[len("#provenance") :])
+                try:
+                    provenance = json.loads(line[len("#provenance") :])
+                except ValueError:
+                    raise NetFileError(f"bad provenance: {line!r}") from None
                 continue
             if line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != d:
                 raise NetFileError(f"expected {d} numerators per line: {line!r}")
-            rows.append([int(v) for v in parts])
+            try:
+                rows.append([int(v) for v in parts])
+            except ValueError:
+                raise NetFileError(f"non-integer numerator: {line!r}") from None
     if len(rows) != count:
         raise NetFileError(f"header says N={count}, file has {len(rows)} points")
     nums = np.asarray(rows, dtype=np.int64).reshape(count, d)

@@ -142,15 +142,17 @@ def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> i
     in every active coordinate.  For z_i = k_i / b^n that is
     m_i b^n < k_i b^(j_i) < (m_i + 1) b^n, tested on the integer numerators in
     Python integers (no float, no overflow at any level), so the check shares
-    no code with the aggregated path it certifies.
+    no code with the aggregated path it certifies.  Each m_i is drawn digit
+    by digit and combined in Python integers, uniform at any b^(j_i).
     """
     b, n = p.b, p.n
     nums = p.numerators.astype(object)
     fails = 0
     for _ in range(samples):
-        m = tuple(
-            int(rng.integers(0, b ** j[i])) if j[i] >= 0 else 0 for i in range(p.d)
-        )
+        m = [0] * p.d
+        for i, ji in enumerate(j):  # j_i digits, most significant first
+            for digit in rng.integers(0, b, size=max(ji, 0)).tolist():
+                m[i] = m[i] * b + digit
         for ji in j:  # l: no effect on interiority, drawn to keep the stream of m
             if ji >= 0:
                 rng.integers(1, b)

@@ -8,7 +8,6 @@ the Haar-side computations.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,15 +17,11 @@ import numpy as np
 
 from .cs import CodeSpace, dual_code, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
-from .field import enum_limit
-from .haar import HaarIndex
+from .haar import HaarIndex, _root
 from .nets import DualSet, GeneratingMatrices, PointSet, dual_set
+from .norms import disc_eval
 
 GROUP_TABLE_LIMIT = 2**24
-
-
-def _root(b: int, k: int) -> complex:
-    return cmath.exp(2j * cmath.pi * (k % b) / b)
 
 
 def terminating_digits(y: Fraction, b: int) -> list[int]:
@@ -186,64 +181,31 @@ def theta(
     g: GeneratingMatrices,
     y: Sequence[Fraction],
     dual: DualSet | None = None,
-    method: str = "transform",
 ) -> ThetaResult:
     """Theta_P(y) by its two routes, which must agree.
 
-    dual_sum:        sum of chi_hat(t) over the nonzero dual set.
-    definition_sum:  mean of the truncated indicator over the net minus the
-                     volume of [0, y).
+    Both start from the coefficient vectors chi_hat_[0,y_i)(t), t < b^n.
+    dual_sum:        sum over the nonzero dual set of prod_i chi_hat(t_i),
+                     one gather per coordinate at `dual.array`.
+    definition_sum:  mean over the net of the truncated indicator, each
+                     vector synthesized on the b^n grid, minus the volume.
     """
     b, n = p.b, p.n
     y = [Fraction(v) for v in y]
     if dual is None:
         dual = dual_set(g)
-    if method == "transform":
-        vecs = [interval_coeff_vector(yi, b, n) for yi in y]
-    elif method == "closed_form":
-        vecs = None
-    else:
-        raise InvalidParams(f"unknown method {method!r}")
+    vecs = [interval_coeff_vector(yi, b, n) for yi in y]
 
-    dual_total = 0.0j
-    for t in dual.elements:
-        if vecs is not None:
-            term = 1.0 + 0.0j
-            for i, ti in enumerate(t):
-                term *= vecs[i][ti]
-        else:
-            term = 1.0 + 0.0j
-            for i, ti in enumerate(t):
-                term *= fine_price_coeff(ti, y[i], b)
-        dual_total += term
-
-    # definition route: truncated indicator synthesized on the b^n grid
-    grids = [
-        walsh_synthesis(interval_coeff_vector(yi, b, n), b, n) for yi in y
-    ]
+    terms = np.ones(len(dual), dtype=complex)
     prod = np.ones(p.size, dtype=complex)
-    for i in range(p.d):
-        prod *= grids[i][p.numerators[:, i]]
+    for i, vec in enumerate(vecs):
+        terms *= vec[dual.array[:, i]]
+        prod *= walsh_synthesis(vec, b, n)[p.numerators[:, i]]
     volume = 1.0
     for yi in y:
         volume *= float(yi)
     definition = complex(prod.sum() / p.size - volume)
-    return ThetaResult(dual_total, definition)
-
-
-def disc_values(p: PointSet, ys: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    """D_P at each y: exact counting on numerators, volume as float."""
-    out = np.empty(len(ys))
-    denom = p.denominator
-    for k, y in enumerate(ys):
-        inside = np.ones(p.size, dtype=bool)
-        volume = 1.0
-        for i in range(p.d):
-            yi = Fraction(y[i])
-            inside &= p.numerators[:, i] * yi.denominator < yi.numerator * denom
-            volume *= float(yi)
-        out[k] = inside.sum() / p.size - volume
-    return out
+    return ThetaResult(complex(terms.sum()), definition)
 
 
 @dataclass(frozen=True)
@@ -261,8 +223,9 @@ def residual_check(
 ) -> ResidualReport:
     """Empirical constant in |R_P(y)| <= c b^-n over a seeded sample grid.
 
-    Samples y from the b^(n+1) grid; R = D - Theta with Theta via the dual
-    sum (transform route), and the two Theta routes compared per sample.
+    Samples y from the b^(n+1) grid; R = D - Theta with D the exact
+    `disc_eval` and Theta the dual sum, and the two Theta routes compared
+    per sample.
     """
     b, n = p.b, p.n
     rng = np.random.default_rng(seed)
@@ -271,11 +234,10 @@ def residual_check(
     max_resid = 0.0
     max_gap = 0.0
     ys = rng.integers(0, grid, size=(sample_count, p.d))
-    dvals = disc_values(p, [[Fraction(int(v), grid) for v in row] for row in ys])
-    for k in range(sample_count):
-        y = [Fraction(int(v), grid) for v in ys[k]]
+    for row in ys:
+        y = [Fraction(int(v), grid) for v in row]
         th = theta(p, g, y, dual=dual)
-        resid = abs(dvals[k] - th.dual_sum)
+        resid = abs(float(disc_eval(p, y)) - th.dual_sum)
         max_resid = max(max_resid, resid)
         max_gap = max(max_gap, th.gap)
     return ResidualReport(
@@ -360,7 +322,6 @@ def v_gamma_lambda(
     gamma: Sequence[int],
     lam: Sequence[int],
     check_bound: bool = False,
-    limit: int | None = None,
 ) -> VCountReport:
     """Counting identity #(C n V_(g,l)) = #C / b^(|l|+sigma) * #(Cperp n Vperp).
 
@@ -376,11 +337,9 @@ def v_gamma_lambda(
         if not 0 <= lm <= g <= n:
             raise InvalidRange("need 0 <= lambda_i <= gamma_i <= n")
     sigma = sum(1 for g, lm in zip(gamma, lam) if lm < g)
-    cap = limit if limit is not None else enum_limit()
 
-    words_c = c.words(cap)
-    dual = dual_code(c)
-    words_d = dual.words(cap)
+    words_c = c.words()
+    words_d = dual_code(c).words()
     in_v = _v_membership(words_c, gamma, lam, d, n, dual_side=False)
     in_vp = _v_membership(words_d, gamma, lam, d, n, dual_side=True)
     count_c = int(in_v.sum())

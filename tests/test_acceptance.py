@@ -237,7 +237,7 @@ def test_criterion_9_group_lemma_suite(cs_points):
         for t1 in range(8):
             s = char_sum(p, (t0, t1))
             expect = p.size if (t0, t1) in dual or (t0, t1) == (0, 0) else 0
-            char_ok &= abs(s - expect) < 1e-9
+            char_ok &= s == expect
 
     # Poisson summation and the V cardinality identity over random subspaces
     rng = np.random.default_rng(13)

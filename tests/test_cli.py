@@ -9,8 +9,9 @@ import pytest
 import qmcnet
 from qmcnet import haar
 from qmcnet.cli import IntegrandSpec, main
-from qmcnet.errors import InvalidParams
-from qmcnet.nets import GeneratingMatrices
+from qmcnet.cs import CSParams, cs_generating_matrices
+from qmcnet.errors import InvalidParams, SizeOverflow
+from qmcnet.nets import GeneratingMatrices, dual_set
 
 
 def run(argv):
@@ -82,6 +83,24 @@ def test_norm_out_of_window_warning(tmp_path, capsys):
     run(["norm", "--net", path, "--r", "0.8"])
     out = capsys.readouterr().out
     assert "outside 0 < r < 1/p window" in out
+
+
+@pytest.mark.parametrize("bad_line", ["x", "1.5", "#provenance {"])
+def test_verify_malformed_netfile_is_a_parameter_error(tmp_path, bad_line):
+    path = small_netfile(tmp_path)
+    lines = open(path).read().splitlines()
+    lines[-1] = bad_line
+    bad = tmp_path / "bad.net"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["verify", "--net", str(bad)]) == 2
+
+
+def test_enumeration_limit_from_environment(monkeypatch):
+    monkeypatch.setenv("QMCNET_LIMIT", "1000")
+    # b^n = 11^4 points and an 11^4-word null space both exceed 1000
+    assert run(["generate", "--base", "11", "--dim", "2"]) == 3
+    with pytest.raises(SizeOverflow):
+        dual_set(cs_generating_matrices(CSParams(11, 2, 1)))
 
 
 def test_audit_cap_resource_exit(tmp_path):

@@ -132,9 +132,12 @@ def test_enumerate_span_is_whole_subspace():
     assert words.shape == (9, 3)
     seen = {tuple(w) for w in words}
     assert len(seen) == 9
-    for u in range(3):
-        for v in range(3):
-            assert tuple((u * basis[0] + v * basis[1]) % 3) in seen
+    # row r = sum_k digit_k(r) basis[k], digit 0 the least significant
+    for r, word in enumerate(words):
+        u, v = r % 3, r // 3
+        assert tuple(word) == tuple((u * basis[0] + v * basis[1]) % 3)
+    # the empty basis spans the one zero word
+    assert np.array_equal(enumerate_span(np.zeros((0, 4), dtype=np.int64), 3), np.zeros((1, 4)))
 
 
 def test_digits_lsb_roundtrip():

@@ -69,7 +69,16 @@ def test_char_sum_exhaustive_small():
         for t1 in range(8):
             s = char_sum(p, (t0, t1))
             expect = p.size if (t0, t1) in dual or (t0, t1) == (0, 0) else 0
-            assert abs(s - expect) < 1e-9
+            assert s == expect
+
+
+def test_char_sum_off_the_dual_set_is_exactly_zero():
+    g = hammersley_matrices(3)
+    p = generate_points(g)
+    t = (1, 0)
+    assert t not in dual_set(g)
+    # equal residue counts give exactly 0, not the float root sum's 1e-16j
+    assert char_sum(p, t) == 0
 
 
 def test_dual_set_size():

@@ -126,12 +126,21 @@ def test_part_iv_integer_test_flags_what_the_fraction_route_flags():
         rng_int, rng_frac = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(4):
             fails = _part_iv_spot_check(p, j, 1, rng_int)
-            m = tuple(int(rng_frac.integers(0, 2**ji)) if ji >= 0 else 0 for ji in j)
+            m = [0] * p.d
+            for i, ji in enumerate(j):
+                for digit in rng_frac.integers(0, 2, size=max(ji, 0)).tolist():
+                    m[i] = m[i] * 2 + digit
             l = tuple(int(rng_frac.integers(1, 2)) if ji >= 0 else 1 for ji in j)
-            idx = HaarIndex(j, m, l)
+            idx = HaarIndex(j, tuple(m), l)
             assert fails == (discrepancy_coeff(p, idx) != -volume_coeff(idx, 2))
             flagged += fails
     assert 0 < flagged < 4 * (p.n + 1) ** p.d
+
+
+def test_part_iv_draws_boxes_beyond_int64():
+    # b^j_i >= 2^63 from j_i = 9 on: m is drawn digit by digit in Python ints
+    p = PointSet(131, 2, 1, np.arange(131**2)[:, None])
+    assert coeff_bound_audit(p, cap=10).passed
 
 
 def test_audit_small_net_passes():

@@ -137,9 +137,11 @@ def test_theta_closed_form_route_agrees():
     g = hammersley_g(2)
     p = generate_points(g)
     y = [Fraction(3, 8), Fraction(5, 8)]
-    a = theta(p, g, y, method="transform")
-    c = theta(p, g, y, method="closed_form")
-    assert abs(a.dual_sum - c.dual_sum) < 1e-12
+    closed = sum(
+        math.prod(fine_price_coeff(ti, yi, 2) for ti, yi in zip(t, y))
+        for t in dual_set(g).elements
+    )
+    assert abs(theta(p, g, y).dual_sum - closed) < 1e-12
 
 
 def test_residual_check_reports_finite_constant():
