@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -125,8 +126,19 @@ class CodeSpace:
         return self.basis.shape[0]
 
     def words(self) -> np.ndarray:
-        """All b**dim codewords, shape (b**dim, d*n)."""
-        return enumerate_span(self.basis, self.b)
+        """All b**dim codewords, shape (b**dim, d*n); enumerated once, read-only."""
+        return self._words
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        words = enumerate_span(self.basis, self.b)
+        words.flags.writeable = False
+        return words
+
+    @cached_property
+    def dual(self) -> "CodeSpace":
+        """`dual_code(self)`, built once."""
+        return dual_code(self)
 
 
 def cs_code_space(params: CSParams) -> CodeSpace:

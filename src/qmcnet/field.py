@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -242,18 +242,20 @@ def enumerate_span(basis: np.ndarray, b: int) -> np.ndarray:
 
     Row r is sum_k digit_k(r) basis[k] mod b, digit_k(r) the k-th base-b digit
     of r counted from the least significant; k = 0 gives the one zero word.
+    The span grows one basis row at a time, so the only arrays are words in
+    the smallest unsigned dtype that holds a sum of two digits, 2b - 2.
     """
     basis = np.asarray(basis, dtype=np.int64) % b
     total = b ** len(basis)
     if total > enum_limit():
         raise SizeOverflow(f"b**k = {total} exceeds enumeration limit {enum_limit()}")
-    return digits_lsb(np.arange(total), len(basis), b) @ basis % b
-
-
-def digits_lsb(values: Sequence[int] | np.ndarray, n: int, b: int) -> np.ndarray:
-    """Base-b digits of each value, least significant first, shape (len, n)."""
-    v = np.asarray(values, dtype=np.int64)
-    out = np.empty(v.shape + (n,), dtype=np.int64)
-    for k in range(n):
-        out[..., k] = (v // (b**k)) % b
-    return out
+    dtype = np.min_scalar_type(2 * b - 2)
+    width = basis.shape[1]
+    words = np.zeros((1, width), dtype=dtype)
+    multiples = np.arange(b)[:, None]
+    for row in basis:
+        # block a of the new words is the old words plus a * row
+        steps = (multiples * row % b).astype(dtype)
+        words = (words[None] + steps[:, None]).reshape(-1, width)
+        np.remainder(words, dtype.type(b), out=words)
+    return words

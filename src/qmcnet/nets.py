@@ -9,19 +9,15 @@ from __future__ import annotations
 import cmath
 import json
 import re
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidParams,
-    NetFileError,
-    NotPowerCardinality,
-    SizeOverflow,
-)
-from .field import PrimeField, digits_lsb, enum_limit, enumerate_span, gf_nullspace
+from .errors import InvalidParams, NetFileError, NotPowerCardinality
+from .field import PrimeField, enumerate_span, gf_nullspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,21 +119,17 @@ def phi_map(digits: Sequence[int], b: int) -> int:
 def generate_points(g: GeneratingMatrices) -> PointSet:
     """The digital method: point r has digit vectors C_i @ rbar, r = 0..b**n-1.
 
-    rbar holds the base-b digits of r least significant first; row nu of the
-    product is the digit multiplying b**-(nu+1).
+    rbar holds the base-b digits of r least significant first, so the digit
+    vectors of point r are row r of the span whose basis row k is column k
+    of every C_i; digit nu of coordinate i multiplies b**-(nu+1).
     """
     b, n, d = g.b, g.n, g.d
-    total = b**n
-    if total > enum_limit():
-        raise SizeOverflow(f"b**n = {total} points exceed limit {enum_limit()}")
-    if n == 0:
-        return PointSet(b, 0, d, np.zeros((1, d), dtype=np.int64))
-    rbar = digits_lsb(np.arange(total), n, b).T  # (n, N)
-    weights = np.array([b ** (n - 1 - nu) for nu in range(n)], dtype=np.int64)
-    nums = np.empty((total, d), dtype=np.int64)
-    for i in range(d):
-        h = (g.mats[i] @ rbar) % b  # (n, N)
-        nums[:, i] = weights @ h
+    words = enumerate_span(g.mats.transpose(2, 0, 1).reshape(n, d * n), b)
+    digits = words.reshape(len(words), d, n)
+    nums = np.zeros((len(words), d), dtype=np.int64)
+    for nu in range(n):  # Horner, most significant digit first
+        nums *= b
+        nums += digits[:, :, nu]
     return PointSet(b, n, d, nums)
 
 
@@ -267,14 +259,17 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
 # --- point-set file format ---------------------------------------------------
 
 _HEADER_RE = re.compile(r"^#qmcnet v1 b=(\d+) n=(\d+) d=(\d+) N=(\d+)\s*$")
+_WRITE_ROWS = 2**14  # rows per %-format call
 
 
 def _write_pointset(p: PointSet, fh) -> None:
     fh.write(f"#qmcnet v1 b={p.b} n={p.n} d={p.d} N={p.size}\n")
     if p.provenance:
         fh.write(f"#provenance {json.dumps(p.provenance, sort_keys=True)}\n")
-    for row in p.numerators:
-        fh.write(" ".join(str(int(k)) for k in row) + "\n")
+    row = " ".join(["%d"] * p.d) + "\n"
+    for start in range(0, p.size, _WRITE_ROWS):
+        block = p.numerators[start : start + _WRITE_ROWS]
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def save_pointset(p: PointSet, path) -> None:
@@ -287,37 +282,39 @@ def save_pointset(p: PointSet, path) -> None:
 
 
 def load_pointset(path: str) -> PointSet:
+    """Read a netfile; anything but the format of `save_pointset` (plus blank
+    lines and whole-line `#` comments) raises NetFileError."""
     with open(path) as fh:
         header = fh.readline()
-        m = _HEADER_RE.match(header)
-        if not m:
-            raise NetFileError(f"bad header: {header!r}")
-        b, n, d, count = (int(g) for g in m.groups())
-        provenance = None
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#provenance"):
-                try:
-                    provenance = json.loads(line[len("#provenance") :])
-                except ValueError:
-                    raise NetFileError(f"bad provenance: {line!r}") from None
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != d:
-                raise NetFileError(f"expected {d} numerators per line: {line!r}")
+        body = fh.read()
+    m = _HEADER_RE.match(header)
+    if not m:
+        raise NetFileError(f"bad header: {header!r}")
+    b, n, d, count = (int(g) for g in m.groups())
+    provenance = None
+    # numpy skips comments, so they are checked here: the last #provenance wins
+    for c in re.finditer("#.*", body):
+        line = body[body.rfind("\n", 0, c.start()) + 1 : c.end()]
+        if not line.lstrip().startswith("#"):
+            raise NetFileError(f"comment after a numerator: {line!r}")
+        if c.group().startswith("#provenance"):
             try:
-                rows.append([int(v) for v in parts])
+                provenance = json.loads(c.group()[len("#provenance") :])
             except ValueError:
-                raise NetFileError(f"non-integer numerator: {line!r}") from None
-    if len(rows) != count:
-        raise NetFileError(f"header says N={count}, file has {len(rows)} points")
-    nums = np.asarray(rows, dtype=np.int64).reshape(count, d)
-    denom = b**n
-    if nums.size and (nums.min() < 0 or nums.max() >= denom):
+                raise NetFileError(f"bad provenance: {line!r}") from None
+    del body  # numpy reads the file itself
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no points; N is checked below
+            nums = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError as exc:  # a non-integer token or a changed column count
+        raise NetFileError(f"bad numerators: {exc}") from None
+    if nums.size == 0:
+        nums = nums.reshape(0, d)
+    if nums.shape[1] != d:
+        raise NetFileError(f"expected {d} numerators per line, found {nums.shape[1]}")
+    if len(nums) != count:
+        raise NetFileError(f"header says N={count}, file has {len(nums)} points")
+    if nums.size and (nums.min() < 0 or nums.max() >= b**n):
         raise NetFileError("numerator out of range [0, b**n)")
     return PointSet(b, n, d, nums, provenance=provenance)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cs import CodeSpace, dual_code, nrt_weight
+from .cs import CodeSpace, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
 from .haar import HaarIndex, _root
 from .nets import DualSet, GeneratingMatrices, PointSet, dual_set
@@ -339,7 +339,7 @@ def v_gamma_lambda(
     sigma = sum(1 for g, lm in zip(gamma, lam) if lm < g)
 
     words_c = c.words()
-    words_d = dual_code(c).words()
+    words_d = c.dual.words()
     in_v = _v_membership(words_c, gamma, lam, d, n, dual_side=False)
     in_vp = _v_membership(words_d, gamma, lam, d, n, dual_side=True)
     count_c = int(in_v.sum())

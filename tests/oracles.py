@@ -3,12 +3,16 @@
 These deliberately avoid the closed forms under test: coefficients are
 obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
-floating point).
+floating point); spans and points come from one int64 digit matrix product;
+netfiles are written one row at a time.
 """
 from __future__ import annotations
 
 import cmath
+import json
 from fractions import Fraction
+
+import numpy as np
 
 from qmcnet.haar import HaarIndex
 
@@ -87,3 +91,38 @@ def warnock_sq_oracle(numerators, denom: int) -> Fraction:
                 term *= denom - max(ka, kb)
             quad += term
     return Fraction(1, 3**d) - 2 * lin / n_pts + Fraction(quad, n_pts**2 * denom**d)
+
+
+def digits_lsb(values, n: int, b: int) -> np.ndarray:
+    """Base-b digits of each value, least significant first, shape (len, n)."""
+    v = np.asarray(values, dtype=np.int64)
+    out = np.empty(v.shape + (n,), dtype=np.int64)
+    for k in range(n):
+        out[..., k] = (v // (b**k)) % b
+    return out
+
+
+def span_oracle(basis, b: int) -> np.ndarray:
+    """All b**k words of the span: row r is digits_lsb(r) @ basis mod b."""
+    basis = np.asarray(basis, dtype=np.int64) % b
+    return digits_lsb(np.arange(b ** len(basis)), len(basis), b) @ basis % b
+
+
+def digital_method_oracle(g) -> np.ndarray:
+    """Numerators of the digital method: weights @ (C_i @ rbar mod b) per i."""
+    b, n, d = g.b, g.n, g.d
+    rbar = digits_lsb(np.arange(b**n), n, b).T  # (n, N)
+    weights = np.array([b ** (n - 1 - nu) for nu in range(n)], dtype=np.int64)
+    nums = np.empty((b**n, d), dtype=np.int64)
+    for i in range(d):
+        nums[:, i] = weights @ ((g.mats[i] @ rbar) % b)
+    return nums
+
+
+def write_pointset_oracle(p, fh) -> None:
+    """The netfile format written one row at a time."""
+    fh.write(f"#qmcnet v1 b={p.b} n={p.n} d={p.d} N={p.size}\n")
+    if p.provenance:
+        fh.write(f"#provenance {json.dumps(p.provenance, sort_keys=True)}\n")
+    for row in p.numerators:
+        fh.write(" ".join(str(int(k)) for k in row) + "\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qmcnet
+from qmcnet import families as fam
 from qmcnet import haar
 from qmcnet.cli import IntegrandSpec, main
 from qmcnet.cs import CSParams, cs_generating_matrices
@@ -32,6 +33,31 @@ def test_generate_and_verify_roundtrip(tmp_path):
     path2 = str(tmp_path / "again.net")
     run(["generate", "--base", "3", "--dim", "1", "--w", "2", "--out", path2])
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_verify_reports_each_stage(tmp_path, capsys):
+    # the paper's CS-11 net: the character-sum stage runs on its 11^4 dual words
+    cs11 = str(tmp_path / "cs11.net")
+    assert run(["generate", "--base", "11", "--dim", "2", "--w", "1", "--out", cs11]) == 0
+    assert run(["verify", "--net", cs11]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["char_sum_ok"] is True and rep["dual_ok"] is True and "notice" not in rep
+    # without provenance both stages are skipped and the report says so
+    mpath = tmp_path / "h.json"
+    mpath.write_text(fam.hammersley_matrices(4).to_json())
+    h4 = str(tmp_path / "h4.net")
+    assert run(["generate", "--matrices", str(mpath), "--out", h4]) == 0
+    assert run(["verify", "--net", h4]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["char_sum_ok"] is None and rep["dual_ok"] is None
+    assert "character-sum" in rep["notice"]
+
+
+def test_generate_to_stdout_matches_netfile(tmp_path, capsys):
+    path = small_netfile(tmp_path)
+    capsys.readouterr()
+    assert run(["generate", "--base", "3", "--dim", "1", "--w", "2"]) == 0
+    assert capsys.readouterr().out == Path(path).read_text()
 
 
 def test_generate_bad_base_exit_code():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import digits_lsb, span_oracle
 from qmcnet.errors import BaseMismatch, InvalidParams, NotPrime, ZeroInverse
 from qmcnet.field import (
     Polynomial,
     PrimeField,
-    digits_lsb,
     enumerate_span,
     gf_nullspace,
     gf_rank,
@@ -138,6 +138,19 @@ def test_enumerate_span_is_whole_subspace():
         assert tuple(word) == tuple((u * basis[0] + v * basis[1]) % 3)
     # the empty basis spans the one zero word
     assert np.array_equal(enumerate_span(np.zeros((0, 4), dtype=np.int64), 3), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("b, kmax", [(2, 10), (3, 6), (5, 4), (11, 3), (257, 2)])
+def test_enumerate_span_matches_oracle(b, kmax):
+    rng = np.random.default_rng(b)
+    for k in range(kmax + 1):
+        basis = rng.integers(0, b, size=(k, 5))
+        words = enumerate_span(basis, b)
+        assert np.array_equal(words, span_oracle(basis, b))
+        # the smallest unsigned dtype holding 2b - 2: uint16 only for b = 257
+        assert words.dtype.kind == "u"
+        assert words.dtype.itemsize == (2 if b > 128 else 1)
+        assert words.min() >= 0 and words.max() < b
 
 
 def test_digits_lsb_roundtrip():

@@ -1,9 +1,14 @@
+import io
 import json
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import digital_method_oracle, write_pointset_oracle
+from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import NetFileError, NotPowerCardinality
 from qmcnet.nets import (
     GeneratingMatrices,
@@ -39,6 +44,40 @@ def test_identity_matrix_gives_van_der_corput():
     # r = 6 = 110_2, digits lsb (0,1,1) -> x = 0/2 + 1/4 + 1/8
     assert p.numerators[6, 0] == 3
     assert sorted(p.numerators[:, 0]) == list(range(8))
+
+
+def generators():
+    yield from (hammersley_matrices(n) for n in range(1, 13))
+    yield cs_generating_matrices(CSParams(3, 1, 2))
+    yield cs_generating_matrices(CSParams(11, 2, 1))
+    rng = np.random.default_rng(3)
+    for b, n, d in [(2, 5, 1), (3, 3, 2), (5, 2, 3), (2, 4, 3), (2, 0, 2)]:
+        yield GeneratingMatrices(b, n, d, rng.integers(0, b, size=(d, n, n)))
+
+
+def test_generate_points_matches_digital_method_oracle():
+    for g in generators():
+        assert np.array_equal(generate_points(g).numerators, digital_method_oracle(g))
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generation_and_loading_memory_is_a_few_numerator_arrays(tmp_path):
+    # digits are kept in one byte each, never as an (N, n) int64 array
+    g = hammersley_matrices(16)
+    p = generate_points(g)
+    path = str(tmp_path / "h16.net")
+    save_pointset(p, path)
+    limit = 8 * p.numerators.nbytes
+    assert traced_peak(generate_points, g) <= limit
+    assert traced_peak(load_pointset, path) <= limit
 
 
 def test_hammersley_is_net():
@@ -105,6 +144,65 @@ def test_netfile_roundtrip(tmp_path):
     path2 = tmp_path / "b.net"
     save_pointset(q, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_netfile_writer_matches_row_by_row_oracle():
+    p = cs_point_set(CSParams(11, 2, 1))
+    q = generate_points(hammersley_matrices(12))
+    q = PointSet(q.b, q.n, q.d, q.numerators, provenance={"family": "hammersley", "n": 12})
+    for ps in (p, q):
+        new, old = io.StringIO(), io.StringIO()
+        save_pointset(ps, new)
+        write_pointset_oracle(ps, old)
+        assert new.getvalue() == old.getvalue()
+
+
+def test_netfile_d1_roundtrip(tmp_path):
+    p = generate_points(hammersley_matrices(5))
+    p = PointSet(p.b, p.n, 1, p.numerators[:, :1])
+    path = str(tmp_path / "d1.net")
+    save_pointset(p, path)
+    q = load_pointset(path)
+    assert q == p and q.numerators.shape == (32, 1)
+
+
+def test_netfile_without_points_roundtrips(tmp_path):
+    p = PointSet(3, 2, 2, np.zeros((0, 2), dtype=np.int64))
+    path = str(tmp_path / "empty.net")
+    save_pointset(p, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_pointset(path) == p
+
+
+def test_netfile_blank_lines_comments_and_late_provenance(tmp_path):
+    path = tmp_path / "c.net"
+    path.write_text(
+        "#qmcnet v1 b=2 n=1 d=2 N=2\n0 1\n\n  # a comment\n\t\n1 0\n"
+        '#provenance {"late": true}\n'
+    )
+    q = load_pointset(str(path))
+    assert q.numerators.tolist() == [[0, 1], [1, 0]]
+    assert q.provenance == {"late": True}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0 1\n1 0 1\n",  # three tokens on a d=2 line
+        "0 1\n1\n",  # one token
+        "0 1 1\n1 0 1\n",  # three tokens on every line
+        "0 1\n1_0 0\n",  # int() took 1_0; the format does not
+        "0 1\n1 0 # note\n",  # a comment after the numerators
+        "0 1\n",  # fewer points than N
+        "0 1\n99999999999999999999 0\n",  # beyond int64
+    ],
+)
+def test_netfile_rejects_malformed_points(tmp_path, body):
+    path = tmp_path / "bad.net"
+    path.write_text("#qmcnet v1 b=2 n=4 d=2 N=2\n" + body)
+    with pytest.raises(NetFileError):
+        load_pointset(str(path))
 
 
 def test_netfile_bad_header(tmp_path):

@@ -204,6 +204,24 @@ def test_v_gamma_lambda_identity_exhaustive_small():
             assert rep.identity_ok
 
 
+def test_v_gamma_lambda_enumerates_each_code_once(monkeypatch):
+    from qmcnet import cs
+
+    calls = []
+    span = cs.enumerate_span
+    monkeypatch.setattr(cs, "enumerate_span", lambda *a: calls.append(a) or span(*a))
+    c = CodeSpace(2, 2, 2, np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int64))
+    first = v_gamma_lambda(c, (2, 1), (1, 0))
+    assert len(calls) == 2  # the code and its dual
+    assert v_gamma_lambda(c, (2, 1), (1, 0)) == first
+    assert v_gamma_lambda(c, (1, 1), (0, 0)).identity_ok
+    assert len(calls) == 2
+    # the cached words cannot be changed through the returned array
+    assert not c.words().flags.writeable
+    with pytest.raises(ValueError):
+        c.words()[0, 0] = 1
+
+
 def test_v_gamma_lambda_range_checks():
     basis = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int64)
     c = CodeSpace(2, 2, 2, basis)
