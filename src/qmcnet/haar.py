@@ -7,7 +7,11 @@ coordinate at level -1 carries the constant (indicator-of-cube) factor.
 
 One sweep (`haar_levels`) aggregates the coefficients of every level with all
 j_i <= n - 1; deeper levels hold no interior point, so there mu = -volume and
-their mass has a closed form.  One reduction (`_qsum`) turns the sweep into
+their mass has a closed form.  It sorts the points once per level prefix
+(j_1, ..., j_(d-1)) by (prefix box, k_d) (`level_prefix`); every level with
+that prefix then finds its boxes as runs of that order and sums each with one
+`np.add.reduceat` per l-combination of its first s - 1 active coordinates
+(`level_aggregate`).  One reduction (`_qsum`) turns the sweep into
 sum_j Xi_j^q plus that exact tail: its q-th root is the Besov quasi-norm, and
 at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
 """
@@ -144,13 +148,78 @@ def discrepancy_coeff(p: PointSet, idx: HaarIndex) -> complex:
 
 
 def _bracket_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(omega powers, tail sums T[k, l-1] = sum_(r>k) omega^(r l))."""
+    """(powers W[k, l-1] = omega^(k l), tail sums T[k, l-1] = sum_(r>k) omega^(r l))."""
     omega = np.exp(2j * np.pi * np.arange(b) / b)
+    kl = np.arange(b)[:, None] * np.arange(1, b)[None, :]
     tails = np.zeros((b, b - 1), dtype=complex)
     for l in range(1, b):
         for k in range(b):
             tails[k, l - 1] = omega[(np.arange(k + 1, b) * l) % b].sum()
-    return omega, tails
+    return omega[kl % b], tails
+
+
+def _digits(k: np.ndarray, b: int, n: int, ji: int):
+    """(interior, m, ksub, u) of the numerators k / b^n at level 0 <= ji < n.
+
+    m is the box index, ksub the sub-cell digit, and u = 1 - (position within
+    the sub-cell); interior is False for points on the level-ji grid.
+    """
+    step = b ** (n - ji)
+    m, rem = np.divmod(k, step)
+    sub = step // b
+    ksub, low = np.divmod(rem, sub)
+    return rem != 0, m, ksub, 1.0 - low / float(sub)
+
+
+def _brackets(ksub: np.ndarray, u: np.ndarray, tables) -> np.ndarray:
+    """Per-point factors u omega^(ksub l) + sum_(r>ksub) omega^(r l), (len, b-1)."""
+    powers, tails = tables
+    return u[:, None] * powers[ksub] + tails[ksub]
+
+
+@dataclass
+class LevelPrefix:
+    """The points of a set sorted once for every level j = (head, j_d).
+
+    `idx` lists the points interior to their box in each active coordinate of
+    the head, sorted by (head box, k_d).  In that order the box index of every
+    level with this head never decreases, since the last box index grows with
+    k_d.
+    """
+
+    head: tuple[int, ...]  # (j_1, ..., j_(d-1))
+    idx: np.ndarray  # point indices, sorted
+    box: np.ndarray  # head box index of each, non-decreasing
+    brackets: list[np.ndarray]  # per active head coordinate: (len(idx), b-1)
+    tables: tuple[np.ndarray, np.ndarray]  # `_bracket_tables(b)`
+
+
+def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
+    """Sort the points of p for the levels whose first d - 1 entries are `head`."""
+    head = tuple(int(v) for v in head)
+    if len(head) != p.d - 1:
+        raise InvalidParams("level must have d entries")
+    if any(v < -1 for v in head):
+        raise InvalidParams("levels start at -1")
+    b, n = p.b, p.n
+    keep = np.ones(p.size, dtype=bool)
+    box = np.zeros(p.size, dtype=np.int64)
+    subcells = []
+    for i, ji in enumerate(head):
+        if ji == -1:
+            continue
+        if ji >= n:  # the points sit on the level grid, none are interior
+            keep[:] = False
+            continue
+        interior, m, ksub, u = _digits(p.numerators[:, i], b, n, ji)
+        keep &= interior
+        box = box * b**ji + m
+        subcells.append((ksub, u))
+    idx = np.flatnonzero(keep)
+    idx = idx[np.lexsort((p.numerators[idx, -1], box[idx]))]
+    tables = _bracket_tables(b)
+    brackets = [_brackets(ksub[idx], u[idx], tables) for ksub, u in subcells]
+    return LevelPrefix(head, idx, box[idx], brackets, tables)
 
 
 @dataclass
@@ -162,7 +231,7 @@ class LevelAggregate:
     """
 
     j: tuple[int, ...]
-    box_ids: np.ndarray  # (n_occ,) packed occupied-box indices
+    box_ids: np.ndarray  # (n_occ,) packed occupied-box indices, ascending
     mu: np.ndarray  # (n_occ, n_lcombos) complex
     l_combos: list[tuple[int, ...]]
     n_boxes: float  # b**|j| (float; may exceed integer range at deep levels)
@@ -191,31 +260,24 @@ class LevelAggregate:
 
 
 def level_aggregate(
-    p: PointSet, j: Sequence[int], tables: tuple[np.ndarray, np.ndarray]
+    p: PointSet, j: Sequence[int], prefix: LevelPrefix
 ) -> LevelAggregate:
-    """Bucket the points of p into the boxes of level j via digit prefixes.
+    """Sum the coefficients of level j box by box over the sorted `prefix`.
 
     Only points interior to their box (in every active coordinate) contribute;
-    boundary points have vanishing indicator coefficients.  `tables` is
-    `_bracket_tables(p.b)`.
+    boundary points have vanishing indicator coefficients.  `prefix` is
+    `level_prefix(p, j[:-1])`: the boxes of level j are runs of it, so each
+    l-combination of the first s - 1 active coordinates takes one
+    `np.add.reduceat` over the b - 1 values of the last.
     """
     j = tuple(int(v) for v in j)
-    if len(j) != p.d:
-        raise InvalidParams("level must have d entries")
-    if any(v < -1 for v in j):
+    if len(j) != p.d or j[:-1] != prefix.head:
+        raise InvalidParams("level must have d entries and extend the prefix")
+    if j[-1] < -1:
         raise InvalidParams("levels start at -1")
     total_level = sum(v for v in j if v >= 0)
     b, n, N = p.b, p.n, p.size
-    active = [i for i, v in enumerate(j) if v >= 0]
-    s = len(active)
-
-    omega, tails = tables
-
-    # constant factors from level -1 coordinates: prod (1 - z_i)
-    base = np.full(N, b ** float(-total_level - s)) / N
-    for i, ji in enumerate(j):
-        if ji == -1:
-            base = base * (1.0 - p.numerators[:, i] / float(p.denominator))
+    s = sum(1 for v in j if v >= 0)
 
     l_combos = list(itertools.product(range(1, b), repeat=s))
     n_boxes = float(b) ** total_level
@@ -223,46 +285,44 @@ def level_aggregate(
     # product of 2^(d-s) and one (omega^l - 1) vector per active coordinate
     roots = [_root(b, l) - 1.0 for l in range(1, b)]
     denoms = [2.0 ** (p.d - s)]
-    for _ in active:
+    for _ in range(s):
         denoms = [x * r for x in denoms for r in roots]
     vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
+
+    jd, idx, box, brackets = j[-1], prefix.idx, prefix.box, prefix.brackets
+    if jd >= n:  # the points sit on the level grid, none are interior
+        idx = idx[:0]
+    elif jd >= 0:
+        interior, m, ksub, u = _digits(p.numerators[idx, -1], b, n, jd)
+        idx, box = idx[interior], box[interior] * b**jd + m[interior]
+        brackets = [br[interior] for br in brackets]
+        brackets.append(_brackets(ksub[interior], u[interior], prefix.tables))
+    if s == 0:  # one box of every point: pairwise `sum` in the set's own order,
+        idx = np.sort(idx)  # which on CS-11 lands 7x nearer the exact value
+
+    # constant factors from level -1 coordinates: prod (1 - z_i)
+    base = np.full(idx.size, b ** float(-total_level - s)) / N
+    for i, ji in enumerate(j):
+        if ji == -1:
+            base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
 
     if s == 0:
         box_ids = np.zeros(1, np.int64)
         counting = np.array([[base.sum()]], dtype=complex)
-    elif any(j[i] >= n for i in active):
-        # points sit on the level grid, none are interior
+    elif idx.size == 0:
         box_ids = np.zeros(0, np.int64)
         counting = np.zeros((0, len(l_combos)), dtype=complex)
     else:
-        interior = np.ones(N, dtype=bool)
-        box = np.zeros(N, dtype=np.int64)
-        brackets = []  # per active coordinate: (N, b-1) complex
-        for i in active:
-            ji = j[i]
-            k_num = p.numerators[:, i]
-            step = b ** (n - ji)
-            interior &= (k_num % step) != 0
-            m = k_num // step
-            rem = k_num % step
-            sub = b ** (n - ji - 1)
-            ksub = rem // sub
-            u = 1.0 - (rem % sub) / float(sub)
-            br = u[:, None] * omega[(ksub[:, None] * np.arange(1, b)[None, :]) % b]
-            br = br + tails[ksub]
-            brackets.append(br)
-            box = box * (b**ji) + m
-
-        idx_pts = np.nonzero(interior)[0]
-        box_ids, inv = np.unique(box[idx_pts], return_inverse=True)
-        counting = np.zeros((box_ids.size, len(l_combos)), dtype=complex)
-        base_in = base[idx_pts]
-        brs = [br[idx_pts] for br in brackets]
-        for ci, combo in enumerate(l_combos):
-            prod = base_in.astype(complex)
-            for a, li in enumerate(combo):
-                prod = prod * brs[a][:, li - 1]
-            np.add.at(counting[:, ci], inv, prod)
+        starts = np.flatnonzero(np.diff(box, prepend=-1))
+        box_ids = box[starts]
+        counting = np.empty((starts.size, len(l_combos)), dtype=complex)
+        *lead, last = brackets
+        for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
+            prod = base.astype(complex)
+            for br, l in zip(lead, combo):
+                prod = prod * br[:, l]
+            block = np.add.reduceat(prod[:, None] * last, starts, axis=0)
+            counting[:, c * (b - 1) : (c + 1) * (b - 1)] = block
     counting -= vol  # in place, now mu: one (n_occ, n_lcombos) array per level
     return LevelAggregate(j, box_ids, counting, l_combos, n_boxes, vol)
 
@@ -271,16 +331,21 @@ def levels_up_to(cap: int, d: int) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(range(-1, cap + 1), repeat=d)
 
 
-def haar_levels(p: PointSet) -> Iterator[LevelAggregate]:
-    """The one sweep: `level_aggregate` on every level with all j_i <= n - 1.
+def haar_levels(p: PointSet, cap: Optional[int] = None) -> Iterator[LevelAggregate]:
+    """The one sweep: `level_aggregate` on every level with all j_i <= n - 1,
+    or <= cap if that is smaller.
 
     Deeper levels hold no interior point, so there mu = -volume and the
-    reductions sum them in closed form.  Levels come one at a time, so only
-    one level's mu array is alive.
+    reductions sum them in closed form.  The points are sorted once per head
+    (j_1, ..., j_(d-1)) and levels come one at a time in `levels_up_to`
+    order, so only one level's mu array is alive if the caller drops each
+    level before asking for the next.
     """
-    tables = _bracket_tables(p.b)
-    for j in levels_up_to(p.n - 1, p.d):
-        yield level_aggregate(p, j, tables)
+    top = p.n - 1 if cap is None else min(cap, p.n - 1)
+    for head in levels_up_to(top, p.d - 1):
+        prefix = level_prefix(p, head)
+        for jd in range(-1, top + 1):
+            yield level_aggregate(p, head + (jd,), prefix)
 
 
 # --- norm reports --------------------------------------------------------------
@@ -288,7 +353,7 @@ def haar_levels(p: PointSet) -> Iterator[LevelAggregate]:
 
 #: Relative allowance for floating-point roundoff in the Haar-side norm
 #: values, reported as their tail_bound.  It is checked against the exact
-#: Warnock value (measured gap 2.1e-12 on the CS net b=11 d=2), not proven.
+#: Warnock value (measured gap 1.4e-13 on the CS net b=11 d=2), not proven.
 ROUNDOFF_ALLOWANCE = 1e-10
 
 
@@ -417,6 +482,7 @@ def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport
     for agg in haar_levels(p):
         pv_terms.append(_xi_q(agg, PARSEVAL, b))
         bs_terms.append(_xi_q(agg, params, b))
+        del agg  # before the sweep builds the next level
     pv = _qsum(pv_terms, PARSEVAL, b, d, cap)
     bs = _qsum(bs_terms, params, b, d, cap)
     if not math.isinf(params.q):

@@ -38,14 +38,12 @@ def _pair_min_sum(rows: list[list[int]], w: list[int], i: int) -> int:
     middle into L (smaller) and R.  A cross pair has min = u_ai with a in L,
     so the cross pairs are the sum over L + R on the remaining coordinates
     with weights w * u_i on L, minus that sum over L and over R alone.  On the
-    last coordinate a descending sweep with suffix weight sums ends it.
+    last two coordinates (d = 1: the last one, times 1) `_pair_min_sum_2d`
+    ends it.
     """
-    if i == len(rows[0]) - 1:
-        total = suffix = 0
-        for u, wa in sorted(zip((r[i] for r in rows), w), reverse=True):
-            suffix += wa
-            total += wa * u * (2 * suffix - wa)
-        return total
+    if i >= len(rows[0]) - 2:
+        last = [r[i + 1] if i + 1 < len(r) else 1 for r in rows]
+        return _pair_min_sum_2d([r[i] for r in rows], last, w)
     if len(rows) == 1:
         return w[0] * w[0] * math.prod(rows[0][i:])
     order = sorted(range(len(rows)), key=lambda a: rows[a][i])
@@ -61,6 +59,36 @@ def _pair_min_sum(rows: list[list[int]], w: list[int], i: int) -> int:
         - _pair_min_sum(hi, w_hi, i + 1)
     )
     return _pair_min_sum(lo, w_lo, i) + _pair_min_sum(hi, w_hi, i) + cross
+
+
+def _pair_min_sum_2d(us: list[int], vs: list[int], w: list[int]) -> int:
+    """sum_(a, b) w_a w_b min(u_a, u_b) min(v_a, v_b), exactly, in O(N log N).
+
+    Points come in descending u, so a pair's min u is that of the later one,
+    a.  A weighted Fenwick tree over the ranks of v holds, for the points
+    seen so far, the weight and the weight times v up to each rank; from
+    them sum_(b seen) w_b min(v_a, v_b) is two prefix sums.
+    """
+    rank = {v: k for k, v in enumerate(sorted(set(vs)), 1)}
+    size = len(rank)
+    tree_w = [0] * (size + 1)
+    tree_wv = [0] * (size + 1)
+    total = seen = 0
+    for u, v, wa in sorted(zip(us, vs, w), reverse=True):
+        k = rank[v]
+        below_w = below_wv = 0
+        while k:
+            below_w += tree_w[k]
+            below_wv += tree_wv[k]
+            k &= k - 1
+        total += wa * u * (wa * v + 2 * (below_wv + v * (seen - below_w)))
+        k = rank[v]
+        while k <= size:
+            tree_w[k] += wa
+            tree_wv[k] += wa * v
+            k += k & -k
+        seen += wa
+    return total
 
 
 def warnock_l2_sq(p: PointSet) -> Fraction:
@@ -174,10 +202,11 @@ def coeff_bound_audit(
 ) -> AuditReport:
     """Record per-regime constants over all levels with entries <= cap.
 
-    Regimes (i)-(iii) read the coefficients of one `haar_levels` sweep;
-    regime (iv) is spot-checked on its first 8 levels.  Hard structural
-    checks: the occupied-box count never exceeds b^n on any regime-(iii)
-    level, and no sampled regime-(iv) box holds a point in its interior.
+    Regimes (i)-(iii) read the coefficients of one `haar_levels` sweep to
+    min(cap, n - 1); regime (iv) is spot-checked on its first 8 levels.
+    Hard structural checks: the occupied-box count never exceeds b^n on any
+    regime-(iii) level, and no sampled regime-(iv) box holds a point in its
+    interior.
     """
     b, n, d = p.b, p.n, p.d
     if cap is None:
@@ -193,27 +222,23 @@ def coeff_bound_audit(
     counts: dict[str, int] = {}
     part_iii_ok = True
 
-    for agg in haar_levels(p):
+    for agg in haar_levels(p, cap):
         j, tl = agg.j, agg.total_level
-        if max(j) > cap:
-            continue
         if max(j) == -1:
             const_i = abs(complex(agg.mu[0, 0])) * b**n
-            continue
-        occ_mu = np.abs(agg.mu)
-        vol_mu = float(np.max(np.abs(agg.volume)))
-        occ_max = float(occ_mu.max()) if occ_mu.size else 0.0
-        if tl <= n:
-            const_ii = max(const_ii, max(occ_max, vol_mu) * float(b) ** (tl + n))
         else:
-            counts[",".join(map(str, j))] = agg.occupied
-            if agg.occupied > b**n:
-                part_iii_ok = False
-            const_iii = max(const_iii, vol_mu * float(b) ** (2 * tl))
-            if occ_mu.size:
-                const_iii_exc = max(
-                    const_iii_exc, occ_max * float(b) ** (tl + n)
-                )
+            vol_mu = float(np.max(np.abs(agg.volume)))
+            occ_max = float(np.abs(agg.mu).max(initial=0.0))
+            if tl <= n:
+                const_ii = max(const_ii, max(occ_max, vol_mu) * float(b) ** (tl + n))
+            else:
+                counts[",".join(map(str, j))] = agg.occupied
+                if agg.occupied > b**n:
+                    part_iii_ok = False
+                const_iii = max(const_iii, vol_mu * float(b) ** (2 * tl))
+                if agg.occupied:
+                    const_iii_exc = max(const_iii_exc, occ_max * float(b) ** (tl + n))
+        del agg  # before the sweep builds the next level
 
     # regime (iv): levels with some j_i >= n, structurally point-free
     deep = (j for j in levels_up_to(cap, d) if max(j) >= n)

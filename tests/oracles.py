@@ -4,11 +4,13 @@ These deliberately avoid the closed forms under test: coefficients are
 obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
-netfiles are written one row at a time.
+netfiles are written one row at a time; Haar levels are aggregated point by
+point with `np.unique` and `np.add.at`, in the points' own order.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 from fractions import Fraction
 
@@ -66,6 +68,61 @@ def indicator_coeff_oracle(z, idx: HaarIndex, b: int) -> complex:
         indicator_factor_1d(zi, j, m, l, b)
         for zi, j, m, l in zip(z, idx.j, idx.m, idx.l)
     )
+
+
+def level_aggregate_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted occupied box ids, mu) of level j by grouping with `np.unique`.
+
+    Each point interior to its box in every active coordinate adds
+    prod_i (its factor on coordinate i) to its box, one `np.add.at` per
+    l-combination; mu subtracts the volume coefficient from every box.
+    """
+    b, n, N = p.b, p.n, p.size
+    active = [i for i, v in enumerate(j) if v >= 0]
+    s = len(active)
+    total_level = sum(j[i] for i in active)
+    omega = np.array([_omega(b, k) for k in range(b)])
+    tails = np.array(
+        [
+            [sum(_omega(b, r * l) for r in range(k + 1, b)) for l in range(1, b)]
+            for k in range(b)
+        ],
+        dtype=complex,
+    )
+    l_combos = list(itertools.product(range(1, b), repeat=s))
+    factors = [
+        [volume_factor_1d(ji, 0, l, b) for l in (range(1, b) if ji >= 0 else [1])]
+        for ji in j
+    ]
+    vol = np.array([haar_coeff_oracle(f) for f in itertools.product(*factors)])
+    base = np.full(N, b ** float(-total_level - s)) / N
+    for i, ji in enumerate(j):
+        if ji == -1:
+            base = base * (1.0 - p.numerators[:, i] / float(p.denominator))
+    if s == 0:
+        return np.zeros(1, np.int64), np.array([[base.sum()]]) - vol
+    if any(j[i] >= n for i in active):
+        return np.zeros(0, np.int64), np.zeros((0, len(l_combos)), dtype=complex)
+    interior = np.ones(N, dtype=bool)
+    box = np.zeros(N, dtype=np.int64)
+    brackets = []
+    for i in active:
+        k_num, step, sub = p.numerators[:, i], b ** (n - j[i]), b ** (n - j[i] - 1)
+        interior &= (k_num % step) != 0
+        box = box * (b ** j[i]) + k_num // step
+        ksub = (k_num % step) // sub
+        u = 1.0 - (k_num % sub) / float(sub)
+        powers = omega[(ksub[:, None] * np.arange(1, b)[None, :]) % b]
+        brackets.append(u[:, None] * powers + tails[ksub])
+    pts = np.nonzero(interior)[0]
+    box_ids, inv = np.unique(box[pts], return_inverse=True)
+    counting = np.zeros((box_ids.size, len(l_combos)), dtype=complex)
+    for ci, combo in enumerate(l_combos):
+        prod = base[pts].astype(complex)
+        for br, li in zip(brackets, combo):
+            prod = prod * br[pts, li - 1]
+        np.add.at(counting[:, ci], inv, prod)
+    return box_ids, counting - vol
 
 
 def warnock_sq_oracle(numerators, denom: int) -> Fraction:

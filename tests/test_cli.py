@@ -138,14 +138,36 @@ def test_norm_sweeps_each_level_once(monkeypatch):
     levels = []
     aggregate = haar.level_aggregate
 
-    def counted(p, j, *tables):
+    def counted(p, j, *prefix):
         levels.append(tuple(j))
-        return aggregate(p, j, *tables)
+        return aggregate(p, j, *prefix)
 
     monkeypatch.setattr(haar, "level_aggregate", counted)
     # the CS net b=11 d=2 w=1 (n=4): (n+1)^d = 25 levels, each aggregated once
     assert run(["norm", "--base", "11", "--dim", "2", "--w", "1"]) == 0
     assert sorted(levels) == list(itertools.product(range(-1, 4), repeat=2))
+
+
+def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):
+    levels = []
+    aggregate = haar.level_aggregate
+
+    def counted(p, j, *prefix):
+        levels.append(tuple(j))
+        return aggregate(p, j, *prefix)
+
+    monkeypatch.setattr(haar, "level_aggregate", counted)
+    assert run(["audit", "--base", "11", "--dim", "2", "--w", "1", "--cap", "1"]) == 0
+    assert sorted(levels) == list(itertools.product(range(-1, 2), repeat=2))
+    # the report recorded when the audit still swept all (n+1)^d levels
+    assert capsys.readouterr().out.strip() == (
+        '{"b": 11, "cap": 1, "const_exceptional": 0.0, '
+        '"const_full_cube": 0.5000170753364896, '
+        '"const_small_levels": 1181.0846560672255, "const_typical": 0.0, '
+        '"d": 2, "exceptional_counts": {}, "n": 4, "part_iii_ok": true, '
+        '"part_iv_exceptions": 0, "part_iv_levels_checked": 0, "passed": true, '
+        '"schema": 1}'
+    )
 
 
 def test_integrate_table(tmp_path, capsys):

@@ -4,18 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import indicator_coeff_oracle, volume_coeff_oracle
+from oracles import indicator_coeff_oracle, level_aggregate_oracle, volume_coeff_oracle
+from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams
 from qmcnet.families import balanced_hammersley
 from qmcnet.haar import (
     BesovParams,
     HaarIndex,
-    _bracket_tables,
     besov_quasi_norm,
     discrepancy_coeff,
     haar_eval,
     indicator_coeff,
     level_aggregate,
+    level_prefix,
     levels_up_to,
     parseval_l2,
     volume_coeff,
@@ -126,7 +127,7 @@ def test_level_aggregate_matches_direct_coefficients():
     p = hammersley(3)
     b = p.b
     for j in [(-1, -1), (0, -1), (1, 1), (2, 0), (4, 0), (2, 3)]:
-        agg = level_aggregate(p, j, _bracket_tables(b))
+        agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
         # every occupied box must agree with the direct per-index computation
         for row, box in enumerate(agg.box_ids):
             m = []
@@ -153,10 +154,57 @@ def test_level_aggregate_matches_direct_coefficients():
 
 def test_level_aggregate_empty_boxes_carry_volume_only():
     p = hammersley(2)
-    agg = level_aggregate(p, (3, 3), _bracket_tables(2))  # deeper than n: none interior
+    agg = level_aggregate(p, (3, 3), level_prefix(p, (3,)))  # deeper than n
     assert agg.occupied == 0
     idx = HaarIndex((3, 3), (1, 2), (1, 1))
     assert discrepancy_coeff(p, idx) == pytest.approx(-volume_coeff(idx, 2))
+
+
+def _assert_matches_oracle(p, levels):
+    for j in levels:
+        agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+        box_ids, mu = level_aggregate_oracle(p, j)
+        assert np.array_equal(agg.box_ids, box_ids)
+        assert agg.mu.shape == mu.shape
+        scale = max(np.abs(mu).max(initial=0.0), np.abs(agg.volume).max())
+        assert np.abs(agg.mu - mu).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_level_aggregate_matches_unique_add_at_oracle():
+    for n in range(3, 7):
+        _assert_matches_oracle(hammersley(n), levels_up_to(n, 2))
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    _assert_matches_oracle(cs, levels_up_to(cs.n - 1, 2))  # all 25 levels
+
+
+def test_level_aggregate_matches_oracle_on_repeated_and_grid_points():
+    rng = np.random.default_rng(11)
+    for b in (2, 3, 5):
+        for d in (1, 2, 3):
+            n = 3
+            nums = rng.integers(0, b**n, size=(30, d))
+            nums[5:10] = nums[0]  # duplicate points
+            nums[10:15] //= b  # points on box boundaries of several levels
+            nums[10:15] *= b
+            nums[15:18] = 0
+            _assert_matches_oracle(PointSet(b, n, d, nums), levels_up_to(n, d))
+
+
+def test_haar_levels_sorts_once_per_head(monkeypatch):
+    import qmcnet.haar as haar
+
+    heads = []
+    sort = haar.level_prefix
+
+    def counted(p, head):
+        heads.append(tuple(head))
+        return sort(p, head)
+
+    monkeypatch.setattr(haar, "level_prefix", counted)
+    p = PointSet(3, 2, 3, np.arange(27).reshape(9, 3) % 9)
+    levels = [agg.j for agg in haar.haar_levels(p)]
+    assert levels == list(levels_up_to(1, 3))
+    assert heads == list(levels_up_to(1, 2))
 
 
 def test_parseval_single_point_is_exact_third():

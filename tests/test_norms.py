@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from qmcnet.haar import (
     HaarIndex,
     besov_quasi_norm,
     discrepancy_coeff,
+    haar_levels,
     haar_norms,
     levels_up_to,
     parseval_l2,
@@ -19,6 +21,7 @@ from qmcnet.haar import (
 )
 from qmcnet.nets import PointSet, is_net
 from qmcnet.norms import (
+    _pair_min_sum,
     _part_iv_spot_check,
     coeff_bound_audit,
     disc_eval,
@@ -88,11 +91,38 @@ def test_warnock_matches_integer_double_sum_oracle():
                 assert warnock_l2_sq(p) == warnock_sq_oracle(nums, b**n)
 
 
+def test_two_coordinate_base_case_matches_weighted_double_sum():
+    # weights as the recursion passes them (products of coordinates), and few
+    # grid values, so both coordinates repeat and tie across points
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 3, 7, 30):
+        for values in (1, 2, 4, 9):
+            rows = rng.integers(0, values, size=(size, 2)).tolist()
+            w = rng.integers(0, 10**12, size=size).tolist()
+            w[0] = 0
+            brute = sum(
+                wa * wb * min(ra[0], rb[0]) * min(ra[1], rb[1])
+                for ra, wa in zip(rows, w)
+                for rb, wb in zip(rows, w)
+            )
+            assert _pair_min_sum(rows, w, 0) == brute
+
+
+def test_warnock_2d_matches_oracle_on_repeated_coordinates():
+    rng = np.random.default_rng(9)
+    for b, n in ((2, 1), (2, 4), (3, 2)):
+        for size in (2, 17, 64):
+            nums = rng.integers(0, b**n, size=(size, 2))
+            nums[: size // 2, 1] = nums[0, 1]  # one shared second coordinate
+            p = PointSet(b, n, 2, nums)
+            assert warnock_l2_sq(p) == warnock_sq_oracle(nums, b**n)
+
+
 def test_parseval_at_cap_n_minus_1_matches_exact_warnock():
     # the Besov (2, 2, 0) value squared is the same q-sum, exact tail included
     for p, tol in (
         (balanced_hammersley(14), 1e-13),
-        (cs_point_set(CSParams(b=11, d=2, w=1)), 1e-11),
+        (cs_point_set(CSParams(b=11, d=2, w=1)), 1e-12),
     ):
         exact = warnock_l2_sq(p)
         value = Fraction(parseval_l2(p).value)
@@ -152,6 +182,20 @@ def test_audit_small_net_passes():
     assert all(v <= 2**3 for v in rep.exceptional_counts.values())
     assert math.isfinite(rep.const_full_cube)
     assert math.isfinite(rep.const_small_levels)
+
+
+def test_audit_keeps_one_level_alive():
+    # the audit drops each level before the sweep builds the next one, so its
+    # peak stays below two of the largest level's mu array
+    p = cs_point_set(CSParams(b=11, d=2, w=1))
+    largest = max(agg.mu.nbytes for agg in haar_levels(p))
+    tracemalloc.start()
+    try:
+        coeff_bound_audit(p, part_iv_samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * largest
 
 
 def test_audit_report_json():
