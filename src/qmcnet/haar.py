@@ -8,10 +8,10 @@ coordinate at level -1 carries the constant (indicator-of-cube) factor.
 One sweep (`haar_levels`) aggregates the coefficients of every level with all
 j_i <= n - 1; deeper levels hold no interior point, so there mu = -volume and
 their mass has a closed form.  It sorts the points once per level prefix
-(j_1, ..., j_(d-1)) by (prefix box, k_d) (`level_prefix`); every level with
-that prefix then finds its boxes as runs of that order and sums each with one
-`np.add.reduceat` per l-combination of its first s - 1 active coordinates
-(`level_aggregate`).  One reduction (`_qsum`) turns the sweep into
+(j_1, ..., j_(d-1)) by (prefix box indices, k_d) (`level_prefix`); every
+level with that prefix then finds its boxes as runs of that order and sums
+each with one `np.add.reduceat` per l-combination of its first s - 1 active
+coordinates (`level_aggregate`).  One reduction (`_qsum`) turns the sweep into
 sum_j Xi_j^q plus that exact tail: its q-th root is the Besov quasi-norm, and
 at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
 """
@@ -182,14 +182,14 @@ class LevelPrefix:
     """The points of a set sorted once for every level j = (head, j_d).
 
     `idx` lists the points interior to their box in each active coordinate of
-    the head, sorted by (head box, k_d).  In that order the box index of every
-    level with this head never decreases, since the last box index grows with
-    k_d.
+    the head, sorted by (head box indices m_i in coordinate order, k_d).  In
+    that order the box indices (m_1, ..., m_d) of every level with this head
+    never decrease lexicographically, since the last one grows with k_d.
     """
 
     head: tuple[int, ...]  # (j_1, ..., j_(d-1))
     idx: np.ndarray  # point indices, sorted
-    box: np.ndarray  # head box index of each, non-decreasing
+    boxes: list[np.ndarray]  # per active head coordinate: box index m_i < b^n
     brackets: list[np.ndarray]  # per active head coordinate: (len(idx), b-1)
     tables: tuple[np.ndarray, np.ndarray]  # `_bracket_tables(b)`
 
@@ -203,8 +203,7 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
         raise InvalidParams("levels start at -1")
     b, n = p.b, p.n
     keep = np.ones(p.size, dtype=bool)
-    box = np.zeros(p.size, dtype=np.int64)
-    subcells = []
+    boxes, subcells = [], []
     for i, ji in enumerate(head):
         if ji == -1:
             continue
@@ -213,13 +212,14 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
             continue
         interior, m, ksub, u = _digits(p.numerators[:, i], b, n, ji)
         keep &= interior
-        box = box * b**ji + m
+        boxes.append(m)
         subcells.append((ksub, u))
     idx = np.flatnonzero(keep)
-    idx = idx[np.lexsort((p.numerators[idx, -1], box[idx]))]
+    # np.lexsort sorts by its last key first
+    idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
     tables = _bracket_tables(b)
     brackets = [_brackets(ksub[idx], u[idx], tables) for ksub, u in subcells]
-    return LevelPrefix(head, idx, box[idx], brackets, tables)
+    return LevelPrefix(head, idx, [m[idx] for m in boxes], brackets, tables)
 
 
 @dataclass
@@ -227,7 +227,8 @@ class LevelAggregate:
     """The discrepancy coefficients mu_jml of one level j for a fixed point set.
 
     `mu` holds them for the occupied boxes and every l-combination; the empty
-    boxes all carry mu = -volume.
+    boxes all carry mu = -volume.  `box_ids` are int64 when b^|j| < 2^63 and
+    Python ints in an object array otherwise.
     """
 
     j: tuple[int, ...]
@@ -250,7 +251,14 @@ class LevelAggregate:
         return sum(v for v in self.j if v >= 0)
 
     def mass(self, p: float) -> float:
-        """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf."""
+        """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf.
+
+        At p = 2 it sums re^2 + im^2, which needs no square root.
+        """
+        if p == 2:
+            occ = float(np.sum(self.mu.real**2 + self.mu.imag**2))
+            vol = float(np.sum(self.volume.real**2 + self.volume.imag**2))
+            return occ + self.empty_count * vol
         occ = np.abs(self.mu)
         vol = np.abs(self.volume)
         if math.isinf(p):
@@ -289,12 +297,13 @@ def level_aggregate(
         denoms = [x * r for x in denoms for r in roots]
     vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
 
-    jd, idx, box, brackets = j[-1], prefix.idx, prefix.box, prefix.brackets
+    jd, idx, boxes, brackets = j[-1], prefix.idx, prefix.boxes, prefix.brackets
     if jd >= n:  # the points sit on the level grid, none are interior
         idx = idx[:0]
     elif jd >= 0:
         interior, m, ksub, u = _digits(p.numerators[idx, -1], b, n, jd)
-        idx, box = idx[interior], box[interior] * b**jd + m[interior]
+        idx = idx[interior]
+        boxes = [mi[interior] for mi in boxes] + [m[interior]]
         brackets = [br[interior] for br in brackets]
         brackets.append(_brackets(ksub[interior], u[interior], prefix.tables))
     if s == 0:  # one box of every point: pairwise `sum` in the set's own order,
@@ -306,15 +315,24 @@ def level_aggregate(
         if ji == -1:
             base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
 
+    # a packed box index is below b^|j|, which may exceed int64
+    id_type = np.int64 if b**total_level < 2**63 else object
     if s == 0:
         box_ids = np.zeros(1, np.int64)
         counting = np.array([[base.sum()]], dtype=complex)
     elif idx.size == 0:
-        box_ids = np.zeros(0, np.int64)
+        box_ids = np.zeros(0, id_type)
         counting = np.zeros((0, len(l_combos)), dtype=complex)
     else:
-        starts = np.flatnonzero(np.diff(box, prepend=-1))
-        box_ids = box[starts]
+        # a box starts wherever one coordinate's box index changes
+        new_box = np.zeros(idx.size, dtype=bool)
+        new_box[0] = True
+        for m in boxes:
+            new_box[1:] |= m[1:] != m[:-1]
+        starts = np.flatnonzero(new_box)
+        box_ids = np.zeros(starts.size, id_type)
+        for m, ji in zip(boxes, (v for v in j if v >= 0)):  # Horner, m_1 first
+            box_ids = box_ids * b**ji + m[starts].astype(id_type)
         counting = np.empty((starts.size, len(l_combos)), dtype=complex)
         *lead, last = brackets
         for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
@@ -449,14 +467,15 @@ def _besov_volume_tail_qsum(params: BesovParams, b: int, d: int, cap: int) -> fl
     return _pow_gap(full, gap, d)
 
 
-def _xi_q(agg: LevelAggregate, params: BesovParams, b: int) -> float:
-    """Xi_j^q with Xi_j = b^(|j|(r - 1/p + 1)) (sum_(m,l) |mu_jml|^p)^(1/p);
-    the inner sum is a sup at p = inf, and Xi_j itself is returned at q = inf."""
+def _xi_q(total_level: int, mass: float, params: BesovParams, b: int) -> float:
+    """Xi_j^q with Xi_j = b^(|j|(r - 1/p + 1)) mass^(1/p), where mass is the
+    level's `LevelAggregate.mass` at params.p (a sup at p = inf); Xi_j itself
+    is returned at q = inf."""
     q = 1.0 if math.isinf(params.q) else params.q
     inv_p = 0.0 if math.isinf(params.p) else 1.0 / params.p
     root = 1.0 if math.isinf(params.p) else inv_p
-    weight = float(b) ** (agg.total_level * (params.r - inv_p + 1.0) * q)
-    return weight * agg.mass(params.p) ** (root * q)
+    weight = float(b) ** (total_level * (params.r - inv_p + 1.0) * q)
+    return weight * mass ** (root * q)
 
 
 def _qsum(terms: list[float], params: BesovParams, b: int, d: int, cap: int) -> float:
@@ -480,8 +499,10 @@ def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport
     b, d, cap = p.b, p.d, p.n - 1
     pv_terms, bs_terms = [], []
     for agg in haar_levels(p):
-        pv_terms.append(_xi_q(agg, PARSEVAL, b))
-        bs_terms.append(_xi_q(agg, params, b))
+        mass2 = agg.mass(2.0)  # shared by both reports when params.p == 2
+        mass = mass2 if params.p == 2 else agg.mass(params.p)
+        pv_terms.append(_xi_q(agg.total_level, mass2, PARSEVAL, b))
+        bs_terms.append(_xi_q(agg.total_level, mass, params, b))
         del agg  # before the sweep builds the next level
     pv = _qsum(pv_terms, PARSEVAL, b, d, cap)
     bs = _qsum(bs_terms, params, b, d, cap)

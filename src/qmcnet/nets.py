@@ -7,6 +7,7 @@ numerators, never on floats.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import re
 import warnings
@@ -16,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, NetFileError, NotPowerCardinality
+from .errors import InvalidParams, NetFileError, NotPowerCardinality, SizeOverflow
 from .field import PrimeField, enumerate_span, gf_nullspace
 
 
@@ -104,6 +105,22 @@ class PointSet:
         return [
             tuple(Fraction(int(k), denom) for k in row) for row in self.numerators
         ]
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        """Base-b digits of the numerators, (d, n, N), most significant first.
+
+        Row [i, nu] holds digit nu + 1 of coordinate i of every point, in the
+        smallest unsigned dtype that holds b - 1.  Built on first use only:
+        the character sums read it, the Haar and Warnock routes never do.
+        """
+        b, n = self.b, self.n
+        out = np.empty((self.d, n, self.size), dtype=np.min_scalar_type(b - 1))
+        for i in range(self.d):
+            k = self.numerators[:, i]
+            for nu in range(n - 1, -1, -1):
+                k, out[i, nu] = np.divmod(k, b)
+        return out
 
 
 def phi_map(digits: Sequence[int], b: int) -> int:
@@ -226,28 +243,30 @@ def dual_set(g: GeneratingMatrices) -> DualSet:
 def char_sum(p: PointSet, t: Sequence[int]) -> complex:
     """sum_h wal_t(x_h) from the residue counts of the exponents.
 
-    Exactly N when every exponent is 0 mod b and exactly 0 when all b
-    residues are equally frequent, which for a digital net are the dual set
-    (plus t = 0) and its complement; otherwise the float root sum.
+    The exponent of point h is sum_(i, nu) tau_(i,nu) x_(h,i,nu+1) over the
+    nonzero base-b digits tau of t (least significant first), read from
+    `PointSet.digits`.  Exactly N when every exponent is 0 mod b and exactly
+    0 when all b residues are equally frequent, which for a digital net are
+    the dual set (plus t = 0) and its complement; otherwise the float root
+    sum.
     """
     b, n = p.b, p.n
     t = [int(v) for v in t]
     if len(t) != p.d:
         raise InvalidParams("t must have d coordinates")
-    exponents = np.zeros(p.size, dtype=np.int64)
+    if any(not 0 <= ti < b**n for ti in t):
+        raise InvalidParams(f"t coordinates must lie in [0, b^n) = [0, {b**n})")
+    # exponent sums reach d n (b-1)^2 before their reduction mod b
+    acc = np.min_scalar_type(max(b, p.d * n * (b - 1) ** 2))
+    if acc.kind != "u":
+        raise SizeOverflow(f"exponent sums d n (b-1)^2 exceed 64 bits at b = {b}")
+    exponents = np.zeros(p.size, dtype=acc)
     for i, ti in enumerate(t):
-        # digit nu of x (most significant first) pairs with digit nu of t
-        nu = 0
-        while ti:
-            tau = ti % b
+        for nu in range(n):  # digit nu of t pairs with digit nu + 1 of x
+            ti, tau = divmod(ti, b)
             if tau:
-                xdig = (p.numerators[:, i] // (b ** (n - 1 - nu))) % b
-                exponents += tau * xdig
-            ti //= b
-            nu += 1
-            if nu >= n and ti:
-                raise InvalidParams("t coordinate has more digits than n")
-    counts = np.bincount(exponents % b, minlength=b)
+                exponents += p.digits[i, nu] * acc.type(tau)
+    counts = np.bincount((exponents % b).astype(np.intp), minlength=b)
     if counts[0] == p.size:
         return complex(p.size)
     if (counts == counts[0]).all():

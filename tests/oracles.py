@@ -5,7 +5,9 @@ obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
-point with `np.unique` and `np.add.at`, in the points' own order.
+point with `np.unique` and `np.add.at`, in the points' own order; Walsh
+integrals are Riemann sums of `walsh_eval_1d` over Fraction grid points;
+character sums recompute every point's digits per frequency digit.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from qmcnet.haar import HaarIndex
+from qmcnet.walsh import walsh_eval_1d
 
 
 def _omega(b: int, k: int) -> complex:
@@ -183,3 +186,40 @@ def write_pointset_oracle(p, fh) -> None:
         fh.write(f"#provenance {json.dumps(p.provenance, sort_keys=True)}\n")
     for row in p.numerators:
         fh.write(" ".join(str(int(k)) for k in row) + "\n")
+
+
+def grid_coeff_oracle(t: int, y, b: int) -> complex:
+    """Integral over [0, y) of conj(wal_t) cell by cell on the b^-5 grid.
+
+    One `walsh_eval_1d` at each Fraction grid point, summed in order; a y off
+    the grid adds its partial last cell.
+    """
+    y = Fraction(y)
+    grid = b**5
+    cells = int(y * grid)
+    total = sum(walsh_eval_1d(t, Fraction(g, grid), b).conjugate() for g in range(cells)) / grid
+    frac = y - Fraction(cells, grid)
+    if frac:
+        total += walsh_eval_1d(t, Fraction(cells, grid), b).conjugate() * float(frac)
+    return total
+
+
+def char_sum_oracle(p, t) -> complex:
+    """sum_h wal_t(x_h) with each point's digit recomputed per digit of t.
+
+    Exactly N or 0 when the residue counts say so, else the float root sum.
+    """
+    b, n = p.b, p.n
+    exponents = np.zeros(p.size, dtype=object)
+    for i, ti in enumerate(t):
+        for nu in range(n):  # digit nu of t (LSB first), digit nu + 1 of x
+            tau = (int(ti) // b**nu) % b
+            if tau:
+                xdig = (p.numerators[:, i] // (b ** (n - 1 - nu))) % b
+                exponents = exponents + tau * xdig.astype(object)
+    counts = np.bincount(np.asarray(exponents % b, dtype=np.int64), minlength=b)
+    if counts[0] == p.size:
+        return complex(p.size)
+    if (counts == counts[0]).all():
+        return 0j
+    return sum(int(c) * _omega(b, k) for k, c in enumerate(counts))

@@ -1,15 +1,17 @@
 import itertools
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qmcnet
+from oracles import grid_coeff_oracle
 from qmcnet import families as fam
 from qmcnet import haar
-from qmcnet.cli import IntegrandSpec, main
+from qmcnet.cli import IntegrandSpec, _grid_coeff, main
 from qmcnet.cs import CSParams, cs_generating_matrices
 from qmcnet.errors import InvalidParams, SizeOverflow
 from qmcnet.nets import GeneratingMatrices, dual_set
@@ -212,6 +214,35 @@ def test_walsh_check(capsys):
     assert run(["walsh-check"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
+    # the integer-digit grid sum lands within 5e-16 of fine_price_coeff; the
+    # sequential sum of walsh_eval_1d values it replaced was 2.8e-15 off at
+    # seed 0 and 1.4e-15 at seed 3
+    assert obj["fine_price_max_err"] < 5e-16
+    assert run(["walsh-check", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["fine_price_max_err"] < 5e-16
+
+
+def test_grid_coeff_matches_fraction_reference():
+    rng = np.random.default_rng(17)
+    for b in (2, 3, 5):
+        ys = [0, *(Fraction(int(k), b**4) for k in rng.integers(0, b**4, size=3))]
+        ys.append(1 - Fraction(1, b**4))
+        # the reference spends 40 us per cell, so at b = 5 (3125 cells) a
+        # seeded sample of t stands in for all 125
+        ts = range(b**3) if b < 5 else [0, b**3 - 1, *rng.integers(1, b**3 - 1, size=2)]
+        for t in ts:
+            for y in ys:
+                assert abs(_grid_coeff(int(t), y, b) - grid_coeff_oracle(int(t), y, b)) < 1e-15
+
+
+def test_grid_coeff_rejects_points_off_the_grid():
+    for b in (2, 3, 5):
+        assert _grid_coeff(1, Fraction(1, b**5), b) != 0
+        for y in (Fraction(1, b**6), Fraction(b**5 + 1, b**5), Fraction(-1, b**5)):
+            with pytest.raises(InvalidParams, match="b\\^-5 grid"):
+                _grid_coeff(1, y, b)
+    with pytest.raises(InvalidParams, match="b\\^-5 grid"):
+        _grid_coeff(1, Fraction(1, 3), 2)
 
 
 def test_outputs_deterministic(tmp_path):

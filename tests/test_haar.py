@@ -190,6 +190,39 @@ def test_level_aggregate_matches_oracle_on_repeated_and_grid_points():
             _assert_matches_oracle(PointSet(b, n, d, nums), levels_up_to(n, d))
 
 
+def test_box_ids_are_exact_beyond_int64():
+    # b^|j| = 19^15 > 2^63: int64 packing wrapped 67 of these 173 ids negative
+    b, n, j = 19, 6, (5, 5, 5)
+    p = PointSet(b, n, 3, np.random.default_rng(0).integers(0, b**n, size=(200, 3)))
+    agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+    step = b ** (n - 5)
+    expected = set()
+    for row in p.numerators.tolist():
+        if all(k % step for k in row):  # interior in every coordinate
+            box = 0
+            for k in row:
+                box = box * b**5 + k // step
+            expected.add(box)
+    assert agg.box_ids.tolist() == sorted(expected)
+    assert all(a < c for a, c in zip(agg.box_ids[:-1], agg.box_ids[1:]))
+    assert len(expected) == 173
+
+
+def test_haar_norms_reads_the_p2_mass_once_per_level(monkeypatch):
+    import qmcnet.haar as haar
+
+    calls = []
+    mass = haar.LevelAggregate.mass
+
+    def counted(self, p):
+        calls.append(p)
+        return mass(self, p)
+
+    monkeypatch.setattr(haar.LevelAggregate, "mass", counted)
+    haar.haar_norms(cs_point_set(CSParams(b=11, d=2, w=1)), BesovParams(2.0, 2.0, 0.25))
+    assert calls == [2.0] * 25  # one per level; Parseval and Besov share it
+
+
 def test_haar_levels_sorts_once_per_head(monkeypatch):
     import qmcnet.haar as haar
 

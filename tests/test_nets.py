@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import digital_method_oracle, write_pointset_oracle
+from oracles import char_sum_oracle, digital_method_oracle, write_pointset_oracle
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
-from qmcnet.errors import NetFileError, NotPowerCardinality
+from qmcnet.errors import InvalidParams, NetFileError, NotPowerCardinality
 from qmcnet.nets import (
     GeneratingMatrices,
     PointSet,
@@ -118,6 +118,79 @@ def test_char_sum_off_the_dual_set_is_exactly_zero():
     assert t not in dual_set(g)
     # equal residue counts give exactly 0, not the float root sum's 1e-16j
     assert char_sum(p, t) == 0
+
+
+def char_sum_point_sets(rng):
+    """(point set, dual set or None) at b in {2, 3, 11, 257} and d in {1, 2, 3}:
+    digital sets of random matrices, two nets and random non-net sets."""
+    for b, n in [(2, 4), (3, 3), (11, 2), (257, 1)]:
+        for d in (1, 2, 3):
+            g = GeneratingMatrices(b, n, d, rng.integers(0, b, size=(d, n, n)))
+            yield generate_points(g), dual_set(g)
+            yield PointSet(b, n, d, rng.integers(0, b**n, size=(40, d))), None
+    for g in (hammersley_matrices(5), cs_generating_matrices(CSParams(3, 1, 2))):
+        yield generate_points(g), dual_set(g)
+
+
+def test_char_sum_matches_digit_by_digit_oracle():
+    rng = np.random.default_rng(23)
+    root_sums = 0
+    for p, dual in char_sum_point_sets(rng):
+        top = p.b**p.n
+        freqs = [(0,) * p.d, (top - 1,) * p.d]
+        freqs += [tuple(int(v) for v in row) for row in rng.integers(0, top, size=(6, p.d))]
+        if dual is not None and len(dual):
+            freqs += [dual.elements[k] for k in rng.integers(0, len(dual), size=4)]
+        for t in freqs:
+            value = char_sum(p, t)
+            assert value == char_sum_oracle(p, t)
+            if dual is not None:  # a digital set: N on the dual set and t = 0, else 0
+                assert value == (p.size if t in dual or not any(t) else 0)
+            root_sums += value not in (0, p.size)
+    assert root_sums > 0  # the random sets reach the float root sum
+
+
+def test_char_sum_rejects_frequencies_outside_the_digit_range():
+    p = generate_points(hammersley_matrices(3))
+    assert char_sum(p, (7, 0)) == 0
+    for t in [(-1, 0), (8, 0), (0, 8)]:
+        with pytest.raises(InvalidParams, match=r"\[0, b\^n\)"):
+            char_sum(p, t)
+
+
+def test_digit_table_is_built_on_first_char_sum_only(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    for b, n, dtype in [(2, 6, np.uint8), (11, 3, np.uint8), (257, 2, np.uint16)]:
+        p = PointSet(b, n, 3, rng.integers(0, b**n, size=(50, 3)))
+        assert "digits" not in vars(p)
+        table = p.digits
+        assert table.dtype == dtype and table.shape == (3, n, 50)
+        assert table.flags.c_contiguous
+        horner = np.zeros((3, 50), dtype=np.int64)
+        for nu in range(n):  # most significant digit first
+            horner = horner * b + table[:, nu]
+        assert np.array_equal(horner.T, p.numerators)
+
+    g = hammersley_matrices(8)
+    p = generate_points(g)
+    assert "digits" not in vars(p)
+    path = str(tmp_path / "h8.net")
+    save_pointset(p, path)
+    assert "digits" not in vars(load_pointset(path))
+
+    from qmcnet import cli
+
+    loaded = []
+
+    def recorded(path):
+        loaded.append(load_pointset(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_pointset", recorded)
+    assert cli.main(["verify", "--net", path]) == 0  # no provenance: no character sums
+    assert len(loaded) == 1 and "digits" not in vars(loaded[0])
+    char_sum(p, (1, 0))
+    assert "digits" in vars(p)
 
 
 def test_dual_set_size():
