@@ -29,7 +29,7 @@ from .nets import (
     load_pointset,
     save_pointset,
 )
-from .norms import coeff_bound_audit, scaling_table, warnock_l2
+from .norms import coeff_bound_audit, scaling_table, warnock_l2_sq
 from .walsh import fine_price_coeff, residual_check
 
 EXIT_OK = 0
@@ -145,14 +145,14 @@ def cmd_norm(args) -> int:
     pv, bs = haar_norms(p, params)
     lines = [pv.to_json(), bs.to_json()]
     if args.warnock:
-        w = warnock_l2(p)
-        agree = abs(pv.value - w * w) <= pv.tail_bound
+        exact = warnock_l2_sq(p)
+        agree = abs(Fraction(pv.value) - exact) <= pv.tail_bound
         lines.append(
             json.dumps(
                 {
                     "schema": 1,
                     "kind": "warnock_crosscheck",
-                    "warnock_sq": w * w,
+                    "warnock_sq": float(exact),
                     "parseval": pv.value,
                     "within_tail": agree,
                 },

@@ -5,9 +5,12 @@ obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
-point with `np.unique` and `np.add.at`, in the points' own order; Walsh
-integrals are Riemann sums of `walsh_eval_1d` over Fraction grid points;
-character sums recompute every point's digits per frequency digit.
+point with `np.unique` and `np.add.at`, in the points' own order, or by the
+all-boxes `np.add.reduceat` kernel that the sweep's mu must match bit for
+bit, and their squared mass is summed exactly on explicit sub-cell tensors
+in Fractions; Walsh integrals are Riemann sums of `walsh_eval_1d` over
+Fraction grid points; character sums recompute every point's digits per
+frequency digit.
 """
 from __future__ import annotations
 
@@ -126,6 +129,131 @@ def level_aggregate_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
             prod = prod * br[pts, li - 1]
         np.add.at(counting[:, ci], inv, prod)
     return box_ids, counting - vol
+
+
+def reduceat_mu_oracle(p, j) -> np.ndarray:
+    """mu of level j by the all-boxes `np.add.reduceat` kernel.
+
+    The points interior to their box in every active coordinate are sorted
+    by (box index of each active coordinate but the last, numerator of the
+    last coordinate); the boxes are the runs of that order, and each
+    l-combination of the first s - 1 active coordinates takes one reduceat
+    over every box start.  At s = 0 the one box sums pairwise in the set's
+    own order.  The arithmetic is that of the sweep, so mu must agree bit
+    for bit.
+    """
+    b, n, d, N = p.b, p.n, p.d, p.size
+    active = [i for i, v in enumerate(j) if v >= 0]
+    s = len(active)
+    total_level = sum(j[i] for i in active)
+    omega = np.exp(2j * np.pi * np.arange(b) / b)
+    kl = np.arange(b)[:, None] * np.arange(1, b)[None, :]
+    tails = np.zeros((b, b - 1), dtype=complex)
+    for l in range(1, b):
+        for k in range(b):
+            tails[k, l - 1] = omega[(np.arange(k + 1, b) * l) % b].sum()
+    powers = omega[kl % b]
+    roots = [_omega(b, l) - 1.0 for l in range(1, b)]
+    denoms = [2.0 ** (d - s)]
+    for _ in range(s):
+        denoms = [x * r for x in denoms for r in roots]
+    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
+    if any(j[i] >= n for i in active):
+        return np.zeros((0, len(denoms)), dtype=complex) - vol
+    keep = np.ones(N, dtype=bool)
+    boxes, brackets = [], []
+    for i in active:
+        step = b ** (n - j[i])
+        m, rem = np.divmod(p.numerators[:, i], step)
+        ksub, low = np.divmod(rem, step // b)
+        u = 1.0 - low / float(step // b)
+        keep &= rem != 0
+        boxes.append(m)
+        brackets.append(u[:, None] * powers[ksub] + tails[ksub])
+    idx = np.flatnonzero(keep)
+    if s:
+        head = boxes[:-1] if active[-1] == d - 1 else boxes
+        idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(head)])]
+    base = np.full(idx.size, b ** float(-total_level - s)) / N
+    for i, ji in enumerate(j):
+        if ji == -1:
+            base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
+    if s == 0:
+        return np.array([[base.sum()]], dtype=complex) - vol
+    counting = np.empty((0, len(denoms)), dtype=complex)
+    if idx.size:
+        new_box = np.zeros(idx.size, dtype=bool)
+        new_box[0] = True
+        for m in boxes:
+            new_box[1:] |= m[idx][1:] != m[idx][:-1]
+        starts = np.flatnonzero(new_box)
+        counting = np.empty((starts.size, len(denoms)), dtype=complex)
+        *lead, last = [br[idx] for br in brackets]
+        for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
+            prod = base.astype(complex)
+            for br, l in zip(lead, combo):
+                prod = prod * br[:, l]
+            block = np.add.reduceat(prod[:, None] * last, starts, axis=0)
+            counting[:, c * (b - 1) : (c + 1) * (b - 1)] = block
+    return counting - vol
+
+
+def level_mass_exact(p, j) -> Fraction:
+    """sum over boxes m and l-combinations of |mu_jml|^2, exactly.
+
+    mu_jml is the DFT at l of the box's real b^s tensor X, the mean over the
+    points of prod_i (length of cell r_i of box m_i above z_i) times the
+    (1 - z_i) of level -1, minus prod_i (integral of x over cell r_i) times
+    the 1/2 of level -1.  By Plancherel the sum over l in {1..b-1}^s is
+    b^s ||P X||^2, P removing the mean along every axis; P cancels the m
+    dependence of the volume tensor, so every empty box adds the same.  Cell
+    lengths are integers in units of b^-n, summed per box in int64 (the sum
+    is below N b^(nd) < 2^63), then combined in Fractions: meant for levels
+    with few boxes.
+    """
+    b, n, d, N = p.b, p.n, p.d, p.size
+    D = b**n
+    assert N * D**d < 2**63
+    active = [i for i, v in enumerate(j) if v >= 0]
+    s = len(active)
+    weight = np.ones(N, dtype=np.int64)
+    for i, ji in enumerate(j):
+        if ji == -1:
+            weight = weight * (D - p.numerators[:, i])
+    interior = np.ones(N, dtype=bool)
+    box = np.zeros(N, dtype=np.int64)
+    tensor = weight[:, None]
+    for i in active:
+        cell = b ** (n - j[i] - 1)  # cell width in units of b^-n
+        k = p.numerators[:, i]
+        interior &= k % (b * cell) != 0
+        box = box * b ** j[i] + k // (b * cell)
+        start = (k // (b * cell) * b)[:, None] * cell + np.arange(b) * cell
+        lengths = np.clip(start + cell - np.maximum(start, k[:, None]), 0, cell)
+        tensor = (tensor[:, :, None] * lengths[:, None, :]).reshape(N, -1)
+    box_ids, inv = np.unique(box[interior], return_inverse=True)
+    sums = np.zeros((box_ids.size, tensor.shape[1]), dtype=np.int64)
+    np.add.at(sums, inv, tensor[interior])
+
+    def integral(cell_index, width):  # of x over [cell_index, cell_index + 1) * width
+        return Fraction((2 * cell_index + 1) * width * width, 2)
+
+    vol = np.array([Fraction(1, 2 ** (d - s))], dtype=object)
+    for i in active:
+        width = Fraction(1, b ** (j[i] + 1))
+        cells = np.array([integral(r, width) for r in range(b)], dtype=object)
+        vol = np.multiply.outer(vol, cells).ravel()
+
+    def projected_sq(x):
+        x = x.reshape((b,) * s)
+        for axis in range(s):
+            x = x - x.sum(axis=axis, keepdims=True) / b
+        return sum(v * v for v in x.ravel())
+
+    scale = Fraction(1, N * D ** (d - s) * D**s)
+    total = sum(projected_sq(row.astype(object) * scale - vol) for row in sums)
+    empty = b ** sum(j[i] for i in active) - box_ids.size
+    return b**s * (total + empty * projected_sq(-vol))
 
 
 def warnock_sq_oracle(numerators, denom: int) -> Fraction:

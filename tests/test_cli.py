@@ -12,9 +12,10 @@ from oracles import grid_coeff_oracle
 from qmcnet import families as fam
 from qmcnet import haar
 from qmcnet.cli import IntegrandSpec, _grid_coeff, main
-from qmcnet.cs import CSParams, cs_generating_matrices
+from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, SizeOverflow
 from qmcnet.nets import GeneratingMatrices, dual_set
+from qmcnet.norms import warnock_l2_sq
 
 
 def run(argv):
@@ -104,6 +105,18 @@ def test_norm_reports(tmp_path, capsys):
     assert "warnock_crosscheck" in kinds
     cross = json.loads(out[kinds.index("warnock_crosscheck")])
     assert cross["within_tail"]
+
+
+def test_norm_warnock_compares_with_the_exact_square(capsys):
+    # on CS-11 the float root of the exact value squared again is one ulp low
+    assert run(["norm", "--base", "11", "--dim", "2", "--w", "1", "--warnock"]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    pv, cross = lines[0], lines[2]
+    assert cross["kind"] == "warnock_crosscheck" and cross["parseval"] == pv["value"]
+    exact = warnock_l2_sq(cs_point_set(CSParams(11, 2, 1)))
+    assert cross["warnock_sq"] == float(exact)
+    assert cross["within_tail"] is True
+    assert abs(Fraction(pv["value"]) - exact) <= pv["tail_bound"]
 
 
 def test_norm_out_of_window_warning(tmp_path, capsys):

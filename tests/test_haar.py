@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import indicator_coeff_oracle, level_aggregate_oracle, volume_coeff_oracle
+from oracles import (
+    indicator_coeff_oracle,
+    level_aggregate_oracle,
+    level_mass_exact,
+    reduceat_mu_oracle,
+    volume_coeff_oracle,
+)
 from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams
 from qmcnet.families import balanced_hammersley
@@ -22,6 +28,7 @@ from qmcnet.haar import (
     volume_coeff,
 )
 from qmcnet.nets import GeneratingMatrices, PointSet, generate_points
+from qmcnet.norms import warnock_l2_sq
 
 
 def hammersley(n, b=2):
@@ -160,26 +167,40 @@ def test_level_aggregate_empty_boxes_carry_volume_only():
     assert discrepancy_coeff(p, idx) == pytest.approx(-volume_coeff(idx, 2))
 
 
-def _assert_matches_oracle(p, levels):
+@pytest.fixture(scope="module")
+def cs11_oracle():
+    """The CS net b=11 d=2 w=1 and `level_aggregate_oracle` on all 25 levels."""
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    return cs, {j: level_aggregate_oracle(cs, j) for j in levels_up_to(cs.n - 1, 2)}
+
+
+def _assert_matches_oracle(p, levels, oracle=level_aggregate_oracle):
     for j in levels:
         agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
-        box_ids, mu = level_aggregate_oracle(p, j)
+        box_ids, mu = oracle(p, j)
         assert np.array_equal(agg.box_ids, box_ids)
         assert agg.mu.shape == mu.shape
         scale = max(np.abs(mu).max(initial=0.0), np.abs(agg.volume).max())
         assert np.abs(agg.mu - mu).max(initial=0.0) <= 1e-12 * scale
+        # reduceat over (start, end) pairs of the multi-point boxes, single-
+        # point boxes copied, adds the same rows in the same order
+        assert np.array_equal(agg.mu, reduceat_mu_oracle(p, j))
 
 
-def test_level_aggregate_matches_unique_add_at_oracle():
+def test_level_aggregate_matches_unique_add_at_oracle(cs11_oracle):
     for n in range(3, 7):
         _assert_matches_oracle(hammersley(n), levels_up_to(n, 2))
-    cs = cs_point_set(CSParams(b=11, d=2, w=1))
-    _assert_matches_oracle(cs, levels_up_to(cs.n - 1, 2))  # all 25 levels
+    cs, refs = cs11_oracle
+    _assert_matches_oracle(cs, refs, lambda p, j: refs[j])  # all 25 levels
 
 
-def test_level_aggregate_matches_oracle_on_repeated_and_grid_points():
+@pytest.fixture(scope="module")
+def repeated_and_grid_oracle():
+    """Sets with duplicate and grid points, b in {2, 3, 5, 7} and d <= 3, each
+    with `level_aggregate_oracle` on all its levels."""
     rng = np.random.default_rng(11)
-    for b in (2, 3, 5):
+    out = []
+    for b in (2, 3, 5, 7):
         for d in (1, 2, 3):
             n = 3
             nums = rng.integers(0, b**n, size=(30, d))
@@ -187,7 +208,62 @@ def test_level_aggregate_matches_oracle_on_repeated_and_grid_points():
             nums[10:15] //= b  # points on box boundaries of several levels
             nums[10:15] *= b
             nums[15:18] = 0
-            _assert_matches_oracle(PointSet(b, n, d, nums), levels_up_to(n, d))
+            p = PointSet(b, n, d, nums)
+            out.append((p, {j: level_aggregate_oracle(p, j) for j in levels_up_to(n, d)}))
+    return out
+
+
+def test_level_aggregate_matches_oracle_on_repeated_and_grid_points(
+    repeated_and_grid_oracle,
+):
+    for p, refs in repeated_and_grid_oracle:
+        _assert_matches_oracle(p, refs, lambda p, j: refs[j])
+
+
+def _oracle_mass(agg, mu):
+    """Sigma |mu|^2 over the occupied boxes plus the empty boxes' volume mass."""
+    vol = float(np.sum(agg.volume.real**2 + agg.volume.imag**2))
+    return float(np.sum(mu.real**2 + mu.imag**2)) + (agg.n_boxes - mu.shape[0]) * vol
+
+
+def test_plancherel_mass_matches_mu_on_repeated_and_grid_points(
+    repeated_and_grid_oracle,
+):
+    for p, refs in repeated_and_grid_oracle:
+        for j, (_, mu) in refs.items():
+            agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+            ref = _oracle_mass(agg, mu)
+            assert abs(agg.mass(2) - ref) <= 1e-12 * ref, (p.b, j)
+
+
+def test_plancherel_mass_on_every_cs11_level(cs11_oracle):
+    # where a level's few boxes hold thousands of points (|j| <= 1) the float
+    # sums cancel: the exact mass of (0, 0) is 0, and Sigma |mu|^2 of the
+    # oracle is 1.1e-10 off at (-1, 0).  There the reference is exact, and
+    # each level must match it within 1e-12 of its mass or of its share
+    # b^-|j| ||D||^2 of Parseval's sum, whichever is larger.
+    cs, refs = cs11_oracle
+    l2_sq = warnock_l2_sq(cs)
+    for j, (_, mu) in refs.items():
+        agg = level_aggregate(cs, j, level_prefix(cs, j[:-1]))
+        tl = agg.total_level
+        ref = level_mass_exact(cs, j) if tl <= 1 else Fraction(_oracle_mass(agg, mu))
+        scale = max(ref, l2_sq / cs.b**tl)
+        assert abs(Fraction(agg.mass(2)) - ref) <= Fraction(1e-12) * scale, j
+
+
+def test_haar_norms_reads_mu_only_off_p2(monkeypatch):
+    import qmcnet.haar as haar
+
+    def unread(agg):
+        raise AssertionError(f"mu of level {agg.j} was read")
+
+    monkeypatch.setattr(haar.LevelAggregate, "mu", property(unread))
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    pv, bs = haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
+    assert pv.value > 0 and bs.value > 0
+    with pytest.raises(AssertionError, match="mu of level"):
+        haar.haar_norms(cs, BesovParams(1.5, 2.0, 0.25))
 
 
 def test_box_ids_are_exact_beyond_int64():
