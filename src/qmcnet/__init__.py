@@ -30,8 +30,6 @@ from .haar import (
     HaarIndex,
     NormReport,
     besov_quasi_norm,
-    discrepancy_coeff,
-    haar_eval,
     indicator_coeff,
     parseval_l2,
     volume_coeff,
@@ -57,10 +55,8 @@ from .norms import (
 from .walsh import (
     ThetaResult,
     fine_price_coeff,
-    haar_walsh_inner,
     residual_check,
     theta,
-    walsh_eval,
 )
 
 __version__ = "0.1.0"

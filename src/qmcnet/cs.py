@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -193,38 +192,6 @@ def nrt_weight(alpha: int, b: int) -> int:
         h += 1
         alpha //= b
     return h
-
-
-def hamming_weight(alpha: int, b: int) -> int:
-    """kappa(alpha): number of nonzero base-b digits."""
-    if alpha < 0:
-        raise InvalidParams("alpha must be nonnegative")
-    k = 0
-    while alpha:
-        if alpha % b:
-            k += 1
-        alpha //= b
-    return k
-
-
-def nrt_weight_d(alpha: Sequence[int], b: int) -> int:
-    return sum(nrt_weight(a, b) for a in alpha)
-
-
-def v_weight(a: Sequence[int]) -> int:
-    """v_n(a) = max{nu : a_nu != 0} with positions 1-based; 0 for a = 0."""
-    arr = np.asarray(a)
-    nz = np.nonzero(arr)[0]
-    return int(nz[-1]) + 1 if nz.size else 0
-
-
-def v_weight_d(word: Sequence[int], d: int, n: int) -> int:
-    arr = np.asarray(word).reshape(d, n)
-    return sum(v_weight(arr[i]) for i in range(d))
-
-
-def kappa_weight_d(word: Sequence[int]) -> int:
-    return int(np.count_nonzero(np.asarray(word)))
 
 
 def _blockwise_v(words: np.ndarray, d: int, n: int) -> np.ndarray:

@@ -17,10 +17,6 @@ class BaseMismatch(QmcNetError):
     """Two field values with different bases were combined."""
 
 
-class ZeroInverse(QmcNetError):
-    """Multiplicative inverse of zero requested."""
-
-
 class BaseTooSmall(InvalidParams):
     """Prime base too small to pick the required distinct elements."""
 

@@ -8,16 +8,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    BaseMismatch,
-    NotPrime,
-    SizeOverflow,
-    ZeroInverse,
-)
+from .errors import BaseMismatch, NotPrime, SizeOverflow
 
 #: Default hard cap on the number of items any enumeration may produce.
 DEFAULT_ENUM_LIMIT = 2**31
@@ -63,12 +57,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.b})"
-
-    def inv(self, value: int) -> int:
-        if value % self.b == 0:
-            raise ZeroInverse(f"0 has no inverse in F_{self.b}")
-        return pow(value, self.b - 2, self.b)
-
 
 def lucas_binomial(i: int, lam: int, b: int) -> int:
     """C(i, lam) mod b computed digitwise (Lucas); 0 whenever lam > i."""
@@ -133,9 +121,6 @@ class Polynomial:
                 out[i + k] = (out[i + k] + x * y) % self.field.b
         return Polynomial(tuple(out), self.field)
 
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(tuple((c * x) % self.field.b for x in self.coeffs), self.field)
-
     def __call__(self, x: int) -> int:
         """Horner evaluation; returns the value in [0, b)."""
         b = self.field.b
@@ -160,28 +145,6 @@ class Polynomial:
             for i in range(lam, len(self.coeffs))
         ]
         return Polynomial(tuple(out) if out else (0,), self.field)
-
-
-def poly_space_iter(n: int, field: PrimeField) -> Iterator[Polynomial]:
-    """All b**n polynomials of degree < n, coefficient f_0 cycling fastest.
-
-    The k-th polynomial has the base-b digits of k (least significant first)
-    as its coefficient vector, matching the digit convention of the digital
-    method.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = field.b
-    total = b**n
-    if total > enum_limit():
-        raise SizeOverflow(f"b**n = {total} exceeds enumeration limit {enum_limit()}")
-    for k in range(total):
-        coeffs = []
-        v = k
-        for _ in range(n):
-            coeffs.append(v % b)
-            v //= b
-        yield Polynomial(tuple(coeffs), field)
 
 
 # --- linear algebra over F_b -------------------------------------------------
@@ -226,15 +189,6 @@ def gf_nullspace(mat: np.ndarray, b: int) -> np.ndarray:
         for r, pc in enumerate(pivots):
             basis[k, pc] = (-rref[r, fc]) % b
     return basis
-
-
-def gf_row_space_equal(a: np.ndarray, c: np.ndarray, b: int) -> bool:
-    """Row-space equality test via matching RREFs."""
-    ra, pa = gf_rref(np.asarray(a), b)
-    rc, pc = gf_rref(np.asarray(c), b)
-    if pa != pc:
-        return False
-    return bool(np.array_equal(ra[: len(pa)], rc[: len(pc)]))
 
 
 def enumerate_span(basis: np.ndarray, b: int) -> np.ndarray:

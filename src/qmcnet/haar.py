@@ -1,9 +1,10 @@
 """The d-dimensional b-adic Haar system.
 
 Closed-form coefficients for the volume function and for anchored-box
-indicators, exact discrepancy coefficients, and the Parseval and Besov norms
-of the discrepancy function.  Levels are vectors j in {-1, 0, 1, ...}^d; a
-coordinate at level -1 carries the constant (indicator-of-cube) factor.
+indicators, the discrepancy coefficients of a point set level by level, and
+the Parseval and Besov norms of the discrepancy function.  Levels are vectors
+j in {-1, 0, 1, ...}^d; a coordinate at level -1 carries the constant
+(indicator-of-cube) factor.
 
 One sweep (`haar_levels`) visits every level with all j_i <= n - 1; deeper
 levels hold no interior point, so there mu = -volume and their mass has a
@@ -89,23 +90,6 @@ def _root(b: int, k: int) -> complex:
     return cmath.exp(2j * cmath.pi * (k % b) / b)
 
 
-def haar_eval(idx: HaarIndex, x: Point, b: int) -> complex:
-    """Value of h_jml at x; exp(2 pi i l k / b) on subinterval k, 0 off support."""
-    idx.validate(b)
-    value = 1.0 + 0.0j
-    for ji, mi, li, xi in zip(idx.j, idx.m, idx.l, x):
-        if not 0 <= xi < 1:
-            return 0.0j
-        if ji == -1:
-            continue
-        scaled = xi * b**ji
-        if not mi <= scaled < mi + 1:
-            return 0.0j
-        k = math.floor(xi * b ** (ji + 1)) - b * mi
-        value *= _root(b, k * li)
-    return value
-
-
 def volume_coeff(idx: HaarIndex, b: int) -> complex:
     """Haar coefficient of f(x) = x_1 ... x_d; independent of m.
 
@@ -142,14 +126,6 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
             bracket += _root(b, r * li)
         value *= b ** (-ji - 1) * bracket
     return value
-
-
-def discrepancy_coeff(p: PointSet, idx: HaarIndex) -> complex:
-    """mu_jml of D_P: mean indicator coefficient minus the volume coefficient."""
-    total = 0.0j
-    for z in p.fractions():
-        total += indicator_coeff(z, idx, p.b)
-    return total / p.size - volume_coeff(idx, p.b)
 
 
 # --- the level sweep ------------------------------------------------------------

@@ -123,16 +123,6 @@ class PointSet:
         return out
 
 
-def phi_map(digits: Sequence[int], b: int) -> int:
-    """Numerator of Phi_n(a) = a_1/b + ... + a_n/b**n, i.e. sum a_v b**(n-v)."""
-    k = 0
-    for a in digits:
-        if not 0 <= a < b:
-            raise InvalidParams("digit out of [0, b)")
-        k = k * b + int(a)
-    return k
-
-
 def generate_points(g: GeneratingMatrices) -> PointSet:
     """The digital method: point r has digit vectors C_i @ rbar, r = 0..b**n-1.
 

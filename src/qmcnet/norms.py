@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -15,18 +15,24 @@ from .errors import CapExceeded, InvalidParams
 from .haar import BesovParams, haar_levels, haar_norms, levels_up_to
 from .nets import PointSet
 
+#: Largest level cap `coeff_bound_audit` accepts; beyond it, CapExceeded.
+MAX_CAP = 64
+
 
 def disc_eval(p: PointSet, x: Sequence[Fraction]) -> Fraction:
-    """D_P(x): exact point fraction in [0, x) minus the exact box volume."""
+    """D_P(x): exact point fraction in [0, x) minus the exact box volume.
+
+    k / b^n < x_i exactly when k < ceil(x_i b^n), an integer threshold at
+    most b^n computed in Python ints, so no product can overflow.
+    """
     if len(x) != p.d:
         raise InvalidParams("x must have d coordinates")
     xs = [Fraction(v) for v in x]
-    denom = p.denominator
     inside = np.ones(p.size, dtype=bool)
     for i, xi in enumerate(xs):
         if not 0 <= xi <= 1:
             raise InvalidParams("coordinates must lie in [0, 1]")
-        inside &= p.numerators[:, i] * xi.denominator < xi.numerator * denom
+        inside &= p.numerators[:, i] < math.ceil(xi * p.denominator)
     volume = math.prod(xs, start=Fraction(1))
     return Fraction(int(inside.sum()), p.size) - volume
 
@@ -139,28 +145,7 @@ class AuditReport:
     passed: bool = True
 
     def to_json(self) -> str:
-        obj = {"schema": 1}
-        obj.update(
-            {
-                k: getattr(self, k)
-                for k in (
-                    "b",
-                    "n",
-                    "d",
-                    "cap",
-                    "const_full_cube",
-                    "const_small_levels",
-                    "const_typical",
-                    "const_exceptional",
-                    "exceptional_counts",
-                    "part_iii_ok",
-                    "part_iv_levels_checked",
-                    "part_iv_exceptions",
-                    "passed",
-                )
-            }
-        )
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps({"schema": 1, **asdict(self)}, sort_keys=True)
 
 
 def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> int:
@@ -196,7 +181,6 @@ def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> i
 def coeff_bound_audit(
     p: PointSet,
     cap: Optional[int] = None,
-    max_cap: int = 64,
     part_iv_samples: int = 5,
     seed: int = 0,
 ) -> AuditReport:
@@ -211,8 +195,8 @@ def coeff_bound_audit(
     b, n, d = p.b, p.n, p.d
     if cap is None:
         cap = min(2 * n, n + 2)
-    if cap > max_cap:
-        raise CapExceeded(f"cap {cap} > {max_cap}")
+    if cap > MAX_CAP:
+        raise CapExceeded(f"cap {cap} > {MAX_CAP}")
     rng = np.random.default_rng(seed)
 
     const_i = 0.0

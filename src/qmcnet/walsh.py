@@ -17,7 +17,7 @@ import numpy as np
 
 from .cs import CodeSpace, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
-from .haar import HaarIndex, _root
+from .haar import _root
 from .nets import DualSet, GeneratingMatrices, PointSet, dual_set
 from .norms import disc_eval
 
@@ -59,14 +59,6 @@ def walsh_eval_1d(alpha: int, x: Fraction, b: int) -> complex:
     return _root(b, exponent)
 
 
-def walsh_eval(alpha: Sequence[int], x: Sequence[Fraction], b: int) -> complex:
-    """Tensor-product Walsh function at a terminating point."""
-    value = 1.0 + 0.0j
-    for a, xi in zip(alpha, x):
-        value *= walsh_eval_1d(a, xi, b)
-    return value
-
-
 def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
     """Walsh coefficient of chi_[0,y): integral over [0, y) of conj(wal_t).
 
@@ -102,13 +94,6 @@ def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
     series += -wal_t.conjugate() * float(b) ** (-a_max) / 2.0
     total += series
     return total / b**rho
-
-
-def truncated_indicator_1d(y: Fraction, n: int, x: Fraction, b: int) -> complex:
-    """Partial Walsh sum sum_(t < b^n) chi_hat(t) wal_t(x)."""
-    return sum(
-        fine_price_coeff(t, y, b) * walsh_eval_1d(t, x, b) for t in range(b**n)
-    )
 
 
 # --- fast transforms on the b^n grid -------------------------------------------
@@ -273,16 +258,6 @@ def word_index(word: Sequence[int], b: int) -> int:
     return idx
 
 
-def subgroup_char_sum(c: CodeSpace, word: Sequence[int]) -> complex:
-    """sum over A in C of exp(2 pi i A.word / b): #C on the dual, else 0."""
-    words = c.words()
-    dots = (words @ (np.asarray(word, dtype=np.int64) % c.b)) % c.b
-    counts = np.bincount(dots, minlength=c.b)
-    return sum(
-        int(cnt) * _root(c.b, k) for k, cnt in enumerate(counts)
-    )
-
-
 def _v_membership(
     words: np.ndarray, gamma: Sequence[int], lam: Sequence[int], d: int, n: int,
     dual_side: bool,
@@ -357,31 +332,3 @@ def v_gamma_lambda(
             )
         bound_ok = count_d <= b**d
     return VCountReport(count_c, count_d, identity_ok, bound_ok, sigma)
-
-
-def haar_walsh_inner(idx: HaarIndex, alpha: Sequence[int], b: int) -> complex:
-    """<h_jml, wal_alpha> in closed form, tensored over coordinates.
-
-    In one dimension and j >= 0 the product is nonzero exactly when
-    rho(alpha) = j + 1 with leading digit l; its modulus is b^-j.
-    """
-    idx.validate(b)
-    value = 1.0 + 0.0j
-    for ji, mi, li, ai in zip(idx.j, idx.m, idx.l, alpha):
-        ai = int(ai)
-        if ji == -1:
-            if ai != 0:
-                return 0.0j
-            continue
-        if nrt_weight(ai, b) != ji + 1:
-            return 0.0j
-        if (ai // b**ji) % b != li:
-            return 0.0j
-        # phase pairs digit nu of alpha with digit j-nu of m (m_1 is its LSB)
-        exponent = 0
-        for nu in range(ji):
-            a_digit = (ai // b**nu) % b
-            m_digit = (mi // b ** (ji - 1 - nu)) % b
-            exponent += a_digit * m_digit
-        value *= float(b) ** (-ji) * _root(b, -exponent)
-    return value

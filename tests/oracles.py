@@ -10,7 +10,10 @@ all-boxes `np.add.reduceat` kernel that the sweep's mu must match bit for
 bit, and their squared mass is summed exactly on explicit sub-cell tensors
 in Fractions; Walsh integrals are Riemann sums of `walsh_eval_1d` over
 Fraction grid points; character sums recompute every point's digits per
-frequency digit.
+frequency digit.  Single Haar coefficients of D_P come point by point from
+the closed forms that criterion 3 checks against the piecewise integrals;
+truncated Walsh sums point by point from Fine-Price coefficients; code
+weights word by word.
 """
 from __future__ import annotations
 
@@ -21,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from qmcnet.haar import HaarIndex
-from qmcnet.walsh import walsh_eval_1d
+from qmcnet.haar import HaarIndex, indicator_coeff, volume_coeff
+from qmcnet.walsh import fine_price_coeff, walsh_eval_1d
 
 
 def _omega(b: int, k: int) -> complex:
@@ -74,6 +77,14 @@ def indicator_coeff_oracle(z, idx: HaarIndex, b: int) -> complex:
         indicator_factor_1d(zi, j, m, l, b)
         for zi, j, m, l in zip(z, idx.j, idx.m, idx.l)
     )
+
+
+def discrepancy_coeff(p, idx: HaarIndex) -> complex:
+    """mu_jml of D_P: mean indicator coefficient minus the volume coefficient."""
+    total = 0.0j
+    for z in p.fractions():
+        total += indicator_coeff(z, idx, p.b)
+    return total / p.size - volume_coeff(idx, p.b)
 
 
 def level_aggregate_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
@@ -332,6 +343,13 @@ def grid_coeff_oracle(t: int, y, b: int) -> complex:
     return total
 
 
+def truncated_indicator_1d(y, n: int, x, b: int) -> complex:
+    """Partial Walsh sum sum_(t < b^n) chi_hat(t) wal_t(x), term by term."""
+    return sum(
+        fine_price_coeff(t, y, b) * walsh_eval_1d(t, x, b) for t in range(b**n)
+    )
+
+
 def char_sum_oracle(p, t) -> complex:
     """sum_h wal_t(x_h) with each point's digit recomputed per digit of t.
 
@@ -351,3 +369,20 @@ def char_sum_oracle(p, t) -> complex:
     if (counts == counts[0]).all():
         return 0j
     return sum(int(c) * _omega(b, k) for k, c in enumerate(counts))
+
+
+def v_weight(a) -> int:
+    """v_n(a) = max{nu : a_nu != 0} with positions 1-based; 0 for a = 0."""
+    nz = np.nonzero(np.asarray(a))[0]
+    return int(nz[-1]) + 1 if nz.size else 0
+
+
+def v_weight_d(word, d: int, n: int) -> int:
+    """v_n^d: the sum of v_n over the d blocks of length n."""
+    arr = np.asarray(word).reshape(d, n)
+    return sum(v_weight(arr[i]) for i in range(d))
+
+
+def kappa_weight_d(word) -> int:
+    """kappa_n^d: the number of nonzero entries."""
+    return int(np.count_nonzero(np.asarray(word)))

@@ -22,7 +22,7 @@ from qmcnet.cs import (
     dual_code,
     verify_dual_properties,
 )
-from qmcnet.families import balanced_hammersley, hammersley
+from qmcnet.families import balanced_hammersley
 from qmcnet.field import gf_rank
 from qmcnet.haar import BesovParams, besov_quasi_norm, indicator_coeff, parseval_l2, volume_coeff
 from qmcnet.nets import GeneratingMatrices, char_sum, dual_set, generate_points, is_net

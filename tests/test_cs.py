@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
+from oracles import kappa_weight_d, v_weight_d
 from qmcnet.cs import (
     CodeSpace,
     CSParams,
+    _blockwise_v,
     cs_code_space,
     cs_generating_matrices,
     cs_point_set,
     default_betas,
     dual_code,
     encode_poly,
-    hamming_weight,
-    kappa_weight_d,
     nrt_weight,
-    nrt_weight_d,
-    v_weight,
-    v_weight_d,
     verify_dual_properties,
 )
 from qmcnet.errors import BaseTooSmall, InvalidParams, NotPrime
-from qmcnet.field import Polynomial, poly_space_iter
+from qmcnet.field import Polynomial, gf_rank
 from qmcnet.nets import is_net
 
 
@@ -105,13 +102,34 @@ def test_weights():
     assert nrt_weight(0, 3) == 0
     assert nrt_weight(1, 3) == 1
     assert nrt_weight(9, 3) == 3
-    assert hamming_weight(0, 3) == 0
-    assert hamming_weight(10, 3) == 2  # 101_3
-    assert nrt_weight_d((9, 1), 3) == 4
-    assert v_weight([0, 0, 0]) == 0
-    assert v_weight([1, 0, 2, 0]) == 3  # positions are 1-based
-    assert v_weight_d([1, 0, 0, 0, 0, 2], 2, 3) == 1 + 3
-    assert kappa_weight_d([1, 0, 0, 0, 0, 2]) == 2
+    assert _blockwise_v(np.array([[0, 0, 0, 0], [1, 0, 2, 0]]), 1, 4).tolist() == [0, 3]
+    assert _blockwise_v(np.array([[1, 0, 0, 0, 0, 2]]), 2, 3).tolist() == [1 + 3]
+
+
+def _assert_scalar_minima(code, d, n):
+    words = code.words()
+    assert _blockwise_v(words, d, n).tolist() == [v_weight_d(w, d, n) for w in words]
+    nonzero = [w for w in words if w.any()]
+    kappa_min = min(kappa_weight_d(w) for w in nonzero)
+    delta_min = min(v_weight_d(w, d, n) for w in nonzero)
+    rep = verify_dual_properties(code, d, n)
+    assert (rep.kappa_min, rep.delta_min) == (kappa_min, delta_min)
+    assert rep.passed == (kappa_min >= 2 * d + 1 and delta_min >= n + 1)
+    assert rep.words_checked == len(words)
+
+
+def test_verify_dual_properties_matches_scalar_minima():
+    # the vectorised minima against word-by-word weights: the CS-11 dual,
+    # then seeded random codes
+    params = CSParams(b=11, d=2, w=1)
+    dual = dual_code(cs_code_space(params))
+    _assert_scalar_minima(dual, params.d, params.n)
+    rng = np.random.default_rng(11)
+    for b, d, n in ((2, 2, 3), (3, 2, 2), (5, 1, 4), (3, 3, 2)):
+        for _ in range(3):
+            basis = rng.integers(0, b, size=(int(rng.integers(1, d * n)), d * n))
+            if gf_rank(basis, b) == len(basis):
+                _assert_scalar_minima(CodeSpace(b, d, n, basis), d, n)
 
 
 def test_verify_dual_properties_small_instance():

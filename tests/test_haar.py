@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    discrepancy_coeff,
     indicator_coeff_oracle,
     level_aggregate_oracle,
     level_mass_exact,
@@ -18,8 +19,6 @@ from qmcnet.haar import (
     BesovParams,
     HaarIndex,
     besov_quasi_norm,
-    discrepancy_coeff,
-    haar_eval,
     indicator_coeff,
     level_aggregate,
     level_prefix,
@@ -55,34 +54,6 @@ def test_index_validation():
     with pytest.raises(InvalidParams):
         HaarIndex((1,), (0,), (3,)).validate(3)
     HaarIndex((1, -1), (2, 0), (1, 1)).validate(3)
-
-
-def test_haar_eval_steps():
-    idx = HaarIndex((0,), (0,), (1,))
-    assert haar_eval(idx, (Fraction(1, 4),), 2) == pytest.approx(1)
-    assert haar_eval(idx, (Fraction(3, 4),), 2) == pytest.approx(-1)
-    assert haar_eval(idx, (Fraction(3, 2),), 2) == 0
-
-
-def test_haar_orthonormality_on_grid():
-    # weighted inner products on the exact b^-3 grid, b = 3
-    b, depth = 3, 3
-    grid = [Fraction(g, b**depth) for g in range(b**depth)]
-    idxs = [HaarIndex((-1,), (0,), (1,))] + [
-        HaarIndex((j,), (m,), (l,))
-        for j in range(2)
-        for m in range(b**j)
-        for l in range(1, b)
-    ]
-    for a in idxs:
-        for c in idxs:
-            ip = sum(
-                haar_eval(a, (x,), b) * haar_eval(c, (x,), b).conjugate()
-                for x in grid
-            ) / len(grid)
-            ja = a.j[0]
-            expect = (1.0 if a == c else 0.0) * (b ** -max(ja, 0))
-            assert abs(ip - expect) < 1e-12
 
 
 def test_volume_coeff_hand_values():
@@ -128,6 +99,7 @@ def test_discrepancy_coeff_single_point():
     idx = HaarIndex((-1,), (0,), (1,))
     # spec example: mu = E chi - volume coeff = 1 - 1/2
     assert discrepancy_coeff(p, idx) == pytest.approx(0.5)
+    assert level_aggregate(p, (-1,), level_prefix(p, ())).mu[0, 0] == pytest.approx(0.5)
 
 
 def test_level_aggregate_matches_direct_coefficients():

@@ -1,5 +1,4 @@
 import io
-import json
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -18,7 +17,6 @@ from qmcnet.nets import (
     generate_points,
     is_net,
     load_pointset,
-    phi_map,
     save_pointset,
 )
 
@@ -31,12 +29,6 @@ def vdc_matrices(n, b=2, d=1):
 def hammersley_matrices(n, b=2):
     ident = np.eye(n, dtype=np.int64)
     return GeneratingMatrices(b, n, 2, np.stack([ident, np.fliplr(ident).copy()]))
-
-
-def test_phi_map_msb_first():
-    # digit h_1 is the most significant: (h_1, h_2) -> h_1/b + h_2/b^2
-    assert phi_map([1, 0], 2) == 2  # 1/2 on the grid of 4
-    assert phi_map([0, 1], 2) == 1  # 1/4
 
 
 def test_identity_matrix_gives_van_der_corput():

@@ -5,14 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import warnock_sq_oracle
+from oracles import discrepancy_coeff, warnock_sq_oracle
 from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import (
     BesovParams,
     HaarIndex,
     besov_quasi_norm,
-    discrepancy_coeff,
     haar_levels,
     haar_norms,
     levels_up_to,
@@ -37,6 +36,19 @@ def test_disc_eval_examples():
     assert disc_eval(p, [Fraction(0)]) == 0
     assert disc_eval(p, [Fraction(1, 2)]) == Fraction(1, 2)
 
+
+def test_disc_eval_is_exact_past_int64_products():
+    # k * 3^39 passes 2^63 (it wrapped), and 3^41 is past int64 (it raised)
+    p = hammersley(20)
+    nums = p.numerators.astype(object)  # Python-int products
+    for tiny in (Fraction(1, 3**39), Fraction(1, 3**41)):
+        x = (Fraction(1, 3) + tiny, Fraction(1, 2))
+        inside = np.ones(p.size, dtype=bool)
+        for i, xi in enumerate(x):
+            inside &= nums[:, i] * xi.denominator < xi.numerator * p.denominator
+        exact = Fraction(int(inside.sum()), p.size) - x[0] * x[1]
+        assert abs(exact) < 1e-6
+        assert disc_eval(p, x) == exact
 
 def test_disc_eval_is_exact_rational():
     p = hammersley(3)

@@ -5,23 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import truncated_indicator_1d
 from qmcnet.cs import CodeSpace, dual_code
 from qmcnet.errors import InvalidParams, InvalidRange, NonTerminatingExpansion
-from qmcnet.haar import HaarIndex, haar_eval
 from qmcnet.nets import GeneratingMatrices, dual_set, generate_points
 from qmcnet.walsh import (
-    ThetaResult,
     fine_price_coeff,
     group_walsh_transform,
-    haar_walsh_inner,
     interval_coeff_vector,
     residual_check,
-    subgroup_char_sum,
     terminating_digits,
     theta,
-    truncated_indicator_1d,
     v_gamma_lambda,
-    walsh_eval,
     walsh_eval_1d,
     walsh_synthesis,
     word_index,
@@ -100,13 +95,14 @@ def test_fine_price_vs_transform_route():
 
 
 def test_truncated_indicator_mean_value():
-    # the partial Walsh sum integrates to y over [0,1)
-    b, n = 2, 3
-    y = Fraction(5, 8)
-    vals = [
-        truncated_indicator_1d(y, n, Fraction(g, b**n), b) for g in range(b**n)
-    ]
-    assert sum(vals) / len(vals) == pytest.approx(float(y), abs=1e-12)
+    # the synthesized coefficient vector is the partial Walsh sum at every
+    # grid point, term by term, and integrates to y over [0,1)
+    for b, n, y in ((2, 3, Fraction(5, 8)), (3, 2, Fraction(7, 27))):
+        vals = walsh_synthesis(interval_coeff_vector(y, b, n), b, n)
+        for g in range(b**n):
+            ref = truncated_indicator_1d(y, n, Fraction(g, b**n), b)
+            assert abs(vals[g] - ref) < 1e-12
+        assert sum(vals) / len(vals) == pytest.approx(float(y), abs=1e-12)
 
 
 def test_synthesis_matches_pointwise_walsh():
@@ -184,15 +180,6 @@ def test_poisson_summation_over_random_subspaces():
         assert abs(lhs - rhs) < 1e-9
 
 
-def test_subgroup_char_sum_indicator():
-    basis = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int64)
-    c = CodeSpace(2, 2, 2, basis)
-    dual = dual_code(c)
-    for w in dual.words():
-        assert abs(subgroup_char_sum(c, w) - len(c.words())) < 1e-12
-    assert abs(subgroup_char_sum(c, [1, 0, 0, 0])) < 1e-12
-
-
 def test_v_gamma_lambda_identity_exhaustive_small():
     basis = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int64)
     c = CodeSpace(2, 2, 2, basis)
@@ -229,29 +216,3 @@ def test_v_gamma_lambda_range_checks():
         v_gamma_lambda(c, (3, 0), (0, 0))
     with pytest.raises(InvalidRange):
         v_gamma_lambda(c, (1, 1), (2, 0))
-
-
-def test_haar_walsh_inner_closed_form_vs_grid():
-    b = 3
-    for j, m, l in [(-1, 0, 1), (0, 0, 1), (1, 2, 2)]:
-        idx = HaarIndex((j,), (m,), (l,))
-        for alpha in range(b**3):
-            grid = b**4
-            direct = (
-                sum(
-                    haar_eval(idx, (Fraction(g, grid),), b)
-                    * walsh_eval_1d(alpha, Fraction(g, grid), b).conjugate()
-                    for g in range(grid)
-                )
-                / grid
-            )
-            assert abs(direct - haar_walsh_inner(idx, (alpha,), b)) < 1e-12
-
-
-def test_haar_walsh_inner_support():
-    # nonzero only when the digit length of alpha is exactly j + 1 with
-    # leading digit l
-    b = 3
-    idx = HaarIndex((1,), (0,), (2,))
-    hits = [a for a in range(b**3) if haar_walsh_inner(idx, (a,), b) != 0]
-    assert hits == [a for a in range(3, 9) if (a // 3) % 3 == 2]
