@@ -14,7 +14,6 @@ from .cs import (
     verify_dual_properties,
 )
 from .errors import (
-    BaseMismatch,
     BaseTooSmall,
     CapExceeded,
     InvalidParams,
@@ -24,7 +23,7 @@ from .errors import (
     QmcNetError,
     SizeOverflow,
 )
-from .field import Polynomial, PrimeField, is_prime, lucas_binomial
+from .field import is_prime
 from .haar import (
     BesovParams,
     HaarIndex,

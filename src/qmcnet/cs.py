@@ -2,25 +2,22 @@
 
 Codewords are hyper-derivative evaluation vectors of polynomials of degree
 below n = 2dw at 2d*d distinct field elements; the resulting linear code of
-dimension n maps to a digital net in [0,1)^d.  Weight functionals and the
-dual-code verification gate live here as well.
+dimension n maps to a digital net in [0,1)^d.  The code is the span of the
+encodings of the monomials z^k, whose hyper-derivatives have a closed form,
+so the basis is written down directly.  Weight functionals and the dual-code
+verification gate live here as well.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BaseTooSmall, DegreeTooLarge, InvalidParams
-from .field import (
-    PrimeField,
-    Polynomial,
-    enumerate_span,
-    gf_nullspace,
-    gf_rank,
-)
+from .errors import BaseTooSmall, InvalidParams
+from .field import enumerate_span, gf_nullspace, gf_rank, require_prime
 from .nets import GeneratingMatrices, PointSet, generate_points
 
 
@@ -46,7 +43,7 @@ class CSParams:
     betas: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        PrimeField(self.b)
+        require_prime(self.b)
         if self.d < 1 or self.w < 1:
             raise InvalidParams("need d >= 1 and w >= 1")
         if self.b < 2 * self.d * self.d:
@@ -66,10 +63,6 @@ class CSParams:
     def n(self) -> int:
         return 2 * self.d * self.w
 
-    @property
-    def field(self) -> PrimeField:
-        return PrimeField(self.b)
-
     def to_json(self) -> str:
         return json.dumps(
             {"b": self.b, "d": self.d, "w": self.w, "betas": [list(r) for r in self.betas]}
@@ -80,27 +73,6 @@ class CSParams:
         obj = json.loads(text)
         betas = tuple(tuple(row) for row in obj.get("betas") or ())
         return cls(obj["b"], obj["d"], obj["w"], betas)
-
-
-def encode_poly(f: Polynomial, params: CSParams) -> np.ndarray:
-    """Codeword A(f) as a flat length-d*n digit vector.
-
-    Block i, entry (nu-1)*w + lam (1-based), holds the (lam-1)-th
-    hyper-derivative of f at beta[i][nu]; lam runs fastest within each nu.
-    """
-    n, w, d, b = params.n, params.w, params.d, params.b
-    if f.field.b != b:
-        raise InvalidParams("polynomial base differs from CS base")
-    if f.degree >= n:
-        raise DegreeTooLarge(f"deg(f) = {f.degree} must be < n = {n}")
-    derivs = [f.hasse_derivative(lam) for lam in range(w)]
-    word = np.zeros(d * n, dtype=np.int64)
-    for i in range(d):
-        for nu in range(2 * d):
-            beta = params.betas[i][nu]
-            for lam in range(w):
-                word[i * n + nu * w + lam] = derivs[lam](beta)
-    return word
 
 
 @dataclass(frozen=True)
@@ -141,14 +113,21 @@ class CodeSpace:
 
 
 def cs_code_space(params: CSParams) -> CodeSpace:
-    """C_n: the span of the encodings of 1, z, ..., z^(n-1); dimension n."""
-    field = params.field
-    rows = []
-    for k in range(params.n):
-        coeffs = [0] * params.n
-        coeffs[k] = 1
-        rows.append(encode_poly(Polynomial(tuple(coeffs), field), params))
-    return CodeSpace(params.b, params.d, params.n, np.asarray(rows))
+    """C_n: the span of the encodings of 1, z, ..., z^(n-1); dimension n.
+
+    Block i, entry nu*w + lam (0-based) of a codeword holds the lam-th
+    hyper-derivative of its polynomial at beta[i][nu].  That of z^k is
+    C(k, lam) z^(k-lam), or 0 when lam > k, so row k of the basis holds
+    C(k, lam) beta^(k-lam) mod b there.
+    """
+    n, w, b = params.n, params.w, params.b
+    cols = [(beta, lam) for row in params.betas for beta in row for lam in range(w)]
+    basis = [
+        [math.comb(k, lam) * pow(beta, k - lam, b) % b if lam <= k else 0
+         for beta, lam in cols]
+        for k in range(n)
+    ]
+    return CodeSpace(b, params.d, n, np.array(basis, dtype=np.int64))
 
 
 def cs_generating_matrices(params: CSParams) -> GeneratingMatrices:
@@ -158,13 +137,8 @@ def cs_generating_matrices(params: CSParams) -> GeneratingMatrices:
     rbar acts as the coefficient vector of f.
     """
     n, d = params.n, params.d
-    code = cs_code_space(params)
-    mats = np.zeros((d, n, n), dtype=np.int64)
-    for k in range(n):
-        word = code.basis[k]
-        for i in range(d):
-            mats[i][:, k] = word[i * n : (i + 1) * n]
-    return GeneratingMatrices(params.b, n, d, mats)
+    basis = cs_code_space(params).basis
+    return GeneratingMatrices(params.b, n, d, basis.reshape(n, d, n).transpose(1, 2, 0))
 
 
 def cs_point_set(params: CSParams) -> PointSet:

@@ -13,16 +13,8 @@ class NotPrime(InvalidParams):
     """Base of a prime field failed the primality check."""
 
 
-class BaseMismatch(QmcNetError):
-    """Two field values with different bases were combined."""
-
-
 class BaseTooSmall(InvalidParams):
     """Prime base too small to pick the required distinct elements."""
-
-
-class DegreeTooLarge(InvalidParams):
-    """Polynomial degree exceeds the encoding bound."""
 
 
 class SizeOverflow(QmcNetError):

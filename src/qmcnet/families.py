@@ -26,55 +26,48 @@ def hammersley(n: int, b: int = 2) -> PointSet:
     return generate_points(hammersley_matrices(n, b))
 
 
+#: n - 2 ell over sqrt(n) for `balanced_hammersley`.
+GAP_FACTOR = 2.8
+
+
+def _xor_shifted(n: int, family: str, shift: int) -> PointSet:
+    """Base-2 Hammersley with the van der Corput coordinate XOR-ed by `shift`.
+
+    The result is still a (0, n, 2)-net but is no longer generated by
+    matrices alone, so provenance records the shift.
+    """
+    nums = hammersley(n).numerators.copy()
+    nums[:, 1] ^= shift
+    prov = {"family": family, "n": n, "shift": shift}
+    return PointSet(2, n, 2, nums, provenance=prov)
+
+
 def shifted_hammersley(n: int) -> PointSet:
-    """Base-2 Hammersley with the alternating digit shift on the van der
-    Corput coordinate.
+    """Hammersley with the alternating digit shift on the van der Corput
+    coordinate.
 
     XOR-ing digits 2, 4, 6, ... (from the most significant) flips every other
     dyadic symmetry.  The plain Hammersley set has L2 discrepancy of order
-    (log N)/N; this shifted variant attains the optimal sqrt(log N)/N.  The
-    result is still a (0, n, 2)-net but is no longer generated by matrices
-    alone, so provenance records the shift.
+    (log N)/N; this shifted variant attains the optimal sqrt(log N)/N.
     """
-    p = hammersley(n)
-    shift = 0
-    for k in range(n):
-        if k % 2 == 1:  # digit positions counted from the MSB of y
-            shift |= 1 << (n - 1 - k)
-    nums = p.numerators.copy()
-    nums[:, 1] ^= shift
-    return PointSet(
-        b=2,
-        n=n,
-        d=2,
-        numerators=nums,
-        provenance={"family": "shifted_hammersley", "n": n, "shift": shift},
-    )
+    shift = sum(1 << (n - 1 - k) for k in range(1, n, 2))
+    return _xor_shifted(n, "shifted_hammersley", shift)
 
 
-def balanced_hammersley(n: int, gap_factor: float = 2.8) -> PointSet:
+def balanced_hammersley(n: int) -> PointSet:
     """Hammersley with ell(n) complemented digits where n - 2 ell ~ 2.8 sqrt(n).
 
     The squared scaled L2 discrepancy of the ell-digit-complemented Hammersley
     set grows like (n - 2 ell)^2 plus a linear-in-n part, so keeping the gap
     proportional to sqrt(n) yields N ||D||_2 of the optimal order
-    sqrt(log N).  The factor 2.8 makes the gap term dominate the additive
-    constant already at desk-scale sizes; the digit positions are irrelevant
-    (the value depends only on the count), so the lowest ell are used.
+    sqrt(log N).  The factor 2.8 (`GAP_FACTOR`) makes the gap term dominate
+    the additive constant already at desk-scale sizes; the digit positions
+    are irrelevant (the value depends only on the count), so the lowest ell
+    are used.
     """
-    gap = min(n, round(gap_factor * math.sqrt(n)))
+    gap = min(n, round(GAP_FACTOR * math.sqrt(n)))
     ell = (n - gap) // 2
-    p = hammersley(n)
-    shift = (1 << ell) - 1
-    nums = p.numerators.copy()
-    nums[:, 1] ^= shift
-    return PointSet(
-        b=2,
-        n=n,
-        d=2,
-        numerators=nums,
-        provenance={"family": "balanced_hammersley", "n": n, "shift": shift},
-    )
+    return _xor_shifted(n, "balanced_hammersley", (1 << ell) - 1)
 
 
 FAMILIES = {

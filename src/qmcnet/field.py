@@ -1,17 +1,16 @@
 """Exact arithmetic over prime fields F_b.
 
-Elements, polynomials, binomial coefficients mod b (Lucas), hyper-derivatives
-and the small linear algebra (RREF, null spaces) used by the net and code
-modules.  Everything here is pure and immutable.
+The primality gate on a base and the small linear algebra (RREF, null
+spaces, span enumeration) used by the net and code modules.  Everything here
+is pure.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseMismatch, NotPrime, SizeOverflow
+from .errors import NotPrime, SizeOverflow
 
 #: Default hard cap on the number of items any enumeration may produce.
 DEFAULT_ENUM_LIMIT = 2**31
@@ -39,112 +38,10 @@ def is_prime(b: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The prime field F_b, acting as element factory and arithmetic context."""
-
-    __slots__ = ("b",)
-
-    def __init__(self, b: int):
-        if not is_prime(b):
-            raise NotPrime(f"base {b} is not prime")
-        self.b = b
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.b == self.b
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.b))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.b})"
-
-def lucas_binomial(i: int, lam: int, b: int) -> int:
-    """C(i, lam) mod b computed digitwise (Lucas); 0 whenever lam > i."""
-    if i < 0 or lam < 0:
-        raise ValueError("arguments must be nonnegative")
-    if lam > i:
-        return 0
-    result = 1
-    while i or lam:
-        di, dl = i % b, lam % b
-        if dl > di:
-            return 0
-        # small-digit binomial, exact in Python ints
-        num, den = 1, 1
-        for t in range(dl):
-            num *= di - t
-            den *= t + 1
-        result = (result * (num // den)) % b
-        i //= b
-        lam //= b
-    return result
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial over F_b; coeffs[i] is the coefficient of z**i.
-
-    Trailing zeros are permitted; the zero polynomial reports degree -1.
-    """
-
-    coeffs: tuple[int, ...]
-    field: PrimeField
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(c % self.field.b for c in self.coeffs)
-        )
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.field.b != other.field.b:
-            raise BaseMismatch("polynomial bases differ")
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        c = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Polynomial(tuple((x + y) % self.field.b for x, y in zip(a, c)), self.field)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.field.b != other.field.b:
-            raise BaseMismatch("polynomial bases differ")
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, x in enumerate(self.coeffs):
-            if not x:
-                continue
-            for k, y in enumerate(other.coeffs):
-                out[i + k] = (out[i + k] + x * y) % self.field.b
-        return Polynomial(tuple(out), self.field)
-
-    def __call__(self, x: int) -> int:
-        """Horner evaluation; returns the value in [0, b)."""
-        b = self.field.b
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % b
-        return acc
-
-    def hasse_derivative(self, lam: int) -> "Polynomial":
-        """The lam-th hyper-derivative: sum_i C(i, lam) f_i z^(i-lam).
-
-        For lam = 0 this is the polynomial itself; the binomial is taken
-        mod b via Lucas so characteristic-b cancellation is exact.
-        """
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if lam == 0:
-            return self
-        b = self.field.b
-        out = [
-            (lucas_binomial(i, lam, b) * self.coeffs[i]) % b
-            for i in range(lam, len(self.coeffs))
-        ]
-        return Polynomial(tuple(out) if out else (0,), self.field)
+def require_prime(b: int) -> None:
+    """Raise NotPrime unless b is prime, so that F_b is a field."""
+    if not is_prime(b):
+        raise NotPrime(f"base {b} is not prime")
 
 
 # --- linear algebra over F_b -------------------------------------------------

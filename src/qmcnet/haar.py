@@ -300,13 +300,11 @@ class LevelAggregate:
     coordinate, in prefix order) to mu_jml of its box, and every box
     subtracts the volume coefficient.  `mu` holds the coefficients of the
     occupied boxes and every l-combination, built on first read; the empty
-    boxes all carry mu = -volume.  `mass(2)` never reads mu.  `box_ids` are
-    int64 when b^|j| < 2^63 and Python ints in an object array otherwise.
+    boxes all carry mu = -volume.  `mass(2)` never reads mu.
     """
 
     j: tuple[int, ...]
     b: int
-    box_ids: np.ndarray  # (n_occ,) packed occupied-box indices, ascending
     l_combos: list[tuple[int, ...]]
     n_boxes: float  # b**|j| (float; may exceed integer range at deep levels)
     volume: np.ndarray  # (n_lcombos,) volume coefficients
@@ -318,7 +316,7 @@ class LevelAggregate:
 
     @property
     def occupied(self) -> int:
-        return self.box_ids.size
+        return self.starts.size
 
     @property
     def empty_count(self) -> float:
@@ -465,12 +463,10 @@ def level_aggregate(
         if ji == -1:
             base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
 
-    # a packed box index is below b^|j|, which may exceed int64
-    id_type = np.int64 if b**total_level < 2**63 else object
     if s == 0:
-        box_ids, starts = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        starts = np.zeros(1, np.int64)
     elif idx.size == 0:
-        box_ids, starts = np.zeros(0, id_type), np.zeros(0, np.int64)
+        starts = np.zeros(0, np.int64)
     else:
         # a box starts wherever one coordinate's box index changes
         new_box = np.zeros(idx.size, dtype=bool)
@@ -478,12 +474,9 @@ def level_aggregate(
         for m in boxes:
             new_box[1:] |= m[1:] != m[:-1]
         starts = np.flatnonzero(new_box)
-        box_ids = np.zeros(starts.size, id_type)
-        for m, ji in zip(boxes, (v for v in j if v >= 0)):  # Horner, m_1 first
-            box_ids = box_ids * b**ji + m[starts].astype(id_type)
     counts = np.diff(starts, append=idx.size)
     return LevelAggregate(
-        j, b, box_ids, l_combos, n_boxes, vol, base, sel, offsets, starts, counts
+        j, b, l_combos, n_boxes, vol, base, sel, offsets, starts, counts
     )
 
 

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParams, NetFileError, NotPowerCardinality, SizeOverflow
-from .field import PrimeField, enumerate_span, gf_nullspace
+from .field import enumerate_span, gf_nullspace, require_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,7 @@ class GeneratingMatrices:
         )
 
     def __post_init__(self):
-        PrimeField(self.b)  # validates primality
+        require_prime(self.b)
         m = np.asarray(self.mats, dtype=np.int64)
         if m.shape != (self.d, self.n, self.n):
             raise InvalidParams(

@@ -13,7 +13,8 @@ Fraction grid points; character sums recompute every point's digits per
 frequency digit.  Single Haar coefficients of D_P come point by point from
 the closed forms that criterion 3 checks against the piecewise integrals;
 truncated Walsh sums point by point from Fine-Price coefficients; code
-weights word by word.
+weights word by word; Chen-Skriganov codewords from the Taylor expansion of
+(beta + h)^k.
 """
 from __future__ import annotations
 
@@ -386,3 +387,29 @@ def v_weight_d(word, d: int, n: int) -> int:
 def kappa_weight_d(word) -> int:
     """kappa_n^d: the number of nonzero entries."""
     return int(np.count_nonzero(np.asarray(word)))
+
+
+def hasse_derivative_oracle(k: int, lam: int, beta: int, b: int) -> int:
+    """The lam-th hyper-derivative of z^k at beta over F_b, by definition.
+
+    It is the coefficient of h^lam in (beta + h)^k, expanded by k
+    multiplications of a coefficient list by (beta + h), mod b.
+    """
+    coeffs = [1]
+    for _ in range(k):
+        coeffs = [(beta * c + lower) % b for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs[lam] if lam < len(coeffs) else 0
+
+
+def cs_basis_oracle(params) -> np.ndarray:
+    """(n, d*n): row k is the codeword of z^k; block i, entry nu*w + lam holds
+    its lam-th hyper-derivative at beta[i][nu]."""
+    n, w, b = params.n, params.w, params.b
+    basis = np.zeros((n, params.d * n), dtype=np.int64)
+    for k in range(n):
+        for i, row in enumerate(params.betas):
+            for nu, beta in enumerate(row):
+                for lam in range(w):
+                    value = hasse_derivative_oracle(k, lam, beta, b)
+                    basis[k, i * n + nu * w + lam] = value
+    return basis

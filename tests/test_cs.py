@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from oracles import kappa_weight_d, v_weight_d
+from oracles import cs_basis_oracle, hasse_derivative_oracle, kappa_weight_d, v_weight_d
+from qmcnet.cli import main
 from qmcnet.cs import (
     CodeSpace,
     CSParams,
@@ -11,12 +14,11 @@ from qmcnet.cs import (
     cs_point_set,
     default_betas,
     dual_code,
-    encode_poly,
     nrt_weight,
     verify_dual_properties,
 )
 from qmcnet.errors import BaseTooSmall, InvalidParams, NotPrime
-from qmcnet.field import Polynomial, gf_rank
+from qmcnet.field import gf_rank
 from qmcnet.nets import is_net
 
 
@@ -40,28 +42,25 @@ def test_params_json_roundtrip():
     assert CSParams.from_json(p.to_json()) == p
 
 
-def test_encode_poly_linearity():
-    params = CSParams(b=11, d=2, w=2)
-    f = Polynomial((1, 3, 0, 7, 2), params.field)
-    g = Polynomial((4, 0, 9, 1, 5), params.field)
-    lhs = encode_poly(f + g, params)
-    rhs = (encode_poly(f, params) + encode_poly(g, params)) % 11
-    assert (lhs == rhs).all()
+#: instances with n > b, where C(k, lam) mod b vanishes for some lam <= k,
+#: and ones with w > 1
+ORACLE_PARAMS = ((11, 2, 1), (11, 2, 3), (2, 1, 3), (3, 1, 3), (19, 3, 1), (5, 1, 4))
+
+
+def test_hasse_derivative_oracle_hand_values():
+    # (2 + h)^3 = 8 + 12 h + 6 h^2 + h^3, over F_5 and F_3
+    assert [hasse_derivative_oracle(3, lam, 2, 5) for lam in range(5)] == [3, 2, 1, 1, 0]
+    assert [hasse_derivative_oracle(3, lam, 2, 3) for lam in range(4)] == [2, 0, 0, 1]
+    assert hasse_derivative_oracle(0, 0, 0, 7) == 1
 
 
 def test_encode_poly_blocks_hold_derivative_values():
-    # word layout: block i, position (nu-1) w + lam holds the (lam-1)-th
-    # hyper-derivative at beta[i][nu]
-    params = CSParams(b=11, d=2, w=2)
-    f = Polynomial((3, 1, 4), params.field)
-    word = encode_poly(f, params)
-    n = params.n
-    for i in range(params.d):
-        for nu in range(2 * params.d):
-            for lam in range(params.w):
-                beta = params.betas[i][nu]
-                expect = f.hasse_derivative(lam)(beta)
-                assert word[i * n + nu * params.w + lam] == expect
+    # the closed-form basis against the Taylor expansion of (beta + h)^k:
+    # block i, position nu w + lam of row k holds the lam-th hyper-derivative
+    # of z^k at beta[i][nu]
+    for bdw in ORACLE_PARAMS:
+        params = CSParams(*bdw)
+        assert np.array_equal(cs_code_space(params).basis, cs_basis_oracle(params)), bdw
 
 
 def test_code_space_dimension_and_net():
@@ -80,14 +79,36 @@ def test_small_d1_instances_are_nets():
 
 
 def test_generating_matrix_columns_match_monomial_encodings():
-    params = CSParams(b=11, d=2, w=1)
-    g = cs_generating_matrices(params)
-    n = params.n
-    for k in range(n):
-        f = Polynomial(tuple(1 if i == k else 0 for i in range(n)), params.field)
-        word = encode_poly(f, params)
-        for i in range(params.d):
-            assert (g.mats[i][:, k] == word[i * n : (i + 1) * n]).all()
+    # column k of C_i is block i of the codeword of z^k
+    for bdw in ORACLE_PARAMS:
+        params = CSParams(*bdw)
+        g = cs_generating_matrices(params)
+        words, n = cs_basis_oracle(params), params.n
+        for k in range(n):
+            for i in range(params.d):
+                assert (g.mats[i][:, k] == words[k, i * n : (i + 1) * n]).all(), bdw
+
+
+def test_cs_basis_and_netfile_regression_pin(capsys):
+    # the bases of two instances and the sha256 of the CS-11 netfile, pinned
+    assert cs_code_space(CSParams(11, 2, 1)).basis.tolist() == [
+        [1, 1, 1, 1, 1, 1, 1, 1],
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [0, 1, 4, 9, 5, 3, 3, 5],
+        [0, 1, 8, 5, 9, 4, 7, 2],
+    ]
+    assert cs_code_space(CSParams(2, 1, 3)).basis.tolist() == [
+        [1, 0, 0, 1, 0, 0],
+        [0, 1, 0, 1, 1, 0],
+        [0, 0, 1, 1, 0, 1],
+        [0, 0, 0, 1, 1, 1],
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 1, 0],
+    ]
+    assert main(["generate", "--base", "11", "--dim", "2", "--w", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "2bb676f95f82d2f97327edcc243c51ef0d6ff3f2b5f9c78767e1d8f97bdd9cc8"
+    )
 
 
 def test_dual_code_dimension_and_orthogonality():

@@ -1,19 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from oracles import digits_lsb, span_oracle
-from qmcnet.errors import BaseMismatch, NotPrime
+from qmcnet.errors import NotPrime
 from qmcnet.field import (
-    Polynomial,
-    PrimeField,
     enumerate_span,
     gf_nullspace,
     gf_rank,
     gf_rref,
     is_prime,
-    lucas_binomial,
+    require_prime,
 )
 
 
@@ -27,63 +23,7 @@ def test_is_prime_small():
 
 def test_prime_field_requires_prime():
     with pytest.raises(NotPrime):
-        PrimeField(12)
-
-
-def test_field_arithmetic():
-    p7 = Polynomial((3, 1), PrimeField(7))
-    with pytest.raises(BaseMismatch):
-        p7 + Polynomial((1,), PrimeField(5))
-    with pytest.raises(BaseMismatch):
-        p7 * Polynomial((1,), PrimeField(5))
-
-
-def test_lucas_vs_binomial():
-    # digitwise product agrees with the full binomial coefficient mod b
-    for b in (2, 3, 5, 7):
-        for i in range(31):
-            for lam in range(i + 1):
-                assert lucas_binomial(i, lam, b) == math.comb(i, lam) % b
-
-
-def test_polynomial_ops():
-    f5 = PrimeField(5)
-    f = Polynomial((1, 2, 3), f5)  # 1 + 2z + 3z^2 over F_5
-    g = Polynomial((4, 1), f5)
-    assert (f + g).coeffs == (0, 3, 3)
-    assert (f * g)(2) == (f(2) * g(2)) % 5
-    assert f.degree == 2
-    assert Polynomial((0,), f5).degree == -1
-
-
-def test_polynomial_eval_horner():
-    f = Polynomial((3, 0, 1, 2), PrimeField(7))
-    for x in range(7):
-        assert f(x) == (3 + x**2 + 2 * x**3) % 7
-
-
-def test_hasse_derivative_reduces_degree_and_leibniz():
-    f5 = PrimeField(5)
-    f = Polynomial((1, 4, 0, 2), f5)
-    g = Polynomial((3, 1, 2), f5)
-    # product rule: d^k(fg) = sum_(i+j=k) d^i f * d^j g
-    def strip(coeffs):
-        out = list(coeffs)
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    for k in range(5):
-        lhs = (f * g).hasse_derivative(k)
-        rhs = Polynomial((0,), f5)
-        for i in range(k + 1):
-            rhs = rhs + f.hasse_derivative(i) * g.hasse_derivative(k - i)
-        assert strip(lhs.coeffs) == strip(rhs.coeffs)
-
-
-def test_hasse_zeroth_is_identity():
-    f = Polynomial((2, 0, 1), PrimeField(3))
-    assert f.hasse_derivative(0).coeffs == f.coeffs
+        require_prime(12)
 
 
 def test_gf_rref_and_rank():

@@ -107,8 +107,10 @@ def test_level_aggregate_matches_direct_coefficients():
     b = p.b
     for j in [(-1, -1), (0, -1), (1, 1), (2, 0), (4, 0), (2, 3)]:
         agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+        box_ids, _ = level_aggregate_oracle(p, j)
+        assert agg.occupied == box_ids.size
         # every occupied box must agree with the direct per-index computation
-        for row, box in enumerate(agg.box_ids):
+        for row, box in enumerate(box_ids):
             m = []
             rem = int(box)
             for i in reversed([i for i, v in enumerate(j) if v >= 0]):
@@ -150,7 +152,7 @@ def _assert_matches_oracle(p, levels, oracle=level_aggregate_oracle):
     for j in levels:
         agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
         box_ids, mu = oracle(p, j)
-        assert np.array_equal(agg.box_ids, box_ids)
+        assert agg.occupied == box_ids.size
         assert agg.mu.shape == mu.shape
         scale = max(np.abs(mu).max(initial=0.0), np.abs(agg.volume).max())
         assert np.abs(agg.mu - mu).max(initial=0.0) <= 1e-12 * scale
@@ -238,8 +240,9 @@ def test_haar_norms_reads_mu_only_off_p2(monkeypatch):
         haar.haar_norms(cs, BesovParams(1.5, 2.0, 0.25))
 
 
-def test_box_ids_are_exact_beyond_int64():
-    # b^|j| = 19^15 > 2^63: int64 packing wrapped 67 of these 173 ids negative
+def test_occupied_boxes_counted_beyond_int64():
+    # b^|j| = 19^15 > 2^63: packed box ids would wrap in int64, and the runs
+    # of the sorted prefix must still find each of the 173 boxes once
     b, n, j = 19, 6, (5, 5, 5)
     p = PointSet(b, n, 3, np.random.default_rng(0).integers(0, b**n, size=(200, 3)))
     agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
@@ -251,9 +254,7 @@ def test_box_ids_are_exact_beyond_int64():
             for k in row:
                 box = box * b**5 + k // step
             expected.add(box)
-    assert agg.box_ids.tolist() == sorted(expected)
-    assert all(a < c for a, c in zip(agg.box_ids[:-1], agg.box_ids[1:]))
-    assert len(expected) == 173
+    assert agg.occupied == len(expected) == 173
 
 
 def test_haar_norms_reads_the_p2_mass_once_per_level(monkeypatch):

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no import of the package."""
 import ast
+import copy
 from pathlib import Path
 
 import pytest
@@ -36,24 +37,54 @@ def _reads(tree: ast.AST) -> set[str]:
     }
 
 
+#: public names the scan may find unread, with the reason each stays
+UNREAD_ALLOWED = {
+    "nets.PointSet.fractions": "perfbench/tracer.py patches it by name, and "
+    "tests/oracles.discrepancy_coeff reads it",
+}
+
+
+def _units(module: str, source: str):
+    """(owner, public, node) per top-level statement; a top-level class is
+    split into its public methods and properties, owned by (module, class,
+    name), and the rest of the class, owned by (module, class)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            yield (module, node.name), not node.name.startswith("_"), node
+        elif isinstance(node, ast.ClassDef):
+            rest = copy.copy(node)
+            rest.body = []
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield (module, node.name, item.name), True, item
+                else:
+                    rest.body.append(item)
+            yield (module, node.name), not node.name.startswith("_"), rest
+        else:
+            yield None, False, node
+
+
 def unread_public_names(modules: dict[str, str], reader: str) -> list[str]:
-    """Public top-level functions and classes of `modules` that no other
-    top-level statement of any module reads, nor the source `reader`."""
+    """Public top-level functions and classes of `modules`, and public
+    methods and properties of their top-level classes, that nothing reads
+    outside their own definition: no other statement of any module, nor the
+    source `reader`.  A class's own methods do not count as reading it."""
     defined, reads = [], []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                owner = (module, node.name)
-                if not node.name.startswith("_"):
-                    defined.append(owner)
+        for owner, public, node in _units(module, source):
+            if public:
+                defined.append(owner)
             reads.append((owner, _reads(node)))
     outside = _reads(ast.parse(reader))
     return [
-        f"{module}.{name}"
-        for module, name in defined
-        if name not in outside
-        and not any(name in r for owner, r in reads if owner != (module, name))
+        ".".join(owner)
+        for owner in defined
+        if owner[-1] not in outside
+        and not any(
+            owner[-1] in r
+            for unit, r in reads
+            if unit is None or unit[: len(owner)] != owner
+        )
     ]
 
 
@@ -73,6 +104,27 @@ def test_scan_flags_an_unread_public_name():
     assert unread_public_names(modules, "import a\na.Shown()\n") == ["a.recursive"]
 
 
+def test_scan_flags_an_unread_method():
+    modules = {
+        "a": "class C:\n"
+        "    def used(self): return self.helper()\n"
+        "    def helper(self): pass\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    @property\n"
+        "    def unread(self): return C\n"
+        "    def _private(self): pass\n"
+        "class D(C):\n"
+        "    @classmethod\n"
+        "    def make(cls): return D()\n",
+    }
+    # only D's base list reads C, and only D's own method reads D
+    assert unread_public_names(modules, "obj.used()\nobj.make()\n") == [
+        "a.C.recursive",
+        "a.C.unread",
+        "a.D",
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -85,6 +137,8 @@ def test_no_unused_test_imports(path):
 
 def test_public_names_are_read():
     # the package's own routes or the acceptance criteria read every public
-    # function and class; exports in __init__.py do not count
+    # function, class, method and property; exports in __init__.py do not count
     modules = {p.stem: p.read_text() for p in MODULES}
-    assert unread_public_names(modules, ACCEPTANCE.read_text()) == []
+    assert sorted(unread_public_names(modules, ACCEPTANCE.read_text())) == sorted(
+        UNREAD_ALLOWED
+    )

@@ -225,6 +225,23 @@ def test_families_are_nets():
         assert is_net(fam(5)).ok
 
 
+def test_families_xor_their_recorded_shift():
+    # shifted: digits 2, 4, ... of y from the most significant; balanced: the
+    # lowest ell with n - 2 ell = round(2.8 sqrt(n))
+    cases = (
+        (shifted_hammersley, 5, 0b01010),
+        (shifted_hammersley, 6, 0b010101),
+        (balanced_hammersley, 9, 0),
+        (balanced_hammersley, 14, 0b11),
+        (balanced_hammersley, 20, 0b111),
+    )
+    for fam, n, shift in cases:
+        p, plain = fam(n), hammersley(n).numerators
+        assert p.provenance == {"family": fam.__name__, "n": n, "shift": shift}
+        assert np.array_equal(p.numerators[:, 0], plain[:, 0])
+        assert np.array_equal(p.numerators[:, 1], plain[:, 1] ^ shift)
+
+
 def test_fit_slope():
     assert fit_slope([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]) == pytest.approx(2.0)
     assert math.isnan(fit_slope([0.0], [1.0]))
