@@ -162,30 +162,40 @@ def is_net(p: PointSet) -> NetCheck:
     """Exact (0,n,d)-net test: every b-adic box of volume b**-n holds one point.
 
     Checks all shapes (j_1..j_d) with sum j_i = n by digit-prefix bucketing
-    on the numerators; coarser boxes follow by aggregation.
+    on the numerators; coarser boxes follow by aggregation.  With N = b^n
+    points, every box holds one point exactly when every box is hit, so each
+    shape marks one reused boolean array; the counts that name a witness box
+    are computed only for a failing shape.
     """
     b, n, d = p.b, p.n, p.d
     if p.size != b**n:
         raise NotPowerCardinality(f"N = {p.size} != b**n = {b**n}")
+    columns = p.numerators.T.copy()
+    seen = np.empty(b**n, dtype=bool)
     for shape in compositions(n, d):
         # box index of each point under this shape, mixed-radix packed
         key = np.zeros(p.size, dtype=np.int64)
-        for i, j in enumerate(shape):
-            key = key * (b**j) + p.numerators[:, i] // (b ** (n - j))
+        for column, j in zip(columns, shape):
+            if j:
+                key *= b**j
+                key += column // (b ** (n - j))
+        seen[:] = False
+        seen[key] = True
+        if seen.all():
+            continue
         counts = np.bincount(key, minlength=b**n)
         bad = np.nonzero(counts != 1)[0]
-        if bad.size:
-            box_key = int(bad[0])
-            box = []
-            for j in reversed(shape):
-                box.append(box_key % (b**j))
-                box_key //= b**j
-            return NetCheck(
-                ok=False,
-                witness_shape=shape,
-                witness_box=tuple(reversed(box)),
-                witness_count=int(counts[bad[0]]),
-            )
+        box_key = int(bad[0])
+        box = []
+        for j in reversed(shape):
+            box.append(box_key % (b**j))
+            box_key //= b**j
+        return NetCheck(
+            ok=False,
+            witness_shape=shape,
+            witness_box=tuple(reversed(box)),
+            witness_count=int(counts[bad[0]]),
+        )
     return NetCheck(ok=True)
 
 

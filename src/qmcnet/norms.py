@@ -160,6 +160,7 @@ def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> i
     """
     b, n = p.b, p.n
     nums = p.numerators.astype(object)
+    scaled = [nums[:, i] * b**ji if ji >= 0 else None for i, ji in enumerate(j)]
     fails = 0
     for _ in range(samples):
         m = [0] * p.d
@@ -172,8 +173,7 @@ def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> i
         inside = np.ones(p.size, dtype=bool)
         for i, ji in enumerate(j):
             if ji >= 0:
-                scaled = nums[:, i] * b**ji
-                inside &= (m[i] * b**n < scaled) & (scaled < (m[i] + 1) * b**n)
+                inside &= (m[i] * b**n < scaled[i]) & (scaled[i] < (m[i] + 1) * b**n)
         fails += bool(inside.any())
     return fails
 

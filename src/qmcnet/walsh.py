@@ -59,6 +59,14 @@ def walsh_eval_1d(alpha: int, x: Fraction, b: int) -> complex:
     return _root(b, exponent)
 
 
+def _unit_interval(y) -> Fraction:
+    """y as a Fraction, checked to lie in [0, 1]."""
+    y = Fraction(y)
+    if not 0 <= y <= 1:
+        raise InvalidParams(f"y = {y} must lie in [0, 1]")
+    return y
+
+
 def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
     """Walsh coefficient of chi_[0,y): integral over [0, y) of conj(wal_t).
 
@@ -66,11 +74,13 @@ def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
     stabilizes once the digits of y run out and is summed in closed form
     (sum over z of 1/(omega^z - 1) equals -(b-1)/2).
     """
-    y = Fraction(y)
+    y = _unit_interval(y)
     if t < 0:
         raise InvalidParams("t must be nonnegative")
     if t == 0:
         return complex(y)
+    if y == 1:  # wal_t, t > 0, has mean 0 over [0, 1)
+        return 0j
     digits = terminating_digits(y, b)
     big_m = len(digits)
     rho = nrt_weight(t, b)
@@ -102,28 +112,19 @@ def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
 def _digit_dft(a: np.ndarray, b: int, sign: int) -> np.ndarray:
     """sum over x of exp(sign 2 pi i x y / b) a[..., x, ...] along every axis.
 
-    The radix-b tensor transform shared by the Walsh syntheses and analyses:
-    one b-point DFT per digit axis of a (b,) * k tensor, O(k b^(k+1)).
+    The one radix-b tensor transform of the package, O(k b^(k+1)) on a
+    (b,) * k tensor.  Each step is one matmul on a (b, M) view: it transforms
+    the leading digit axis and rotates it to the end, so after k steps every
+    axis is transformed and back in its place, with no axis copy.  A 0-d
+    tensor (k = 0) is returned unchanged.
     """
+    if a.ndim == 0:
+        return a
     w = np.exp(sign * 2j * np.pi * np.outer(np.arange(b), np.arange(b)) / b)
-    for axis in range(a.ndim):
-        a = np.tensordot(w, a, axes=([1], [axis]))
-        a = np.moveaxis(a, 0, axis)
-    return a
-
-
-def walsh_synthesis(coeffs: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Evaluate sum_t coeffs[t] wal_t at every grid point g / b^n.
-
-    Radix-b tensor transform: digit nu of t (LSB first) pairs with digit
-    nu+1 of the point (MSB first).  O(n b^(n+1)) instead of O(b^(2n)).
-    """
-    # tensor axes ordered (tau_0, ..., tau_(n-1)) with tau_0 varying slowest
-    # after this reshape of the index t = sum tau_nu b^nu: axis k <-> tau_(n-1-k)
-    a = _digit_dft(np.asarray(coeffs, dtype=complex).reshape((b,) * n), b, 1)
-    # axis k now carries grid digit x_(n-k): reorder so axis 0 is x_1 (MSB)
-    a = np.transpose(a, axes=tuple(range(n - 1, -1, -1)))
-    return a.reshape(-1)
+    x = a.reshape(b, -1)
+    for _ in range(a.ndim):
+        x = (x.T @ w.T).reshape(b, -1)
+    return x.reshape(a.shape)
 
 
 def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
@@ -132,7 +133,7 @@ def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
     For t < b^n, conj(wal_t) is constant on cells of width b^-n, so the
     integral over [0, y) is a weighted character sum over cells.
     """
-    y = Fraction(y)
+    y = _unit_interval(y)
     scaled = y * b**n
     g = math.floor(scaled)
     theta = scaled - g
@@ -149,6 +150,17 @@ def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
 
 
 # --- Theta / R decomposition ----------------------------------------------------
+
+
+def _truncated_indicator(y: Fraction, b: int, n: int, k: np.ndarray) -> np.ndarray:
+    """sum over t < b^n of chi_hat_[0,y)(t) wal_t on the cells k of width b^-n.
+
+    That partial Walsh sum is the average of chi_[0,y) over each cell:
+    1 on cells k < g = floor(y b^n), y b^n - g on cell g and 0 above it.
+    """
+    scaled = y * b**n
+    g = math.floor(scaled)
+    return np.where(k < g, 1.0, np.where(k == g, float(scaled - g), 0.0))
 
 
 @dataclass(frozen=True)
@@ -169,23 +181,26 @@ def theta(
 ) -> ThetaResult:
     """Theta_P(y) by its two routes, which must agree.
 
-    Both start from the coefficient vectors chi_hat_[0,y_i)(t), t < b^n.
+    The two routes share nothing but y.
     dual_sum:        sum over the nonzero dual set of prod_i chi_hat(t_i),
-                     one gather per coordinate at `dual.array`.
-    definition_sum:  mean over the net of the truncated indicator, each
-                     vector synthesized on the b^n grid, minus the volume.
+                     the coefficient vectors chi_hat_[0,y_i)(t), t < b^n,
+                     gathered at `dual.array`, one transform per coordinate.
+    definition_sum:  mean over the net of the truncated indicator, read per
+                     coordinate as the cell average of chi_[0,y_i) at each
+                     point's numerator, minus the volume.
     """
     b, n = p.b, p.n
-    y = [Fraction(v) for v in y]
+    y = [_unit_interval(v) for v in y]
+    if len(y) != p.d:
+        raise InvalidParams(f"y has {len(y)} coordinates, the point set {p.d}")
     if dual is None:
         dual = dual_set(g)
-    vecs = [interval_coeff_vector(yi, b, n) for yi in y]
 
     terms = np.ones(len(dual), dtype=complex)
-    prod = np.ones(p.size, dtype=complex)
-    for i, vec in enumerate(vecs):
-        terms *= vec[dual.array[:, i]]
-        prod *= walsh_synthesis(vec, b, n)[p.numerators[:, i]]
+    prod = np.ones(p.size)
+    for i, yi in enumerate(y):
+        terms *= interval_coeff_vector(yi, b, n)[dual.array[:, i]]
+        prod *= _truncated_indicator(yi, b, n, p.numerators[:, i])
     volume = 1.0
     for yi in y:
         volume *= float(yi)

@@ -10,11 +10,13 @@ all-boxes `np.add.reduceat` kernel that the sweep's mu must match bit for
 bit, and their squared mass is summed exactly on explicit sub-cell tensors
 in Fractions; Walsh integrals are Riemann sums of `walsh_eval_1d` over
 Fraction grid points; character sums recompute every point's digits per
-frequency digit.  Single Haar coefficients of D_P come point by point from
-the closed forms that criterion 3 checks against the piecewise integrals;
-truncated Walsh sums point by point from Fine-Price coefficients; code
-weights word by word; Chen-Skriganov codewords from the Taylor expansion of
-(beta + h)^k.
+frequency digit; net tests count every box point by point.  Single Haar
+coefficients of D_P come point by point from the closed forms that
+criterion 3 checks against the piecewise integrals; truncated Walsh sums
+point by point from Fine-Price coefficients, or on the whole b^n grid by
+the synthesis transform; group transforms from the dense character table;
+code weights word by word; Chen-Skriganov codewords from the Taylor
+expansion of (beta + h)^k.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from qmcnet.haar import HaarIndex, indicator_coeff, volume_coeff
-from qmcnet.walsh import fine_price_coeff, walsh_eval_1d
+from qmcnet.walsh import _digit_dft, fine_price_coeff, walsh_eval_1d
 
 
 def _omega(b: int, k: int) -> complex:
@@ -319,6 +321,30 @@ def digital_method_oracle(g) -> np.ndarray:
     return nums
 
 
+def net_check_oracle(p) -> tuple:
+    """(ok, shape, box, count) of the first b-adic box of volume b^-n that
+    does not hold exactly one point, counted point by point.
+
+    Shapes run with j_1 slowest and boxes in lexicographic order; point k
+    lies in box m of width b^-j when m b^(n-j) <= k < (m+1) b^(n-j), tested
+    in Python integers.
+    """
+    b, n, d = p.b, p.n, p.d
+    rows = [tuple(int(v) for v in row) for row in p.numerators]
+    for shape in itertools.product(range(n + 1), repeat=d):
+        if sum(shape) != n:
+            continue
+        for box in itertools.product(*(range(b**j) for j in shape)):
+            count = sum(
+                all(m * b ** (n - j) <= k < (m + 1) * b ** (n - j)
+                    for k, m, j in zip(row, box, shape))
+                for row in rows
+            )
+            if count != 1:
+                return False, shape, box, count
+    return True, None, None, None
+
+
 def write_pointset_oracle(p, fh) -> None:
     """The netfile format written one row at a time."""
     fh.write(f"#qmcnet v1 b={p.b} n={p.n} d={p.d} N={p.size}\n")
@@ -349,6 +375,33 @@ def truncated_indicator_1d(y, n: int, x, b: int) -> complex:
     return sum(
         fine_price_coeff(t, y, b) * walsh_eval_1d(t, x, b) for t in range(b**n)
     )
+
+
+def walsh_synthesis(coeffs, b: int, n: int) -> np.ndarray:
+    """Evaluate sum_t coeffs[t] wal_t at every grid point g / b^n.
+
+    Radix-b tensor transform: digit nu of t (LSB first) pairs with digit
+    nu+1 of the point (MSB first).  O(n b^(n+1)) instead of O(b^(2n)).
+    """
+    # tensor axes ordered (tau_0, ..., tau_(n-1)) with tau_0 varying slowest
+    # after this reshape of the index t = sum tau_nu b^nu: axis k <-> tau_(n-1-k)
+    a = _digit_dft(np.asarray(coeffs, dtype=complex).reshape((b,) * n), b, 1)
+    # axis k now carries grid digit x_(n-k): reorder so axis 0 is x_1 (MSB)
+    a = np.transpose(a, axes=tuple(range(n - 1, -1, -1)))
+    return a.reshape(-1)
+
+
+def dense_group_transform(table, b: int, width: int, sign: int = 1) -> np.ndarray:
+    """sum_A exp(sign 2 pi i A.B / b) f(A) for every word B, one dense sum.
+
+    Words are enumerated with the first digit most significant, the exponent
+    A.B is reduced mod b in integers, and each root comes from `_omega`.
+    """
+    words = np.array(list(itertools.product(range(b), repeat=width)), dtype=np.int64)
+    words = words.reshape(b**width, width)
+    exponents = (words @ words.T) % b
+    roots = np.array([_omega(b, sign * k) for k in range(b)])
+    return roots[exponents] @ np.asarray(table, dtype=complex).reshape(-1)
 
 
 def char_sum_oracle(p, t) -> complex:

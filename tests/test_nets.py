@@ -6,11 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import char_sum_oracle, digital_method_oracle, write_pointset_oracle
+from oracles import (
+    char_sum_oracle,
+    digital_method_oracle,
+    net_check_oracle,
+    write_pointset_oracle,
+)
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, NetFileError, NotPowerCardinality
 from qmcnet.nets import (
     GeneratingMatrices,
+    NetCheck,
     PointSet,
     char_sum,
     dual_set,
@@ -82,6 +88,24 @@ def test_is_net_detects_duplicate():
     check = is_net(p)
     assert not check.ok
     assert check.witness_count != 1
+
+
+def test_is_net_matches_box_count_oracle():
+    # verdict and witness (shape, box, count) against a point-by-point count
+    rng = np.random.default_rng(11)
+    sets = [generate_points(hammersley_matrices(n)) for n in (1, 3, 5)]
+    sets.append(generate_points(cs_generating_matrices(CSParams(3, 1, 2))))
+    for b, n, d in [(2, 4, 2), (2, 4, 3), (3, 3, 2), (5, 2, 3)]:
+        for _ in range(4):
+            g = GeneratingMatrices(b, n, d, rng.integers(0, b, size=(d, n, n)))
+            sets.append(generate_points(g))
+            sets.append(PointSet(b, n, d, rng.integers(0, b**n, size=(b**n, d))))
+    verdicts = set()
+    for p in sets:
+        check = is_net(p)
+        assert check == NetCheck(*net_check_oracle(p))
+        verdicts.add(check.ok)
+    assert verdicts == {True, False}
 
 
 def test_is_net_requires_power_cardinality():

@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import truncated_indicator_1d
+from oracles import dense_group_transform, truncated_indicator_1d, walsh_synthesis
+from qmcnet import walsh
 from qmcnet.cs import CodeSpace, dual_code
 from qmcnet.errors import InvalidParams, InvalidRange, NonTerminatingExpansion
 from qmcnet.nets import GeneratingMatrices, dual_set, generate_points
 from qmcnet.walsh import (
+    _digit_dft,
+    _truncated_indicator,
     fine_price_coeff,
     group_walsh_transform,
     interval_coeff_vector,
@@ -18,7 +21,6 @@ from qmcnet.walsh import (
     theta,
     v_gamma_lambda,
     walsh_eval_1d,
-    walsh_synthesis,
     word_index,
 )
 
@@ -80,6 +82,27 @@ def test_fine_price_t0_and_hand_value():
     assert fine_price_coeff(1, Fraction(3, 4), 2) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_y_outside_the_unit_interval_is_rejected():
+    # a negative y once sliced the cell weights from the end and fed theta
+    # a definition route of 0.5 against a dual route of 0
+    p = generate_points(hammersley_g(3))
+    for bad in (Fraction(-1, 4), Fraction(5, 4)):
+        with pytest.raises(InvalidParams):
+            interval_coeff_vector(bad, 2, 3)
+        with pytest.raises(InvalidParams):
+            fine_price_coeff(0, bad, 2)
+        with pytest.raises(InvalidParams):
+            theta(p, hammersley_g(3), [bad, Fraction(1, 2)])
+    with pytest.raises(InvalidParams):
+        theta(p, hammersley_g(3), [Fraction(1, 2)])
+    # both ends of [0, 1] stay legal
+    assert np.allclose(interval_coeff_vector(Fraction(1), 2, 3), np.eye(8)[0])
+    assert fine_price_coeff(0, Fraction(1), 2) == 1
+    assert fine_price_coeff(5, Fraction(1), 3) == 0
+    res = theta(p, hammersley_g(3), [Fraction(1), Fraction(0)])
+    assert res.dual_sum == res.definition_sum == 0
+
+
 def test_fine_price_vs_transform_route():
     # the analysis transform of exact cell weights is an independent route
     rng = np.random.default_rng(3)
@@ -105,6 +128,20 @@ def test_truncated_indicator_mean_value():
         assert sum(vals) / len(vals) == pytest.approx(float(y), abs=1e-12)
 
 
+def test_cell_averages_are_the_synthesized_partial_sums():
+    # theta's definition route reads cell averages; they equal the partial
+    # Walsh sums synthesized from the analysed coefficients at every cell
+    rng = np.random.default_rng(8)
+    for b, n in ((2, 5), (3, 3), (5, 2)):
+        cells = np.arange(b**n)
+        ys = [Fraction(0), Fraction(1), Fraction(1, b**n), Fraction(b**n - 1, b**n)]
+        ys += [Fraction(int(k), b ** (n + 2)) for k in rng.integers(0, b ** (n + 2), 4)]
+        ys.append(Fraction(1, 3) if b != 3 else Fraction(1, 7))
+        for y in ys:
+            vals = walsh_synthesis(interval_coeff_vector(y, b, n), b, n)
+            assert np.abs(_truncated_indicator(y, b, n, cells) - vals).max() < 1e-12
+
+
 def test_synthesis_matches_pointwise_walsh():
     b, n = 3, 3
     rng = np.random.default_rng(5)
@@ -126,6 +163,21 @@ def test_theta_two_routes_agree():
     for _ in range(10):
         y = [Fraction(int(v), 2**4) for v in rng.integers(0, 2**4, 2)]
         res = theta(p, g, y, dual=dual)
+        assert res.gap < 1e-12
+
+
+def test_theta_transforms_once_per_coordinate(monkeypatch):
+    # the definition route reads cell averages: a reintroduced synthesis
+    # transform would add d calls
+    calls = []
+    kernel = walsh._digit_dft
+    monkeypatch.setattr(walsh, "_digit_dft", lambda *a: calls.append(a) or kernel(*a))
+    rng = np.random.default_rng(6)
+    for g in (hammersley_g(3), GeneratingMatrices(2, 3, 3, rng.integers(0, 2, (3, 3, 3)))):
+        p = generate_points(g)
+        calls.clear()
+        res = theta(p, g, [Fraction(3, 8)] * g.d)
+        assert len(calls) == g.d
         assert res.gap < 1e-12
 
 
@@ -157,6 +209,31 @@ def test_group_walsh_transform_is_scaled_involution():
     # applying the conjugate transform returns b^width f
     back = group_walsh_transform(fh.conjugate(), b, width).conjugate()
     assert np.allclose(back, f * b**width)
+
+
+def test_group_walsh_transform_matches_dense_definition():
+    rng = np.random.default_rng(9)
+    for b, width in ((2, 1), (2, 5), (3, 3), (5, 2), (11, 2), (3, 0)):
+        f = rng.normal(size=b**width) + 1j * rng.normal(size=b**width)
+        ref = dense_group_transform(f, b, width)
+        assert np.abs(group_walsh_transform(f, b, width) - ref).max() < 1e-12 * b**width
+
+
+def test_digit_dft_on_a_non_contiguous_input():
+    rng = np.random.default_rng(10)
+    for b, k in ((2, 4), (3, 3), (5, 2)):
+        base = rng.normal(size=(b,) * k + (2,)) + 1j * rng.normal(size=(b,) * k + (2,))
+        a = base[..., 1].transpose()  # strided and axis-permuted view
+        assert not a.flags.c_contiguous
+        before = a.copy()
+        for sign in (1, -1):
+            out = _digit_dft(a, b, sign)
+            ref = dense_group_transform(a, b, k, sign).reshape((b,) * k)
+            assert out.shape == a.shape
+            assert np.abs(out - ref).max() < 1e-12 * b**k
+        assert np.array_equal(a, before)
+    scalar = np.array(2.5 + 1j)
+    assert _digit_dft(scalar, 3, 1) == scalar
 
 
 def test_poisson_summation_over_random_subspaces():
