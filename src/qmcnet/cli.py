@@ -171,13 +171,15 @@ def cmd_norm(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    p = _load_net(args)
-    rows = ["family,param,qmc,exact,error"]
     sweeps = {
         "product_monomial": range(1, 6),
         "product_cosine": range(1, 6),
         "tensor_spline": range(1, 2),
     }
+    if args.integrand and args.integrand not in sweeps:
+        raise InvalidParams(f"unknown integrand family {args.integrand!r}")
+    p = _load_net(args)
+    rows = ["family,param,qmc,exact,error"]
     fams = [args.integrand] if args.integrand else list(sweeps)
     for family in fams:
         for k in sweeps[family]:

@@ -12,16 +12,17 @@ closed form.  It sorts the points once per level prefix (j_1, ..., j_(d-1))
 by (prefix box indices, k_d) (`level_prefix`); every level with that prefix
 then finds its occupied boxes as runs of that order (`level_aggregate`).
 
-A level's p = 2 mass sum_(m,l) |mu_jml|^2 comes by Plancherel on Z_b^s from
-each occupied box's real sub-cell tensor, without forming mu
-(`LevelAggregate.mass`): an O(s) closed form for a single-point box, one
-`np.add.reduceat` over Helmert coordinates for the others.  The coefficients
-mu themselves are built only when read (`LevelAggregate.mu`, for the audit
-and Besov at p != 2): one `np.add.reduceat` per l-combination of the first
-s - 1 active coordinates, over the multi-point boxes only.  One reduction
-(`_qsum`) turns the sweep into sum_j Xi_j^q plus that exact tail: its q-th
-root is the Besov quasi-norm, and at (p, q, r) = (2, 2, 0) it is Parseval's
-||D_P||_2^2.
+Each point's sub-cell vector in one coordinate is read through one form, its
+Helmert coordinates (`Offsets.helmert`).  A level's p = 2 mass
+sum_(m,l) |mu_jml|^2 comes from them by Plancherel on Z_b^s without forming mu
+(`LevelAggregate.mass`): an O(s b) form for a single-point box, one
+`np.add.reduceat` for the others.  The coefficients mu, the DFTs of the boxes'
+sub-cell tensors, are built only when read (`LevelAggregate.mu`, for the
+audit and Besov at p != 2): one `np.add.reduceat` per l-combination of the
+first s - 1 active coordinates, over the multi-point boxes only.  One
+reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus that exact tail:
+its q-th root is the Besov quasi-norm, and at (p, q, r) = (2, 2, 0) it is
+Parseval's ||D_P||_2^2.
 """
 from __future__ import annotations
 
@@ -132,18 +133,16 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
 
 
 @functools.lru_cache(maxsize=None)
-def _bracket_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(powers W[k, l-1] = omega^(k l), tail sums T[k, l-1] = sum_(r>k) omega^(r l)),
-    read-only and built once per base."""
+def _helmert_dft(b: int) -> np.ndarray:
+    """T[h-1, l-1] = (sum_(r<h) omega^(r l) - h omega^(h l)) / (h (h + 1)), the
+    DFT at l = 1..b-1 of Helmert column h over its squared norm; read-only
+    and built once per base."""
     omega = np.exp(2j * np.pi * np.arange(b) / b)
-    kl = np.arange(b)[:, None] * np.arange(1, b)[None, :]
-    tails = np.zeros((b, b - 1), dtype=complex)
-    for l in range(1, b):
-        for k in range(b):
-            tails[k, l - 1] = omega[(np.arange(k + 1, b) * l) % b].sum()
-    powers = omega[kl % b]
-    powers.flags.writeable = tails.flags.writeable = False
-    return powers, tails
+    powers = omega[np.arange(b)[:, None] * np.arange(1, b) % b]  # omega^(r l)
+    h = np.arange(1, b)[:, None]
+    table = (np.cumsum(powers, axis=0)[:-1] - h * powers[1:]) / (h * (h + 1))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -155,66 +154,31 @@ class Offsets:
     k = rem // sub at low = rem % sub; it is interior when rem > 0.  Its
     indicator coefficient on this coordinate is b^(-j-1) times the DFT at
     l = 1..b-1 of the real sub-cell vector c[r] = u [r = k] + [r > k] with
-    u = 1 - low / sub.  Every per-point quantity is a function of rem alone:
-    where the b sub possible offsets are fewer than the points asked for, it
-    is evaluated once per offset and looked up.
+    u = 1 - low / sub.  Every per-row form reads c through its Helmert
+    coordinates (`helmert`).
     """
 
     b: int
     rem: np.ndarray
     sub: int
 
-    def _per_offset(self, rows: np.ndarray, forms) -> list[np.ndarray]:
-        """forms(rem) at the entries `rows`, through a table of all b sub
-        offsets when that is the shorter array."""
-        rem = self.rem[rows]
-        if self.b * self.sub < rem.size:
-            return [table[rem] for table in forms(np.arange(self.b * self.sub))]
-        return forms(rem)
-
-    def _digits(self, rem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k, low); floor division is much faster than np.divmod."""
-        k = rem // self.sub
-        return k, rem - k * self.sub
-
-    def brackets(self, rows: np.ndarray, tables) -> np.ndarray:
-        """The DFTs u omega^(k l) + sum_(r>k) omega^(r l) of `rows`, (len, b-1)."""
-        powers, tails = tables
-        k, low = self._digits(self.rem[rows])
-        u = 1.0 - low / float(self.sub)
-        return u[:, None] * powers[k] + tails[k]
-
-    def closed_forms(self, rows: np.ndarray) -> list[np.ndarray]:
-        """[||P c||^2, <c, v>] of `rows`, P the mean removal, v[r] = 2r - (b-1).
-
-        ||P c||^2 = (k u^2 + (b-1-k) t^2 / b) / (k + 1) with t = u - (k + 1)
-        = -rem / sub adds no terms of opposite sign, and <c, v> sub =
-        k (b - k) sub - (2k - b + 1) low rounds two exact products once.
-        """
-
-        def forms(rem):
-            k, low = (v.astype(float) for v in self._digits(rem))
-            b, sub = self.b, float(self.sub)
-            u, t = (sub - low) / sub, rem / sub
-            norm = (k * u * u + (b - 1 - k) / b * t * t) / (k + 1)
-            return [norm, (k * (b - k) * sub - (2 * k - b + 1) * low) / sub]
-
-        return self._per_offset(rows, forms)
-
-    def helmert(self, rows: np.ndarray) -> np.ndarray:
-        """c of `rows` in the unnormalised Helmert basis of the mean-free
-        vectors, whose column h = 1..b-1 is 1 on r < h and -h at r = h:
-        (len, b-1) entries 0 for h < k, -k u at h = k and t = -rem / sub
-        beyond.  In that basis v has the entries -h (h + 1)."""
-
-        def forms(rem):
-            k, low = self._digits(rem)
-            sub, h = float(self.sub), np.arange(1, self.b)
-            at = (k * ((low - sub) / sub))[:, None]
-            k = k[:, None]
-            return [np.where(h > k, -rem[:, None] / sub, np.where(h == k, at, 0.0))]
-
-        return self._per_offset(rows, forms)[0]
+    def helmert(self, rows: np.ndarray, form) -> np.ndarray:
+        """form(H) of `rows`, H (len, b-1) the coordinates H_h = <c, e_h> in the
+        Helmert basis e_h = 1 on r < h, -h at r = h: 0 for h < k, -k u at
+        h = k, -rem / sub beyond.  c minus its mean is P c = sum_h H_h e_h /
+        (h (h + 1)), so the DFT is H @ `_helmert_dft`, ||P c||^2 =
+        sum_h H_h^2 / (h (h + 1)) and <c, v> = -sum_h H_h for v[r] = 2r - (b-1).
+        H depends on rem alone: with fewer offsets b sub than rows, form(H) is
+        built once per offset and looked up."""
+        at = self.rem[rows]
+        table = self.b * self.sub < at.size
+        rem = np.arange(self.b * self.sub) if table else at
+        k = rem // self.sub  # floor division is much faster than np.divmod
+        sub, h = float(self.sub), np.arange(1, self.b)
+        diag = (k * ((rem - k * self.sub - sub) / sub))[:, None]
+        k = k[:, None]
+        out = form(np.where(h > k, -rem[:, None] / sub, np.where(h == k, diag, 0.0)))
+        return np.take(out, at, axis=0) if table else out  # take: 4x out[at] on 2-d
 
 
 def _offsets(k: np.ndarray, b: int, n: int, ji: int) -> tuple[np.ndarray, Offsets]:
@@ -296,11 +260,11 @@ class LevelAggregate:
 
     The occupied boxes are runs of rows: box i holds `counts[i]` rows from
     `starts[i]`.  Row h is entry sel[h] of the prefix order and adds base[h]
-    times the product of its sub-cell DFTs (`Offsets`, one per active
-    coordinate, in prefix order) to mu_jml of its box, and every box
-    subtracts the volume coefficient.  `mu` holds the coefficients of the
+    times the product of its sub-cell DFTs (H @ T of `Offsets.helmert`, one
+    per active coordinate, in prefix order) to mu_jml of its box, and every
+    box subtracts the volume coefficient.  `mu` holds the coefficients of the
     occupied boxes and every l-combination, built on first read; the empty
-    boxes all carry mu = -volume.  `mass(2)` never reads mu.
+    boxes all carry mu = -volume.  `mass(2)` reads the same coordinates.
     """
 
     j: tuple[int, ...]
@@ -342,8 +306,8 @@ class LevelAggregate:
         else:
             counting = np.empty((self.occupied, len(self.l_combos)), dtype=complex)
         if s and self.occupied:
-            tables = _bracket_tables(b)
-            *lead, last = [off.brackets(self.sel, tables) for off in self.offsets]
+            dft = _helmert_dft(b)
+            *lead, last = [off.helmert(self.sel, lambda H: H @ dft) for off in self.offsets]
             for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
                 prod = self.base.astype(complex)
                 for br, l in zip(lead, combo):
@@ -375,13 +339,13 @@ class LevelAggregate:
 
         X = sum_h base_h (x)_i c_(h,i) - gamma (x)_i v is the box's real
         sub-cell tensor: gamma prod_i DFT(v)(l_i) is the volume coefficient,
-        so mu_jml = DFT(X)(l), and P removes the mean along every axis.  A
-        single-point box takes the O(s) closed form base^2 prod ||P c_i||^2
-        - 2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2.  The rows of
-        multi-point boxes go to the Helmert basis (`Offsets.helmert`), one
-        `np.add.reduceat` sums them per box, and each squared coordinate is
-        weighted by prod_i 1 / (h_i (h_i + 1)): at b = 2 that is 1/2, so
-        dyadic values stay exact.
+        so mu_jml = DFT(X)(l), and P removes the mean along every axis.  Every
+        row is read in the Helmert basis (`Offsets.helmert`).  A single-point
+        box takes the O(s b) form base^2 prod ||P c_i||^2 - 2 base gamma
+        prod <c_i, v> + gamma^2 prod ||v||^2.  For the others one
+        `np.add.reduceat` sums the rows' outer products per box, and each
+        squared coordinate is weighted by prod_i 1 / (h_i (h_i + 1)): at
+        b = 2 that is 1/2, so dyadic values stay exact.
         """
         b, s = self.b, self.s
         gamma = float(b) ** (-2 * self.total_level - 2 * s) / 2.0 ** len(self.j)
@@ -390,13 +354,15 @@ class LevelAggregate:
         if s == 0:  # one box of every point in the set's own order: the volume
             # comes off point by point, so no partial sum nears gamma = 2^-d
             return float(np.sum(self.base - gamma / self.base.size)) ** 2
+        h = np.arange(1, b, dtype=float)
+        weight = 1.0 / (h * (h + 1))  # 1 / ||e_h||^2
         single = self.counts == 1
         rows = self.starts[single]
         w, entries = self.base[rows], self.sel[rows]
         norm, dot = 1.0, 1.0
-        for off in self.offsets:
-            norm_i, dot_i = off.closed_forms(entries)
-            norm, dot = norm * norm_i, dot * dot_i
+        for off in self.offsets:  # ||P c||^2 and <c, v> per row
+            forms = off.helmert(entries, lambda H: np.stack([(H * H) @ weight, -H.sum(1)], 1))
+            norm, dot = norm * forms[:, 0], dot * forms[:, 1]
         v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s  # ||v||^2 = (b-1) b (b+1) / 3
         total = float(np.sum(w * (w * norm - 2.0 * gamma * dot)))
         total += rows.size * gamma**2 * v_norm
@@ -406,12 +372,11 @@ class LevelAggregate:
             rows = np.repeat(self.starts[~single] - first, counts) + np.arange(counts.sum())
             terms, entries = self.base[rows, None], self.sel[rows]
             for off in self.offsets:  # row-wise outer products, first factor slowest
-                hel = off.helmert(entries)
+                hel = off.helmert(entries, lambda H: H)
                 terms = (terms[:, :, None] * hel[:, None, :]).reshape(len(rows), -1)
             sums = np.add.reduceat(terms, first, axis=0)
-            h = np.arange(1, b, dtype=float)
             sums -= gamma * _tensor(-h * (h + 1), s)
-            total += float(np.sum(sums * sums * _tensor(1.0 / (h * (h + 1)), s)))
+            total += float(np.sum(sums * sums * _tensor(weight, s)))
         return float(b) ** s * total
 
 
@@ -520,8 +485,8 @@ class BesovParams:
     r: float
 
     def __post_init__(self):
-        if not (1 <= self.p) or not (1 <= self.q):
-            raise InvalidParams("need p, q >= 1")
+        if not (1 <= self.p) or not (1 <= self.q) or math.isnan(self.r):
+            raise InvalidParams("need p, q >= 1 and r a number")
 
     @property
     def out_of_window(self) -> bool:

@@ -197,6 +197,8 @@ def coeff_bound_audit(
         cap = min(2 * n, n + 2)
     if cap > MAX_CAP:
         raise CapExceeded(f"cap {cap} > {MAX_CAP}")
+    if cap < -1:
+        raise InvalidParams(f"cap {cap} < -1: the audit would sweep no level")
     rng = np.random.default_rng(seed)
 
     const_i = 0.0
@@ -327,6 +329,8 @@ def scaling_table(
     kinds from {"l2" (Warnock), "parseval", "besov"}; every row reports the
     unsquared norm, and "parseval" and "besov" share one Haar sweep per size.
     """
+    if not sizes or len(set(sizes)) < len(sizes) or len(set(kinds)) < len(kinds):
+        raise InvalidParams("need one or more sizes, and no size or norm kind twice")
     rows: list[ScalingRow] = []
     history: dict[str, list[tuple[float, float]]] = {k: [] for k in kinds}
     for n in sizes:

@@ -160,13 +160,12 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
     active = [i for i, v in enumerate(j) if v >= 0]
     s = len(active)
     total_level = sum(j[i] for i in active)
+    # the DFTs of the Helmert columns over their squared norms, by the
+    # sweep's own expression
     omega = np.exp(2j * np.pi * np.arange(b) / b)
-    kl = np.arange(b)[:, None] * np.arange(1, b)[None, :]
-    tails = np.zeros((b, b - 1), dtype=complex)
-    for l in range(1, b):
-        for k in range(b):
-            tails[k, l - 1] = omega[(np.arange(k + 1, b) * l) % b].sum()
-    powers = omega[kl % b]
+    powers = omega[np.arange(b)[:, None] * np.arange(1, b) % b]
+    h = np.arange(1, b)[:, None]
+    dft = (np.cumsum(powers, axis=0)[:-1] - h * powers[1:]) / (h * (h + 1))
     roots = [_omega(b, l) - 1.0 for l in range(1, b)]
     denoms = [2.0 ** (d - s)]
     for _ in range(s):
@@ -180,10 +179,17 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
         step = b ** (n - j[i])
         m, rem = np.divmod(p.numerators[:, i], step)
         ksub, low = np.divmod(rem, step // b)
-        u = 1.0 - low / float(step // b)
+        sub = float(step // b)
         keep &= rem != 0
         boxes.append(m)
-        brackets.append(u[:, None] * powers[ksub] + tails[ksub])
+        # the sub-cell vector's Helmert coordinates: 0 below its sub-cell,
+        # -k u at it, -rem / sub above
+        hel = np.zeros((N, b - 1))
+        for hh in range(1, b):
+            hel[:, hh - 1] = np.where(ksub < hh, -rem / sub, 0.0)
+            at = ksub == hh
+            hel[at, hh - 1] = ksub[at] * ((low[at] - sub) / sub)
+        brackets.append(hel @ dft)
     idx = np.flatnonzero(keep)
     if s:
         head = boxes[:-1] if active[-1] == d - 1 else boxes

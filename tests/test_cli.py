@@ -193,6 +193,12 @@ def test_integrate_table(tmp_path, capsys):
     assert len(rows) > 5
 
 
+def test_integrate_unknown_integrand_is_a_parameter_error(capsys):
+    # exit 2 with a message, not a KeyError traceback and the verification code 1
+    assert run(["integrate", "--base", "3", "--dim", "1", "--integrand", "nope"]) == 2
+    assert "unknown integrand family 'nope'" in capsys.readouterr().err
+
+
 def test_integrand_exact_values():
     spec = IntegrandSpec("product_monomial", 2, 1)
     assert spec.exact() == 0.25
@@ -200,6 +206,27 @@ def test_integrand_exact_values():
     assert spec.exact() == 0.125
     with pytest.raises(InvalidParams):
         IntegrandSpec("mystery", 2, 1)
+
+
+def test_audit_cap_below_minus_one_is_a_parameter_error(capsys):
+    assert run(["audit", "--base", "3", "--dim", "1", "--cap", "-2"]) == 2
+    assert "cap -2 < -1" in capsys.readouterr().err
+
+
+def test_norm_nan_r_is_a_parameter_error(capsys):
+    # the report would carry "value": NaN, which is not JSON
+    assert run(["norm", "--base", "3", "--dim", "1", "--r", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "r a number" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--nmin", "5", "--nmax", "4"], ["--nmax", "5", "--kinds", "l2,l2"]]
+)
+def test_scaling_bad_sizes_or_kinds_are_parameter_errors(argv, capsys):
+    assert run(["scaling"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_audit_command(tmp_path, capsys):

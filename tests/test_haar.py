@@ -18,6 +18,8 @@ from qmcnet.families import balanced_hammersley
 from qmcnet.haar import (
     BesovParams,
     HaarIndex,
+    Offsets,
+    _helmert_dft,
     besov_quasi_norm,
     indicator_coeff,
     level_aggregate,
@@ -312,6 +314,12 @@ def test_besov_r_at_least_one_is_infinite():
         assert besov_quasi_norm(p, BesovParams(2, q, 1.0)).value == math.inf
 
 
+def test_besov_rejects_a_nan_r():
+    with pytest.raises(InvalidParams, match="r a number"):
+        BesovParams(2, 2, math.nan)
+    assert BesovParams(2, 2, math.inf).r == math.inf  # r >= 1 still gives inf
+
+
 def test_besov_out_of_window_flag():
     assert BesovParams(2, 2, 0.8).out_of_window
     assert not BesovParams(2, 2, 0.25).out_of_window
@@ -332,3 +340,44 @@ def test_levels_up_to():
     levels = list(levels_up_to(1, 2))
     assert len(levels) == 9
     assert (-1, -1) in levels and (1, 1) in levels
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 11])
+def test_helmert_forms_match_exact_values(b):
+    """Each per-row form is a map of the Helmert coordinates H: the DFT
+    H @ T against sum_r c_r omega^(r l) to 40 digits, and the single-point
+    forms (H o H) . 1/(h (h+1)) and -sum_h H_h against the exact `Fraction`
+    values of ||P c||^2 and <c, v>, v[r] = 2r - (b-1).  Every interior offset
+    is asked for twice (more rows than offsets: the lookup branch) and once
+    (fewer: the direct branch).  The tolerance is 1e-15 relative, for the DFT
+    relative to the largest entry of its row."""
+    mpmath = pytest.importorskip("mpmath")
+    sub = b if b == 11 else b * b
+    rem = np.arange(1, b * sub)
+    off = Offsets(b, np.concatenate([rem, rem]), sub)
+    h = np.arange(1, b, dtype=float)
+    weight = 1.0 / (h * (h + 1))
+    exact = []
+    with mpmath.workdps(40):
+        for r in rem:
+            k, low = divmod(int(r), sub)
+            c = [Fraction(0)] * k + [1 - Fraction(low, sub)] + [Fraction(1)] * (b - 1 - k)
+            cells = [mpmath.mpf(x.numerator) / x.denominator for x in c]
+            dft = [
+                complex(mpmath.fsum(x * mpmath.expjpi(mpmath.mpf(2 * t * l) / b)
+                                    for t, x in enumerate(cells)))
+                for l in range(1, b)
+            ]
+            norm = sum(x * x for x in c) - sum(c) ** 2 / b
+            dot = sum(x * (2 * t - (b - 1)) for t, x in enumerate(c))
+            exact.append((dft, norm, dot))
+    dft = np.array([e[0] for e in exact])
+    norm, dot = (np.array([float(e[i]) for e in exact]) for i in (1, 2))
+    for rows in (np.arange(2 * rem.size), np.arange(rem.size)):
+        got = off.helmert(rows, lambda H: H @ _helmert_dft(b))[: rem.size]
+        scale = np.abs(dft).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - dft) <= 1e-15 * scale)
+        forms = off.helmert(rows, lambda H: np.stack([(H * H) @ weight, -H.sum(1)], 1))
+        got_norm, got_dot = forms[: rem.size].T
+        assert np.all(np.abs(got_norm - norm) <= 1e-15 * norm)
+        assert np.all(np.abs(got_dot - dot) <= 1e-15 * dot)

@@ -45,34 +45,40 @@ UNREAD_ALLOWED = {
 
 
 def _units(module: str, source: str):
-    """(owner, public, node) per top-level statement; a top-level class is
-    split into its public methods and properties, owned by (module, class,
-    name), and the rest of the class, owned by (module, class)."""
+    """(owner, node) per top-level statement; a top-level class is split into
+    its methods and properties, owned by (module, class, name), and the rest
+    of the class, owned by (module, class).  Dunders, which the language
+    reads, and statements that define no name are owned by None."""
     for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef):
-            yield (module, node.name), not node.name.startswith("_"), node
-        elif isinstance(node, ast.ClassDef):
-            rest = copy.copy(node)
-            rest.body = []
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield (module, node.name, item.name), True, item
-                else:
-                    rest.body.append(item)
-            yield (module, node.name), not node.name.startswith("_"), rest
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _dunder(node.name):
+            if isinstance(node, ast.ClassDef):
+                rest = copy.copy(node)
+                rest.body = []
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                        yield (module, node.name, item.name), item
+                    else:
+                        rest.body.append(item)
+                node = rest
+            yield (module, node.name), node
         else:
-            yield None, False, node
+            yield None, node
 
 
-def unread_public_names(modules: dict[str, str], reader: str) -> list[str]:
-    """Public top-level functions and classes of `modules`, and public
-    methods and properties of their top-level classes, that nothing reads
-    outside their own definition: no other statement of any module, nor the
-    source `reader`.  A class's own methods do not count as reading it."""
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unread_names(modules: dict[str, str], reader: str, scanned) -> list[str]:
+    """Top-level functions and classes of `modules`, and methods and
+    properties of their top-level classes, whose name passes `scanned` and
+    that nothing reads outside their own definition: no other statement of
+    any module, nor the source `reader`.  A class's own methods do not count
+    as reading it."""
     defined, reads = [], []
     for module, source in modules.items():
-        for owner, public, node in _units(module, source):
-            if public:
+        for owner, node in _units(module, source):
+            if owner is not None and scanned(owner[-1]):
                 defined.append(owner)
             reads.append((owner, _reads(node)))
     outside = _reads(ast.parse(reader))
@@ -86,6 +92,14 @@ def unread_public_names(modules: dict[str, str], reader: str) -> list[str]:
             if unit is None or unit[: len(owner)] != owner
         )
     ]
+
+
+def unread_public_names(modules: dict[str, str], reader: str) -> list[str]:
+    return unread_names(modules, reader, lambda name: not name.startswith("_"))
+
+
+def unread_private_names(modules: dict[str, str], reader: str) -> list[str]:
+    return unread_names(modules, reader, lambda name: name.startswith("_"))
 
 
 def test_scan_flags_an_unused_import():
@@ -125,6 +139,27 @@ def test_scan_flags_an_unread_method():
     ]
 
 
+def test_scan_flags_an_unread_private_name():
+    modules = {
+        "a": "def _used(): pass\ndef _recursive(): _recursive()\ndef _unread(): pass\n"
+        "def public(): return _used()\n"
+        "class C:\n"
+        "    def __init__(self): self._helper()\n"
+        "    def _helper(self): pass\n"
+        "    def _own(self): return self._own()\n"
+        "    def __repr__(self): return ''\n"
+        "class _Unread: pass\n",
+    }
+    # dunders are never flagged; public names are the other scan's business
+    assert unread_private_names(modules, "") == [
+        "a._recursive",
+        "a._unread",
+        "a.C._own",
+        "a._Unread",
+    ]
+    assert unread_public_names(modules, "") == ["a.public", "a.C"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -142,3 +177,10 @@ def test_public_names_are_read():
     assert sorted(unread_public_names(modules, ACCEPTANCE.read_text())) == sorted(
         UNREAD_ALLOWED
     )
+
+
+def test_private_names_are_read():
+    # every private function, class, method and property is read by the
+    # package itself or by the acceptance criteria
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unread_private_names(modules, ACCEPTANCE.read_text()) == []

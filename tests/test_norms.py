@@ -7,6 +7,7 @@ import pytest
 
 from oracles import discrepancy_coeff, warnock_sq_oracle
 from qmcnet.cs import CSParams, cs_point_set
+from qmcnet.errors import InvalidParams
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import (
     BesovParams,
@@ -210,6 +211,13 @@ def test_audit_keeps_one_level_alive():
     assert peak <= 2 * largest
 
 
+def test_audit_rejects_a_cap_below_minus_one():
+    # cap -2 would sweep no level and still report "passed" with zero constants
+    with pytest.raises(InvalidParams, match="cap -2"):
+        coeff_bound_audit(hammersley(2), cap=-2)
+    assert coeff_bound_audit(hammersley(2), cap=-1).passed
+
+
 def test_audit_report_json():
     p = hammersley(2)
     rep = coeff_bound_audit(p, cap=3, part_iv_samples=1)
@@ -260,6 +268,17 @@ def test_scaling_table_rows_and_degenerate_flag():
         hammersley, [4], BesovParams(2, 2, 0.25), kinds=("l2",)
     )
     assert single.degenerate
+
+
+def test_scaling_table_rejects_no_sizes_and_repeated_kinds():
+    params = BesovParams(2, 2, 0.25)
+    with pytest.raises(InvalidParams, match="sizes"):
+        scaling_table(hammersley, range(5, 5), params)
+    with pytest.raises(InvalidParams, match="sizes"):
+        scaling_table(hammersley, [4, 4], params)
+    # a repeated kind printed every row twice and fit slopes over repeated sizes
+    with pytest.raises(InvalidParams, match="norm kind twice"):
+        scaling_table(hammersley, range(3, 5), params, kinds=("l2", "l2"))
 
 
 def test_scaling_parseval_row_is_in_norm_units():
