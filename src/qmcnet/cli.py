@@ -73,9 +73,10 @@ class IntegrandSpec:
 
 
 def _load_net(args) -> PointSet:
-    if args.net:
-        return load_pointset(args.net)
-    return cs_point_set(_cs_params(args))
+    p = load_pointset(args.net) if args.net else cs_point_set(_cs_params(args))
+    if not p.size:  # D_P, its norms and the QMC means all divide by N
+        raise InvalidParams("empty point set: N = 0")
+    return p
 
 
 def _cs_params(args) -> CSParams:
@@ -314,6 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise InvalidParams(f"seed {args.seed} < 0")
         return args.func(args)
     except (SizeOverflow, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,6 +65,8 @@ def balanced_hammersley(n: int) -> PointSet:
     are irrelevant (the value depends only on the count), so the lowest ell
     are used.
     """
+    if n < 1:
+        raise InvalidParams("need n >= 1")
     gap = min(n, round(GAP_FACTOR * math.sqrt(n)))
     ell = (n - gap) // 2
     return _xor_shifted(n, "balanced_hammersley", (1 << ell) - 1)

@@ -8,21 +8,22 @@ j in {-1, 0, 1, ...}^d; a coordinate at level -1 carries the constant
 
 One sweep (`haar_levels`) visits every level with all j_i <= n - 1; deeper
 levels hold no interior point, so there mu = -volume and their mass has a
-closed form.  It sorts the points once per level prefix (j_1, ..., j_(d-1))
-by (prefix box indices, k_d) (`level_prefix`); every level with that prefix
-then finds its occupied boxes as runs of that order (`level_aggregate`).
+closed form.  Once per level prefix (j_1, ..., j_(d-1)) it sorts the points
+by (prefix box indices, k_d) and builds all that depends on the head alone
+(`level_prefix`); each level with that prefix finds its occupied boxes as
+runs of that order and builds its last coordinate's part (`level_aggregate`).
 
 Each point's sub-cell vector in one coordinate is read through one form, its
 Helmert coordinates (`Offsets.helmert`).  A level's p = 2 mass
 sum_(m,l) |mu_jml|^2 comes from them by Plancherel on Z_b^s without forming mu
-(`LevelAggregate.mass`): an O(s b) form for a single-point box, one
-`np.add.reduceat` for the others.  The coefficients mu, the DFTs of the boxes'
-sub-cell tensors, are built only when read (`LevelAggregate.mu`, for the
-audit and Besov at p != 2): one `np.add.reduceat` per l-combination of the
-first s - 1 active coordinates, over the multi-point boxes only.  One
-reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus that exact tail:
-its q-th root is the Besov quasi-norm, and at (p, q, r) = (2, 2, 0) it is
-Parseval's ||D_P||_2^2.
+(`LevelAggregate.mass`): an O(s b) form for a single-point box, its head
+factors taken from the prefix, one `np.add.reduceat` for the others.  The
+coefficients mu, the DFTs of the boxes' sub-cell tensors, are built only
+when read (`LevelAggregate.mu`, for the audit and Besov at p != 2): one
+`np.add.reduceat` per l-combination of the first s - 1 active coordinates,
+over the multi-point boxes only.  One reduction (`_qsum`) turns the sweep
+into sum_j Xi_j^q plus that exact tail: its q-th root is the Besov
+quasi-norm, and at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -145,6 +146,14 @@ def _helmert_dft(b: int) -> np.ndarray:
     return table
 
 
+def _single_forms(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||P c||^2, <c, v>) per row of Helmert coordinates H: P c =
+    sum_h H_h e_h / (h (h + 1)), so ||P c||^2 = sum_h H_h^2 / (h (h + 1)), and
+    <c, v> = -sum_h H_h for v[r] = 2r - (b-1)."""
+    h = np.arange(1, H.shape[1] + 1, dtype=float)
+    return (H * H) @ (1.0 / (h * (h + 1))), -H.sum(1)
+
+
 @dataclass(frozen=True)
 class Offsets:
     """Where some points sit inside their boxes in one coordinate at level j.
@@ -162,14 +171,13 @@ class Offsets:
     rem: np.ndarray
     sub: int
 
-    def helmert(self, rows: np.ndarray, form) -> np.ndarray:
-        """form(H) of `rows`, H (len, b-1) the coordinates H_h = <c, e_h> in the
+    def helmert(self, rows: np.ndarray) -> np.ndarray:
+        """H (len(rows), b-1) of `rows`, the coordinates H_h = <c, e_h> in the
         Helmert basis e_h = 1 on r < h, -h at r = h: 0 for h < k, -k u at
-        h = k, -rem / sub beyond.  c minus its mean is P c = sum_h H_h e_h /
-        (h (h + 1)), so the DFT is H @ `_helmert_dft`, ||P c||^2 =
-        sum_h H_h^2 / (h (h + 1)) and <c, v> = -sum_h H_h for v[r] = 2r - (b-1).
-        H depends on rem alone: with fewer offsets b sub than rows, form(H) is
-        built once per offset and looked up."""
+        h = k, -rem / sub beyond.  The DFT of c is H @ `_helmert_dft`, and
+        `_single_forms` reads ||P c||^2 and <c, v> from H.  H depends on rem
+        alone: with fewer offsets b sub than rows, it is built once per offset
+        and looked up."""
         at = self.rem[rows]
         table = self.b * self.sub < at.size
         rem = np.arange(self.b * self.sub) if table else at
@@ -177,7 +185,7 @@ class Offsets:
         sub, h = float(self.sub), np.arange(1, self.b)
         diag = (k * ((rem - k * self.sub - sub) / sub))[:, None]
         k = k[:, None]
-        out = form(np.where(h > k, -rem[:, None] / sub, np.where(h == k, diag, 0.0)))
+        out = np.where(h > k, -rem[:, None] / sub, np.where(h == k, diag, 0.0))
         return np.take(out, at, axis=0) if table else out  # take: 4x out[at] on 2-d
 
 
@@ -190,18 +198,23 @@ def _offsets(k: np.ndarray, b: int, n: int, ji: int) -> tuple[np.ndarray, Offset
 
 @dataclass
 class LevelPrefix:
-    """The points of a set sorted once for every level j = (head, j_d).
+    """The points of a set sorted once for every level j = (head, j_d), and
+    everything about them that depends on the head alone.
 
     `idx` lists the points interior to their box in each active coordinate of
     the head, sorted by (head box indices m_i in coordinate order, k_d).  In
     that order the box indices (m_1, ..., m_d) of every level with this head
-    never decrease lexicographically, since the last one grows with k_d.
+    never decrease lexicographically, since the last one grows with k_d.  The
+    other fields are per row of that order, built once per prefix.
     """
 
     head: tuple[int, ...]  # (j_1, ..., j_(d-1))
     idx: np.ndarray  # point indices, sorted
-    boxes: list[np.ndarray]  # per active head coordinate: box index m_i < b^n
-    offsets: list[Offsets]  # per active head coordinate, in `idx` order
+    run: np.ndarray  # the number of the row's run of equal head boxes
+    k_d: np.ndarray  # numerator of the last coordinate
+    helmert: list[np.ndarray]  # per active head coordinate: `Offsets.helmert`
+    norm: np.ndarray  # prod over the head of ||P c_i||^2 (`_single_forms`)
+    dot: np.ndarray  # prod over the head of <c_i, v>
 
 
 def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
@@ -227,8 +240,15 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     idx = np.flatnonzero(keep)
     # np.lexsort sorts by its last key first
     idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
-    offsets = [Offsets(b, o.rem[idx], o.sub) for o in offsets]
-    return LevelPrefix(head, idx, [m[idx] for m in boxes], offsets)
+    new_run = np.zeros(idx.size, dtype=bool)
+    for m in boxes:
+        m = m[idx]
+        new_run[1:] |= m[1:] != m[:-1]
+    helmert = [off.helmert(idx) for off in offsets]
+    norm = dot = np.ones(idx.size)
+    for H_norm, H_dot in map(_single_forms, helmert):
+        norm, dot = norm * H_norm, dot * H_dot
+    return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert, norm, dot)
 
 
 def _box_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -260,21 +280,24 @@ class LevelAggregate:
 
     The occupied boxes are runs of rows: box i holds `counts[i]` rows from
     `starts[i]`.  Row h is entry sel[h] of the prefix order and adds base[h]
-    times the product of its sub-cell DFTs (H @ T of `Offsets.helmert`, one
-    per active coordinate, in prefix order) to mu_jml of its box, and every
-    box subtracts the volume coefficient.  `mu` holds the coefficients of the
-    occupied boxes and every l-combination, built on first read; the empty
-    boxes all carry mu = -volume.  `mass(2)` reads the same coordinates.
+    times the product of its sub-cell DFTs (H @ T, one per active coordinate)
+    to mu_jml of its box, and every box subtracts the volume coefficient.
+    The head coordinates' H and single-point forms are the prefix's, read at
+    sel; the last coordinate's H (`last`) is built once per level.  `mu`
+    holds the coefficients of the occupied boxes and every l-combination,
+    built on first read; the empty boxes all carry mu = -volume.  `mass(2)`
+    reads the same coordinates.
     """
 
     j: tuple[int, ...]
     b: int
-    l_combos: list[tuple[int, ...]]
+    l_combos: np.ndarray  # (n_lcombos, s) read-only, shared per (b, d, s, |j|)
     n_boxes: float  # b**|j| (float; may exceed integer range at deep levels)
-    volume: np.ndarray  # (n_lcombos,) volume coefficients
+    volume: np.ndarray  # (n_lcombos,) volume coefficients, read-only
     base: np.ndarray  # per row: b^(-|j|-s) / N * prod (1 - z_i) over level -1
-    sel: np.ndarray  # per row: its entry in `offsets`
-    offsets: list[Offsets]  # per active coordinate, in prefix order
+    sel: np.ndarray  # per row: its entry in the prefix order
+    prefix: LevelPrefix
+    last: list[np.ndarray]  # [H per row of the last coordinate] if j_d is active, else []
     starts: np.ndarray  # (n_occ,) first row of each box
     counts: np.ndarray  # (n_occ,) rows of each box
 
@@ -295,6 +318,11 @@ class LevelAggregate:
         """The number of active coordinates, j_i >= 0."""
         return sum(1 for v in self.j if v >= 0)
 
+    def _helmert(self, rows) -> list[np.ndarray]:
+        """H of each active coordinate at `rows`, in coordinate order."""
+        entries = self.sel[rows]
+        return [H[entries] for H in self.prefix.helmert] + [H[rows] for H in self.last]
+
     @functools.cached_property
     def mu(self) -> np.ndarray:
         """(n_occ, n_lcombos) complex: per l-combination of the first s - 1
@@ -307,7 +335,7 @@ class LevelAggregate:
             counting = np.empty((self.occupied, len(self.l_combos)), dtype=complex)
         if s and self.occupied:
             dft = _helmert_dft(b)
-            *lead, last = [off.helmert(self.sel, lambda H: H @ dft) for off in self.offsets]
+            *lead, last = [H @ dft for H in self._helmert(slice(None))]
             for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
                 prod = self.base.astype(complex)
                 for br, l in zip(lead, combo):
@@ -340,12 +368,14 @@ class LevelAggregate:
         X = sum_h base_h (x)_i c_(h,i) - gamma (x)_i v is the box's real
         sub-cell tensor: gamma prod_i DFT(v)(l_i) is the volume coefficient,
         so mu_jml = DFT(X)(l), and P removes the mean along every axis.  Every
-        row is read in the Helmert basis (`Offsets.helmert`).  A single-point
-        box takes the O(s b) form base^2 prod ||P c_i||^2 - 2 base gamma
-        prod <c_i, v> + gamma^2 prod ||v||^2.  For the others one
-        `np.add.reduceat` sums the rows' outer products per box, and each
-        squared coordinate is weighted by prod_i 1 / (h_i (h_i + 1)): at
-        b = 2 that is 1/2, so dyadic values stay exact.
+        row is read in the Helmert basis.  A single-point box takes the
+        O(s b) form base^2 prod ||P c_i||^2 - 2 base gamma prod <c_i, v> +
+        gamma^2 prod ||v||^2, the head's products read from the prefix.  For
+        the others one `np.add.reduceat` sums the rows' outer products per
+        box, and each squared coordinate is weighted by prod_i 1 / (h_i
+        (h_i + 1)): at b = 2 that is 1/2, so dyadic values stay exact.  When
+        every box is single-point, or every one multi-point, the rows are
+        sliced, not gathered.
         """
         b, s = self.b, self.s
         gamma = float(b) ** (-2 * self.total_level - 2 * s) / 2.0 ** len(self.j)
@@ -354,35 +384,32 @@ class LevelAggregate:
         if s == 0:  # one box of every point in the set's own order: the volume
             # comes off point by point, so no partial sum nears gamma = 2^-d
             return float(np.sum(self.base - gamma / self.base.size)) ** 2
-        h = np.arange(1, b, dtype=float)
-        weight = 1.0 / (h * (h + 1))  # 1 / ||e_h||^2
         single = self.counts == 1
-        rows = self.starts[single]
+        rows = slice(None) if single.all() else self.starts[single]
         w, entries = self.base[rows], self.sel[rows]
-        norm, dot = 1.0, 1.0
-        for off in self.offsets:  # ||P c||^2 and <c, v> per row
-            forms = off.helmert(entries, lambda H: np.stack([(H * H) @ weight, -H.sum(1)], 1))
-            norm, dot = norm * forms[:, 0], dot * forms[:, 1]
+        norm, dot = self.prefix.norm[entries], self.prefix.dot[entries]
+        for H in self.last:
+            H_norm, H_dot = _single_forms(H[rows])
+            norm, dot = norm * H_norm, dot * H_dot
         v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s  # ||v||^2 = (b-1) b (b+1) / 3
         total = float(np.sum(w * (w * norm - 2.0 * gamma * dot)))
-        total += rows.size * gamma**2 * v_norm
+        total += w.size * gamma**2 * v_norm
         if not single.all():
             counts = self.counts[~single]
             first = np.cumsum(counts) - counts
             rows = np.repeat(self.starts[~single] - first, counts) + np.arange(counts.sum())
-            terms, entries = self.base[rows, None], self.sel[rows]
-            for off in self.offsets:  # row-wise outer products, first factor slowest
-                hel = off.helmert(entries, lambda H: H)
-                terms = (terms[:, :, None] * hel[:, None, :]).reshape(len(rows), -1)
+            rows = rows if single.any() else slice(None)
+            terms = self.base[rows, None]
+            for H in self._helmert(rows):  # row-wise outer products, first factor slowest
+                terms = (terms[:, :, None] * H[:, None, :]).reshape(len(terms), -1)
             sums = np.add.reduceat(terms, first, axis=0)
+            h = np.arange(1, b, dtype=float)
             sums -= gamma * _tensor(-h * (h + 1), s)
-            total += float(np.sum(sums * sums * _tensor(weight, s)))
+            total += float(np.sum(sums * sums * _tensor(1.0 / (h * (h + 1)), s)))
         return float(b) ** s * total
 
 
-def level_aggregate(
-    p: PointSet, j: Sequence[int], prefix: LevelPrefix
-) -> LevelAggregate:
+def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> LevelAggregate:
     """Find the occupied boxes of level j as runs of the sorted `prefix`.
 
     Only points interior to their box (in every active coordinate) contribute;
@@ -398,27 +425,17 @@ def level_aggregate(
     total_level = sum(v for v in j if v >= 0)
     b, n, N = p.b, p.n, p.size
     s = sum(1 for v in j if v >= 0)
+    l_combos, vol = _volume(b, p.d, s, total_level)
 
-    l_combos = list(itertools.product(range(1, b), repeat=s))
-    n_boxes = float(b) ** total_level
-    # volume_coeff for every l-combination: b^(-2|j|-s) over the outer
-    # product of 2^(d-s) and one (omega^l - 1) vector per active coordinate
-    roots = [_root(b, l) - 1.0 for l in range(1, b)]
-    denoms = [2.0 ** (p.d - s)]
-    for _ in range(s):
-        denoms = [x * r for x in denoms for r in roots]
-    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
-
-    idx, boxes, offsets = prefix.idx, prefix.boxes, prefix.offsets
-    sel = np.arange(idx.size)
+    sel, last = np.arange(prefix.idx.size), []
+    boxes = [prefix.run]
     if j[-1] >= n:  # the points sit on the level grid, none are interior
         sel = sel[:0]
     elif j[-1] >= 0:
-        m, last = _offsets(p.numerators[idx, -1], b, n, j[-1])
-        sel = np.flatnonzero(last.rem)
-        boxes = [mi[sel] for mi in boxes] + [m[sel]]
-        offsets = offsets + [last]
-    idx = idx[sel]
+        m, off = _offsets(prefix.k_d, b, n, j[-1])
+        sel = np.flatnonzero(off.rem)
+        boxes, last = boxes + [m], [off.helmert(sel)]
+    idx = prefix.idx[sel]
     if s == 0:  # one box of every point, in the set's own order (on CS-11
         idx = np.sort(idx)  # the pairwise sum then lands 7x nearer the exact value)
 
@@ -428,21 +445,33 @@ def level_aggregate(
         if ji == -1:
             base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
 
-    if s == 0:
-        starts = np.zeros(1, np.int64)
-    elif idx.size == 0:
-        starts = np.zeros(0, np.int64)
-    else:
-        # a box starts wherever one coordinate's box index changes
-        new_box = np.zeros(idx.size, dtype=bool)
-        new_box[0] = True
-        for m in boxes:
-            new_box[1:] |= m[1:] != m[:-1]
-        starts = np.flatnonzero(new_box)
+    # a box starts wherever the head run or the last box index changes; at
+    # s = 0 every point is in the one box
+    new_box = np.zeros(idx.size, dtype=bool)
+    new_box[:1] = True
+    for m in boxes:
+        m = m[sel]
+        new_box[1:] |= m[1:] != m[:-1]
+    starts = np.flatnonzero(new_box)
     counts = np.diff(starts, append=idx.size)
     return LevelAggregate(
-        j, b, l_combos, n_boxes, vol, base, sel, offsets, starts, counts
+        j, b, l_combos, float(b) ** total_level, vol, base, sel, prefix, last, starts, counts
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _volume(b: int, d: int, s: int, total_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l_combos, volume_coeff of each), read-only, at s active coordinates and
+    |j| = total_level: b^(-2|j|-s) over the outer product of 2^(d-s) and one
+    (omega^l - 1) vector per active coordinate."""
+    l_combos = np.array(list(itertools.product(range(1, b), repeat=s)), dtype=np.int64)
+    roots = [_root(b, l) - 1.0 for l in range(1, b)]
+    denoms = [2.0 ** (d - s)]
+    for _ in range(s):
+        denoms = [x * r for x in denoms for r in roots]
+    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
+    l_combos.flags.writeable = vol.flags.writeable = False
+    return l_combos, vol
 
 
 def levels_up_to(cap: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -512,18 +541,8 @@ class NormReport:
     metadata: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = {
-            "schema": 1,
-            "kind": self.kind,
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "b": self.b,
-            "n": self.n,
-            "d": self.d,
-            "N": self.N,
-            "params": self.params,
-        }
-        obj.update(self.metadata)
+        obj = {"schema": 1, **asdict(self), **self.metadata}
+        del obj["metadata"]
         return json.dumps(obj, sort_keys=True)
 
 

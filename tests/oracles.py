@@ -8,9 +8,11 @@ netfiles are written one row at a time; Haar levels are aggregated point by
 point with `np.unique` and `np.add.at`, in the points' own order, or by the
 all-boxes `np.add.reduceat` kernel that the sweep's mu must match bit for
 bit, and their squared mass is summed exactly on explicit sub-cell tensors
-in Fractions; Walsh integrals are Riemann sums of `walsh_eval_1d` over
-Fraction grid points; character sums recompute every point's digits per
-frequency digit; net tests count every box point by point.  Single Haar
+in Fractions, or by Plancherel from Helmert coordinates rebuilt at every
+level, which the sweep's mass must match bit for bit; Walsh integrals are
+Riemann sums of `walsh_eval_1d` over Fraction grid points; character sums
+recompute every point's digits per frequency digit; net tests count every
+box point by point.  Single Haar
 coefficients of D_P come point by point from the closed forms that
 criterion 3 checks against the piecewise integrals; truncated Walsh sums
 point by point from Fine-Price coefficients, or on the whole b^n grid by
@@ -21,6 +23,7 @@ expansion of (beta + h)^k.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -216,6 +219,123 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
             block = np.add.reduceat(prod[:, None] * last, starts, axis=0)
             counting[:, c * (b - 1) : (c + 1) * (b - 1)] = block
     return counting - vol
+
+
+def _helmert_form(b, rem, sub, rows, form) -> np.ndarray:
+    """form(H) at `rows` of the Helmert coordinates of the sub-cell vectors
+    at offsets `rem`: H_h = 0 for h < k, -k u at h = k, -rem / sub beyond.
+    With fewer offsets b sub than rows, form(H) is built once per offset and
+    looked up."""
+    at = rem[rows]
+    table = b * sub < at.size
+    rem = np.arange(b * sub) if table else at
+    k = rem // sub
+    fsub, h = float(sub), np.arange(1, b)
+    diag = (k * ((rem - k * sub - fsub) / fsub))[:, None]
+    k = k[:, None]
+    out = form(np.where(h > k, -rem[:, None] / fsub, np.where(h == k, diag, 0.0)))
+    return np.take(out, at, axis=0) if table else out
+
+
+def plancherel_mass_oracle(p, j) -> float:
+    """sum over boxes m and l-combinations of |mu_jml|^2 at level j, by
+    Plancherel on Z_b^s with every coordinate's Helmert coordinates rebuilt
+    for this level alone.
+
+    The points interior to their box in every active coordinate of the head
+    are sorted by (head box indices, numerator of the last coordinate), and
+    the boxes are runs of that order.  A single-point box takes base^2 prod
+    ||P c_i||^2 - 2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2, each
+    coordinate's forms built from its own H; the other boxes sum the rows'
+    outer products of H, built again, with one `np.add.reduceat`.  The empty
+    boxes add the volume mass.  The arithmetic is that of the sweep, so
+    `LevelAggregate.mass(2)` must agree bit for bit.
+    """
+    b, n, d, N = p.b, p.n, p.d, p.size
+    s = sum(1 for v in j if v >= 0)
+    total_level = sum(v for v in j if v >= 0)
+    roots = [_omega(b, l) - 1.0 for l in range(1, b)]
+    denoms = [2.0 ** (d - s)]
+    for _ in range(s):
+        denoms = [x * r for x in denoms for r in roots]
+    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
+    vol_mass = float(np.sum(vol.real**2 + vol.imag**2))
+    n_boxes = float(b) ** total_level
+
+    def offsets(k, ji):  # (box index, offset inside the box, sub-cell width)
+        step = b ** (n - ji)
+        return k // step, k - k // step * step, step // b
+
+    keep = np.ones(N, dtype=bool)
+    boxes, rems = [], []
+    for i, ji in enumerate(j[:-1]):
+        if ji == -1:
+            continue
+        if ji >= n:
+            keep[:] = False
+            continue
+        m, rem, sub = offsets(p.numerators[:, i], ji)
+        keep &= rem != 0
+        boxes.append(m)
+        rems.append((rem, sub))
+    idx = np.flatnonzero(keep)
+    idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
+    boxes = [m[idx] for m in boxes]
+    rems = [(rem[idx], sub) for rem, sub in rems]
+    sel = np.arange(idx.size)
+    if j[-1] >= n:
+        sel = sel[:0]
+    elif j[-1] >= 0:
+        m, rem, sub = offsets(p.numerators[idx, -1], j[-1])
+        sel = np.flatnonzero(rem)
+        boxes = [mi[sel] for mi in boxes] + [m[sel]]
+        rems.append((rem, sub))
+    idx = idx[sel]
+    if s == 0:
+        idx = np.sort(idx)
+    base = np.full(idx.size, b ** float(-total_level - s)) / N
+    for i, ji in enumerate(j):
+        if ji == -1:
+            base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
+    gamma = float(b) ** (-2 * total_level - 2 * s) / 2.0**d
+    if s == 0:
+        return float(np.sum(base - gamma / base.size)) ** 2 + (n_boxes - 1) * vol_mass
+    if idx.size == 0:
+        return 0.0 + n_boxes * vol_mass
+    new_box = np.zeros(idx.size, dtype=bool)
+    new_box[0] = True
+    for m in boxes:
+        new_box[1:] |= m[1:] != m[:-1]
+    starts = np.flatnonzero(new_box)
+    counts = np.diff(starts, append=idx.size)
+    h = np.arange(1, b, dtype=float)
+    weight = 1.0 / (h * (h + 1))
+    single = counts == 1
+    rows = starts[single]
+    w, entries = base[rows], sel[rows]
+    norm, dot = 1.0, 1.0
+    for rem, sub in rems:
+        forms = _helmert_form(
+            b, rem, sub, entries, lambda H: np.stack([(H * H) @ weight, -H.sum(1)], 1)
+        )
+        norm, dot = norm * forms[:, 0], dot * forms[:, 1]
+    v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s
+    total = float(np.sum(w * (w * norm - 2.0 * gamma * dot)))
+    total += rows.size * gamma**2 * v_norm
+    if not single.all():
+        counts = counts[~single]
+        first = np.cumsum(counts) - counts
+        rows = np.repeat(starts[~single] - first, counts) + np.arange(counts.sum())
+        terms, entries = base[rows, None], sel[rows]
+        for rem, sub in rems:
+            hel = _helmert_form(b, rem, sub, entries, lambda H: H)
+            terms = (terms[:, :, None] * hel[:, None, :]).reshape(len(rows), -1)
+        sums = np.add.reduceat(terms, first, axis=0)
+        outer = functools.reduce(np.multiply.outer, [-h * (h + 1)] * s, np.ones(()))
+        sums -= gamma * outer.ravel()
+        weights = functools.reduce(np.multiply.outer, [weight] * s, np.ones(()))
+        total += float(np.sum(sums * sums * weights.ravel()))
+    return float(b) ** s * total + (n_boxes - starts.size) * vol_mass
 
 
 def level_mass_exact(p, j) -> Fraction:

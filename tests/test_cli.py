@@ -229,6 +229,31 @@ def test_scaling_bad_sizes_or_kinds_are_parameter_errors(argv, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["norm", "integrate", "audit", "verify"])
+def test_empty_point_set_is_a_parameter_error(command, tmp_path, capsys):
+    # a netfile of no points loads; norm died dividing by N = 0, integrate
+    # printed nan rows and audit passed
+    path = tmp_path / "empty.net"
+    path.write_text("#qmcnet v1 b=2 n=3 d=2 N=0\n")
+    assert run([command, "--net", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: empty point set: N = 0\n"
+
+
+@pytest.mark.parametrize("argv", [["audit", "--base", "3", "--dim", "1"], ["walsh-check"]])
+def test_negative_seed_is_a_parameter_error(argv, capsys):
+    assert run(argv + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed -1 < 0\n"
+
+
+def test_scaling_balanced_hammersley_below_n1_is_a_parameter_error(capsys):
+    argv = ["scaling", "--family", "balanced_hammersley", "--nmin", "-2", "--nmax", "1"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need n >= 1" in err
+
+
 def test_audit_command(tmp_path, capsys):
     path = small_netfile(tmp_path)
     assert run(["audit", "--net", path, "--cap", "5"]) == 0

@@ -9,6 +9,7 @@ from oracles import (
     indicator_coeff_oracle,
     level_aggregate_oracle,
     level_mass_exact,
+    plancherel_mass_oracle,
     reduceat_mu_oracle,
     volume_coeff_oracle,
 )
@@ -20,6 +21,7 @@ from qmcnet.haar import (
     HaarIndex,
     Offsets,
     _helmert_dft,
+    _single_forms,
     besov_quasi_norm,
     indicator_coeff,
     level_aggregate,
@@ -291,6 +293,72 @@ def test_haar_levels_sorts_once_per_head(monkeypatch):
     assert heads == list(levels_up_to(1, 2))
 
 
+def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
+    # over one CS-11 `haar_norms` and one audit: a head coordinate's H once
+    # per prefix with j_1 >= 0, the last coordinate's once per level with
+    # j_2 >= 0, and nothing else (4 + 5 * 4 builds)
+    import qmcnet.haar as haar
+    from qmcnet.norms import coeff_bound_audit
+
+    log = []  # [prefix head or level j, Helmert builds until the next entry]
+    helmert, sort, aggregate = haar.Offsets.helmert, haar.level_prefix, haar.level_aggregate
+
+    def counted(self, *args):
+        log[-1][1] += 1
+        return helmert(self, *args)
+
+    def sorted_prefix(p, head):
+        log.append([("prefix",) + tuple(head), 0])
+        return sort(p, head)
+
+    def level(p, j, prefix):
+        log.append([tuple(j), 0])
+        return aggregate(p, j, prefix)
+
+    monkeypatch.setattr(haar.Offsets, "helmert", counted)
+    monkeypatch.setattr(haar, "level_prefix", sorted_prefix)
+    monkeypatch.setattr(haar, "level_aggregate", level)
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    expected = []
+    for j1 in range(-1, 4):
+        expected.append([("prefix", j1), int(j1 >= 0)])
+        expected += [[(j1, j2), int(j2 >= 0)] for j2 in range(-1, 4)]
+    for run in (lambda: haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25)),
+                lambda: coeff_bound_audit(cs)):
+        log.clear()
+        run()
+        assert log == expected
+        assert sum(builds for _, builds in log) == 24
+
+
+def test_plancherel_mass_is_the_per_level_computation_bit_for_bit(
+    repeated_and_grid_oracle,
+):
+    """mass(2) from the prefix's head coordinates equals `plancherel_mass_oracle`,
+    which rebuilds every coordinate's Helmert coordinates at every level, on
+    every level with all j_i <= n: CS-11, balanced Hammersley n = 10, the
+    d = 3 set of `test_haar_levels_sorts_once_per_head` and the seeded sets
+    with repeated and grid points."""
+    sets = [
+        cs_point_set(CSParams(b=11, d=2, w=1)),
+        balanced_hammersley(10),
+        PointSet(3, 2, 3, np.arange(27).reshape(9, 3) % 9),
+    ] + [p for p, _ in repeated_and_grid_oracle]
+    kinds = set()
+    for p in sets:
+        for head in levels_up_to(p.n, p.d - 1):
+            prefix = level_prefix(p, head)
+            for jd in range(-1, p.n + 1):
+                agg = level_aggregate(p, head + (jd,), prefix)
+                assert agg.mass(2) == plancherel_mass_oracle(p, agg.j), (p.b, agg.j)
+                if agg.s:
+                    single = agg.counts == 1
+                    kinds.add((agg.occupied > 0, single.all(), not single.any()))
+    # empty, all single-point, all multi-point and mixed levels
+    assert kinds == {(False, True, True), (True, True, False), (True, False, True),
+                     (True, False, False)}
+
+
 def test_parseval_single_point_is_exact_third():
     p = PointSet(2, 1, 1, np.array([[0]]))
     rep = parseval_l2(p)
@@ -346,17 +414,15 @@ def test_levels_up_to():
 def test_helmert_forms_match_exact_values(b):
     """Each per-row form is a map of the Helmert coordinates H: the DFT
     H @ T against sum_r c_r omega^(r l) to 40 digits, and the single-point
-    forms (H o H) . 1/(h (h+1)) and -sum_h H_h against the exact `Fraction`
-    values of ||P c||^2 and <c, v>, v[r] = 2r - (b-1).  Every interior offset
-    is asked for twice (more rows than offsets: the lookup branch) and once
+    forms of `_single_forms`, (H o H) . 1/(h (h+1)) and -sum_h H_h, against
+    the exact `Fraction` values of ||P c||^2 and <c, v>, v[r] = 2r - (b-1).
+    Every interior offset is asked for twice (more rows than offsets: the lookup branch) and once
     (fewer: the direct branch).  The tolerance is 1e-15 relative, for the DFT
     relative to the largest entry of its row."""
     mpmath = pytest.importorskip("mpmath")
     sub = b if b == 11 else b * b
     rem = np.arange(1, b * sub)
     off = Offsets(b, np.concatenate([rem, rem]), sub)
-    h = np.arange(1, b, dtype=float)
-    weight = 1.0 / (h * (h + 1))
     exact = []
     with mpmath.workdps(40):
         for r in rem:
@@ -374,10 +440,9 @@ def test_helmert_forms_match_exact_values(b):
     dft = np.array([e[0] for e in exact])
     norm, dot = (np.array([float(e[i]) for e in exact]) for i in (1, 2))
     for rows in (np.arange(2 * rem.size), np.arange(rem.size)):
-        got = off.helmert(rows, lambda H: H @ _helmert_dft(b))[: rem.size]
+        H = off.helmert(rows)[: rem.size]
         scale = np.abs(dft).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got - dft) <= 1e-15 * scale)
-        forms = off.helmert(rows, lambda H: np.stack([(H * H) @ weight, -H.sum(1)], 1))
-        got_norm, got_dot = forms[: rem.size].T
+        assert np.all(np.abs(H @ _helmert_dft(b) - dft) <= 1e-15 * scale)
+        got_norm, got_dot = _single_forms(H)
         assert np.all(np.abs(got_norm - norm) <= 1e-15 * norm)
         assert np.all(np.abs(got_dot - dot) <= 1e-15 * dot)

@@ -233,6 +233,14 @@ def test_families_are_nets():
         assert is_net(fam(5)).ok
 
 
+@pytest.mark.parametrize("fam", [hammersley, shifted_hammersley, balanced_hammersley])
+@pytest.mark.parametrize("n", [0, -2])
+def test_families_reject_n_below_one(fam, n):
+    # balanced_hammersley took sqrt(n) first: a math domain error at n = -2
+    with pytest.raises(InvalidParams, match="need n >= 1"):
+        fam(n)
+
+
 def test_families_xor_their_recorded_shift():
     # shifted: digits 2, 4, ... of y from the most significant; balanced: the
     # lowest ell with n - 2 ell = round(2.8 sqrt(n))
