@@ -18,12 +18,13 @@ Helmert coordinates (`Offsets.helmert`).  A level's p = 2 mass
 sum_(m,l) |mu_jml|^2 comes from them by Plancherel on Z_b^s without forming mu
 (`LevelAggregate.mass`): an O(s b) form for a single-point box, its head
 factors taken from the prefix, one `np.add.reduceat` for the others.  The
-coefficients mu, the DFTs of the boxes' sub-cell tensors, are built only
-when read (`LevelAggregate.mu`, for the audit and Besov at p != 2): one
-`np.add.reduceat` per l-combination of the first s - 1 active coordinates,
-over the multi-point boxes only.  One reduction (`_qsum`) turns the sweep
-into sum_j Xi_j^q plus that exact tail: its q-th root is the Besov
-quasi-norm, and at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
+coefficients mu, the DFTs of the boxes' sub-cell tensors, are streamed in
+blocks of whole boxes for the audit and Besov at p != 2, which reduce them
+block by block (`LevelAggregate.mu_blocks`): one outer product of the rows'
+DFT factors and one `np.add.reduceat` per block, so no level's mu array is
+ever whole.  One reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus
+that exact tail: its q-th root is the Besov quasi-norm, and at
+(p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
 """
 from __future__ import annotations
 
@@ -133,6 +134,9 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
 # --- the level sweep ------------------------------------------------------------
 
 
+_MU_ENTRIES = 2**16  # rows times l-combinations per `LevelAggregate.mu_blocks` block
+
+
 @functools.lru_cache(maxsize=None)
 def _helmert_dft(b: int) -> np.ndarray:
     """T[h-1, l-1] = (sum_(r<h) omega^(r l) - h omega^(h l)) / (h (h + 1)), the
@@ -216,6 +220,11 @@ class LevelPrefix:
     norm: np.ndarray  # prod over the head of ||P c_i||^2 (`_single_forms`)
     dot: np.ndarray  # prod over the head of <c_i, v>
 
+    @functools.cached_property
+    def dft(self) -> list[np.ndarray]:
+        """The DFT factors H @ T of `helmert`, built when mu is first read."""
+        return [H @ _helmert_dft(H.shape[1] + 1) for H in self.helmert]
+
 
 def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     """Sort the points of p for the levels whose first d - 1 entries are `head`."""
@@ -251,24 +260,6 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert, norm, dot)
 
 
-def _box_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row sums of `values` over each box: `counts` rows from `starts`.
-
-    Single-point boxes copy their row; one `np.add.reduceat` over a (start,
-    end) pair per multi-point box sums the rest, whose even outputs are the
-    boxes.  Each sum adds the same rows in the same order as a reduceat over
-    every box start.
-    """
-    out = values[starts]
-    multi = np.flatnonzero(counts > 1)
-    if multi.size:
-        bounds = np.stack([starts[multi], starts[multi] + counts[multi]], axis=1).ravel()
-        if bounds[-1] == len(values):
-            bounds = bounds[:-1]
-        out[multi] = np.add.reduceat(values, bounds, axis=0)[::2]
-    return out
-
-
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
     """The s-fold outer power of `vector`, flattened, first factor slowest."""
     return functools.reduce(np.multiply.outer, [vector] * s, np.ones(())).ravel()
@@ -283,10 +274,10 @@ class LevelAggregate:
     times the product of its sub-cell DFTs (H @ T, one per active coordinate)
     to mu_jml of its box, and every box subtracts the volume coefficient.
     The head coordinates' H and single-point forms are the prefix's, read at
-    sel; the last coordinate's H (`last`) is built once per level.  `mu`
-    holds the coefficients of the occupied boxes and every l-combination,
-    built on first read; the empty boxes all carry mu = -volume.  `mass(2)`
-    reads the same coordinates.
+    sel; the last coordinate's H (`last`) is built once per level.
+    `mu_blocks` yields the coefficients of the occupied boxes at every
+    l-combination, a few boxes at a time and never the whole level; the empty
+    boxes all carry mu = -volume.  `mass(2)` reads the same coordinates.
     """
 
     j: tuple[int, ...]
@@ -323,27 +314,46 @@ class LevelAggregate:
         entries = self.sel[rows]
         return [H[entries] for H in self.prefix.helmert] + [H[rows] for H in self.last]
 
-    @functools.cached_property
-    def mu(self) -> np.ndarray:
-        """(n_occ, n_lcombos) complex: per l-combination of the first s - 1
-        active coordinates, one `_box_sums` of base times the DFTs, then
-        minus the volume."""
-        b, s = self.b, self.s
-        if s == 0:  # one box of every point, summed pairwise in the set's order
-            counting = np.array([[self.base.sum()]], dtype=complex)
-        else:
-            counting = np.empty((self.occupied, len(self.l_combos)), dtype=complex)
-        if s and self.occupied:
-            dft = _helmert_dft(b)
-            *lead, last = [H @ dft for H in self._helmert(slice(None))]
-            for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
-                prod = self.base.astype(complex)
-                for br, l in zip(lead, combo):
-                    prod = prod * br[:, l]
-                block = _box_sums(prod[:, None] * last, self.starts, self.counts)
-                counting[:, c * (b - 1) : (c + 1) * (b - 1)] = block
-        counting -= self.volume
-        return counting
+    def mu_blocks(self) -> Iterator[np.ndarray]:
+        """mu of the occupied boxes in box order, (boxes, n_lcombos) complex
+        per block of whole boxes of about `_MU_ENTRIES` rows times
+        l-combinations: one `_terms` product and one `np.add.reduceat`, or the
+        rows as they are when every box is single-point.  A box bigger than a
+        block is summed over `step` lead l-combinations at a time, never
+        split across rows; and F = H @ T is built once per prefix or level,
+        as `@` rounds a row by its batch.  So mu has the same bits at any
+        block size.
+        """
+        b, width = self.b, len(self.l_combos)
+        if self.s == 0:  # one box of every point, summed pairwise in the set's order
+            yield np.array([[self.base.sum()]], dtype=complex) - self.volume
+            return
+        F = [D[self.sel] for D in self.prefix.dft] + [H @ _helmert_dft(b) for H in self.last]
+        ends, lead, box = self.starts + self.counts, range(width // (b - 1)), 0
+        while box < self.occupied:
+            first = self.starts[box]
+            stop = max(box + 1, int(np.searchsorted(ends, first + _MU_ENTRIES // width, "right")))
+            rows, at = slice(first, ends[stop - 1]), self.starts[box:stop] - first
+            step = max(1, _MU_ENTRIES // ((rows.stop - first) * (b - 1)))
+            parts = [
+                terms if terms.shape[0] == at.size else np.add.reduceat(terms, at)
+                for terms in (self._terms(F, rows, lead[c : c + step]) for c in lead[::step])
+            ]
+            block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            block -= self.volume
+            yield block
+            box = stop
+
+    def _terms(self, F: list[np.ndarray], rows: slice, lead: range) -> np.ndarray:
+        """base times prod_i F_i at `rows`, multiplied in coordinate order:
+        (rows, len(lead) (b-1)), the l-combinations `lead` of the first s - 1
+        active coordinates (first slowest) by every l of the last."""
+        b, s, combos = self.b, self.s, np.asarray(lead)
+        terms = self.base[rows, None]
+        for i, Fi in enumerate(F[:-1]):
+            terms = terms * Fi[rows][:, combos // (b - 1) ** (s - 2 - i) % (b - 1)]
+        out = np.empty((len(terms), len(lead), b - 1), dtype=complex)  # C order: no copy
+        return np.multiply(terms[:, :, None], F[-1][rows, None, :], out=out).reshape(len(terms), -1)
 
     def mass(self, p: float) -> float:
         """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf.
@@ -355,12 +365,12 @@ class LevelAggregate:
         if p == 2:
             vol = float(np.sum(self.volume.real**2 + self.volume.imag**2))
             return self._plancherel() + self.empty_count * vol
-        occ = np.abs(self.mu)
         vol = np.abs(self.volume)
         if math.isinf(p):
             empty_sup = float(vol.max()) if self.empty_count > 0 else 0.0
-            return max(float(occ.max(initial=0.0)), empty_sup)
-        return float(np.sum(occ**p)) + self.empty_count * float(np.sum(vol**p))
+            return max([float(np.abs(mu).max()) for mu in self.mu_blocks()] + [empty_sup])
+        occ = sum(float(np.sum(np.abs(mu) ** p)) for mu in self.mu_blocks())
+        return occ + self.empty_count * float(np.sum(vol**p))
 
     def _plancherel(self) -> float:
         """sum over the occupied boxes of b^s ||P X||^2.
@@ -485,8 +495,8 @@ def haar_levels(p: PointSet, cap: Optional[int] = None) -> Iterator[LevelAggrega
     Deeper levels hold no interior point, so there mu = -volume and the
     reductions sum them in closed form.  The points are sorted once per head
     (j_1, ..., j_(d-1)) and levels come one at a time in `levels_up_to`
-    order, so only one level's mu array is alive if the caller drops each
-    level before asking for the next.
+    order, so only one level's rows are alive if the caller drops each level
+    before asking for the next.
     """
     top = p.n - 1 if cap is None else min(cap, p.n - 1)
     for head in levels_up_to(top, p.d - 1):
@@ -514,8 +524,9 @@ class BesovParams:
     r: float
 
     def __post_init__(self):
-        if not (1 <= self.p) or not (1 <= self.q) or math.isnan(self.r):
-            raise InvalidParams("need p, q >= 1 and r a number")
+        if not (1 <= self.p) or not (1 <= self.q) or not math.isfinite(self.r):
+            got = f"p = {self.p}, q = {self.q}, r = {self.r}"
+            raise InvalidParams(f"need p, q >= 1 and r a number, finite; got {got}")
 
     @property
     def out_of_window(self) -> bool:
@@ -617,15 +628,18 @@ def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport
     tail_bound is the roundoff allowance `ROUNDOFF_ALLOWANCE * value`.
     """
     b, d, cap = p.b, p.d, p.n - 1
-    pv_terms, bs_terms = [], []
+    levels = []
     for agg in haar_levels(p):
         mass2 = agg.mass(2.0)  # shared by both reports when params.p == 2
         mass = mass2 if params.p == 2 else agg.mass(params.p)
-        pv_terms.append(_xi_q(agg.total_level, mass2, PARSEVAL, b))
-        bs_terms.append(_xi_q(agg.total_level, mass, params, b))
+        levels.append((agg.total_level, mass2, mass))
         del agg  # before the sweep builds the next level
-    pv = _qsum(pv_terms, PARSEVAL, b, d, cap)
-    bs = _qsum(bs_terms, params, b, d, cap)
+    pv = _qsum([_xi_q(tl, m2, PARSEVAL, b) for tl, m2, _ in levels], PARSEVAL, b, d, cap)
+    try:  # a float power of the level weights or the tail can overflow
+        bs = _qsum([_xi_q(tl, m, params, b) for tl, _, m in levels], params, b, d, cap)
+    except OverflowError as exc:
+        bad = f"p = {params.p}, q = {params.q}, r = {params.r}"
+        raise InvalidParams(f"{bad} overflow the Besov sum: {exc}") from exc
     if not math.isinf(params.q):
         bs **= 1.0 / params.q
     sizes = dict(b=b, n=p.n, d=d, N=p.size)

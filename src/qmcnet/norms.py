@@ -153,14 +153,14 @@ def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> i
 
     mu_jml = -volume_coeff exactly unless a point lies strictly inside the box
     in every active coordinate.  For z_i = k_i / b^n that is
-    m_i b^n < k_i b^(j_i) < (m_i + 1) b^n, tested on the integer numerators in
-    Python integers (no float, no overflow at any level), so the check shares
-    no code with the aggregated path it certifies.  Each m_i is drawn digit
-    by digit and combined in Python integers, uniform at any b^(j_i).
+    m_i b^n < k_i b^(j_i) < (m_i + 1) b^n, that is lo < k_i < hi with
+    lo = floor(m_i b^n / b^(j_i)) and hi = ceil((m_i + 1) b^n / b^(j_i)):
+    thresholds in [0, b^n] computed in Python integers, compared with the
+    integer numerators (no float, no overflow at any level), so the check
+    shares no code with the aggregated path it certifies.  Each m_i is drawn
+    digit by digit and combined in Python integers, uniform at any b^(j_i).
     """
     b, n = p.b, p.n
-    nums = p.numerators.astype(object)
-    scaled = [nums[:, i] * b**ji if ji >= 0 else None for i, ji in enumerate(j)]
     fails = 0
     for _ in range(samples):
         m = [0] * p.d
@@ -173,7 +173,10 @@ def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> i
         inside = np.ones(p.size, dtype=bool)
         for i, ji in enumerate(j):
             if ji >= 0:
-                inside &= (m[i] * b**n < scaled[i]) & (scaled[i] < (m[i] + 1) * b**n)
+                lo = m[i] * b**n // b**ji
+                hi = -(-(m[i] + 1) * b**n // b**ji)
+                k = p.numerators[:, i]
+                inside &= (lo < k) & (k < hi)
         fails += bool(inside.any())
     return fails
 
@@ -187,7 +190,8 @@ def coeff_bound_audit(
     """Record per-regime constants over all levels with entries <= cap.
 
     Regimes (i)-(iii) read the coefficients of one `haar_levels` sweep to
-    min(cap, n - 1); regime (iv) is spot-checked on its first 8 levels.
+    min(cap, n - 1), block by block (`LevelAggregate.mu_blocks`); regime (iv)
+    is spot-checked on its first 8 levels.
     Hard structural checks: the occupied-box count never exceeds b^n on any
     regime-(iii) level, and no sampled regime-(iv) box holds a point in its
     interior.
@@ -210,11 +214,11 @@ def coeff_bound_audit(
 
     for agg in haar_levels(p, cap):
         j, tl = agg.j, agg.total_level
-        if max(j) == -1:
-            const_i = abs(complex(agg.mu[0, 0])) * b**n
+        occ_max = max([float(np.abs(mu).max()) for mu in agg.mu_blocks()], default=0.0)
+        if max(j) == -1:  # one box, one l-combination
+            const_i = occ_max * b**n
         else:
             vol_mu = float(np.max(np.abs(agg.volume)))
-            occ_max = float(np.abs(agg.mu).max(initial=0.0))
             if tl <= n:
                 const_ii = max(const_ii, max(occ_max, vol_mu) * float(b) ** (tl + n))
             else:

@@ -6,10 +6,11 @@ are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
 point with `np.unique` and `np.add.at`, in the points' own order, or by the
-all-boxes `np.add.reduceat` kernel that the sweep's mu must match bit for
-bit, and their squared mass is summed exactly on explicit sub-cell tensors
-in Fractions, or by Plancherel from Helmert coordinates rebuilt at every
-level, which the sweep's mass must match bit for bit; Walsh integrals are
+all-boxes `np.add.reduceat` kernel that the sweep's mu, its blocks joined
+(`joined_mu_blocks`), must match bit for bit, and their squared mass is
+summed exactly on explicit sub-cell tensors in Fractions, or by Plancherel
+from Helmert coordinates rebuilt at every level, which the sweep's mass
+must match bit for bit; Walsh integrals are
 Riemann sums of `walsh_eval_1d` over Fraction grid points; character sums
 recompute every point's digits per frequency digit; net tests count every
 box point by point.  Single Haar
@@ -219,6 +220,13 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
             block = np.add.reduceat(prod[:, None] * last, starts, axis=0)
             counting[:, c * (b - 1) : (c + 1) * (b - 1)] = block
     return counting - vol
+
+
+def joined_mu_blocks(agg) -> np.ndarray:
+    """mu of every occupied box of the level `agg`, its
+    `LevelAggregate.mu_blocks` joined in order: (occupied, n_lcombos)."""
+    blocks = list(agg.mu_blocks())
+    return np.concatenate(blocks) if blocks else np.empty((0, len(agg.l_combos)), complex)
 
 
 def _helmert_form(b, rem, sub, rows, form) -> np.ndarray:

@@ -220,6 +220,21 @@ def test_norm_nan_r_is_a_parameter_error(capsys):
     assert out == "" and "r a number" in err
 
 
+@pytest.mark.parametrize("r", ["inf", "-inf"])
+def test_norm_infinite_r_is_a_parameter_error(r, capsys):
+    # the report carried "value": NaN, "tail_bound": NaN with exit 0
+    assert run(["norm", "--base", "3", "--dim", "1", f"--r={r}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"r = {r}" in err
+
+
+def test_norm_overflowing_parameters_are_a_parameter_error(capsys):
+    # b^(|j| (r - 1/p + 1) q) overflowed into an OverflowError traceback
+    assert run(["norm", "--base", "3", "--dim", "1", "--p", "1e308", "--q", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "p = 1e+308, q = 1e+308, r = 0.25" in err
+
+
 @pytest.mark.parametrize(
     "argv", [["--nmin", "5", "--nmax", "4"], ["--nmax", "5", "--kinds", "l2,l2"]]
 )

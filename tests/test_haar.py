@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     discrepancy_coeff,
     indicator_coeff_oracle,
+    joined_mu_blocks,
     level_aggregate_oracle,
     level_mass_exact,
     plancherel_mass_oracle,
@@ -103,7 +104,8 @@ def test_discrepancy_coeff_single_point():
     idx = HaarIndex((-1,), (0,), (1,))
     # spec example: mu = E chi - volume coeff = 1 - 1/2
     assert discrepancy_coeff(p, idx) == pytest.approx(0.5)
-    assert level_aggregate(p, (-1,), level_prefix(p, ())).mu[0, 0] == pytest.approx(0.5)
+    agg = level_aggregate(p, (-1,), level_prefix(p, ()))
+    assert joined_mu_blocks(agg)[0, 0] == pytest.approx(0.5)
 
 
 def test_level_aggregate_matches_direct_coefficients():
@@ -113,6 +115,7 @@ def test_level_aggregate_matches_direct_coefficients():
         agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
         box_ids, _ = level_aggregate_oracle(p, j)
         assert agg.occupied == box_ids.size
+        mu = joined_mu_blocks(agg)
         # every occupied box must agree with the direct per-index computation
         for row, box in enumerate(box_ids):
             m = []
@@ -133,7 +136,7 @@ def test_level_aggregate_matches_direct_coefficients():
                         ll.append(1)
                 idx = HaarIndex(tuple(j), tuple(mm), tuple(ll))
                 direct = discrepancy_coeff(p, idx)
-                assert abs(direct - agg.mu[row, ci]) < 1e-12
+                assert abs(direct - mu[row, ci]) < 1e-12
                 assert agg.volume[ci] == volume_coeff(idx, b)
 
 
@@ -156,13 +159,14 @@ def _assert_matches_oracle(p, levels, oracle=level_aggregate_oracle):
     for j in levels:
         agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
         box_ids, mu = oracle(p, j)
+        joined = joined_mu_blocks(agg)
         assert agg.occupied == box_ids.size
-        assert agg.mu.shape == mu.shape
+        assert joined.shape == mu.shape
         scale = max(np.abs(mu).max(initial=0.0), np.abs(agg.volume).max())
-        assert np.abs(agg.mu - mu).max(initial=0.0) <= 1e-12 * scale
-        # reduceat over (start, end) pairs of the multi-point boxes, single-
-        # point boxes copied, adds the same rows in the same order
-        assert np.array_equal(agg.mu, reduceat_mu_oracle(p, j))
+        assert np.abs(joined - mu).max(initial=0.0) <= 1e-12 * scale
+        # one reduceat per block of whole boxes, single-point blocks as they are,
+        # adds the same rows in the same order as one over every box start
+        assert np.array_equal(joined, reduceat_mu_oracle(p, j))
 
 
 def test_level_aggregate_matches_unique_add_at_oracle(cs11_oracle):
@@ -196,6 +200,36 @@ def test_level_aggregate_matches_oracle_on_repeated_and_grid_points(
 ):
     for p, refs in repeated_and_grid_oracle:
         _assert_matches_oracle(p, refs, lambda p, j: refs[j])
+
+
+@pytest.fixture(scope="module")
+def reduceat_oracle(repeated_and_grid_oracle):
+    """`reduceat_mu_oracle` on every level with all j_i <= n of CS-11, the
+    Hammersley sets n = 3..6, the repeated-and-grid sets, CS (3,1,2) and
+    CS (2,1,3)."""
+    sets = [cs_point_set(CSParams(b=11, d=2, w=1))]
+    sets += [hammersley(n) for n in range(3, 7)] + [p for p, _ in repeated_and_grid_oracle]
+    sets += [cs_point_set(CSParams(b=3, d=1, w=2)), cs_point_set(CSParams(b=2, d=1, w=3))]
+    return [(p, {j: reduceat_mu_oracle(p, j) for j in levels_up_to(p.n, p.d)}) for p in sets]
+
+
+@pytest.mark.parametrize("entries", [None, 500, 7])
+def test_mu_blocks_join_to_the_oracle_at_any_block_size(reduceat_oracle, entries, monkeypatch):
+    # the DFT factors are built once per prefix or level, never per block, and
+    # no box is split across rows: so a block constant below the largest box
+    # keeps every bit.  CS-11 at 7 entries (one box per block) is left out
+    # for time; 500 entries is 5 of its rows.
+    if entries is not None:
+        monkeypatch.setattr("qmcnet.haar._MU_ENTRIES", entries)
+    largest = 0
+    for p, refs in reduceat_oracle:
+        if entries == 7 and p.size > 1000:
+            continue
+        for j, ref in refs.items():
+            agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+            assert np.array_equal(joined_mu_blocks(agg), ref), (p.b, p.n, p.d, j)
+            largest = max(largest, int(agg.counts.max(initial=0)) * len(agg.l_combos))
+    assert entries is None or entries < largest
 
 
 def _oracle_mass(agg, mu):
@@ -236,7 +270,7 @@ def test_haar_norms_reads_mu_only_off_p2(monkeypatch):
     def unread(agg):
         raise AssertionError(f"mu of level {agg.j} was read")
 
-    monkeypatch.setattr(haar.LevelAggregate, "mu", property(unread))
+    monkeypatch.setattr(haar.LevelAggregate, "mu_blocks", unread)
     cs = cs_point_set(CSParams(b=11, d=2, w=1))
     pv, bs = haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
     assert pv.value > 0 and bs.value > 0
@@ -385,7 +419,16 @@ def test_besov_r_at_least_one_is_infinite():
 def test_besov_rejects_a_nan_r():
     with pytest.raises(InvalidParams, match="r a number"):
         BesovParams(2, 2, math.nan)
-    assert BesovParams(2, 2, math.inf).r == math.inf  # r >= 1 still gives inf
+    for r in (math.inf, -math.inf):  # the report would carry "value": NaN
+        with pytest.raises(InvalidParams, match="finite"):
+            BesovParams(2, 2, r)
+
+
+def test_besov_overflow_is_a_parameter_error():
+    # b^(|j| (r - 1/p + 1) q) overflows a float at q = 1e308
+    p = hammersley(3, b=3)
+    with pytest.raises(InvalidParams, match=r"p = 1e\+308, q = 1e\+308, r = 0.25"):
+        besov_quasi_norm(p, BesovParams(1e308, 1e308, 0.25))
 
 
 def test_besov_out_of_window_flag():

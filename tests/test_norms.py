@@ -197,18 +197,35 @@ def test_audit_small_net_passes():
     assert math.isfinite(rep.const_small_levels)
 
 
+def _largest_mu_bytes(p):
+    """The bytes of the largest level's whole complex mu array."""
+    return max(agg.occupied * len(agg.l_combos) * 16 for agg in haar_levels(p))
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_audit_keeps_one_level_alive():
     # the audit drops each level before the sweep builds the next one, so its
     # peak stays below two of the largest level's mu array
     p = cs_point_set(CSParams(b=11, d=2, w=1))
-    largest = max(agg.mu.nbytes for agg in haar_levels(p))
-    tracemalloc.start()
-    try:
-        coeff_bound_audit(p, part_iv_samples=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * largest
+    largest = _largest_mu_bytes(p)
+    assert _peak_bytes(lambda: coeff_bound_audit(p, part_iv_samples=1)) <= 2 * largest
+
+
+def test_audit_and_besov_never_hold_a_whole_level_of_mu():
+    # both reduce mu block by block, so neither peak reaches one level's mu
+    # array (23 MB at CS-11; whole arrays peaked at 37 and 48 MB)
+    p = cs_point_set(CSParams(b=11, d=2, w=1))
+    largest = _largest_mu_bytes(p)
+    assert _peak_bytes(lambda: coeff_bound_audit(p, part_iv_samples=1)) < largest
+    assert _peak_bytes(lambda: haar_norms(p, BesovParams(1.5, 3, 0.3))) < largest
 
 
 def test_audit_rejects_a_cap_below_minus_one():
