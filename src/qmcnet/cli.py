@@ -30,7 +30,7 @@ from .nets import (
     save_pointset,
 )
 from .norms import coeff_bound_audit, scaling_table, warnock_l2_sq
-from .walsh import fine_price_coeff, residual_check
+from .walsh import fine_price_coeff, interval_coeff_vector, residual_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -41,32 +41,31 @@ EXIT_RESOURCE = 3
 # --- integrands -------------------------------------------------------------------
 
 
+#: family -> (swept params k, the 1-d factor f_k(x), its integral over [0, 1]);
+#: the integrand is prod_i f_k(x_i)
+INTEGRANDS = {
+    "product_monomial": (range(1, 6), lambda x, k: x**k, lambda k: 1.0 / (k + 1)),
+    "product_cosine": (range(1, 6), lambda x, k: np.cos(np.pi * k * x / 2.0),
+                       lambda k: 2.0 * math.sin(math.pi * k / 2.0) / (math.pi * k)),
+    # hat spline iterated k times keeps the hat; use plain hat
+    "tensor_spline": (range(1, 2), lambda x, k: 1.0 - np.abs(2.0 * x - 1.0), lambda k: 0.5),
+}
+
+
 class IntegrandSpec:
-    """A test integrand with a known exact integral."""
+    """A test integrand from `INTEGRANDS` with a known exact integral."""
 
     def __init__(self, family: str, d: int, param: int):
-        if family not in ("product_monomial", "product_cosine", "tensor_spline"):
+        if family not in INTEGRANDS:
             raise InvalidParams(f"unknown integrand family {family!r}")
-        self.family = family
-        self.d = d
-        self.param = param
+        _, self._factor, self._integral = INTEGRANDS[family]
+        self.d, self.param = d, param
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        k = self.param
-        if self.family == "product_monomial":
-            return np.prod(pts**k, axis=1)
-        if self.family == "product_cosine":
-            return np.prod(np.cos(np.pi * k * pts / 2.0), axis=1)
-        # hat spline iterated k times keeps the hat; use plain hat
-        return np.prod(1.0 - np.abs(2.0 * pts - 1.0), axis=1)
+        return np.prod(self._factor(pts, self.param), axis=1)
 
     def exact(self) -> float:
-        k = self.param
-        if self.family == "product_monomial":
-            return (1.0 / (k + 1)) ** self.d
-        if self.family == "product_cosine":
-            return (2.0 * math.sin(math.pi * k / 2.0) / (math.pi * k)) ** self.d
-        return 0.5**self.d
+        return self._integral(self.param) ** self.d
 
 
 # --- option plumbing --------------------------------------------------------------
@@ -118,7 +117,10 @@ def cmd_verify(args) -> int:
 
     prov = p.provenance or {}
     if prov.get("kind") == "cs":
-        params = CSParams.from_json(json.dumps(prov["params"]))
+        params = CSParams.from_json(json.dumps(prov.get("params")))
+        if (params.b, params.n, params.d) != (p.b, p.n, p.d):
+            raise InvalidParams(f"provenance (b, n, d) = {(params.b, params.n, params.d)} "
+                                f"differs from the netfile's {(p.b, p.n, p.d)}")
         rep = verify_dual_properties(cs_code_space(params).dual, params.d, params.n)
         report["dual_kappa_min"] = rep.kappa_min
         report["dual_delta_min"] = rep.delta_min
@@ -172,21 +174,15 @@ def cmd_norm(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    sweeps = {
-        "product_monomial": range(1, 6),
-        "product_cosine": range(1, 6),
-        "tensor_spline": range(1, 2),
-    }
-    if args.integrand and args.integrand not in sweeps:
+    if args.integrand and args.integrand not in INTEGRANDS:
         raise InvalidParams(f"unknown integrand family {args.integrand!r}")
     p = _load_net(args)
+    pts = p.coordinates()
     rows = ["family,param,qmc,exact,error"]
-    fams = [args.integrand] if args.integrand else list(sweeps)
-    for family in fams:
-        for k in sweeps[family]:
+    for family in [args.integrand] if args.integrand else INTEGRANDS:
+        for k in INTEGRANDS[family][0]:
             spec = IntegrandSpec(family, p.d, k)
-            vals = spec.evaluate(p.coordinates())
-            qmc = float(vals.mean())
+            qmc = float(spec.evaluate(pts).mean())
             rows.append(
                 f"{family},{k},{qmc!r},{spec.exact()!r},{abs(qmc - spec.exact())!r}"
             )
@@ -215,31 +211,6 @@ def cmd_scaling(args) -> int:
     return EXIT_OK
 
 
-def _grid_coeff(t: int, y: Fraction, b: int) -> complex:
-    """Integral over [0, y) of conj(wal_t) as a sum over the cells of the b^-5 grid.
-
-    Exact for t < b^5 and y on that grid, where wal_t is constant on each
-    cell: cell g contributes omega^-e / b^5 with e = sum_nu tau_nu g_(nu+1)
-    mod b, tau the base-b digits of t (least significant first) and g_1 the
-    top digit of g / b^5.  The exponents come from the integer digits of g,
-    and one bincount counts each residue.
-    """
-    grid = b**5
-    cells = Fraction(y) * grid
-    if not 0 <= t < grid:
-        raise InvalidParams("t must lie in [0, b^5)")
-    if cells.denominator != 1 or not 0 <= cells <= grid:
-        raise InvalidParams("y must lie on the b^-5 grid in [0, 1]")
-    g = np.arange(int(cells))
-    exponents = np.zeros(g.size, dtype=np.int64)
-    for nu in range(5):
-        t, tau = divmod(t, b)
-        if tau:
-            exponents += tau * (g // b ** (4 - nu) % b)
-    counts = np.bincount(exponents % b, minlength=b)
-    return complex(counts @ np.exp(-2j * np.pi * np.arange(b) / b)) / grid
-
-
 def cmd_walsh_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     report: dict = {"schema": 1, "kind": "walsh_check"}
@@ -248,7 +219,8 @@ def cmd_walsh_check(args) -> int:
         for _ in range(10):
             t = int(rng.integers(0, b**3))
             y = Fraction(int(rng.integers(0, b**4)), b**4)
-            worst = max(worst, abs(fine_price_coeff(t, y, b) - _grid_coeff(t, y, b)))
+            grid = interval_coeff_vector(y, b, 4)[t]  # the radix-b transform route
+            worst = max(worst, abs(fine_price_coeff(t, y, b) - grid))
     report["fine_price_max_err"] = float(worst)
 
     g = fam.hammersley_matrices(4)
@@ -321,10 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SizeOverflow, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except QmcNetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAM
-    except OSError as exc:
+    except (QmcNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,9 +71,13 @@ class CSParams:
 
     @classmethod
     def from_json(cls, text: str) -> "CSParams":
-        obj = json.loads(text)
-        betas = tuple(tuple(row) for row in obj.get("betas") or ())
-        return cls(obj["b"], obj["d"], obj["w"], betas)
+        """Parse `to_json` output; malformed input raises InvalidParams."""
+        try:
+            obj = json.loads(text)
+            b, d, w = (operator.index(obj[key]) for key in "bdw")
+            return cls(b, d, w, tuple(tuple(row) for row in obj.get("betas") or ()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParams(f"bad CS params {text}: {exc!r}") from None
 
 
 @dataclass(frozen=True)

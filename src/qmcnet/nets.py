@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import functools
 import json
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -56,8 +57,13 @@ class GeneratingMatrices:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratingMatrices":
-        obj = json.loads(text)
-        return cls(obj["b"], obj["n"], obj["d"], np.asarray(obj["matrices"]))
+        """Parse `to_json` output; malformed input raises InvalidParams."""
+        try:
+            obj = json.loads(text)
+            b, n, d = (operator.index(obj[key]) for key in "bnd")
+            return cls(b, n, d, np.asarray(obj["matrices"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParams(f"bad generating-matrix JSON: {exc!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,6 +327,8 @@ def load_pointset(path: str) -> PointSet:
                 provenance = json.loads(c.group()[len("#provenance") :])
             except ValueError:
                 raise NetFileError(f"bad provenance: {line!r}") from None
+            if not isinstance(provenance, dict):
+                raise NetFileError(f"provenance is not a JSON object: {line!r}")
     del body  # numpy reads the file itself
     try:
         with warnings.catch_warnings():

@@ -201,10 +201,7 @@ def theta(
     for i, yi in enumerate(y):
         terms *= interval_coeff_vector(yi, b, n)[dual.array[:, i]]
         prod *= _truncated_indicator(yi, b, n, p.numerators[:, i])
-    volume = 1.0
-    for yi in y:
-        volume *= float(yi)
-    definition = complex(prod.sum() / p.size - volume)
+    definition = complex(prod.sum() / p.size - math.prod(float(yi) for yi in y))
     return ThetaResult(complex(terms.sum()), definition)
 
 
@@ -273,31 +270,6 @@ def word_index(word: Sequence[int], b: int) -> int:
     return idx
 
 
-def _v_membership(
-    words: np.ndarray, gamma: Sequence[int], lam: Sequence[int], d: int, n: int,
-    dual_side: bool,
-) -> np.ndarray:
-    """Mask of words in V_(gamma,lambda) (or its dual shape)."""
-    m = words.reshape(len(words), d, n)
-    ok = np.ones(len(words), dtype=bool)
-    for i in range(d):
-        g, lm = gamma[i], lam[i]
-        block = m[:, i, :]
-        if dual_side:
-            # free positions: 1..lambda_i and gamma_i (when lambda_i < gamma_i)
-            for k in range(1, n + 1):
-                free = k <= lm or (k == g and lm < g) or (k <= g and lm == g)
-                if not free:
-                    ok &= block[:, k - 1] == 0
-        else:
-            # zero positions: 1..lambda_i and gamma_i; free elsewhere
-            for k in range(1, n + 1):
-                zero = k <= lm or (k == g and lm < g)
-                if zero:
-                    ok &= block[:, k - 1] == 0
-    return ok
-
-
 @dataclass(frozen=True)
 class VCountReport:
     count_in_code: int
@@ -328,16 +300,15 @@ def v_gamma_lambda(
             raise InvalidRange("need 0 <= lambda_i <= gamma_i <= n")
     sigma = sum(1 for g, lm in zip(gamma, lam) if lm < g)
 
+    # digit k (1-based) of block i is fixed when k <= lambda_i or k = gamma_i;
+    # V holds the words that vanish there, Vperp those that vanish elsewhere
+    k = np.arange(1, n + 1)
+    fixed = np.concatenate([(k <= lm) | (k == g) for g, lm in zip(gamma, lam)])
     words_c = c.words()
-    words_d = c.dual.words()
-    in_v = _v_membership(words_c, gamma, lam, d, n, dual_side=False)
-    in_vp = _v_membership(words_d, gamma, lam, d, n, dual_side=True)
-    count_c = int(in_v.sum())
-    count_d = int(in_vp.sum())
+    count_c = int((~words_c[:, fixed].any(axis=1)).sum())
+    count_d = int((~c.dual.words()[:, ~fixed].any(axis=1)).sum())
 
-    lhs = count_c * b ** (sum(lam) + sigma)
-    rhs = len(words_c) * count_d
-    identity_ok = lhs == rhs
+    identity_ok = count_c * b ** (sum(lam) + sigma) == len(words_c) * count_d
 
     bound_ok = None
     if check_bound:

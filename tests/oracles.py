@@ -12,7 +12,8 @@ summed exactly on explicit sub-cell tensors in Fractions, or by Plancherel
 from Helmert coordinates rebuilt at every level, which the sweep's mass
 must match bit for bit; Walsh integrals are
 Riemann sums of `walsh_eval_1d` over Fraction grid points; character sums
-recompute every point's digits per frequency digit; net tests count every
+recompute every point's digits per frequency digit; V-set counts decide each
+word's digits against the definition; net tests count every
 box point by point.  Single Haar
 coefficients of D_P come point by point from the closed forms that
 criterion 3 checks against the piecewise integrals; truncated Walsh sums
@@ -24,6 +25,7 @@ expansion of (beta + h)^k.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import json
@@ -502,6 +504,35 @@ def grid_coeff_oracle(t: int, y, b: int) -> complex:
     if frac:
         total += walsh_eval_1d(t, Fraction(cells, grid), b).conjugate() * float(frac)
     return total
+
+
+def v_set_counts_oracle(c, pairs) -> list[tuple[int, int]]:
+    """(#(C n V_(gamma,lambda)), #(Cperp n Vperp)) for each (gamma, lambda).
+
+    By the definition: digit k (1-based) of block i is fixed when k <=
+    lambda_i or k = gamma_i; a word lies in V when every fixed digit is 0, and
+    in Vperp when every digit that is not fixed is 0.  The words of C and
+    Cperp come from `span_oracle` of their bases.  Membership reads only which
+    digits are nonzero, so the words are tallied once by that support, and
+    each support is then decided digit by digit.
+    """
+    d, n = c.d, c.n
+    tallies = [
+        collections.Counter(map(tuple, (span_oracle(basis, c.b) != 0).tolist()))
+        for basis in (c.basis, c.dual.basis)
+    ]
+    out = []
+    for gamma, lam in pairs:
+        fixed = [k <= lam[i] or k == gamma[i] for i in range(d) for k in range(1, n + 1)]
+        in_v, in_vperp = 0, 0
+        for support, count in tallies[0].items():
+            if not any(nz and f for nz, f in zip(support, fixed)):
+                in_v += count
+        for support, count in tallies[1].items():
+            if not any(nz and not f for nz, f in zip(support, fixed)):
+                in_vperp += count
+        out.append((in_v, in_vperp))
+    return out
 
 
 def truncated_indicator_1d(y, n: int, x, b: int) -> complex:

@@ -11,11 +11,12 @@ import qmcnet
 from oracles import grid_coeff_oracle
 from qmcnet import families as fam
 from qmcnet import haar
-from qmcnet.cli import IntegrandSpec, _grid_coeff, main
+from qmcnet.cli import IntegrandSpec, main
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, SizeOverflow
 from qmcnet.nets import GeneratingMatrices, dual_set
 from qmcnet.norms import warnock_l2_sq
+from qmcnet.walsh import interval_coeff_vector
 
 
 def run(argv):
@@ -76,6 +77,53 @@ def test_generate_from_matrices(tmp_path):
     # the two identical matrices give a diagonal (duplicated) point set:
     # still a valid netfile, but verify must fail the net property
     assert run(["verify", "--net", out]) == 1
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"b": 3}', "[1]", '{"b": 2.0, "n": 1, "d": 1}'])
+def test_generate_from_a_malformed_matrices_file_is_a_parameter_error(tmp_path, capsys, text):
+    # exit 2 with a message, not a JSONDecodeError, KeyError or TypeError traceback
+    mpath = tmp_path / "mats.json"
+    mpath.write_text(text)
+    assert run(["generate", "--matrices", str(mpath)]) == 2
+    assert "bad generating-matrix JSON" in capsys.readouterr().err
+
+
+def with_provenance(path, prov):
+    """Rewrite the netfile's #provenance line to `prov`."""
+    text = re.sub("^#provenance .*$", "#provenance " + prov, Path(path).read_text(), flags=re.M)
+    Path(path).write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "prov",
+    [
+        '{"kind": "cs"}',
+        '{"kind": "cs", "params": {"b": "x", "d": 1, "w": 2}}',
+        '{"kind": "cs", "params": {"b": 3, "d": 1, "w": 2, "betas": 5}}',
+        "[1]",
+        "3",
+    ],
+)
+def test_verify_malformed_provenance_is_a_parameter_error(tmp_path, capsys, prov):
+    path = with_provenance(small_netfile(tmp_path), prov)
+    assert run(["verify", "--net", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("base, dim, prov_base", [(3, 1, 5), (13, 2, 11)])
+def test_verify_rejects_the_provenance_of_another_net(tmp_path, capsys, base, dim, prov_base):
+    # a b=5 provenance once passed the b=3 net on its empty dual, and a b=11
+    # one reported the b=11 code's minima for the b=13 net
+    path = str(tmp_path / "cs.net")
+    assert run(["generate", "--base", str(base), "--dim", str(dim), "--out", path]) == 0
+    other = json.dumps({"kind": "cs", "params": {"b": prov_base, "d": dim, "w": 1}})
+    capsys.readouterr()
+    assert run(["verify", "--net", with_provenance(path, other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    n = 2 * dim
+    assert f"({prov_base}, {n}, {dim})" in captured.err and f"({base}, {n}, {dim})" in captured.err
 
 
 def test_verify_corrupted_netfile(tmp_path):
@@ -294,15 +342,17 @@ def test_walsh_check(capsys):
     assert run(["walsh-check"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
-    # the integer-digit grid sum lands within 5e-16 of fine_price_coeff; the
-    # sequential sum of walsh_eval_1d values it replaced was 2.8e-15 off at
-    # seed 0 and 1.4e-15 at seed 3
+    # the transform route lands within 5e-16 of fine_price_coeff; a
+    # sequential sum of walsh_eval_1d values over the b^-5 grid was 2.8e-15
+    # off at seed 0 and 1.4e-15 at seed 3
     assert obj["fine_price_max_err"] < 5e-16
     assert run(["walsh-check", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["fine_price_max_err"] < 5e-16
 
 
 def test_grid_coeff_matches_fraction_reference():
+    # walsh-check's reference for fine_price_coeff is the transform route
+    # interval_coeff_vector(y, b, 4), exact for t < b^4 and y on the b^-4 grid
     rng = np.random.default_rng(17)
     for b in (2, 3, 5):
         ys = [0, *(Fraction(int(k), b**4) for k in rng.integers(0, b**4, size=3))]
@@ -310,19 +360,10 @@ def test_grid_coeff_matches_fraction_reference():
         # the reference spends 40 us per cell, so at b = 5 (3125 cells) a
         # seeded sample of t stands in for all 125
         ts = range(b**3) if b < 5 else [0, b**3 - 1, *rng.integers(1, b**3 - 1, size=2)]
-        for t in ts:
-            for y in ys:
-                assert abs(_grid_coeff(int(t), y, b) - grid_coeff_oracle(int(t), y, b)) < 1e-15
-
-
-def test_grid_coeff_rejects_points_off_the_grid():
-    for b in (2, 3, 5):
-        assert _grid_coeff(1, Fraction(1, b**5), b) != 0
-        for y in (Fraction(1, b**6), Fraction(b**5 + 1, b**5), Fraction(-1, b**5)):
-            with pytest.raises(InvalidParams, match="b\\^-5 grid"):
-                _grid_coeff(1, y, b)
-    with pytest.raises(InvalidParams, match="b\\^-5 grid"):
-        _grid_coeff(1, Fraction(1, 3), 2)
+        for y in ys:
+            coeffs = interval_coeff_vector(y, b, 4)
+            for t in ts:
+                assert abs(coeffs[t] - grid_coeff_oracle(int(t), y, b)) < 1e-15
 
 
 def test_outputs_deterministic(tmp_path):

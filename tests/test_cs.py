@@ -42,6 +42,24 @@ def test_params_json_roundtrip():
     assert CSParams.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "null",  # a provenance without params
+        "[1]",
+        "{not json",
+        '{"b": 11, "d": 2}',
+        '{"b": "x", "d": 2, "w": 1}',
+        '{"b": 11.0, "d": 2, "w": 1}',
+        '{"b": 11, "d": 2, "w": 1, "betas": 5}',
+        '{"b": 11, "d": 2, "w": 1, "betas": [["x"]]}',
+    ],
+)
+def test_params_from_malformed_json_raise_invalid_params(text):
+    with pytest.raises(InvalidParams):
+        CSParams.from_json(text)
+
+
 #: instances with n > b, where C(k, lam) mod b vanishes for some lam <= k,
 #: and ones with w > 1
 ORACLE_PARAMS = ((11, 2, 1), (11, 2, 3), (2, 1, 3), (3, 1, 3), (19, 3, 1), (5, 1, 4))

@@ -10,6 +10,7 @@ SRC = ROOT / "src" / "qmcnet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -184,3 +185,10 @@ def test_private_names_are_read():
     # package itself or by the acceptance criteria
     modules = {p.stem: p.read_text() for p in MODULES}
     assert unread_private_names(modules, ACCEPTANCE.read_text()) == []
+
+
+def test_oracles_are_read_by_tests():
+    # every function and class of tests/oracles.py is read by some test
+    # module, or by another oracle, so a deleted test leaves no orphan behind
+    readers = "\n".join(p.read_text() for p in TESTS if p.name.startswith("test_"))
+    assert unread_names({"oracles": ORACLES.read_text()}, readers, lambda name: True) == []

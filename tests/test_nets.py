@@ -221,6 +221,16 @@ def test_matrices_json_roundtrip():
     assert g2 == g
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"b": 3}', "[1]", "3", '{"b": 2, "n": 1.0, "d": 1, "matrices": [[[1]]]}',
+     '{"b": 2, "n": 1, "d": 1, "matrices": [[[1], [0, 1]]]}'],
+)
+def test_matrices_from_malformed_json_raise_invalid_params(text):
+    with pytest.raises(InvalidParams):
+        GeneratingMatrices.from_json(text)
+
+
 def test_netfile_roundtrip(tmp_path):
     p = generate_points(hammersley_matrices(4))
     p = PointSet(p.b, p.n, p.d, p.numerators, provenance={"family": "test"})
@@ -291,6 +301,16 @@ def test_netfile_rejects_malformed_points(tmp_path, body):
     path = tmp_path / "bad.net"
     path.write_text("#qmcnet v1 b=2 n=4 d=2 N=2\n" + body)
     with pytest.raises(NetFileError):
+        load_pointset(str(path))
+
+
+@pytest.mark.parametrize("prov", ["[1]", "3", "null", '"cs"'])
+def test_netfile_provenance_must_be_an_object(tmp_path, prov):
+    # verify reads the provenance's keys; a list or a number ended in an
+    # AttributeError traceback there
+    path = tmp_path / "p.net"
+    path.write_text(f"#qmcnet v1 b=2 n=1 d=1 N=2\n#provenance {prov}\n0\n1\n")
+    with pytest.raises(NetFileError, match="not a JSON object"):
         load_pointset(str(path))
 
 

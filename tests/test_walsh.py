@@ -5,10 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_group_transform, truncated_indicator_1d, walsh_synthesis
+from oracles import (
+    dense_group_transform,
+    truncated_indicator_1d,
+    v_set_counts_oracle,
+    walsh_synthesis,
+)
 from qmcnet import walsh
-from qmcnet.cs import CodeSpace, dual_code
+from qmcnet.cs import CodeSpace, CSParams, cs_code_space, dual_code
 from qmcnet.errors import InvalidParams, InvalidRange, NonTerminatingExpansion
+from qmcnet.field import gf_rank
 from qmcnet.nets import GeneratingMatrices, dual_set, generate_points
 from qmcnet.walsh import (
     _digit_dft,
@@ -242,8 +248,6 @@ def test_poisson_summation_over_random_subspaces():
     rng = np.random.default_rng(4)
     for _ in range(10):
         basis = rng.integers(0, b, size=(2, width))
-        from qmcnet.field import gf_rank
-
         if gf_rank(basis, b) != 2:
             continue
         c = CodeSpace(b, 2, 2, basis)  # d=2, n=2 gives width 4
@@ -266,6 +270,38 @@ def test_v_gamma_lambda_identity_exhaustive_small():
                 continue
             rep = v_gamma_lambda(c, gamma, lam)
             assert rep.identity_ok
+
+
+def admissible_pairs(d, n):
+    """Every (gamma, lambda) with 0 <= lambda_i <= gamma_i <= n."""
+    per = [(g, l) for g in range(n + 1) for l in range(g + 1)]
+    return [tuple(zip(*gl)) for gl in itertools.product(per, repeat=d)]
+
+
+def assert_v_counts_match_oracle(c):
+    pairs = admissible_pairs(c.d, c.n)
+    for (gamma, lam), counts in zip(pairs, v_set_counts_oracle(c, pairs)):
+        rep = v_gamma_lambda(c, gamma, lam)
+        assert (rep.count_in_code, rep.count_in_dual) == counts, (gamma, lam)
+
+
+def test_v_counts_match_the_definition_on_the_cs11_code():
+    c = cs_code_space(CSParams(11, 2, 1))
+    assert len(admissible_pairs(c.d, c.n)) == 225
+    assert_v_counts_match_oracle(c)
+
+
+def test_v_counts_match_the_definition_on_random_codes():
+    rng = np.random.default_rng(29)
+    tested = 0
+    while tested < 40:
+        b, d, n = int(rng.choice([2, 3, 5])), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        dim = int(rng.integers(0, d * n + 1))
+        basis = rng.integers(0, b, size=(dim, d * n))
+        if b ** max(dim, d * n - dim) > 5**5 or (dim and gf_rank(basis, b) != dim):
+            continue
+        assert_v_counts_match_oracle(CodeSpace(b, d, n, basis))
+        tested += 1
 
 
 def test_v_gamma_lambda_enumerates_each_code_once(monkeypatch):
