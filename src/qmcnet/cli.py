@@ -16,14 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import families as fam
-from .cs import CSParams, cs_code_space, cs_generating_matrices, cs_point_set, verify_dual_properties
+from .cs import CSParams, cs_code_space, cs_point_set, verify_dual_properties
 from .errors import CapExceeded, InvalidParams, QmcNetError, SizeOverflow
 from .haar import BesovParams, haar_norms
 from .nets import (
     GeneratingMatrices,
     PointSet,
     char_sum,
-    dual_set,
     generate_points,
     is_net,
     load_pointset,
@@ -121,16 +120,18 @@ def cmd_verify(args) -> int:
         if (params.b, params.n, params.d) != (p.b, p.n, p.d):
             raise InvalidParams(f"provenance (b, n, d) = {(params.b, params.n, params.d)} "
                                 f"differs from the netfile's {(p.b, p.n, p.d)}")
-        rep = verify_dual_properties(cs_code_space(params).dual, params.d, params.n)
+        dual = cs_code_space(params).dual
+        rep = verify_dual_properties(dual, params.d, params.n)
         report["dual_kappa_min"] = rep.kappa_min
         report["dual_delta_min"] = rep.delta_min
         report["dual_ok"] = rep.passed
-        # dual_set enumerates the b^(dn-n) dual words that the dual-code
-        # stage has just enumerated within the limit, so it needs no gate
-        ds = dual_set(cs_generating_matrices(params))
-        samples = list(ds.elements[:4]) + [tuple([1] + [0] * (p.d - 1))]
+        # the dual set from the dual words just enumerated (digit nu of t_i is
+        # entry i n + nu): its four least nonzero t and (1, 0, ..., 0) are tried
+        t = dual.words().reshape(-1, p.d, p.n) @ (p.b ** np.arange(p.n))
+        t = t[t.any(axis=1)]
+        samples = list(t[np.lexsort(t.T[::-1])[:4]]) + [np.eye(p.d, dtype=t.dtype)[0]]
         report["char_sum_ok"] = all(
-            char_sum(p, t) == (p.size if t in ds else 0) for t in samples
+            char_sum(p, s) == (p.size if (t == s).all(axis=1).any() else 0) for s in samples
         )
     else:
         report["dual_ok"] = report["char_sum_ok"] = None
@@ -192,7 +193,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_audit(args) -> int:
     p = _load_net(args)
-    report = coeff_bound_audit(p, cap=args.cap, seed=args.seed)
+    report = coeff_bound_audit(p, cap=args.cap)
     _emit(report.to_json() + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

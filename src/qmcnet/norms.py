@@ -2,7 +2,6 @@
 coefficient-magnitude audit, and multi-size scaling studies."""
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field
@@ -12,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, InvalidParams
-from .haar import BesovParams, haar_levels, haar_norms, levels_up_to
+from .haar import BesovParams, haar_levels, haar_norms
 from .nets import PointSet
 
 #: Largest level cap `coeff_bound_audit` accepts; beyond it, CapExceeded.
@@ -128,6 +127,7 @@ class AuditReport:
     |j| <= n; (iii) |j| > n with every active j_i < n, where all but the
     occupied boxes carry the pure volume coefficient; (iv) levels with some
     active j_i >= n, where no point is interior and mu = -volume exactly.
+    Each sup runs over existing boxes; regime (iv) is counted on every level.
     """
 
     b: int
@@ -135,66 +135,50 @@ class AuditReport:
     d: int
     cap: int
     const_full_cube: float  # |mu| * b^n at j = (-1,...,-1)
-    const_small_levels: float  # sup |mu| * b^(|j|+n) over regime (ii)
+    const_small_levels: float  # sup |mu| * b^(|j|+n) over the boxes of regime (ii)
     const_typical: float  # sup |mu| * b^(2|j|) over empty boxes, regime (iii)
     const_exceptional: float  # sup |mu| * b^(|j|+n) over occupied, regime (iii)
     exceptional_counts: dict = dc_field(default_factory=dict)
     part_iii_ok: bool = True
-    part_iv_levels_checked: int = 0
-    part_iv_exceptions: int = 0
+    part_iv_levels_checked: int = 0  # every regime-(iv) level within the cap
+    part_iv_exceptions: int = 0  # those that hold a point inside a box
     passed: bool = True
 
     def to_json(self) -> str:
         return json.dumps({"schema": 1, **asdict(self)}, sort_keys=True)
 
 
-def _part_iv_spot_check(p: PointSet, j: tuple[int, ...], samples: int, rng) -> int:
-    """Sampled boxes (m, l) of level j holding a point strictly inside; #fails.
+def _interior_counts(p: PointSet, cap: int) -> np.ndarray:
+    """Entry j + 1 counts the points inside their box in every active
+    coordinate of level j, on every level of {-1..cap}^d.
 
-    mu_jml = -volume_coeff exactly unless a point lies strictly inside the box
-    in every active coordinate.  For z_i = k_i / b^n that is
-    m_i b^n < k_i b^(j_i) < (m_i + 1) b^n, that is lo < k_i < hi with
-    lo = floor(m_i b^n / b^(j_i)) and hi = ceil((m_i + 1) b^n / b^(j_i)):
-    thresholds in [0, b^n] computed in Python integers, compared with the
-    integer numerators (no float, no overflow at any level), so the check
-    shares no code with the aggregated path it certifies.  Each m_i is drawn
-    digit by digit and combined in Python integers, uniform at any b^(j_i).
+    k / b^n is interior at j_i >= 0 exactly when b^max(n - j_i, 0) does not
+    divide k_i, that is when j_i < t_i = n - (the trailing zero digits of
+    k_i); at j_i = -1 every point counts.  So entry c counts the points with
+    t >= c: a histogram of min(t, cap + 1), summed from the top on each axis.
     """
-    b, n = p.b, p.n
-    fails = 0
-    for _ in range(samples):
-        m = [0] * p.d
-        for i, ji in enumerate(j):  # j_i digits, most significant first
-            for digit in rng.integers(0, b, size=max(ji, 0)).tolist():
-                m[i] = m[i] * b + digit
-        for ji in j:  # l: no effect on interiority, drawn to keep the stream of m
-            if ji >= 0:
-                rng.integers(1, b)
-        inside = np.ones(p.size, dtype=bool)
-        for i, ji in enumerate(j):
-            if ji >= 0:
-                lo = m[i] * b**n // b**ji
-                hi = -(-(m[i] + 1) * b**n // b**ji)
-                k = p.numerators[:, i]
-                inside &= (lo < k) & (k < hi)
-        fails += bool(inside.any())
-    return fails
+    n, d, size = p.n, p.d, cap + 2
+    q, t, trailing = p.numerators, np.full(p.numerators.shape, n), True
+    for _ in range(n):  # digits least significant first, while all are 0
+        q, digit = np.divmod(q, p.b)
+        trailing &= digit == 0
+        t -= trailing
+    cells = np.ravel_multi_index(tuple(np.minimum(t, size - 1).T), (size,) * d)
+    counts = np.bincount(cells, minlength=size**d).reshape((size,) * d)
+    for axis in range(d):
+        counts = np.flip(np.flip(counts, axis).cumsum(axis), axis)
+    return counts
 
 
-def coeff_bound_audit(
-    p: PointSet,
-    cap: Optional[int] = None,
-    part_iv_samples: int = 5,
-    seed: int = 0,
-) -> AuditReport:
+def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
     """Record per-regime constants over all levels with entries <= cap.
 
     Regimes (i)-(iii) read the coefficients of one `haar_levels` sweep to
-    min(cap, n - 1), block by block (`LevelAggregate.mu_blocks`); regime (iv)
-    is spot-checked on its first 8 levels.
+    min(cap, n - 1), block by block (`LevelAggregate.mu_blocks`); a sup
+    reads the volume coefficient only on levels with an empty box.  Regime
+    (iv) is counted on every one of its levels (`_interior_counts`).
     Hard structural checks: the occupied-box count never exceeds b^n on any
-    regime-(iii) level, and no sampled regime-(iv) box holds a point in its
-    interior.
+    regime-(iii) level, and no regime-(iv) level holds a point inside a box.
     """
     b, n, d = p.b, p.n, p.d
     if cap is None:
@@ -203,7 +187,8 @@ def coeff_bound_audit(
         raise CapExceeded(f"cap {cap} > {MAX_CAP}")
     if cap < -1:
         raise InvalidParams(f"cap {cap} < -1: the audit would sweep no level")
-    rng = np.random.default_rng(seed)
+    if (cap + 2) ** d > 2**24:  # the int64 counts of regime (iv) would pass 128 MB
+        raise CapExceeded(f"{cap + 2}^{d} levels up to cap {cap} > 2^24")
 
     const_i = 0.0
     const_ii = 0.0
@@ -218,23 +203,22 @@ def coeff_bound_audit(
         if max(j) == -1:  # one box, one l-combination
             const_i = occ_max * b**n
         else:
-            vol_mu = float(np.max(np.abs(agg.volume)))
+            empty_max = float(np.max(np.abs(agg.volume))) if agg.empty_count > 0 else 0.0
             if tl <= n:
-                const_ii = max(const_ii, max(occ_max, vol_mu) * float(b) ** (tl + n))
+                const_ii = max(const_ii, max(occ_max, empty_max) * float(b) ** (tl + n))
             else:
                 counts[",".join(map(str, j))] = agg.occupied
                 if agg.occupied > b**n:
                     part_iii_ok = False
-                const_iii = max(const_iii, vol_mu * float(b) ** (2 * tl))
+                const_iii = max(const_iii, empty_max * float(b) ** (2 * tl))
                 if agg.occupied:
                     const_iii_exc = max(const_iii_exc, occ_max * float(b) ** (tl + n))
         del agg  # before the sweep builds the next level
 
-    # regime (iv): levels with some j_i >= n, structurally point-free
-    deep = (j for j in levels_up_to(cap, d) if max(j) >= n)
-    iv_levels = list(itertools.islice(deep, 8))
-    iv_fails = sum(_part_iv_spot_check(p, j, part_iv_samples, rng) for j in iv_levels)
-    passed = part_iii_ok and iv_fails == 0
+    # regime (iv): the levels with some j_i >= n, outside the corner j < n
+    interior = _interior_counts(p, cap)
+    shallow = interior[(slice(n + 1),) * d]
+    iv_fails = int(np.count_nonzero(interior) - np.count_nonzero(shallow))
     return AuditReport(
         b=b,
         n=n,
@@ -246,9 +230,9 @@ def coeff_bound_audit(
         const_exceptional=const_iii_exc,
         exceptional_counts=counts,
         part_iii_ok=part_iii_ok,
-        part_iv_levels_checked=len(iv_levels),
+        part_iv_levels_checked=interior.size - shallow.size,
         part_iv_exceptions=iv_fails,
-        passed=passed,
+        passed=part_iii_ok and iv_fails == 0,
     )
 
 

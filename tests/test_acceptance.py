@@ -172,7 +172,7 @@ def test_criterion_6_parseval_vs_warnock(cs_points):
 
 
 def test_criterion_7_coefficient_bound_audit(cs_points):
-    rep = coeff_bound_audit(cs_points, cap=2 * cs_points.n, part_iv_samples=4)
+    rep = coeff_bound_audit(cs_points, cap=2 * cs_points.n)
     max_exc = max(rep.exceptional_counts.values()) if rep.exceptional_counts else 0
     ok = (
         rep.passed

@@ -14,7 +14,8 @@ from qmcnet import haar
 from qmcnet.cli import IntegrandSpec, main
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, SizeOverflow
-from qmcnet.nets import GeneratingMatrices, dual_set
+from qmcnet.field import enumerate_span
+from qmcnet.nets import GeneratingMatrices, PointSet, dual_set, save_pointset
 from qmcnet.norms import warnock_l2_sq
 from qmcnet.walsh import interval_coeff_vector
 
@@ -93,6 +94,41 @@ def with_provenance(path, prov):
     text = re.sub("^#provenance .*$", "#provenance " + prov, Path(path).read_text(), flags=re.M)
     Path(path).write_text(text)
     return path
+
+
+def test_verify_enumerates_the_dual_once(tmp_path, monkeypatch, capsys):
+    # the character-sum stage reads the dual words of the dual-code stage;
+    # it used to enumerate them again through dual_set
+    cs11 = str(tmp_path / "cs11.net")
+    assert run(["generate", "--base", "11", "--dim", "2", "--w", "1", "--out", cs11]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def counted(basis, b):
+        calls.append(basis.shape)
+        return enumerate_span(basis, b)
+
+    for module in (qmcnet.cs, qmcnet.nets):
+        monkeypatch.setattr(module, "enumerate_span", counted)
+    assert run(["verify", "--net", cs11]) == 0
+    assert calls == [(4, 8)]
+    assert capsys.readouterr().out == (
+        '{"char_sum_ok": true, "dual_delta_min": 5, "dual_kappa_min": 5, '
+        '"dual_ok": true, "is_net": true, "passed": true, "schema": 1}\n'
+    )
+
+
+def test_verify_character_sums_fail_on_another_net(tmp_path, capsys):
+    # a (0, 4, 2)-net from other betas, with the default CS-11 provenance: the
+    # dual's least frequencies do not sum to N on it
+    other = cs_point_set(CSParams(11, 2, 1, ((0, 1, 2, 3), (4, 5, 6, 8))))
+    prov = cs_point_set(CSParams(11, 2, 1)).provenance
+    path = str(tmp_path / "other.net")
+    save_pointset(PointSet(11, 4, 2, other.numerators, provenance=prov), path)
+    assert run(["verify", "--net", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["is_net"] is True and rep["dual_ok"] is True
+    assert rep["char_sum_ok"] is False and rep["passed"] is False
 
 
 @pytest.mark.parametrize(
@@ -222,11 +258,13 @@ def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):
     monkeypatch.setattr(haar, "level_aggregate", counted)
     assert run(["audit", "--base", "11", "--dim", "2", "--w", "1", "--cap", "1"]) == 0
     assert sorted(levels) == list(itertools.product(range(-1, 2), repeat=2))
-    # the report recorded when the audit still swept all (n+1)^d levels
+    # the report recorded when the audit still swept all (n+1)^d levels, but
+    # for const_small_levels: it read 1181.08, the volume coefficient of an
+    # empty box that no level up to the cap has
     assert capsys.readouterr().out.strip() == (
         '{"b": 11, "cap": 1, "const_exceptional": 0.0, '
         '"const_full_cube": 0.5000170753364896, '
-        '"const_small_levels": 1181.0846560672255, "const_typical": 0.0, '
+        '"const_small_levels": 0.2863342174802987, "const_typical": 0.0, '
         '"d": 2, "exceptional_counts": {}, "n": 4, "part_iii_ok": true, '
         '"part_iv_exceptions": 0, "part_iv_levels_checked": 0, "passed": true, '
         '"schema": 1}'
@@ -259,6 +297,14 @@ def test_integrand_exact_values():
 def test_audit_cap_below_minus_one_is_a_parameter_error(capsys):
     assert run(["audit", "--base", "3", "--dim", "1", "--cap", "-2"]) == 2
     assert "cap -2 < -1" in capsys.readouterr().err
+
+
+def test_audit_level_grid_past_its_limit_is_a_resource_error(tmp_path, capsys):
+    # 66^5 regime-(iv) counts would take 10 GB
+    path = tmp_path / "d5.net"
+    path.write_text("#qmcnet v1 b=2 n=1 d=5 N=1\n0 0 0 0 0\n")
+    assert run(["audit", "--net", str(path), "--cap", "64"]) == 3
+    assert "66^5 levels" in capsys.readouterr().err
 
 
 def test_norm_nan_r_is_a_parameter_error(capsys):

@@ -171,6 +171,32 @@ def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+#: modules whose results depend on their inputs alone
+DETERMINISTIC = ("field", "nets", "cs", "families", "haar", "norms")
+
+
+def random_reads(source: str) -> list[str]:
+    """The random-number names the source reads: `random` (numpy's or the
+    standard library's module) and `default_rng`."""
+    return sorted(_reads(ast.parse(source)) & {"random", "default_rng"})
+
+
+def test_scan_flags_a_random_number_read():
+    assert random_reads("import numpy as np\nrng = np.random.default_rng(0)\n") == [
+        "default_rng",
+        "random",
+    ]
+    assert random_reads("from numpy.random import default_rng\ndefault_rng(1)\n") == [
+        "default_rng"
+    ]
+    assert random_reads('"""random draws"""\nx = 1\n') == []
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_deterministic_modules_draw_no_random_numbers(name):
+    assert random_reads((SRC / f"{name}.py").read_text()) == []
+
+
 def test_public_names_are_read():
     # the package's own routes or the acceptance criteria read every public
     # function, class, method and property; exports in __init__.py do not count

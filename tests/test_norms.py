@@ -5,24 +5,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import discrepancy_coeff, warnock_sq_oracle
+import oracles
+from oracles import warnock_sq_oracle
+from qmcnet import norms
 from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import (
     BesovParams,
-    HaarIndex,
     besov_quasi_norm,
     haar_levels,
     haar_norms,
     levels_up_to,
     parseval_l2,
-    volume_coeff,
 )
 from qmcnet.nets import PointSet, is_net
 from qmcnet.norms import (
     _pair_min_sum,
-    _part_iv_spot_check,
+    _interior_counts,
     coeff_bound_audit,
     disc_eval,
     fit_slope,
@@ -161,23 +161,76 @@ def test_roundoff_allowance_covers_exact_gap_and_is_relative():
         assert rep.tail_bound < 1e-6 * rep.value
 
 
-def test_part_iv_integer_test_flags_what_the_fraction_route_flags():
-    # on levels below n points are interior, so the two routes can disagree
-    p = hammersley(4)
-    flagged = 0
-    for j in levels_up_to(p.n - 1, p.d):
-        rng_int, rng_frac = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(4):
-            fails = _part_iv_spot_check(p, j, 1, rng_int)
-            m = [0] * p.d
-            for i, ji in enumerate(j):
-                for digit in rng_frac.integers(0, 2, size=max(ji, 0)).tolist():
-                    m[i] = m[i] * 2 + digit
-            l = tuple(int(rng_frac.integers(1, 2)) if ji >= 0 else 1 for ji in j)
-            idx = HaarIndex(j, tuple(m), l)
-            assert fails == (discrepancy_coeff(p, idx) != -volume_coeff(idx, 2))
-            flagged += fails
-    assert 0 < flagged < 4 * (p.n + 1) ** p.d
+def _interior_count_by_fractions(p, j) -> int:
+    """Points z with z_i b^j_i not an integer (strictly inside the box) in
+    every active coordinate of level j, from the exact fractions."""
+    return sum(
+        all(ji < 0 or (z * p.b**ji).denominator != 1 for z, ji in zip(row, j))
+        for row in p.fractions()
+    )
+
+
+@pytest.mark.parametrize("p", [
+    hammersley(4),
+    # repeated points, points on coarse grid lines and the origin
+    PointSet(3, 2, 2, np.array([[0, 0], [3, 6], [3, 6], [1, 4], [8, 2], [4, 3], [4, 3]])),
+], ids=["hammersley4", "repeated_and_grid"])
+def test_interior_counts_match_the_fraction_route_on_every_level(p):
+    counts = _interior_counts(p, p.n + 1)
+    assert counts.shape == (p.n + 3,) * p.d
+    for j in levels_up_to(p.n + 1, p.d):
+        expected = _interior_count_by_fractions(p, j)
+        assert counts[tuple(v + 1 for v in j)] == expected, j
+        if max(j) >= p.n:
+            assert expected == 0
+    # below n points are inside boxes, also on levels with active coordinates
+    assert counts[(slice(1, p.n + 1),) * p.d].any()
+
+
+def test_audit_flags_a_regime_iv_level_that_holds_a_point(monkeypatch):
+    # the audit reads the counts on the levels with some j_i >= n only
+    p = hammersley(2)
+    monkeypatch.setattr(norms, "_interior_counts", lambda p, cap: np.ones((cap + 2,) * p.d, int))
+    rep = coeff_bound_audit(p, cap=3)
+    assert rep.part_iv_levels_checked == rep.part_iv_exceptions == 5**2 - 3**2
+    assert not rep.passed
+
+
+def test_audit_counts_regime_iv_on_every_level_within_the_cap():
+    p = cs_point_set(CSParams(b=11, d=2, w=1))
+    for cap, levels in ((-1, 0), (1, 0), (4, 11), (6, 39), (8, 75)):
+        rep = coeff_bound_audit(p, cap=cap)
+        assert (rep.part_iv_levels_checked, rep.part_iv_exceptions) == (levels, 0)
+
+
+def _small_level_constant(p, cap) -> float:
+    """sup |mu| b^(|j| + n) over the boxes of the regime-(ii) levels: the
+    occupied boxes' mu joined from the blocks, and -volume only on levels
+    with an empty box."""
+    sup = 0.0
+    for agg in haar_levels(p, cap):
+        if max(agg.j) == -1 or agg.total_level > p.n:
+            continue
+        values = [float(np.abs(oracles.joined_mu_blocks(agg)).max(initial=0.0))]
+        if agg.empty_count > 0:
+            values.append(float(np.abs(agg.volume).max()))
+        sup = max(sup, max(values) * float(p.b) ** (agg.total_level + p.n))
+    return sup
+
+
+@pytest.mark.parametrize("p, cap", [
+    (cs_point_set(CSParams(b=11, d=2, w=1)), 6),
+    (cs_point_set(CSParams(b=11, d=2, w=1)), 1),
+    # not a net: level (1, 1) has an empty box of its four
+    (PointSet(2, 2, 2, np.array([[1, 1], [1, 3], [3, 1]])), 4),
+], ids=["cs11", "cs11-cap1", "three-points"])
+def test_audit_small_level_constant_ranges_over_existing_boxes(p, cap):
+    # the volume of an empty box counted on fully occupied levels too: on
+    # CS-11 every regime-(ii) level is full, and the report read 1181.08
+    rep = coeff_bound_audit(p, cap=cap)
+    assert rep.const_small_levels == _small_level_constant(p, cap)
+    if p.size == 11**4:
+        assert rep.const_small_levels < 1
 
 
 def test_part_iv_draws_boxes_beyond_int64():
@@ -188,7 +241,7 @@ def test_part_iv_draws_boxes_beyond_int64():
 
 def test_audit_small_net_passes():
     p = hammersley(3)
-    rep = coeff_bound_audit(p, cap=5, part_iv_samples=2)
+    rep = coeff_bound_audit(p, cap=5)
     assert rep.passed
     assert rep.part_iii_ok
     assert rep.part_iv_exceptions == 0
@@ -216,7 +269,7 @@ def test_audit_keeps_one_level_alive():
     # peak stays below two of the largest level's mu array
     p = cs_point_set(CSParams(b=11, d=2, w=1))
     largest = _largest_mu_bytes(p)
-    assert _peak_bytes(lambda: coeff_bound_audit(p, part_iv_samples=1)) <= 2 * largest
+    assert _peak_bytes(lambda: coeff_bound_audit(p)) <= 2 * largest
 
 
 def test_audit_and_besov_never_hold_a_whole_level_of_mu():
@@ -224,7 +277,7 @@ def test_audit_and_besov_never_hold_a_whole_level_of_mu():
     # array (23 MB at CS-11; whole arrays peaked at 37 and 48 MB)
     p = cs_point_set(CSParams(b=11, d=2, w=1))
     largest = _largest_mu_bytes(p)
-    assert _peak_bytes(lambda: coeff_bound_audit(p, part_iv_samples=1)) < largest
+    assert _peak_bytes(lambda: coeff_bound_audit(p)) < largest
     assert _peak_bytes(lambda: haar_norms(p, BesovParams(1.5, 3, 0.3))) < largest
 
 
@@ -237,7 +290,7 @@ def test_audit_rejects_a_cap_below_minus_one():
 
 def test_audit_report_json():
     p = hammersley(2)
-    rep = coeff_bound_audit(p, cap=3, part_iv_samples=1)
+    rep = coeff_bound_audit(p, cap=3)
     import json
 
     obj = json.loads(rep.to_json())
