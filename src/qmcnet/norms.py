@@ -150,22 +150,25 @@ class AuditReport:
 
 def _interior_counts(p: PointSet, cap: int) -> np.ndarray:
     """Entry j + 1 counts the points inside their box in every active
-    coordinate of level j, on every level of {-1..cap}^d.
+    coordinate of level j, on the levels of {-1..cap}^d where it can be
+    nonzero; every other level holds no interior point.
 
     k / b^n is interior at j_i >= 0 exactly when b^max(n - j_i, 0) does not
     divide k_i, that is when j_i < t_i = n - (the trailing zero digits of
     k_i); at j_i = -1 every point counts.  So entry c counts the points with
     t >= c: a histogram of min(t, cap + 1), summed from the top on each axis.
+    As t <= n, regime (iv) holds none, and the grid is at most the sweep's size.
     """
-    n, d, size = p.n, p.d, cap + 2
-    q, t, trailing = p.numerators, np.full(p.numerators.shape, n), True
-    for _ in range(n):  # digits least significant first, while all are 0
+    q, t, trailing = p.numerators, np.full(p.numerators.shape, p.n), True
+    for _ in range(p.n):  # digits least significant first, while all are 0
         q, digit = np.divmod(q, p.b)
         trailing &= digit == 0
         t -= trailing
-    cells = np.ravel_multi_index(tuple(np.minimum(t, size - 1).T), (size,) * d)
-    counts = np.bincount(cells, minlength=size**d).reshape((size,) * d)
-    for axis in range(d):
+    t = np.minimum(t, cap + 1)
+    shape = tuple(t.max(axis=0, initial=0) + 1)
+    cells = np.ravel_multi_index(tuple(t.T), shape)
+    counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
+    for axis in range(p.d):
         counts = np.flip(np.flip(counts, axis).cumsum(axis), axis)
     return counts
 
@@ -187,8 +190,6 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
         raise CapExceeded(f"cap {cap} > {MAX_CAP}")
     if cap < -1:
         raise InvalidParams(f"cap {cap} < -1: the audit would sweep no level")
-    if (cap + 2) ** d > 2**24:  # the int64 counts of regime (iv) would pass 128 MB
-        raise CapExceeded(f"{cap + 2}^{d} levels up to cap {cap} > 2^24")
 
     const_i = 0.0
     const_ii = 0.0
@@ -217,8 +218,7 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
 
     # regime (iv): the levels with some j_i >= n, outside the corner j < n
     interior = _interior_counts(p, cap)
-    shallow = interior[(slice(n + 1),) * d]
-    iv_fails = int(np.count_nonzero(interior) - np.count_nonzero(shallow))
+    iv_fails = int(np.count_nonzero(interior) - np.count_nonzero(interior[(slice(n + 1),) * d]))
     return AuditReport(
         b=b,
         n=n,
@@ -230,7 +230,7 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
         const_exceptional=const_iii_exc,
         exceptional_counts=counts,
         part_iii_ok=part_iii_ok,
-        part_iv_levels_checked=interior.size - shallow.size,
+        part_iv_levels_checked=(cap + 2) ** d - (min(cap, n - 1) + 2) ** d,
         part_iv_exceptions=iv_fails,
         passed=part_iii_ok and iv_fails == 0,
     )

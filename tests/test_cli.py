@@ -299,12 +299,14 @@ def test_audit_cap_below_minus_one_is_a_parameter_error(capsys):
     assert "cap -2 < -1" in capsys.readouterr().err
 
 
-def test_audit_level_grid_past_its_limit_is_a_resource_error(tmp_path, capsys):
-    # 66^5 regime-(iv) counts would take 10 GB
+def test_audit_counts_a_deep_level_grid_without_building_it(tmp_path, capsys):
+    # 66^5 levels up to cap 64: the counts stop where no point is interior
     path = tmp_path / "d5.net"
     path.write_text("#qmcnet v1 b=2 n=1 d=5 N=1\n0 0 0 0 0\n")
-    assert run(["audit", "--net", str(path), "--cap", "64"]) == 3
-    assert "66^5 levels" in capsys.readouterr().err
+    assert run(["audit", "--net", str(path), "--cap", "64"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["part_iv_levels_checked"] == 66**5 - 2**5
+    assert rep["part_iv_exceptions"] == 0
 
 
 def test_norm_nan_r_is_a_parameter_error(capsys):
