@@ -220,7 +220,7 @@ def cmd_walsh_check(args) -> int:
         for _ in range(10):
             t = int(rng.integers(0, b**3))
             y = Fraction(int(rng.integers(0, b**4)), b**4)
-            grid = interval_coeff_vector(y, b, 4)[t]  # the radix-b transform route
+            grid = interval_coeff_vector(y, b, 4)[t]  # the digit-by-digit analysis route
             worst = max(worst, abs(fine_price_coeff(t, y, b) - grid))
     report["fine_price_max_err"] = float(worst)
 

@@ -209,20 +209,20 @@ def is_net(p: PointSet) -> NetCheck:
 class DualSet:
     """Nonzero frequency tuples annihilated by the transposed matrices.
 
-    `elements` is the sorted tuple of int tuples; `array` holds the same rows
-    as an (M, d) int64 array, and membership reads a set built once.
+    `array` is the (M, d) int64 array of the frequencies in lexicographic
+    row order; `elements` holds the same rows as a sorted tuple of int tuples,
+    and membership reads a set built once.
     """
 
     b: int
     n: int
     d: int
-    elements: tuple[tuple[int, ...], ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(repr=False, compare=False)
+    elements: tuple[tuple[int, ...], ...] = field(init=False)
     _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), self.d)
-        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "elements", tuple(map(tuple, self.array.tolist())))
         object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __contains__(self, t) -> bool:
@@ -242,8 +242,8 @@ def dual_set(g: GeneratingMatrices) -> DualSet:
     words = enumerate_span(gf_nullspace(stacked, b), b)
     powers = np.array([b**k for k in range(n)], dtype=np.int64)
     t = words.reshape(len(words), d, n) @ powers
-    elems = sorted(map(tuple, t[t.any(axis=1)].tolist()))
-    return DualSet(b, n, d, tuple(elems))
+    t = t[t.any(axis=1)]
+    return DualSet(b, n, d, t[np.lexsort(t.T[::-1])])
 
 
 def char_sum(p: PointSet, t: Sequence[int]) -> complex:

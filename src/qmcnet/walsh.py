@@ -8,6 +8,7 @@ the Haar-side computations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,10 +114,10 @@ def _digit_dft(a: np.ndarray, b: int, sign: int) -> np.ndarray:
     """sum over x of exp(sign 2 pi i x y / b) a[..., x, ...] along every axis.
 
     The one radix-b tensor transform of the package, O(k b^(k+1)) on a
-    (b,) * k tensor.  Each step is one matmul on a (b, M) view: it transforms
-    the leading digit axis and rotates it to the end, so after k steps every
-    axis is transformed and back in its place, with no axis copy.  A 0-d
-    tensor (k = 0) is returned unchanged.
+    (b,) * k tensor; only `group_walsh_transform` calls it.  Each step is one
+    matmul on a (b, M) view: it transforms the leading digit axis and rotates
+    it to the end, so after k steps every axis is transformed and back in its
+    place, with no axis copy.  A 0-d tensor (k = 0) is returned unchanged.
     """
     if a.ndim == 0:
         return a
@@ -127,26 +128,39 @@ def _digit_dft(a: np.ndarray, b: int, sign: int) -> np.ndarray:
     return x.reshape(a.shape)
 
 
-def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
-    """chi_hat_[0,y)(t) for all t < b^n via one analysis transform.
+@functools.lru_cache(maxsize=None)
+def _digit_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, S) with W[c, tau] = omega^(-tau c) and S[c, tau] = sum over c' < c
+    of W[c', tau]; read-only and built once per base."""
+    x = np.arange(b)
+    w = np.exp(-2j * np.pi * (np.outer(x, x) % b) / b)
+    s = np.cumsum(np.concatenate([np.zeros((1, b)), w[:-1]]), axis=0)
+    w.flags.writeable = s.flags.writeable = False
+    return w, s
 
-    For t < b^n, conj(wal_t) is constant on cells of width b^-n, so the
-    integral over [0, y) is a weighted character sum over cells.
+
+def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
+    """chi_hat_[0,y)(t) for all t < b^n, built digit by digit in O(b^n).
+
+    conj(wal_t) is constant on cells of width b^-n: the integral is b^-n times
+    the character sum over cells x < g = floor(y b^n) plus theta = y b^n - g
+    times cell g's term (y = 1 is the whole last cell).  A cell x < g first
+    differs from g at a digit x_k < g_k; its free later digits sum to b^(n-k)
+    if tau_k..tau_(n-1) vanish, else 0.  So from the last digit of g up, each
+    step is an outer product with omega^(-tau g_k), plus S_(g_k) b^(n-k) on
+    the row where the more significant taus vanish; tau_0 ends least
+    significant.
     """
     y = _unit_interval(y)
     scaled = y * b**n
-    g = math.floor(scaled)
-    theta = scaled - g
-    weights = np.zeros(b**n, dtype=complex)
-    weights[:g] = 1.0
-    if g < b**n and theta:
-        weights[g] = float(theta)
-    weights /= float(b) ** n
-    # analysis with conj(wal): axis nu <-> grid digit x_(nu+1), paired with tau_nu
-    a = _digit_dft(weights.reshape((b,) * n), b, -1)
-    # axis nu now carries tau_nu; flatten with tau_0 least significant
-    a = np.transpose(a, axes=tuple(range(n - 1, -1, -1)))
-    return a.reshape(-1)
+    g = min(math.floor(scaled), b**n - 1)
+    w, s = _digit_tables(b)
+    a = np.array([complex(scaled - g) / b**n])
+    for k in range(n):  # digit g_(n-k) pairs with tau_(n-k-1)
+        g, digit = divmod(g, b)
+        a = np.multiply.outer(a, w[digit]).reshape(-1)
+        a[:b] += s[digit] * float(b) ** (k - n)
+    return a
 
 
 # --- Theta / R decomposition ----------------------------------------------------
@@ -160,7 +174,19 @@ def _truncated_indicator(y: Fraction, b: int, n: int, k: np.ndarray) -> np.ndarr
     """
     scaled = y * b**n
     g = math.floor(scaled)
-    return np.where(k < g, 1.0, np.where(k == g, float(scaled - g), 0.0))
+    table = np.zeros(b**n + 1)
+    table[:g] = 1.0
+    table[g] = float(scaled - g)
+    return table[k]
+
+
+def _same_shape(p: PointSet, other):
+    """other, checked to have the point set's (b, n, d)."""
+    shape, want = (other.b, other.n, other.d), (p.b, p.n, p.d)
+    if shape != want:
+        name = type(other).__name__
+        raise InvalidParams(f"{name} has (b, n, d) = {shape}, the point set {want}")
+    return other
 
 
 @dataclass(frozen=True)
@@ -184,17 +210,19 @@ def theta(
     The two routes share nothing but y.
     dual_sum:        sum over the nonzero dual set of prod_i chi_hat(t_i),
                      the coefficient vectors chi_hat_[0,y_i)(t), t < b^n,
-                     gathered at `dual.array`, one transform per coordinate.
+                     gathered at `dual.array`, one O(b^n) digit-by-digit
+                     analysis per coordinate.
     definition_sum:  mean over the net of the truncated indicator, read per
                      coordinate as the cell average of chi_[0,y_i) at each
                      point's numerator, minus the volume.
+    g and dual must have the point set's (b, n, d).
     """
     b, n = p.b, p.n
     y = [_unit_interval(v) for v in y]
     if len(y) != p.d:
         raise InvalidParams(f"y has {len(y)} coordinates, the point set {p.d}")
-    if dual is None:
-        dual = dual_set(g)
+    _same_shape(p, g)
+    dual = _same_shape(p, dual_set(g) if dual is None else dual)
 
     terms = np.ones(len(dual), dtype=complex)
     prod = np.ones(p.size)
@@ -222,12 +250,14 @@ def residual_check(
 
     Samples y from the b^(n+1) grid; R = D - Theta with D the exact
     `disc_eval` and Theta the dual sum, and the two Theta routes compared
-    per sample.
+    per sample.  g must have the point set's (b, n, d).
     """
     b, n = p.b, p.n
+    if sample_count < 1:
+        raise InvalidParams(f"need sample_count >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     grid = b ** (n + 1)
-    dual = dual_set(g)
+    dual = dual_set(_same_shape(p, g))
     max_resid = 0.0
     max_gap = 0.0
     ys = rng.integers(0, grid, size=(sample_count, p.d))

@@ -18,9 +18,10 @@ box point by point.  Single Haar
 coefficients of D_P come point by point from the closed forms that
 criterion 3 checks against the piecewise integrals; truncated Walsh sums
 point by point from Fine-Price coefficients, or on the whole b^n grid by
-the synthesis transform; group transforms from the dense character table;
-code weights word by word; Chen-Skriganov codewords from the Taylor
-expansion of (beta + h)^k.
+the synthesis transform; interval coefficient vectors by the analysis
+transform of the exact cell weights; group transforms from the dense
+character table; code weights word by word; Chen-Skriganov codewords from
+the Taylor expansion of (beta + h)^k.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -540,6 +542,22 @@ def truncated_indicator_1d(y, n: int, x, b: int) -> complex:
     return sum(
         fine_price_coeff(t, y, b) * walsh_eval_1d(t, x, b) for t in range(b**n)
     )
+
+
+def interval_coeff_oracle(y, b: int, n: int) -> np.ndarray:
+    """chi_hat_[0,y)(t) for all t < b^n: the radix-b analysis transform of the
+    exact cell weights of chi_[0,y) on the b^n grid, O(n b^(n+1))."""
+    scaled = Fraction(y) * b**n
+    g = math.floor(scaled)
+    weights = np.zeros(b**n, dtype=complex)
+    weights[:g] = 1.0
+    if g < b**n and scaled - g:
+        weights[g] = float(scaled - g)
+    weights /= float(b) ** n
+    # axis nu <-> grid digit x_(nu+1), paired with tau_nu; after the transform
+    # flatten with tau_0 least significant
+    a = _digit_dft(weights.reshape((b,) * n), b, -1)
+    return np.transpose(a, axes=tuple(range(n - 1, -1, -1))).reshape(-1)
 
 
 def walsh_synthesis(coeffs, b: int, n: int) -> np.ndarray:

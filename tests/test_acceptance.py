@@ -119,7 +119,7 @@ def test_criterion_4_fine_price_vs_oracle():
         n = 3
         ys = [Fraction(int(v), b**4) for v in rng.integers(0, b**4, 50)]
         for y in ys:
-            # independent route: analysis transform of exact cell weights
+            # independent route: digit-by-digit analysis of the cell sums
             vec = interval_coeff_vector(y, b, n)
             for t in range(b**n):
                 worst = max(worst, abs(fine_price_coeff(t, y, b) - complex(vec[t])))

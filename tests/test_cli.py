@@ -390,7 +390,7 @@ def test_walsh_check(capsys):
     assert run(["walsh-check"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
-    # the transform route lands within 5e-16 of fine_price_coeff; a
+    # the analysis route lands within 5e-16 of fine_price_coeff; a
     # sequential sum of walsh_eval_1d values over the b^-5 grid was 2.8e-15
     # off at seed 0 and 1.4e-15 at seed 3
     assert obj["fine_price_max_err"] < 5e-16
@@ -399,7 +399,7 @@ def test_walsh_check(capsys):
 
 
 def test_grid_coeff_matches_fraction_reference():
-    # walsh-check's reference for fine_price_coeff is the transform route
+    # walsh-check's reference for fine_price_coeff is the analysis route
     # interval_coeff_vector(y, b, 4), exact for t < b^4 and y on the b^-4 grid
     rng = np.random.default_rng(17)
     for b in (2, 3, 5):

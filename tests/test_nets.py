@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -213,6 +214,25 @@ def test_dual_set_size():
     g = hammersley_matrices(2)
     # stacked transpose map F_b^(dn) -> F_b^n is onto, kernel size b^(dn-n)
     assert len(dual_set(g)) == 2 ** (2 * 2 - 2) - 1
+
+
+def test_dual_set_elements_are_the_sorted_solutions():
+    # every nonzero t in [0, b^n)^d with sum_i C_i^T tbar_i = 0 mod b, tested
+    # one tuple at a time from its LSB-first digits, in sorted tuple order
+    rng = np.random.default_rng(41)
+    for b, n in [(2, 3), (3, 2), (11, 1)]:
+        for d in (1, 2, 3):
+            g = GeneratingMatrices(b, n, d, rng.integers(0, b, size=(d, n, n)))
+            solutions = []
+            for t in itertools.product(range(b**n), repeat=d):
+                digits = [[ti // b**k % b for k in range(n)] for ti in t]
+                image = sum(g.mats[i].T @ np.array(digits[i]) for i in range(d))
+                if any(t) and not (image % b).any():
+                    solutions.append(t)
+            dual = dual_set(g)
+            assert dual.elements == tuple(sorted(solutions))
+            assert dual.array.dtype == np.int64 and dual.array.shape == (len(solutions), d)
+            assert dual.array.tolist() == [list(t) for t in dual.elements]
 
 
 def test_matrices_json_roundtrip():

@@ -236,8 +236,8 @@ def test_audit_small_level_constant_ranges_over_existing_boxes(p, cap):
         assert rep.const_small_levels < 1
 
 
-def test_part_iv_draws_boxes_beyond_int64():
-    # b^j_i >= 2^63 from j_i = 9 on: m is drawn digit by digit in Python ints
+def test_audit_passes_where_b_to_the_level_exceeds_int64():
+    # b^j_i >= 2^63 from j_i = 9 on: the audit up to cap 10 runs past int64
     p = PointSet(131, 2, 1, np.arange(131**2)[:, None])
     assert coeff_bound_audit(p, cap=10).passed
 

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     dense_group_transform,
+    interval_coeff_oracle,
     truncated_indicator_1d,
     v_set_counts_oracle,
     walsh_synthesis,
@@ -110,7 +111,7 @@ def test_y_outside_the_unit_interval_is_rejected():
 
 
 def test_fine_price_vs_transform_route():
-    # the analysis transform of exact cell weights is an independent route
+    # the digit-by-digit analysis of the cell sums is an independent route
     rng = np.random.default_rng(3)
     for b in (2, 3):
         n = 3
@@ -173,18 +174,86 @@ def test_theta_two_routes_agree():
 
 
 def test_theta_transforms_once_per_coordinate(monkeypatch):
-    # the definition route reads cell averages: a reintroduced synthesis
-    # transform would add d calls
-    calls = []
-    kernel = walsh._digit_dft
-    monkeypatch.setattr(walsh, "_digit_dft", lambda *a: calls.append(a) or kernel(*a))
+    # one digit-by-digit analysis per coordinate and no radix-b transform:
+    # a reintroduced analysis or synthesis transform would call _digit_dft
+    transforms, vectors = [], []
+    kernel, vector = walsh._digit_dft, walsh.interval_coeff_vector
+    monkeypatch.setattr(walsh, "_digit_dft", lambda *a: transforms.append(a) or kernel(*a))
+    monkeypatch.setattr(
+        walsh, "interval_coeff_vector", lambda *a: vectors.append(a) or vector(*a)
+    )
     rng = np.random.default_rng(6)
     for g in (hammersley_g(3), GeneratingMatrices(2, 3, 3, rng.integers(0, 2, (3, 3, 3)))):
         p = generate_points(g)
-        calls.clear()
+        transforms.clear()
+        vectors.clear()
         res = theta(p, g, [Fraction(3, 8)] * g.d)
-        assert len(calls) == g.d
+        assert (len(transforms), len(vectors)) == (0, g.d)
         assert res.gap < 1e-12
+
+
+def test_theta_rejects_another_nets_matrices_or_dual_set():
+    # a dual set of n = 2 indexes the n = 3 coefficient vectors below b^2
+    # only, and both routes once read 0 at y = (1/2, 1/2): a wrong pass
+    g = hammersley_g(3)
+    p = generate_points(g)
+    y = [Fraction(1, 2)] * 2
+    d3 = GeneratingMatrices(2, 3, 3, np.zeros((3, 3, 3)))
+    for wrong in (hammersley_g(2), hammersley_g(3, b=3), d3):
+        with pytest.raises(InvalidParams, match="point set"):
+            theta(p, wrong, y)
+        with pytest.raises(InvalidParams, match="point set"):
+            theta(p, g, y, dual=dual_set(wrong))
+        with pytest.raises(InvalidParams, match="point set"):
+            residual_check(p, wrong, sample_count=5)
+    assert theta(p, g, y, dual=dual_set(g)).gap < 1e-12
+
+
+def test_residual_check_needs_a_sample():
+    # sample_count = 0 once reported residual 0 and gap 0, a perfect check
+    g = hammersley_g(3)
+    p = generate_points(g)
+    for count in (0, -1):
+        with pytest.raises(InvalidParams, match="sample_count"):
+            residual_check(p, g, sample_count=count)
+    assert residual_check(p, g, sample_count=1).samples == 1
+
+
+def interval_test_points(b, n, rng):
+    """y = 0 and 1, two points of the b^-n grid (theta = 0), three of the
+    b^-(n+1) grid and two off every b-adic grid."""
+    ys = [Fraction(0), Fraction(1)]
+    ys += [Fraction(int(k), b**n) for k in rng.integers(0, b**n, 2)]
+    ys += [Fraction(int(k), b ** (n + 1)) for k in rng.integers(0, b ** (n + 1), 3)]
+    ys.append(Fraction(1, 3) if b != 3 else Fraction(2, 5))
+    return ys + [Fraction(1, 7) if b != 7 else Fraction(3, 10)]
+
+
+def test_interval_coeff_vector_matches_the_transform_oracle():
+    rng = np.random.default_rng(30)
+    for b in (2, 3, 5, 7, 11):
+        for n in range(6):
+            if b**n > 2 * 10**5:
+                continue
+            for y in interval_test_points(b, n, rng):
+                vec = interval_coeff_vector(y, b, n)
+                assert vec.shape == (b**n,) and vec.dtype == complex
+                assert np.abs(vec - interval_coeff_oracle(y, b, n)).max() < 2e-15, (b, n, y)
+    assert interval_coeff_vector(Fraction(2, 7), 5, 0).tolist() == [2 / 7]
+    assert interval_coeff_vector(Fraction(1), 5, 0).tolist() == [1]
+
+
+def test_interval_coeff_vector_matches_fine_price_on_the_paper_grid():
+    # (b, n) = (11, 4) is the CS-11 net's grid; fine_price_coeff costs about
+    # 50 us per t, so a seeded sample stands in for all 14641
+    b, n = 11, 4
+    rng = np.random.default_rng(31)
+    ys = [Fraction(0), Fraction(3, b**2), 1 - Fraction(1, b**5)]
+    ys += [Fraction(int(k), b**5) for k in rng.integers(0, b**5, 3)]
+    for y in ys:
+        vec = interval_coeff_vector(y, b, n)
+        for t in [0, b**n - 1, *rng.integers(1, b**n - 1, 150)]:
+            assert abs(vec[t] - fine_price_coeff(int(t), y, b)) < 5e-16, (y, t)
 
 
 def test_theta_closed_form_route_agrees():
