@@ -22,6 +22,7 @@ from .haar import BesovParams, haar_norms
 from .nets import (
     GeneratingMatrices,
     PointSet,
+    _dual_frequencies,
     char_sum,
     generate_points,
     is_net,
@@ -125,11 +126,10 @@ def cmd_verify(args) -> int:
         report["dual_kappa_min"] = rep.kappa_min
         report["dual_delta_min"] = rep.delta_min
         report["dual_ok"] = rep.passed
-        # the dual set from the dual words just enumerated (digit nu of t_i is
-        # entry i n + nu): its four least nonzero t and (1, 0, ..., 0) are tried
-        t = dual.words().reshape(-1, p.d, p.n) @ (p.b ** np.arange(p.n))
-        t = t[t.any(axis=1)]
-        samples = list(t[np.lexsort(t.T[::-1])[:4]]) + [np.eye(p.d, dtype=t.dtype)[0]]
+        # the dual set from the dual words just enumerated: its four least
+        # nonzero t and (1, 0, ..., 0) are tried
+        t = _dual_frequencies(dual.words(), p.b, p.n, p.d)
+        samples = list(t[:4]) + [np.eye(p.d, dtype=t.dtype)[0]]
         report["char_sum_ok"] = all(
             char_sum(p, s) == (p.size if (t == s).all(axis=1).any() else 0) for s in samples
         )

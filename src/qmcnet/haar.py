@@ -16,15 +16,15 @@ runs of that order and builds its last coordinate's part (`level_aggregate`).
 Each point's sub-cell vector in one coordinate is read through one form, its
 Helmert coordinates (`Offsets.helmert`).  A level's p = 2 mass
 sum_(m,l) |mu_jml|^2 comes from them by Plancherel on Z_b^s without forming mu
-(`LevelAggregate.mass`): an O(s b) form for a single-point box, its head
-factors taken from the prefix, one `np.add.reduceat` for the others.  The
-coefficients mu, the DFTs of the boxes' sub-cell tensors, are streamed in
-blocks of whole boxes for the audit and Besov at p != 2, which reduce them
-block by block (`LevelAggregate.mu_blocks`): one outer product of the rows'
-DFT factors and one `np.add.reduceat` per block, so no level's mu array is
-ever whole.  One reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus
-that exact tail: its q-th root is the Besov quasi-norm, and at
-(p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
+(`LevelAggregate.mass`), with one form per level: an O(s b) form per row when
+every occupied box holds one point, else one `np.add.reduceat` of the rows'
+Helmert tensors.  The coefficients mu, the DFTs of the boxes' sub-cell
+tensors, are streamed in blocks of whole boxes for the audit and Besov at
+p != 2, which reduce them block by block (`LevelAggregate.mu_blocks`): one
+outer product of the rows' DFT factors and one `np.add.reduceat` per block,
+so no level's mu array is ever whole.  One reduction (`_qsum`) turns the
+sweep into sum_j Xi_j^q plus that exact tail: its q-th root is the Besov
+quasi-norm, and at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
 """
 from __future__ import annotations
 
@@ -153,9 +153,10 @@ def _helmert_dft(b: int) -> np.ndarray:
 def _single_forms(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(||P c||^2, <c, v>) per row of Helmert coordinates H: P c =
     sum_h H_h e_h / (h (h + 1)), so ||P c||^2 = sum_h H_h^2 / (h (h + 1)), and
-    <c, v> = -sum_h H_h for v[r] = 2r - (b-1)."""
+    <c, v> = -sum_h H_h for v[r] = 2r - (b-1).  `einsum`, unlike `@`, sums a
+    row in the same order in any batch, so a row's forms are its own."""
     h = np.arange(1, H.shape[1] + 1, dtype=float)
-    return (H * H) @ (1.0 / (h * (h + 1))), -H.sum(1)
+    return np.einsum("rh,rh,h->r", H, H, 1.0 / (h * (h + 1))), -H.sum(1)
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,6 @@ class LevelPrefix:
     run: np.ndarray  # the number of the row's run of equal head boxes
     k_d: np.ndarray  # numerator of the last coordinate
     helmert: list[np.ndarray]  # per active head coordinate: `Offsets.helmert`
-    norm: np.ndarray  # prod over the head of ||P c_i||^2 (`_single_forms`)
-    dot: np.ndarray  # prod over the head of <c_i, v>
 
     @functools.cached_property
     def dft(self) -> list[np.ndarray]:
@@ -254,10 +253,7 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
         m = m[idx]
         new_run[1:] |= m[1:] != m[:-1]
     helmert = [off.helmert(idx) for off in offsets]
-    norm = dot = np.ones(idx.size)
-    for H_norm, H_dot in map(_single_forms, helmert):
-        norm, dot = norm * H_norm, dot * H_dot
-    return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert, norm, dot)
+    return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert)
 
 
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
@@ -273,11 +269,12 @@ class LevelAggregate:
     `starts[i]`.  Row h is entry sel[h] of the prefix order and adds base[h]
     times the product of its sub-cell DFTs (H @ T, one per active coordinate)
     to mu_jml of its box, and every box subtracts the volume coefficient.
-    The head coordinates' H and single-point forms are the prefix's, read at
-    sel; the last coordinate's H (`last`) is built once per level.
-    `mu_blocks` yields the coefficients of the occupied boxes at every
-    l-combination, a few boxes at a time and never the whole level; the empty
-    boxes all carry mu = -volume.  `mass(2)` reads the same coordinates.
+    The head coordinates' H are the prefix's, read at sel; the last
+    coordinate's H (`last`) is built once per level.  `mu_blocks` yields the
+    coefficients of the occupied boxes at every l-combination, a few boxes at
+    a time and never the whole level; the empty boxes all carry mu = -volume.
+    `mass(2)` reads the same H with one form for the whole level, chosen from
+    `counts` alone.
     """
 
     j: tuple[int, ...]
@@ -308,11 +305,6 @@ class LevelAggregate:
     def s(self) -> int:
         """The number of active coordinates, j_i >= 0."""
         return sum(1 for v in self.j if v >= 0)
-
-    def _helmert(self, rows) -> list[np.ndarray]:
-        """H of each active coordinate at `rows`, in coordinate order."""
-        entries = self.sel[rows]
-        return [H[entries] for H in self.prefix.helmert] + [H[rows] for H in self.last]
 
     def mu_blocks(self) -> Iterator[np.ndarray]:
         """mu of the occupied boxes in box order, (boxes, n_lcombos) complex
@@ -378,14 +370,14 @@ class LevelAggregate:
         X = sum_h base_h (x)_i c_(h,i) - gamma (x)_i v is the box's real
         sub-cell tensor: gamma prod_i DFT(v)(l_i) is the volume coefficient,
         so mu_jml = DFT(X)(l), and P removes the mean along every axis.  Every
-        row is read in the Helmert basis.  A single-point box takes the
-        O(s b) form base^2 prod ||P c_i||^2 - 2 base gamma prod <c_i, v> +
-        gamma^2 prod ||v||^2, the head's products read from the prefix.  For
-        the others one `np.add.reduceat` sums the rows' outer products per
-        box, and each squared coordinate is weighted by prod_i 1 / (h_i
-        (h_i + 1)): at b = 2 that is 1/2, so dyadic values stay exact.  When
-        every box is single-point, or every one multi-point, the rows are
-        sliced, not gathered.
+        row is read in the Helmert basis, and one form serves the whole
+        level.  When every box holds one point, each row takes the O(s b)
+        form base^2 prod ||P c_i||^2 - 2 base gamma prod <c_i, v> +
+        gamma^2 prod ||v||^2, each coordinate's factors built from its H at
+        the level's rows.  Otherwise one `np.add.reduceat` sums the rows'
+        outer products per box, and each squared coordinate is weighted by
+        prod_i 1 / (h_i (h_i + 1)): at b = 2 that is 1/2, so dyadic values
+        stay exact.
         """
         b, s = self.b, self.s
         gamma = float(b) ** (-2 * self.total_level - 2 * s) / 2.0 ** len(self.j)
@@ -394,29 +386,22 @@ class LevelAggregate:
         if s == 0:  # one box of every point in the set's own order: the volume
             # comes off point by point, so no partial sum nears gamma = 2^-d
             return float(np.sum(self.base - gamma / self.base.size)) ** 2
-        single = self.counts == 1
-        rows = slice(None) if single.all() else self.starts[single]
-        w, entries = self.base[rows], self.sel[rows]
-        norm, dot = self.prefix.norm[entries], self.prefix.dot[entries]
-        for H in self.last:
-            H_norm, H_dot = _single_forms(H[rows])
-            norm, dot = norm * H_norm, dot * H_dot
-        v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s  # ||v||^2 = (b-1) b (b+1) / 3
-        total = float(np.sum(w * (w * norm - 2.0 * gamma * dot)))
-        total += w.size * gamma**2 * v_norm
-        if not single.all():
-            counts = self.counts[~single]
-            first = np.cumsum(counts) - counts
-            rows = np.repeat(self.starts[~single] - first, counts) + np.arange(counts.sum())
-            rows = rows if single.any() else slice(None)
-            terms = self.base[rows, None]
-            for H in self._helmert(rows):  # row-wise outer products, first factor slowest
-                terms = (terms[:, :, None] * H[:, None, :]).reshape(len(terms), -1)
-            sums = np.add.reduceat(terms, first, axis=0)
-            h = np.arange(1, b, dtype=float)
-            sums -= gamma * _tensor(-h * (h + 1), s)
-            total += float(np.sum(sums * sums * _tensor(1.0 / (h * (h + 1)), s)))
-        return float(b) ** s * total
+        # each coordinate's H at the level's rows, gathered one at a time
+        H = itertools.chain((Hp[self.sel] for Hp in self.prefix.helmert), self.last)
+        if self.counts.max() == 1:
+            norm = dot = 1.0
+            for H_norm, H_dot in map(_single_forms, H):
+                norm, dot = norm * H_norm, dot * H_dot
+            v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s  # ||v||^2 = (b-1) b (b+1) / 3
+            total = float(np.sum(self.base * (self.base * norm - 2.0 * gamma * dot)))
+            return float(b) ** s * (total + self.occupied * gamma**2 * v_norm)
+        terms = self.base[:, None]
+        for Hi in H:  # row-wise outer products, first factor slowest
+            terms = (terms[:, :, None] * Hi[:, None, :]).reshape(len(terms), -1)
+        sums = np.add.reduceat(terms, self.starts, axis=0)
+        h = np.arange(1, b, dtype=float)
+        sums -= gamma * _tensor(-h * (h + 1), s)
+        return float(b) ** s * float(np.sum(sums * sums * _tensor(1.0 / (h * (h + 1)), s)))
 
 
 def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> LevelAggregate:

@@ -240,10 +240,15 @@ def dual_set(g: GeneratingMatrices) -> DualSet:
     b, n, d = g.b, g.n, g.d
     stacked = np.concatenate([g.mats[i].T for i in range(d)], axis=1)  # (n, d*n)
     words = enumerate_span(gf_nullspace(stacked, b), b)
-    powers = np.array([b**k for k in range(n)], dtype=np.int64)
-    t = words.reshape(len(words), d, n) @ powers
+    return DualSet(b, n, d, _dual_frequencies(words, b, n, d))
+
+
+def _dual_frequencies(words: np.ndarray, b: int, n: int, d: int) -> np.ndarray:
+    """The nonzero dual words as (M, d) int64 frequencies in lexicographic
+    order: entry i n + nu of a word is digit nu of t_i."""
+    t = words.reshape(len(words), d, n) @ (b ** np.arange(n, dtype=np.int64))
     t = t[t.any(axis=1)]
-    return DualSet(b, n, d, t[np.lexsort(t.T[::-1])])
+    return t[np.lexsort(t.T[::-1])]
 
 
 def char_sum(p: PointSet, t: Sequence[int]) -> complex:

@@ -98,9 +98,8 @@ def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
     a_max = max(big_m - rho, 0)
     series = 0.0j
     for a in range(1, a_max + 1):
-        y_digit = digits[rho + a - 1] if rho + a - 1 < big_m else 0
         for z in range(1, b):
-            term = _root(b, -(z * y_digit)) * wal_t.conjugate()
+            term = _root(b, -(z * digits[rho + a - 1])) * wal_t.conjugate()
             series += term / (b**a * (_root(b, z) - 1.0))
     series += -wal_t.conjugate() * float(b) ** (-a_max) / 2.0
     total += series

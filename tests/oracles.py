@@ -256,11 +256,12 @@ def plancherel_mass_oracle(p, j) -> float:
 
     The points interior to their box in every active coordinate of the head
     are sorted by (head box indices, numerator of the last coordinate), and
-    the boxes are runs of that order.  A single-point box takes base^2 prod
-    ||P c_i||^2 - 2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2, each
-    coordinate's forms built from its own H; the other boxes sum the rows'
-    outer products of H, built again, with one `np.add.reduceat`.  The empty
-    boxes add the volume mass.  The arithmetic is that of the sweep, so
+    the boxes are runs of that order.  One form serves the whole level: when
+    every box holds one point, each row takes base^2 prod ||P c_i||^2 -
+    2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2, each coordinate's forms
+    built from its own H with `einsum`; otherwise every row's outer product
+    of H, built again, is summed per box with one `np.add.reduceat`.  The
+    empty boxes add the volume mass.  The arithmetic is that of the sweep, so
     `LevelAggregate.mass(2)` must agree bit for bit.
     """
     b, n, d, N = p.b, p.n, p.d, p.size
@@ -322,31 +323,27 @@ def plancherel_mass_oracle(p, j) -> float:
     counts = np.diff(starts, append=idx.size)
     h = np.arange(1, b, dtype=float)
     weight = 1.0 / (h * (h + 1))
-    single = counts == 1
-    rows = starts[single]
-    w, entries = base[rows], sel[rows]
-    norm, dot = 1.0, 1.0
-    for rem, sub in rems:
-        forms = _helmert_form(
-            b, rem, sub, entries, lambda H: np.stack([(H * H) @ weight, -H.sum(1)], 1)
-        )
-        norm, dot = norm * forms[:, 0], dot * forms[:, 1]
-    v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s
-    total = float(np.sum(w * (w * norm - 2.0 * gamma * dot)))
-    total += rows.size * gamma**2 * v_norm
-    if not single.all():
-        counts = counts[~single]
-        first = np.cumsum(counts) - counts
-        rows = np.repeat(starts[~single] - first, counts) + np.arange(counts.sum())
-        terms, entries = base[rows, None], sel[rows]
+    if counts.max() == 1:
+        norm, dot = 1.0, 1.0
         for rem, sub in rems:
-            hel = _helmert_form(b, rem, sub, entries, lambda H: H)
-            terms = (terms[:, :, None] * hel[:, None, :]).reshape(len(rows), -1)
-        sums = np.add.reduceat(terms, first, axis=0)
+            forms = _helmert_form(
+                b, rem, sub, sel,
+                lambda H: np.stack([np.einsum("rh,rh,h->r", H, H, weight), -H.sum(1)], 1),
+            )
+            norm, dot = norm * forms[:, 0], dot * forms[:, 1]
+        v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s
+        total = float(np.sum(base * (base * norm - 2.0 * gamma * dot)))
+        total += starts.size * gamma**2 * v_norm
+    else:
+        terms = base[:, None]
+        for rem, sub in rems:
+            hel = _helmert_form(b, rem, sub, sel, lambda H: H)
+            terms = (terms[:, :, None] * hel[:, None, :]).reshape(len(terms), -1)
+        sums = np.add.reduceat(terms, starts, axis=0)
         outer = functools.reduce(np.multiply.outer, [-h * (h + 1)] * s, np.ones(()))
         sums -= gamma * outer.ravel()
         weights = functools.reduce(np.multiply.outer, [weight] * s, np.ones(()))
-        total += float(np.sum(sums * sums * weights.ravel()))
+        total = float(np.sum(sums * sums * weights.ravel()))
     return float(b) ** s * total + (n_boxes - starts.size) * vol_mass
 
 

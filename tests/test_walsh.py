@@ -110,7 +110,7 @@ def test_y_outside_the_unit_interval_is_rejected():
     assert res.dual_sum == res.definition_sum == 0
 
 
-def test_fine_price_vs_transform_route():
+def test_fine_price_vs_digit_by_digit_route():
     # the digit-by-digit analysis of the cell sums is an independent route
     rng = np.random.default_rng(3)
     for b in (2, 3):
