@@ -20,11 +20,16 @@ sum_(m,l) |mu_jml|^2 comes from them by Plancherel on Z_b^s without forming mu
 every occupied box holds one point, else one `np.add.reduceat` of the rows'
 Helmert tensors.  The coefficients mu, the DFTs of the boxes' sub-cell
 tensors, are streamed in blocks of whole boxes for the audit and Besov at
-p != 2, which reduce them block by block (`LevelAggregate.mu_blocks`): one
-outer product of the rows' DFT factors and one `np.add.reduceat` per block,
-so no level's mu array is ever whole.  One reduction (`_qsum`) turns the
-sweep into sum_j Xi_j^q plus that exact tail: its q-th root is the Besov
-quasi-norm, and at (p, q, r) = (2, 2, 0) it is Parseval's ||D_P||_2^2.
+p != 2, which reduce them block by block (`LevelAggregate.mu_blocks`), so no
+level's mu array is ever whole.  The box tensors are real, so mu at b - l is
+the conjugate of mu at l: mu is computed at one l-combination of each pair,
+and at odd b the occupied boxes' sums count twice.  On a level with a
+multi-point box, mu comes from each box's real Helmert tensor, summed by one
+batched real matmul per block and contracted with the DFT by `np.einsum`;
+on a level of single-point boxes it is each row's product of DFT factors.
+One reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus that exact
+tail: its q-th root is the Besov quasi-norm, and at (p, q, r) = (2, 2, 0) it
+is Parseval's ||D_P||_2^2.
 """
 from __future__ import annotations
 
@@ -221,7 +226,8 @@ class LevelPrefix:
 
     @functools.cached_property
     def dft(self) -> list[np.ndarray]:
-        """The DFT factors H @ T of `helmert`, built when mu is first read."""
+        """The DFT factors H @ T of `helmert`, built when a level of
+        single-point boxes first reads mu."""
         return [H @ _helmert_dft(H.shape[1] + 1) for H in self.helmert]
 
 
@@ -256,6 +262,13 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert)
 
 
+def _scatter(rows: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """`rows` placed at entries `at` of a zero array of `size` rows."""
+    out = np.zeros((size, rows.shape[1]))
+    out[at] = rows
+    return out
+
+
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
     """The s-fold outer power of `vector`, flattened, first factor slowest."""
     return functools.reduce(np.multiply.outer, [vector] * s, np.ones(())).ravel()
@@ -267,14 +280,16 @@ class LevelAggregate:
 
     The occupied boxes are runs of rows: box i holds `counts[i]` rows from
     `starts[i]`.  Row h is entry sel[h] of the prefix order and adds base[h]
-    times the product of its sub-cell DFTs (H @ T, one per active coordinate)
-    to mu_jml of its box, and every box subtracts the volume coefficient.
+    times the outer product of its sub-cell vectors, read through their
+    Helmert coordinates H (one per active coordinate), to its box's real
+    tensor; mu_jml is the tensor's DFT at l minus the volume coefficient.
     The head coordinates' H are the prefix's, read at sel; the last
     coordinate's H (`last`) is built once per level.  `mu_blocks` yields the
-    coefficients of the occupied boxes at every l-combination, a few boxes at
-    a time and never the whole level; the empty boxes all carry mu = -volume.
-    `mass(2)` reads the same H with one form for the whole level, chosen from
-    `counts` alone.
+    coefficients of the occupied boxes at one l-combination of each
+    conjugate pair (`columns`), a few boxes at a time and never the whole
+    level; the empty boxes all carry mu = -volume.  `mass(2)` and
+    `mu_blocks` each read the same H with one form for the whole level,
+    chosen from `counts` alone.
     """
 
     j: tuple[int, ...]
@@ -306,53 +321,113 @@ class LevelAggregate:
         """The number of active coordinates, j_i >= 0."""
         return sum(1 for v in self.j if v >= 0)
 
+    @property
+    def columns(self) -> int:
+        """How many l-combinations `mu_blocks` yields: the leading ones of
+        `l_combos`.  At odd b these are the l_1 <= (b-1)/2, one of each
+        conjugate pair, since the box tensor is real and so mu_(j,m,b-l) =
+        conj mu_(j,m,l).  At b = 2 or s = 0 each l is its own partner."""
+        return len(self.l_combos) // (2 if self.s and self.b > 2 else 1)
+
     def mu_blocks(self) -> Iterator[np.ndarray]:
-        """mu of the occupied boxes in box order, (boxes, n_lcombos) complex
-        per block of whole boxes of about `_MU_ENTRIES` rows times
-        l-combinations: one `_terms` product and one `np.add.reduceat`, or the
-        rows as they are when every box is single-point.  A box bigger than a
-        block is summed over `step` lead l-combinations at a time, never
-        split across rows; and F = H @ T is built once per prefix or level,
-        as `@` rounds a row by its batch.  So mu has the same bits at any
-        block size.
+        """mu of the occupied boxes in box order at the leading `columns`
+        l-combinations, (boxes, columns) complex per block of whole boxes of
+        about `_MU_ENTRIES` rows times l-combinations.
+
+        When every box holds one point, a block is its rows' `_terms`
+        product of DFT factors H @ T, built once per prefix or level, never
+        per block, as `@` rounds a row by its batch.  Otherwise a box's mu is
+        the DFT of its real Helmert tensor (`_box_tensors`): as the DFT of c
+        is H @ T, the tensor is contracted with `_helmert_dft` along every
+        axis, by `np.einsum`, which, unlike `@`, sums an entry in the same
+        order in any batch.  So mu has the same bits at any block size.
         """
-        b, width = self.b, len(self.l_combos)
-        if self.s == 0:  # one box of every point, summed pairwise in the set's order
+        b, s, width = self.b, self.s, len(self.l_combos)
+        if s == 0:  # one box of every point, summed pairwise in the set's order
             yield np.array([[self.base.sum()]], dtype=complex) - self.volume
             return
-        F = [D[self.sel] for D in self.prefix.dft] + [H @ _helmert_dft(b) for H in self.last]
-        ends, lead, box = self.starts + self.counts, range(width // (b - 1)), 0
+        if not self.occupied:
+            return
+        T = _helmert_dft(b)
+        lead = self.columns // (b - 1) ** (s - 1)  # the l_1 computed
+        single = self.counts.max() == 1
+        if single:
+            last = [H @ T for H in self.last]
+        else:  # a matmul's rows: the mean box's, at most sqrt(rows), rounded up
+            rows = self.sel.size
+            chunk = min(-(-rows // self.occupied), math.isqrt(rows - 1) + 1)
+        ends, box = self.starts + self.counts, 0
         while box < self.occupied:
             first = self.starts[box]
             stop = max(box + 1, int(np.searchsorted(ends, first + _MU_ENTRIES // width, "right")))
-            rows, at = slice(first, ends[stop - 1]), self.starts[box:stop] - first
-            step = max(1, _MU_ENTRIES // ((rows.stop - first) * (b - 1)))
-            parts = [
-                terms if terms.shape[0] == at.size else np.add.reduceat(terms, at)
-                for terms in (self._terms(F, rows, lead[c : c + step]) for c in lead[::step])
-            ]
-            block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            block -= self.volume
+            if single:
+                block = self._terms(last, slice(first, ends[stop - 1]), lead)
+            else:
+                block = self._box_tensors(box, stop, chunk)
+                for i in range(s):  # first axis slowest; l_1 restricted to `lead`
+                    block = block.reshape(-1, b - 1, (b - 1) ** (s - 1 - i))
+                    block = np.einsum("ahc,hl->alc", block, T[:, :lead] if i == 0 else T)
+                block = block.reshape(stop - box, -1)
+            block -= self.volume[: self.columns]
             yield block
             box = stop
 
-    def _terms(self, F: list[np.ndarray], rows: slice, lead: range) -> np.ndarray:
-        """base times prod_i F_i at `rows`, multiplied in coordinate order:
-        (rows, len(lead) (b-1)), the l-combinations `lead` of the first s - 1
-        active coordinates (first slowest) by every l of the last."""
-        b, s, combos = self.b, self.s, np.asarray(lead)
+    def _terms(self, last: list[np.ndarray], rows: slice, lead: int) -> np.ndarray:
+        """base times the outer product of the DFT factors H @ T at `rows`,
+        multiplied in coordinate order, first factor slowest and at its
+        leading `lead` l: (rows, columns).  The head coordinates' factors
+        are the prefix's (`LevelPrefix.dft`), `last` the last coordinate's
+        over the level's rows.  On a level of single-point boxes, the rank-1
+        mu of each box before the volume comes off."""
+        F = [D[self.sel[rows]] for D in self.prefix.dft] + [L[rows] for L in last]
+        F[0] = F[0][:, :lead]
         terms = self.base[rows, None]
-        for i, Fi in enumerate(F[:-1]):
-            terms = terms * Fi[rows][:, combos // (b - 1) ** (s - 2 - i) % (b - 1)]
-        out = np.empty((len(terms), len(lead), b - 1), dtype=complex)  # C order: no copy
-        return np.multiply(terms[:, :, None], F[-1][rows, None, :], out=out).reshape(len(terms), -1)
+        for Fi in F:
+            out = np.empty((len(terms), terms.shape[1], Fi.shape[1]), dtype=complex)  # C order
+            terms = np.multiply(terms[:, :, None], Fi[:, None, :], out=out)
+            terms = terms.reshape(len(out), -1)
+        return terms
+
+    def _box_tensors(self, box: int, stop: int, chunk: int) -> np.ndarray:
+        """The real Helmert tensors S = sum_rows base (x)_i H_i of the boxes
+        box..stop-1: (boxes, (b-1)^s), first factor slowest.
+
+        Each row's head tensor base (x)_(i<s) H_i meets the last active
+        coordinate's H in one batched matmul over chunks of `chunk` rows.
+        A box's rows fill whole chunks, zero-padded, so no chunk spans two
+        boxes and every matmul of the level has one shape; one real
+        `np.add.reduceat` adds each box's chunk sums.  `chunk` is at most
+        sqrt(rows), so a box of most points is summed in blocks: one BLAS
+        sum over the 14640 rows of a CS-11 one-box level left its mu 2.5e-11
+        off, against 5e-12 in blocks.
+        """
+        starts, counts = self.starts[box:stop], self.counts[box:stop]
+        rows = slice(starts[0], starts[-1] + counts[-1])
+        *H, last = [Hp[self.sel[rows]] for Hp in self.prefix.helmert] + [L[rows] for L in self.last]
+        head = self.base[rows, None]
+        for Hi in H:
+            head = (head[:, :, None] * Hi[:, None, :]).reshape(len(head), -1)
+        per_box = -(-counts // chunk)
+        first_chunk = np.cumsum(per_box) - per_box
+        n = int(per_box.sum())
+        if n * chunk != len(head):  # some box is not whole chunks: pad it
+            shift = first_chunk * chunk - (starts - rows.start)
+            at = np.arange(len(head)) + np.repeat(shift, counts)
+            head = _scatter(head, at, n * chunk)
+            last = _scatter(last, at, n * chunk)
+        sums = head.reshape(n, chunk, -1).transpose(0, 2, 1) @ last.reshape(n, chunk, -1)
+        if n > len(counts):
+            sums = np.add.reduceat(sums, first_chunk, axis=0)
+        return sums.reshape(len(counts), -1)
 
     def mass(self, p: float) -> float:
         """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf.
 
         At p = 2 it never forms mu: Plancherel on Z_b^s gives each occupied
         box's mass as b^s ||P X||^2 (`_plancherel`), and the empty boxes add
-        their volume mass.
+        their volume mass.  Otherwise it reduces `mu_blocks`, one
+        l-combination of each conjugate pair: at odd b the occupied boxes'
+        sums count twice, and the empty boxes add the full-width volume sum.
         """
         if p == 2:
             vol = float(np.sum(self.volume.real**2 + self.volume.imag**2))
@@ -362,7 +437,8 @@ class LevelAggregate:
             empty_sup = float(vol.max()) if self.empty_count > 0 else 0.0
             return max([float(np.abs(mu).max()) for mu in self.mu_blocks()] + [empty_sup])
         occ = sum(float(np.sum(np.abs(mu) ** p)) for mu in self.mu_blocks())
-        return occ + self.empty_count * float(np.sum(vol**p))
+        pairs = len(self.l_combos) // self.columns  # 2 at odd b, else 1
+        return pairs * occ + self.empty_count * float(np.sum(vol**p))
 
     def _plancherel(self) -> float:
         """sum over the occupied boxes of b^s ||P X||^2.

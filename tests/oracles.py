@@ -5,9 +5,10 @@ obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
-point with `np.unique` and `np.add.at`, in the points' own order, or by the
-all-boxes `np.add.reduceat` kernel that the sweep's mu, its blocks joined
-(`joined_mu_blocks`), must match bit for bit, and their squared mass is
+point with `np.unique` and `np.add.at`, in the points' own order, or box by
+box with the sweep's arithmetic (chunked real box tensors, an `einsum` DFT),
+which the sweep's mu, its blocks joined (`joined_mu_blocks`), must match
+bit for bit, and their squared mass is
 summed exactly on explicit sub-cell tensors in Fractions, or by Plancherel
 from Helmert coordinates rebuilt at every level, which the sweep's mass
 must match bit for bit; Walsh integrals are
@@ -153,16 +154,23 @@ def level_aggregate_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
     return box_ids, counting - vol
 
 
-def reduceat_mu_oracle(p, j) -> np.ndarray:
-    """mu of level j by the all-boxes `np.add.reduceat` kernel.
+def mirror_mu_oracle(p, j) -> np.ndarray:
+    """mu of level j at its representative l-combinations, box by box.
 
     The points interior to their box in every active coordinate are sorted
     by (box index of each active coordinate but the last, numerator of the
-    last coordinate); the boxes are the runs of that order, and each
-    l-combination of the first s - 1 active coordinates takes one reduceat
-    over every box start.  At s = 0 the one box sums pairwise in the set's
-    own order.  The arithmetic is that of the sweep, so mu must agree bit
-    for bit.
+    last coordinate), and the boxes are the runs of that order.  mu is
+    computed at the l-combinations with l_1 <= (b-1)/2 at odd b (all at
+    b = 2), one of each conjugate pair.  When every box holds one point, a
+    box's mu is its row's product of DFT factors in coordinate order.
+    Otherwise each box's real Helmert tensor is summed chunk by chunk: a
+    chunk is ceil(rows / boxes) of the box's rows, or ceil(sqrt(rows)) if
+    that is fewer, zero-padded, and takes one matmul of its head tensors by
+    the last coordinate's Helmert coordinates; one `np.add.reduceat` over
+    the box's own chunks adds them, and the tensors of all the boxes are
+    contracted with the DFT along each axis by `np.einsum`.  At s = 0 the
+    one box sums pairwise in the set's own order.  The arithmetic is that
+    of the sweep, so mu must agree bit for bit.
     """
     b, n, d, N = p.b, p.n, p.d, p.size
     active = [i for i, v in enumerate(j) if v >= 0]
@@ -178,11 +186,13 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
     denoms = [2.0 ** (d - s)]
     for _ in range(s):
         denoms = [x * r for x in denoms for r in roots]
-    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
+    lead = (b - 1) // 2 if s and b > 2 else b - 1  # the l_1 of one of each pair
+    columns = len(denoms) * lead // (b - 1)
+    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms[:columns]], dtype=complex)
     if any(j[i] >= n for i in active):
-        return np.zeros((0, len(denoms)), dtype=complex) - vol
+        return np.zeros((0, columns), dtype=complex) - vol
     keep = np.ones(N, dtype=bool)
-    boxes, brackets = [], []
+    boxes, hels = [], []
     for i in active:
         step = b ** (n - j[i])
         m, rem = np.divmod(p.numerators[:, i], step)
@@ -197,7 +207,7 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
             hel[:, hh - 1] = np.where(ksub < hh, -rem / sub, 0.0)
             at = ksub == hh
             hel[at, hh - 1] = ksub[at] * ((low[at] - sub) / sub)
-        brackets.append(hel @ dft)
+        hels.append(hel)
     idx = np.flatnonzero(keep)
     if s:
         head = boxes[:-1] if active[-1] == d - 1 else boxes
@@ -208,29 +218,54 @@ def reduceat_mu_oracle(p, j) -> np.ndarray:
             base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
     if s == 0:
         return np.array([[base.sum()]], dtype=complex) - vol
-    counting = np.empty((0, len(denoms)), dtype=complex)
-    if idx.size:
-        new_box = np.zeros(idx.size, dtype=bool)
-        new_box[0] = True
-        for m in boxes:
-            new_box[1:] |= m[idx][1:] != m[idx][:-1]
-        starts = np.flatnonzero(new_box)
-        counting = np.empty((starts.size, len(denoms)), dtype=complex)
-        *lead, last = [br[idx] for br in brackets]
-        for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
-            prod = base.astype(complex)
-            for br, l in zip(lead, combo):
-                prod = prod * br[:, l]
-            block = np.add.reduceat(prod[:, None] * last, starts, axis=0)
-            counting[:, c * (b - 1) : (c + 1) * (b - 1)] = block
-    return counting - vol
+    if not idx.size:
+        return np.zeros((0, columns), dtype=complex)
+    new_box = np.zeros(idx.size, dtype=bool)
+    new_box[0] = True
+    for m in boxes:
+        new_box[1:] |= m[idx][1:] != m[idx][:-1]
+    starts = np.flatnonzero(new_box)
+    ends = np.append(starts[1:], idx.size)
+    if np.all(ends - starts == 1):
+        factors = [hel @ dft for hel in hels]  # every row of the set at once
+        factors = [factors[0][idx, :lead]] + [f[idx] for f in factors[1:]]
+        mu = np.empty((idx.size, columns), dtype=complex)
+        widths = [range(f.shape[1]) for f in factors]
+        for c, combo in enumerate(itertools.product(*widths)):
+            prod = base
+            for f, l in zip(factors, combo):
+                prod = prod * f[:, l]
+            mu[:, c] = prod
+        return mu - vol
+    *lead_hel, last = [hel[idx] for hel in hels]
+    head = np.empty((idx.size, (b - 1) ** (s - 1)))
+    for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
+        prod = base
+        for hel, hh in zip(lead_hel, combo):
+            prod = prod * hel[:, hh]
+        head[:, c] = prod
+    chunk = min(-(-idx.size // starts.size), math.isqrt(idx.size - 1) + 1)
+    tensors = np.empty((starts.size, head.shape[1], b - 1))
+    for box, (lo, hi) in enumerate(zip(starts, ends)):
+        parts = []
+        for at in range(lo, hi, chunk):
+            rows = slice(at, min(at + chunk, hi))
+            A, B = np.zeros((chunk, head.shape[1])), np.zeros((chunk, b - 1))
+            A[: rows.stop - at], B[: rows.stop - at] = head[rows], last[rows]
+            parts.append(A.T @ B)
+        tensors[box] = np.add.reduceat(np.stack(parts), [0], axis=0)[0]
+    mu = tensors
+    for i in range(s):
+        mu = mu.reshape(-1, b - 1, (b - 1) ** (s - 1 - i))
+        mu = np.einsum("ahc,hl->alc", mu, dft[:, :lead] if i == 0 else dft)
+    return mu.reshape(starts.size, columns) - vol
 
 
 def joined_mu_blocks(agg) -> np.ndarray:
     """mu of every occupied box of the level `agg`, its
-    `LevelAggregate.mu_blocks` joined in order: (occupied, n_lcombos)."""
+    `LevelAggregate.mu_blocks` joined in order: (occupied, agg.columns)."""
     blocks = list(agg.mu_blocks())
-    return np.concatenate(blocks) if blocks else np.empty((0, len(agg.l_combos)), complex)
+    return np.concatenate(blocks) if blocks else np.empty((0, agg.columns), complex)
 
 
 def _helmert_form(b, rem, sub, rows, form) -> np.ndarray:

@@ -11,7 +11,7 @@ from oracles import (
     level_aggregate_oracle,
     level_mass_exact,
     plancherel_mass_oracle,
-    reduceat_mu_oracle,
+    mirror_mu_oracle,
     volume_coeff_oracle,
 )
 from qmcnet.cs import CSParams, cs_point_set
@@ -161,12 +161,13 @@ def _assert_matches_oracle(p, levels, oracle=level_aggregate_oracle):
         box_ids, mu = oracle(p, j)
         joined = joined_mu_blocks(agg)
         assert agg.occupied == box_ids.size
+        # the representative l-combinations, one of each conjugate pair
+        mu = mu[:, : agg.columns]
         assert joined.shape == mu.shape
         scale = max(np.abs(mu).max(initial=0.0), np.abs(agg.volume).max())
         assert np.abs(joined - mu).max(initial=0.0) <= 1e-12 * scale
-        # one reduceat per block of whole boxes, single-point blocks as they are,
-        # adds the same rows in the same order as one over every box start
-        assert np.array_equal(joined, reduceat_mu_oracle(p, j))
+        # blocks of whole boxes give the bits of the oracle's box-by-box sums
+        assert np.array_equal(joined, mirror_mu_oracle(p, j))
 
 
 def test_level_aggregate_matches_unique_add_at_oracle(cs11_oracle):
@@ -203,26 +204,27 @@ def test_level_aggregate_matches_oracle_on_repeated_and_grid_points(
 
 
 @pytest.fixture(scope="module")
-def reduceat_oracle(repeated_and_grid_oracle):
-    """`reduceat_mu_oracle` on every level with all j_i <= n of CS-11, the
+def mirror_oracle(repeated_and_grid_oracle):
+    """`mirror_mu_oracle` on every level with all j_i <= n of CS-11, the
     Hammersley sets n = 3..6, the repeated-and-grid sets, CS (3,1,2) and
     CS (2,1,3)."""
     sets = [cs_point_set(CSParams(b=11, d=2, w=1))]
     sets += [hammersley(n) for n in range(3, 7)] + [p for p, _ in repeated_and_grid_oracle]
     sets += [cs_point_set(CSParams(b=3, d=1, w=2)), cs_point_set(CSParams(b=2, d=1, w=3))]
-    return [(p, {j: reduceat_mu_oracle(p, j) for j in levels_up_to(p.n, p.d)}) for p in sets]
+    return [(p, {j: mirror_mu_oracle(p, j) for j in levels_up_to(p.n, p.d)}) for p in sets]
 
 
 @pytest.mark.parametrize("entries", [None, 500, 7])
-def test_mu_blocks_join_to_the_oracle_at_any_block_size(reduceat_oracle, entries, monkeypatch):
-    # the DFT factors are built once per prefix or level, never per block, and
-    # no box is split across rows: so a block constant below the largest box
-    # keeps every bit.  CS-11 at 7 entries (one box per block) is left out
-    # for time; 500 entries is 5 of its rows.
+def test_mu_blocks_join_to_the_oracle_at_any_block_size(mirror_oracle, entries, monkeypatch):
+    # the DFT factors are built once per prefix or level, never per block,
+    # every matmul of a level has one shape, and no box is split across
+    # blocks: so a block constant below the largest box keeps every bit.
+    # CS-11 at 7 entries (one box per block) is left out for time; 500
+    # entries is 5 of its rows.
     if entries is not None:
         monkeypatch.setattr("qmcnet.haar._MU_ENTRIES", entries)
     largest = 0
-    for p, refs in reduceat_oracle:
+    for p, refs in mirror_oracle:
         if entries == 7 and p.size > 1000:
             continue
         for j, ref in refs.items():
@@ -262,6 +264,81 @@ def test_plancherel_mass_on_every_cs11_level(cs11_oracle):
         ref = level_mass_exact(cs, j) if tl <= 1 else Fraction(_oracle_mass(agg, mu))
         scale = max(ref, l2_sq / cs.b**tl)
         assert abs(Fraction(agg.mass(2)) - ref) <= Fraction(1e-12) * scale, j
+
+
+@pytest.mark.parametrize("power", [1.0, 1.5, 3.0, math.inf])
+def test_mass_off_p2_matches_the_full_width(cs11_oracle, repeated_and_grid_oracle, power):
+    # mu_blocks yields one l-combination of each conjugate pair, so at odd b
+    # mass(p) must count the occupied boxes twice: here against every
+    # l-combination of `level_aggregate_oracle`, on every level with all
+    # j_i <= n.  Where one box holds most points, mu is a small difference
+    # of its summands and the oracle's own mu is off by up to 1e-10 of it
+    # (CS-11 levels (-1, 0), (0, -1), (0, 0)).  So the bound is 1e-12 of the
+    # mass, or what the 1e-12 * scale bound on each mu allows, whichever is
+    # larger: p * scale * sum |mu|^(p-1), and scale for a sup.
+    cs, refs = cs11_oracle
+    cs312 = cs_point_set(CSParams(b=3, d=1, w=2))
+    sets = [(cs, {j: refs.get(j) or level_aggregate_oracle(cs, j) for j in levels_up_to(cs.n, 2)})]
+    sets.append((cs312, {j: level_aggregate_oracle(cs312, j) for j in levels_up_to(cs312.n, 1)}))
+    for p, levels in sets + repeated_and_grid_oracle:
+        for j, (_, mu) in levels.items():
+            agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+            vol = np.abs(agg.volume)
+            scale = max(np.abs(mu).max(initial=0.0), vol.max())
+            if math.isinf(power):
+                ref = max(np.abs(mu).max(initial=0.0), vol.max() if agg.empty_count else 0.0)
+                allowed = scale
+            else:
+                ref = np.sum(np.abs(mu) ** power) + agg.empty_count * np.sum(vol**power)
+                allowed = power * scale * np.sum(np.abs(mu) ** (power - 1))
+            assert abs(agg.mass(power) - ref) <= 1e-12 * max(ref, allowed), (p.b, p.d, j)
+            if p.b > 2 and mu.size:  # l and b - l: columns c and last - c
+                assert np.abs(mu - np.conj(mu[:, ::-1])).max() <= 1e-12 * scale, (p.b, j)
+
+
+def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
+    # on CS-11 the audit forms the rank-1 `_terms` product only on the 6
+    # levels whose boxes hold one point each, never sums complex rows with
+    # `np.add.reduceat`, and reads one l-combination of each conjugate pair:
+    # (b-1)^s / 2 columns at b = 11, the one l-combination at b = 2
+    import qmcnet.haar as haar
+    from qmcnet.norms import coeff_bound_audit
+
+    class Add:
+        def reduceat(self, a, *args, **kwargs):
+            assert not np.iscomplexobj(a), "a complex np.add.reduceat"
+            return np.add.reduceat(a, *args, **kwargs)
+
+    class NumPy:  # numpy, but for np.add.reduceat
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    terms_levels, widths = [], {}
+    terms, mu_blocks = haar.LevelAggregate._terms, haar.LevelAggregate.mu_blocks
+
+    def counted_terms(self, *args):
+        terms_levels.append(self.j)
+        return terms(self, *args)
+
+    def counted_blocks(self):
+        for block in mu_blocks(self):
+            widths.setdefault((self.b, self.s), set()).add(block.shape[1])
+            yield block
+
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    single = {agg.j for agg in haar.haar_levels(cs) if agg.occupied and agg.counts.max() == 1}
+    assert len(single) == 6
+    monkeypatch.setattr(haar, "np", NumPy())
+    monkeypatch.setattr(haar.LevelAggregate, "_terms", counted_terms)
+    monkeypatch.setattr(haar.LevelAggregate, "mu_blocks", counted_blocks)
+    assert coeff_bound_audit(cs).passed
+    assert set(terms_levels) == single
+    assert widths == {(11, 0): {1}, (11, 1): {5}, (11, 2): {50}}
+    widths.clear()
+    assert coeff_bound_audit(hammersley(6)).passed
+    assert widths == {(2, 0): {1}, (2, 1): {1}, (2, 2): {1}}
 
 
 def test_haar_norms_reads_mu_only_off_p2(monkeypatch):
