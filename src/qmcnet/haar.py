@@ -30,6 +30,19 @@ on a level of single-point boxes it is each row's product of DFT factors.
 One reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus that exact
 tail: its q-th root is the Besov quasi-norm, and at (p, q, r) = (2, 2, 0) it
 is Parseval's ||D_P||_2^2.
+
+At p = 2 the norms need no level past a head's first single-point level.
+Finer boxes refine coarser ones and hold a subset of their interior points,
+so once every occupied box of level (head, j_d) holds at most one point, so
+does every deeper j_d of that head.  On such a level each row's Plancherel
+form is a product over coordinates, and the masses of all of them come from
+one contraction of per-point factors (`_single_point_masses`): per
+coordinate and level, ||P c||^2, <c, v> and the interior indicator, summed
+over the points of their products by `np.einsum` into one array per
+factor over the levels asked for, in blocks of about `_SUM_ENTRIES` points
+times coordinate levels.  So `haar_norms` at p = 2 sweeps each head
+only up to that level; the audit, Besov at p != 2 and `haar_levels` visit
+every level.
 """
 from __future__ import annotations
 
@@ -140,6 +153,11 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
 
 
 _MU_ENTRIES = 2**16  # rows times l-combinations per `LevelAggregate.mu_blocks` block
+_SUM_ENTRIES = 2**16  # points times coordinate levels per block of `_single_point_masses`
+# points per `np.einsum` of `_single_point_masses`.  einsum sums them in
+# sequence: over all 14641 CS-11 points a sum of products was 4e-14 off its
+# exact value, in runs of 256 points 4e-16
+_SUM_RUN = 2**8
 
 
 @functools.lru_cache(maxsize=None)
@@ -506,25 +524,26 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
         m, off = _offsets(prefix.k_d, b, n, j[-1])
         sel = np.flatnonzero(off.rem)
         boxes, last = boxes + [m], [off.helmert(sel)]
-    idx = prefix.idx[sel]
-    if s == 0:  # one box of every point, in the set's own order (on CS-11
-        idx = np.sort(idx)  # the pairwise sum then lands 7x nearer the exact value)
 
     # constant factors from level -1 coordinates: prod (1 - z_i)
-    base = np.full(idx.size, b ** float(-total_level - s)) / N
-    for i, ji in enumerate(j):
-        if ji == -1:
-            base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
+    base = np.full(sel.size, b ** float(-total_level - s) / max(N, 1))  # no rows at N = 0
+    if s < p.d:  # the points themselves are read only at level -1
+        idx = prefix.idx[sel]
+        if s == 0:  # one box of every point, in the set's own order (on CS-11
+            idx = np.sort(idx)  # the pairwise sum then lands 7x nearer the exact value)
+        for i, ji in enumerate(j):
+            if ji == -1:
+                base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
 
     # a box starts wherever the head run or the last box index changes; at
     # s = 0 every point is in the one box
-    new_box = np.zeros(idx.size, dtype=bool)
+    new_box = np.zeros(sel.size, dtype=bool)
     new_box[:1] = True
     for m in boxes:
         m = m[sel]
         new_box[1:] |= m[1:] != m[:-1]
     starts = np.flatnonzero(new_box)
-    counts = np.diff(starts, append=idx.size)
+    counts = np.diff(starts, append=sel.size)
     return LevelAggregate(
         j, b, l_combos, float(b) ** total_level, vol, base, sel, prefix, last, starts, counts
     )
@@ -564,6 +583,69 @@ def haar_levels(p: PointSet, cap: Optional[int] = None) -> Iterator[LevelAggrega
         prefix = level_prefix(p, head)
         for jd in range(-1, top + 1):
             yield level_aggregate(p, head + (jd,), prefix)
+
+
+def _point_factors(p: PointSet, i: int, nums: np.ndarray, levels: list[int]) -> np.ndarray:
+    """Coordinate i's factors of the single-point Plancherel form for the
+    points with numerators `nums`, (3, len(levels), rows): ||P c||^2 and
+    <c, v> (`_single_forms`) and the interior indicator at each of `levels`
+    >= 0; (1 - z)^2, 1 - z and 1 at level -1.  A point on a box's left edge
+    has H = 0, so both forms vanish there."""
+    b, n = p.b, p.n
+    rows = np.arange(len(nums))
+    A, B, interior = F = np.empty((3, len(levels), len(nums)))
+    for k, ji in enumerate(levels):
+        if ji == -1:
+            B[k] = 1.0 - nums[:, i] / float(p.denominator)
+            A[k] = B[k] * B[k]
+            interior[k] = 1.0
+        else:
+            off = _offsets(nums[:, i], b, n, ji)[1]
+            A[k], B[k] = _single_forms(off.helmert(rows))
+            interior[k] = off.rem != 0
+    return F
+
+
+def _single_point_masses(p: PointSet, levels: Sequence[tuple[int, ...]]) -> list[float]:
+    """`LevelAggregate.mass(2)` of each of `levels`, all with j_i <= n - 1,
+    where every occupied box holds at most one point, from one contraction.
+
+    There each box is one row, whose Plancherel form base^2 prod ||P c_i||^2
+    - 2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2 is a product over
+    coordinates: base = c prod (1 - z_i) over level -1, c = b^(-|j|-s) / N.
+    So the sums over the points of the products of `_point_factors`,
+    sum A, sum B and the occupied count occ, are arrays over the levels
+    each coordinate takes in `levels`, contracted by `np.einsum` in runs of
+    `_SUM_RUN` points; the factors are built for blocks of about
+    `_SUM_ENTRIES` points times coordinate levels.  Level j's mass is
+    b^s (c^2 sum A - 2 c gamma sum B + occ gamma^2 ||v||^(2s)) plus the
+    b^|j| - occ empty boxes' volume mass.
+    """
+    b, n, d = p.b, p.n, p.d
+    axes = [sorted({j[i] for j in levels}) for i in range(d)]  # coordinate i's levels
+    sums = np.zeros((3,) + tuple(len(a) for a in axes))  # sum A, sum B, occ
+    step = max(1, _SUM_ENTRIES // max(1, sum(len(a) for a in axes)))
+    for start in range(0, p.size, step):
+        nums = p.numerators[start : start + step]
+        factors = [_point_factors(p, i, nums, a) for i, a in enumerate(axes)]
+        for k, run in itertools.product(range(3), range(0, len(nums), _SUM_RUN)):
+            # axis i is coordinate i's level, d the points (contiguous)
+            operands = [(F[k, :, run : run + _SUM_RUN], [i, d]) for i, F in enumerate(factors)]
+            sums[k] += np.einsum(*itertools.chain(*operands), list(range(d)))
+        del factors, operands  # before the next block builds its own
+    masses = []
+    for j in levels:
+        s = sum(1 for v in j if v >= 0)
+        total_level = sum(v for v in j if v >= 0)
+        vol = _volume(b, d, s, total_level)[1]
+        c = b ** float(-total_level - s) / max(p.size, 1)  # all sums are 0 at N = 0
+        gamma = float(b) ** (-2 * total_level - 2 * s) / 2.0**d
+        v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s
+        A, B, occ = sums[(slice(None),) + tuple(a.index(v) for a, v in zip(axes, j))]
+        occupied = float(b) ** s * (c * (c * A - 2.0 * gamma * B) + occ * gamma**2 * v_norm)
+        empty = (float(b) ** total_level - occ) * float(np.sum(vol.real**2 + vol.imag**2))
+        masses.append(occupied + empty)
+    return masses
 
 
 # --- norm reports --------------------------------------------------------------
@@ -682,19 +764,34 @@ def _qsum(terms: list[float], params: BesovParams, b: int, d: int, cap: int) -> 
 def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport]:
     """Parseval's ||D_P||_2^2 and the Besov quasi-norm of D_P, one sweep.
 
-    Both reduce the same Haar levels (`haar_levels`) with `_qsum`: the
-    Parseval report is the q-sum at (p, q, r) = (2, 2, 0), the Besov report
-    the q-th root of the q-sum at `params` (a sup at q = inf).  The levels
-    beyond n - 1 are folded into the values exactly, so r >= 1 gives inf;
-    tail_bound is the roundoff allowance `ROUNDOFF_ALLOWANCE * value`.
+    Both reduce the same Haar levels, those of `haar_levels`, with `_qsum`:
+    the Parseval report is the q-sum at (p, q, r) = (2, 2, 0), the Besov
+    report the q-th root of the q-sum at `params` (a sup at q = inf).  At
+    params.p == 2 the sweep stops each head at its first level of
+    single-point boxes, and the deeper levels of the head, all single-point
+    too, take their mass from one contraction (`_single_point_masses`) after
+    the sweep.  The levels beyond n - 1 are folded into the values exactly,
+    so r >= 1 gives inf; tail_bound is the roundoff allowance
+    `ROUNDOFF_ALLOWANCE * value`.
     """
     b, d, cap = p.b, p.d, p.n - 1
-    levels = []
-    for agg in haar_levels(p):
-        mass2 = agg.mass(2.0)  # shared by both reports when params.p == 2
-        mass = mass2 if params.p == 2 else agg.mass(params.p)
-        levels.append((agg.total_level, mass2, mass))
-        del agg  # before the sweep builds the next level
+    levels, single = [], []
+    for head in levels_up_to(cap, d - 1):  # the sweep of `haar_levels`, cut short at p = 2
+        prefix = level_prefix(p, head)
+        for jd in range(-1, cap + 1):
+            agg = level_aggregate(p, head + (jd,), prefix)
+            mass2 = agg.mass(2.0)  # shared by both reports when params.p == 2
+            mass = mass2 if params.p == 2 else agg.mass(params.p)
+            levels.append((agg.total_level, mass2, mass))
+            one_point = agg.counts.max(initial=0) <= 1
+            del agg  # before the sweep builds the next level
+            if params.p == 2 and one_point:  # so is every deeper j_d of the head
+                single += [head + (v,) for v in range(jd + 1, cap + 1)]
+                break
+    del prefix
+    if single:
+        tls = [sum(v for v in j if v >= 0) for j in single]
+        levels += [(tl, m, m) for tl, m in zip(tls, _single_point_masses(p, single))]
     pv = _qsum([_xi_q(tl, m2, PARSEVAL, b) for tl, m2, _ in levels], PARSEVAL, b, d, cap)
     try:  # a float power of the level weights or the tail can overflow
         bs = _qsum([_xi_q(tl, m, params, b) for tl, _, m in levels], params, b, d, cap)

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParams, NetFileError, NotPowerCardinality, SizeOverflow
-from .field import enumerate_span, gf_nullspace, require_prime
+from .field import enum_limit, enumerate_span, gf_nullspace, require_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,20 +129,38 @@ class PointSet:
         return out
 
 
+_SPAN_WORDS = 2**14  # words of the low span in `generate_points`
+
+
 def generate_points(g: GeneratingMatrices) -> PointSet:
     """The digital method: point r has digit vectors C_i @ rbar, r = 0..b**n-1.
 
     rbar holds the base-b digits of r least significant first, so the digit
     vectors of point r are row r of the span whose basis row k is column k
-    of every C_i; digit nu of coordinate i multiplies b**-(nu+1).
+    of every C_i; digit nu of coordinate i multiplies b**-(nu+1).  The span
+    is never whole: with r = r_low + b^L r_high, b^L <= `_SPAN_WORDS`, row r
+    is the sum mod b of row r_low of the low rows' span and row r_high of
+    the high rows' span, so each high word gives one block of b^L points,
+    packed into its rows of the numerators by Horner.
     """
     b, n, d = g.b, g.n, g.d
-    words = enumerate_span(g.mats.transpose(2, 0, 1).reshape(n, d * n), b)
-    digits = words.reshape(len(words), d, n)
-    nums = np.zeros((len(words), d), dtype=np.int64)
-    for nu in range(n):  # Horner, most significant digit first
-        nums *= b
-        nums += digits[:, :, nu]
+    if b**n > enum_limit():
+        raise SizeOverflow(f"b**n = {b**n} exceeds enumeration limit {enum_limit()}")
+    basis = g.mats.transpose(2, 0, 1).reshape(n, d * n)
+    low = 0
+    while low < n and b ** (low + 1) <= _SPAN_WORDS:
+        low += 1
+    low_words = block = enumerate_span(basis[:low], b)
+    nums = np.zeros((b**n, d), dtype=np.int64)
+    for r_high, word in enumerate(enumerate_span(basis[low:], b)):
+        if r_high:  # high word 0 is the zero word: its block is the low span
+            block = np.add(low_words, word, out=None if r_high == 1 else block)
+            np.subtract(block, block.dtype.type(b), out=block, where=block >= b)
+        digits = block.reshape(len(block), d, n)
+        out = nums[r_high * len(block) : (r_high + 1) * len(block)]
+        for nu in range(n):  # Horner, most significant digit first
+            out *= b
+            out += digits[:, :, nu]
     return PointSet(b, n, d, nums)
 
 

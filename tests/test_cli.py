@@ -234,17 +234,34 @@ def test_audit_cap_resource_exit(tmp_path):
 
 
 def test_norm_sweeps_each_level_once(monkeypatch):
-    levels = []
-    aggregate = haar.level_aggregate
+    levels, masses, single = [], [], []
+    aggregate, mass = haar.level_aggregate, haar.LevelAggregate.mass
+    contract = haar._single_point_masses
 
     def counted(p, j, *prefix):
         levels.append(tuple(j))
         return aggregate(p, j, *prefix)
 
+    def counted_mass(self, p):
+        masses.append(self.j)
+        return mass(self, p)
+
+    def contracted(p, js):
+        single.append(list(js))
+        return contract(p, js)
+
     monkeypatch.setattr(haar, "level_aggregate", counted)
-    # the CS net b=11 d=2 w=1 (n=4): (n+1)^d = 25 levels, each aggregated once
+    monkeypatch.setattr(haar.LevelAggregate, "mass", counted_mass)
+    monkeypatch.setattr(haar, "_single_point_masses", contracted)
+    # the CS net b=11 d=2 w=1 (n=4) has (n+1)^d = 25 levels.  Heads 2 and 3
+    # first hold one point per box at (2, 2) and (3, 1), so their deeper
+    # levels come from one contraction; the other 22 are aggregated once,
+    # and their mass read once (p = 2: Parseval and Besov share it)
     assert run(["norm", "--base", "11", "--dim", "2", "--w", "1"]) == 0
-    assert sorted(levels) == list(itertools.product(range(-1, 4), repeat=2))
+    deeper = [(2, 3), (3, 2), (3, 3)]
+    swept = [j for j in itertools.product(range(-1, 4), repeat=2) if j not in deeper]
+    assert levels == masses == swept
+    assert single == [deeper]
 
 
 def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +19,16 @@ from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams
 from qmcnet.families import balanced_hammersley
 from qmcnet.haar import (
+    PARSEVAL,
     BesovParams,
     HaarIndex,
     Offsets,
     _helmert_dft,
     _single_forms,
+    _single_point_masses,
     besov_quasi_norm,
+    haar_levels,
+    haar_norms,
     indicator_coeff,
     level_aggregate,
     level_prefix,
@@ -384,7 +389,12 @@ def test_haar_norms_reads_the_p2_mass_once_per_level(monkeypatch):
 
     monkeypatch.setattr(haar.LevelAggregate, "mass", counted)
     haar.haar_norms(cs_point_set(CSParams(b=11, d=2, w=1)), BesovParams(2.0, 2.0, 0.25))
-    assert calls == [2.0] * 25  # one per level; Parseval and Besov share it
+    # one per aggregated level, Parseval and Besov sharing it; the 3 levels
+    # past each head's first single-point level come from the contraction
+    assert calls == [2.0] * 22
+    calls.clear()
+    haar.haar_norms(cs_point_set(CSParams(b=11, d=2, w=1)), BesovParams(1.5, 2.0, 0.25))
+    assert calls == [2.0, 1.5] * 25  # Besov off p = 2 reads mu on every level
 
 
 def test_haar_levels_sorts_once_per_head(monkeypatch):
@@ -405,14 +415,18 @@ def test_haar_levels_sorts_once_per_head(monkeypatch):
 
 
 def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
-    # over one CS-11 `haar_norms` and one audit: a head coordinate's H once
-    # per prefix with j_1 >= 0, the last coordinate's once per level with
-    # j_2 >= 0, and nothing else (4 + 5 * 4 builds)
+    # over one CS-11 audit: a head coordinate's H once per prefix with
+    # j_1 >= 0, the last coordinate's once per level with j_2 >= 0, and
+    # nothing else (4 + 5 * 4 builds).  `haar_norms` builds the same but for
+    # the 3 levels it leaves to the contraction, whose builds are counted
+    # apart: one per block of points, coordinate and level j_i >= 0 of those
+    # levels, here levels 2 and 3 in each coordinate in one block
     import qmcnet.haar as haar
     from qmcnet.norms import coeff_bound_audit
 
     log = []  # [prefix head or level j, Helmert builds until the next entry]
-    helmert, sort, aggregate = haar.Offsets.helmert, haar.level_prefix, haar.level_aggregate
+    helmert, sort = haar.Offsets.helmert, haar.level_prefix
+    aggregate, contract = haar.level_aggregate, haar._single_point_masses
 
     def counted(self, *args):
         log[-1][1] += 1
@@ -426,20 +440,27 @@ def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
         log.append([tuple(j), 0])
         return aggregate(p, j, prefix)
 
+    def contracted(p, levels):
+        log.append([("contraction",), 0])
+        return contract(p, levels)
+
     monkeypatch.setattr(haar.Offsets, "helmert", counted)
     monkeypatch.setattr(haar, "level_prefix", sorted_prefix)
     monkeypatch.setattr(haar, "level_aggregate", level)
+    monkeypatch.setattr(haar, "_single_point_masses", contracted)
     cs = cs_point_set(CSParams(b=11, d=2, w=1))
     expected = []
     for j1 in range(-1, 4):
         expected.append([("prefix", j1), int(j1 >= 0)])
         expected += [[(j1, j2), int(j2 >= 0)] for j2 in range(-1, 4)]
-    for run in (lambda: haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25)),
-                lambda: coeff_bound_audit(cs)):
-        log.clear()
-        run()
-        assert log == expected
-        assert sum(builds for _, builds in log) == 24
+    coeff_bound_audit(cs)
+    assert log == expected
+    assert sum(builds for _, builds in log) == 24
+    log.clear()
+    haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
+    deeper = [[(2, 3), 1], [(3, 2), 1], [(3, 3), 1]]
+    assert cs.size * 4 <= haar._SUM_ENTRIES
+    assert log == [e for e in expected if e not in deeper] + [[("contraction",), 2 * 2]]
 
 
 def test_plancherel_mass_is_the_per_level_computation_bit_for_bit(
@@ -470,25 +491,124 @@ def test_plancherel_mass_is_the_per_level_computation_bit_for_bit(
                      (True, False, False)}
 
 
-def test_plancherel_mass_is_the_per_level_computation_on_random_sets():
-    """mass(2) equals `plancherel_mass_oracle` bit for bit on every level with
-    all j_i <= n of 60 seeded sets, b in {2, 3, 5, 7, 11, 13}, d and n in
-    1..3 with b^n <= 3000 and 1 <= N < 120: a row's forms do not depend on
-    how many rows share the call, so the bits hold on any set."""
+def _random_sets():
+    """60 seeded sets, b in {2, 3, 5, 7, 11, 13}, d and n in 1..3 with
+    b^n <= 3000 and 1 <= N < 120."""
     rng = np.random.default_rng(0)
-    sets = 0
-    while sets < 60:
+    sets = []
+    while len(sets) < 60:
         b = int(rng.choice([2, 3, 5, 7, 11, 13]))
         d, n = (int(v) for v in rng.integers(1, 4, size=2))
         if b**n > 3000:
             continue
-        sets += 1
-        p = PointSet(b, n, d, rng.integers(0, b**n, size=(int(rng.integers(1, 120)), d)))
+        sets.append(PointSet(b, n, d, rng.integers(0, b**n, size=(int(rng.integers(1, 120)), d))))
+    return sets
+
+
+def test_plancherel_mass_is_the_per_level_computation_on_random_sets():
+    """mass(2) equals `plancherel_mass_oracle` bit for bit on every level with
+    all j_i <= n of the 60 `_random_sets`: a row's forms do not depend on
+    how many rows share the call, so the bits hold on any set."""
+    for p in _random_sets():
+        b, n, d = p.b, p.n, p.d
         for head in levels_up_to(n, d - 1):
             prefix = level_prefix(p, head)
             for jd in range(-1, n + 1):
                 agg = level_aggregate(p, head + (jd,), prefix)
                 assert agg.mass(2) == plancherel_mass_oracle(p, agg.j), (b, n, d, p.size, agg.j)
+
+
+def _single_point_levels(p):
+    """(level, `LevelAggregate.mass(2)`) of every level of `haar_levels(p)`
+    with s >= 1 where every occupied box holds at most one point."""
+    return [(agg.j, agg.mass(2)) for agg in haar_levels(p)
+            if agg.s and agg.counts.max(initial=0) <= 1]
+
+
+def _assert_contraction_matches(p, rel):
+    levels = _single_point_levels(p)
+    got = _single_point_masses(p, [j for j, _ in levels])
+    for (j, ref), mass in zip(levels, got):
+        assert abs(mass - ref) <= rel * ref, (p.b, p.n, p.d, p.size, j, mass, ref)
+    return len(levels)
+
+
+def test_single_point_contraction_is_the_per_level_mass_bit_for_bit_at_b2():
+    # at b = 2 every per-point factor is a dyadic of few bits, so with N a
+    # power of 2 (c = 2^(-|j|-s) / N dyadic too) both routes' sums are
+    # exact and the contraction gives mass(2)'s bits; at other N, c rounds
+    # and the two routes round it differently (the odd-b test covers that)
+    rng = np.random.default_rng(5)
+    sets = [balanced_hammersley(n) for n in range(1, 13)]
+    for _ in range(20):
+        d, n = (int(v) for v in rng.integers(1, 4, size=2))
+        n += 3
+        size = 2 ** int(rng.integers(0, 8))
+        sets.append(PointSet(2, n, d, rng.integers(0, 2**n, size=(size, d))))
+    assert sum(_assert_contraction_matches(p, 0.0) for p in sets) > 500
+
+
+def test_single_point_contraction_agrees_with_the_per_level_mass(repeated_and_grid_oracle):
+    # at odd b the contraction sums each product over the points, the sweep
+    # each row's form: within 1e-15 relative (6.5e-16 measured)
+    sets = _random_sets() + [p for p, _ in repeated_and_grid_oracle]
+    assert sum(_assert_contraction_matches(p, 1e-15) for p in sets) > 100
+
+
+def test_single_point_contraction_against_the_exact_mass(repeated_and_grid_oracle):
+    # `level_mass_exact` works in Fractions on the b^s cells of every
+    # occupied box, so only the sets (N <= 120) with b^(n d) <= 1e6 (2.6e-16
+    # measured; 5.2e-16 for the sweep's mass(2))
+    sets = [p for p in _random_sets() if p.b ** (p.n * p.d) <= 10**6]
+    checked = 0
+    for p in sets + [p for p, _ in repeated_and_grid_oracle]:
+        levels = [j for j, _ in _single_point_levels(p)]
+        for j, mass in zip(levels, _single_point_masses(p, levels)):
+            exact = level_mass_exact(p, j)
+            assert abs(Fraction(mass) - exact) <= Fraction(1e-15) * exact, (p.b, p.n, p.d, j)
+            checked += 1
+    assert checked > 50
+
+
+def test_single_point_levels_stay_single_point_deeper(repeated_and_grid_oracle):
+    # finer boxes refine coarser ones and hold a subset of their interior
+    # points: once a head's level has at most one point per box, so has
+    # every deeper j_d of that head
+    sets = _random_sets() + [p for p, _ in repeated_and_grid_oracle]
+    sets += [balanced_hammersley(10), cs_point_set(CSParams(b=11, d=2, w=1))]
+    for p in sets:
+        single = {}
+        for agg in haar_levels(p):
+            one_point = agg.counts.max(initial=0) <= 1
+            head = agg.j[:-1]
+            assert one_point or not single.get(head), (p.b, p.n, p.d, agg.j)
+            single[head] = one_point
+
+
+def test_p2_norms_memory_stays_that_of_the_sweep():
+    # the contraction's factors are built in blocks of `_SUM_ENTRIES` points
+    # times coordinate levels
+    # after the sweep has dropped its last level: on balanced Hammersley
+    # n = 14 the peak stays the sweep's (7.95 times the numerators at the
+    # parent commit and here; the contraction alone peaks at 6.2 times).
+    # Whole (N, n + 1) factor tables would peak at several times that.
+    p = balanced_hammersley(14)
+    haar_norms(p, PARSEVAL)  # caches built
+    tracemalloc.start()
+    try:
+        haar_norms(p, PARSEVAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * p.numerators.nbytes
+
+
+def test_norms_of_no_points_are_those_of_the_volume():
+    # D = -x_1 ... x_d, so ||D||_2^2 = 3^-d: every level is single-point
+    # at once, and all but the first of each head come from the contraction
+    for b, d in [(2, 1), (2, 2), (3, 2), (5, 3)]:
+        p = PointSet(b, 3, d, np.zeros((0, d), dtype=np.int64))
+        assert parseval_l2(p).value == pytest.approx(3.0**-d, rel=1e-14)
 
 
 def test_parseval_single_point_is_exact_third():
