@@ -307,17 +307,31 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
 # --- point-set file format ---------------------------------------------------
 
 _HEADER_RE = re.compile(r"^#qmcnet v1 b=(\d+) n=(\d+) d=(\d+) N=(\d+)\s*$")
-_WRITE_ROWS = 2**14  # rows per %-format call
+_WRITE_ROWS = 2**14  # rows per block of text
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # a value >= 10^k has more than k digits
 
 
 def _write_pointset(p: PointSet, fh) -> None:
+    """Header, provenance, then one text per block of rows: each value's
+    digits right-aligned in a fixed-width ASCII table with a separator
+    column (a newline after every d-th value), its leading zeros masked out
+    (digit counts by `searchsorted` on the powers of 10)."""
     fh.write(f"#qmcnet v1 b={p.b} n={p.n} d={p.d} N={p.size}\n")
     if p.provenance:
         fh.write(f"#provenance {json.dumps(p.provenance, sort_keys=True)}\n")
-    row = " ".join(["%d"] * p.d) + "\n"
     for start in range(0, p.size, _WRITE_ROWS):
-        block = p.numerators[start : start + _WRITE_ROWS]
-        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        values = p.numerators[start : start + _WRITE_ROWS].ravel()
+        width = len(str(values.max()))
+        text = np.empty((values.size, width + 1), dtype=np.uint8)
+        rest = values
+        for col in range(width - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            text[:, col] = digit + ord("0")
+        text[:, width] = ord(" ")
+        text[p.d - 1 :: p.d, width] = ord("\n")
+        digits = np.searchsorted(_POW10, values, side="right") + 1
+        keep = np.arange(width + 1) >= width - digits[:, None]
+        fh.write(text[keep].tobytes().decode("ascii"))
 
 
 def save_pointset(p: PointSet, path) -> None:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams
+from .errors import CapExceeded, InvalidParams, SizeOverflow
 from .haar import BesovParams, haar_levels, haar_norms
 from .nets import PointSet
 
@@ -36,76 +37,124 @@ def disc_eval(p: PointSet, x: Sequence[Fraction]) -> Fraction:
     return Fraction(int(inside.sum()), p.size) - volume
 
 
-def _pair_min_sum(rows: list[list[int]], w: list[int], i: int) -> int:
-    """sum_(a, b) w_a w_b prod_(c >= i) min(rows[a][c], rows[b][c]), exactly.
+def _pair_min_sum(rows: list[list[int]], w: list[int]) -> int:
+    """sum_(a, b) w_a w_b prod_c min(rows[a][c], rows[b][c]), exactly.
 
-    Heinrich's divide and conquer: sort on coordinate i and split at the
-    middle into L (smaller) and R.  A cross pair has min = u_ai with a in L,
-    so the cross pairs are the sum over L + R on the remaining coordinates
-    with weights w * u_i on L, minus that sum over L and over R alone.  On the
-    last two coordinates (d = 1: the last one, times 1) `_pair_min_sum_2d`
-    ends it.
+    Heinrich's divide and conquer on each coordinate but the last two
+    (`_halvings`) turns the rows into groups with integer coefficients whose
+    pair sums on the remaining coordinates add up to it; one
+    `_pair_min_sum_2d` over every group ends it (d = 1: the last coordinate,
+    times 1).
     """
-    if i >= len(rows[0]) - 2:
-        last = [r[i + 1] if i + 1 < len(r) else 1 for r in rows]
-        return _pair_min_sum_2d([r[i] for r in rows], last, w)
-    if len(rows) == 1:
-        return w[0] * w[0] * math.prod(rows[0][i:])
-    order = sorted(range(len(rows)), key=lambda a: rows[a][i])
-    half = len(order) // 2
-    lo = [rows[a] for a in order[:half]]
-    hi = [rows[a] for a in order[half:]]
-    w_lo = [w[a] for a in order[:half]]
-    w_hi = [w[a] for a in order[half:]]
-    w_lo_u = [wa * r[i] for wa, r in zip(w_lo, lo)]
-    cross = (
-        _pair_min_sum(lo + hi, w_lo_u + w_hi, i + 1)
-        - _pair_min_sum(lo, w_lo_u, i + 1)
-        - _pair_min_sum(hi, w_hi, i + 1)
+    d = len(rows[0])
+    groups = [(1, rows, w)]
+    for i in range(d - 2):
+        groups = [g for group in groups for g in _halvings(*group, i)]
+    flat = [r for _, g_rows, _ in groups for r in g_rows]
+    return _pair_min_sum_2d(
+        [r[-2] for r in flat] if d > 1 else [r[0] for r in flat],
+        [r[-1] for r in flat] if d > 1 else [1] * len(flat),
+        [wa for _, _, g_w in groups for wa in g_w],
+        [len(g_rows) for _, g_rows, _ in groups],
+        [coef for coef, _, _ in groups],
     )
-    return _pair_min_sum(lo, w_lo, i) + _pair_min_sum(hi, w_hi, i) + cross
 
 
-def _pair_min_sum_2d(us: list[int], vs: list[int], w: list[int]) -> int:
-    """sum_(a, b) w_a w_b min(u_a, u_b) min(v_a, v_b), exactly, in O(N log N).
+def _halvings(coef: int, rows: list[list[int]], w: list[int], i: int) -> list[tuple]:
+    """Heinrich's split on coordinate i: (coefficient, rows, weights) groups
+    whose pair sums on the coordinates after i, times their coefficients,
+    add up to coef times the pair sum of the rows on the coordinates from i.
 
-    Points come in descending u, so a pair's min u is that of the later one,
-    a.  A weighted Fenwick tree over the ranks of v holds, for the points
-    seen so far, the weight and the weight times v up to each rank; from
-    them sum_(b seen) w_b min(v_a, v_b) is two prefix sums.
+    Sort on coordinate i and halve recursively into L (smaller) and R.  A
+    cross pair has min = u_ai with a in L, so the cross pairs are the sum
+    over L + R with weights w * u_i on L, minus that sum over L and over R
+    alone.  A single row is its own group, with coefficient coef * u_i.
     """
-    rank = {v: k for k, v in enumerate(sorted(set(vs)), 1)}
-    size = len(rank)
-    tree_w = [0] * (size + 1)
-    tree_wv = [0] * (size + 1)
-    total = seen = 0
-    for u, v, wa in sorted(zip(us, vs, w), reverse=True):
-        k = rank[v]
-        below_w = below_wv = 0
-        while k:
-            below_w += tree_w[k]
-            below_wv += tree_wv[k]
-            k &= k - 1
-        total += wa * u * (wa * v + 2 * (below_wv + v * (seen - below_w)))
-        k = rank[v]
-        while k <= size:
-            tree_w[k] += wa
-            tree_wv[k] += wa * v
-            k += k & -k
-        seen += wa
-    return total
+    order = sorted(range(len(rows)), key=lambda a: rows[a][i])
+    rows = [rows[a] for a in order]
+    w = [w[a] for a in order]
+    wu = [wa * r[i] for wa, r in zip(w, rows)]
+    groups, spans = [], [(0, len(rows))]
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo == 1:
+            groups.append((coef * rows[lo][i], rows[lo:hi], w[lo:hi]))
+            continue
+        mid = lo + (hi - lo) // 2
+        groups += [
+            (coef, rows[lo:hi], wu[lo:mid] + w[mid:hi]),
+            (-coef, rows[lo:mid], wu[lo:mid]),
+            (-coef, rows[mid:hi], w[mid:hi]),
+        ]
+        spans += [(lo, mid), (mid, hi)]
+    return groups
+
+
+def _pair_min_sum_2d(us: list[int], vs: list[int], w: list[int], sizes, coefs) -> int:
+    """sum over groups g, runs of sizes[g] consecutive entries, of coefs[g]
+    times sum_(a, b in g) w_a w_b min(u_a, u_b) min(v_a, v_b), for
+    nonnegative u, v, w, exactly, by a bottom-up merge of array passes.
+
+    In descending (u, v) order within a group a pair's min u is that of the
+    later point a, so the group's sum is sum_a w_a u_a (w_a v_a + 2 S_a) with
+    S_a = sum over the earlier b of w_b min(v_a, v_b).  At width k each block
+    of 2k positions of a group adds to S of its right half what its left
+    half holds: the left halves, sorted by (block, rank of v), give by
+    cumulative sums their sum of w v below v_a and v_a times their w at or
+    above it.  Every partial sum is at most len(us) max w max v, so below
+    2^62 int64 is exact; above it the same passes run on Python ints.  The
+    final sum is always in Python ints.
+    """
+    n_pts = len(us)
+    if not n_pts:
+        return 0
+    sizes = np.asarray(sizes)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(n_pts) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    u, v = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    order = np.lexsort((-v, -u, group))
+    u, v = u[order], v[order]
+    _, rank = np.unique(v, return_inverse=True)
+    n_ranks = int(rank.max()) + 1
+    dtype = np.int64 if n_pts * max(w) * int(v.max()) < 2**62 else object
+    w, v = np.asarray(w, dtype=dtype)[order], v.astype(dtype)
+    wv = w * v
+    sums = np.zeros(n_pts, dtype=dtype)
+    zero = np.zeros(1, dtype=dtype)
+    width = 1
+    while width < sizes.max():
+        offset = local % (2 * width)
+        right = offset >= width
+        left = ~right
+        block = np.cumsum(offset == 0) - 1
+        keys = block[left] * n_ranks + rank[left]
+        by_key = np.argsort(keys, kind="stable")
+        cum_w = np.concatenate([zero, np.cumsum(w[left][by_key])])
+        cum_wv = np.concatenate([zero, np.cumsum(wv[left][by_key])])
+        # a block with a right half has a full left half, which starts in the
+        # sorted left halves at the count of left positions before the block
+        at = np.flatnonzero(right)
+        start = (np.cumsum(left) - left)[at - offset[at]]
+        below = np.searchsorted(keys[by_key], block[at] * n_ranks + rank[at])
+        sums[at] += cum_wv[below] - cum_wv[start] + v[at] * (cum_w[start + width] - cum_w[below])
+        width *= 2
+    terms = w.astype(object) * u.astype(object) * (w * v + 2 * sums).astype(object)
+    return int((np.asarray(coefs, dtype=object)[group] * terms).sum())
 
 
 def warnock_l2_sq(p: PointSet) -> Fraction:
     """||D_P||_2^2 exactly, by Warnock's formula on the integer numerators.
 
     With u = b^n - k (so 1 - z = u / b^n) every term is an integer; the
-    pairwise sum of prod_i min(1 - z_ai, 1 - z_bi) is `_pair_min_sum`.
+    pairwise sum of prod_i min(1 - z_ai, 1 - z_bi) is `_pair_min_sum`, and
+    the linear term's row products are int64 while b^(2nd) < 2^63.
     """
     denom, d, n_pts = p.denominator, p.d, p.size
-    rows = (denom - p.numerators).tolist()
-    lin = sum(math.prod(u * (2 * denom - u) for u in row) for row in rows)
-    quad = _pair_min_sum(rows, [1] * n_pts, 0)
+    u = denom - p.numerators
+    if denom ** (2 * d) >= 2**63:
+        u = u.astype(object)
+    lin = sum(np.prod(u * (2 * denom - u), axis=1).tolist())
+    quad = _pair_min_sum(u.tolist(), [1] * n_pts)
     return (
         Fraction(1, 3**d)
         - Fraction(lin, n_pts * 2 ** (d - 1) * denom ** (2 * d))
@@ -306,6 +355,88 @@ def _envelope(kind: str, n_pts: int, d: int, params: BesovParams) -> float:
     return ln ** ((d - 1) / 2.0) / n_pts
 
 
+_KINDS = ("l2", "parseval", "besov")  # the norm kinds of `scaling_table`
+
+
+def _size_values(family, params: BesovParams, kinds, n: int):
+    """(n, N, d, [(value, tail) per kind]) of the point set family(n); every
+    value is the unsquared norm, and "parseval" and "besov" share one sweep."""
+    p = family(n)
+    if "parseval" in kinds or "besov" in kinds:
+        pv, bs = haar_norms(p, params)
+    values = []
+    for kind in kinds:
+        if kind == "l2":
+            values.append((warnock_l2(p), 0.0))
+        elif kind == "parseval":
+            value = math.sqrt(pv.value)
+            values.append((value, math.sqrt(pv.value + pv.tail_bound) - value))
+        else:
+            values.append((bs.value, bs.tail_bound))
+    return p.n, p.size, p.d, values
+
+
+_JOB: tuple = ()  # (family, params, kinds) in a pool worker, set by `_set_job`
+
+
+def _set_job(*job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _job_values(n: int):
+    return _size_values(*_JOB, n)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _forked_values(job: tuple, sizes: list[int], workers: int) -> list:
+    """`_size_values` of each size on `workers` forked processes, largest
+    size first, returned in the caller's order.
+
+    Forked workers inherit the loaded modules and the job (family, params,
+    kinds), which is never pickled; each task carries only its size.  The
+    first size in the caller's order that fails raises its own exception.
+    A size whose worker died (a broken pool, e.g. killed out of memory) is
+    run again alone in a new worker, so a size that dies alone raises
+    SizeOverflow naming it.  No worker outlives the call.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # this context flushes sys.stdout and sys.stderr before each fork, so a
+    # child, which flushes its copy of them on exit, repeats no pending output
+    ctx = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, ctx, initializer=_set_job, initargs=job)
+    try:
+        futures = {n: pool.submit(_job_values, n) for n in sorted(sizes, reverse=True)}
+        values = []
+        for n in sizes:
+            try:
+                values.append(futures[n].result())
+            except BrokenProcessPool:
+                if len(sizes) == 1:
+                    raise SizeOverflow(
+                        f"size n = {n}: its worker process died (out of memory?)"
+                    ) from None
+                values += _forked_values(job, [n], 1)
+        return values
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def scaling_table(
     family: Callable[[int], PointSet],
     sizes: Sequence[int],
@@ -316,35 +447,35 @@ def scaling_table(
 
     kinds from {"l2" (Warnock), "parseval", "besov"}; every row reports the
     unsquared norm, and "parseval" and "besov" share one Haar sweep per size.
+    Sizes are independent: with more than one size and usable CPU they run
+    on one forked worker per CPU (at most one per size), else in-process.
     """
+    sizes, kinds = list(sizes), tuple(kinds)
     if not sizes or len(set(sizes)) < len(sizes) or len(set(kinds)) < len(kinds):
         raise InvalidParams("need one or more sizes, and no size or norm kind twice")
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise InvalidParams(f"unknown norm kind {kind!r}")
+    job = (family, params, kinds)
+    workers = min(len(sizes), _usable_cpus())
+    if workers > 1 and _can_fork():
+        values = _forked_values(job, sizes, workers)
+    else:
+        values = [_size_values(*job, n) for n in sizes]
     rows: list[ScalingRow] = []
     history: dict[str, list[tuple[float, float]]] = {k: [] for k in kinds}
-    for n in sizes:
-        p = family(n)
-        if "parseval" in kinds or "besov" in kinds:
-            pv, bs = haar_norms(p, params)
-        for kind in kinds:
-            if kind == "l2":
-                value, tail = warnock_l2(p), 0.0
-            elif kind == "parseval":
-                value = math.sqrt(pv.value)
-                tail = math.sqrt(pv.value + pv.tail_bound) - value
-            elif kind == "besov":
-                value, tail = bs.value, bs.tail_bound
-            else:
-                raise InvalidParams(f"unknown norm kind {kind!r}")
-            history[kind].append((math.log(p.size), math.log(value)))
+    for n, size, d, per_kind in values:
+        for kind, (value, tail) in zip(kinds, per_kind):
+            history[kind].append((math.log(size), math.log(value)))
             slope = fit_slope(*zip(*history[kind])) if len(history[kind]) >= 2 else math.nan
             rows.append(
                 ScalingRow(
-                    n=p.n,
-                    N=p.size,
+                    n=n,
+                    N=size,
                     norm_kind=kind,
                     value=value,
                     tail_bound=tail,
-                    envelope=_envelope(kind, p.size, p.d, params),
+                    envelope=_envelope(kind, size, d, params),
                     slope_running=slope,
                 )
             )

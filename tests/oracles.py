@@ -465,6 +465,36 @@ def warnock_sq_oracle(numerators, denom: int) -> Fraction:
     return Fraction(1, 3**d) - 2 * lin / n_pts + Fraction(quad, n_pts**2 * denom**d)
 
 
+def pair_min_sum_2d_fenwick(us, vs, w) -> int:
+    """sum_(a, b) w_a w_b min(u_a, u_b) min(v_a, v_b) by a weighted Fenwick tree.
+
+    Points come in descending u, so a pair's min u is that of the later one,
+    a.  The tree over the ranks of v holds, for the points seen so far, the
+    weight and the weight times v up to each rank; from them sum_(b seen)
+    w_b min(v_a, v_b) is two prefix sums.  All in Python ints.
+    """
+    rank = {v: k for k, v in enumerate(sorted(set(vs)), 1)}
+    size = len(rank)
+    tree_w = [0] * (size + 1)
+    tree_wv = [0] * (size + 1)
+    total = seen = 0
+    for u, v, wa in sorted(zip(us, vs, w), reverse=True):
+        k = rank[v]
+        below_w = below_wv = 0
+        while k:
+            below_w += tree_w[k]
+            below_wv += tree_wv[k]
+            k &= k - 1
+        total += wa * u * (wa * v + 2 * (below_wv + v * (seen - below_w)))
+        k = rank[v]
+        while k <= size:
+            tree_w[k] += wa
+            tree_wv[k] += wa * v
+            k += k & -k
+        seen += wa
+    return total
+
+
 def digits_lsb(values, n: int, b: int) -> np.ndarray:
     """Base-b digits of each value, least significant first, shape (len, n)."""
     v = np.asarray(values, dtype=np.int64)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import qmcnet
 from oracles import grid_coeff_oracle
 from qmcnet import families as fam
-from qmcnet import haar
+from qmcnet import haar, norms
 from qmcnet.cli import IntegrandSpec, main
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, SizeOverflow
@@ -398,6 +399,32 @@ def test_scaling_command(capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     assert rows[0].startswith("n,N,norm_kind")
     assert len(rows) == 4
+
+
+def test_scaling_unknown_kind_exits_before_building_a_point_set(monkeypatch, capsys):
+    # it built the first size and ran its whole Haar sweep, then exited 2
+    built = []
+    monkeypatch.setitem(fam.FAMILIES, "hammersley", lambda n: built.append(n) or fam.hammersley(n))
+    assert run(["scaling", "--family", "hammersley", "--kinds", "parseval,nope"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown norm kind 'nope'\n"
+    assert built == []
+
+
+def test_scaling_with_a_dead_worker_exits_3_naming_the_size(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def family(n):
+        if n == 6 and os.getpid() != parent:
+            os._exit(1)
+        return fam.hammersley(n)
+
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(fam.FAMILIES, "hammersley", family)
+    assert run(["scaling", "--family", "hammersley", "--nmin", "4", "--nmax", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: size n = 6: its worker process died (out of memory?)\n"
 
 
 def test_scaling_unknown_family():

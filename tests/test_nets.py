@@ -13,6 +13,7 @@ from oracles import (
     net_check_oracle,
     write_pointset_oracle,
 )
+from qmcnet import nets
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, NetFileError, NotPowerCardinality
 from qmcnet.nets import (
@@ -280,6 +281,23 @@ def test_netfile_writer_matches_row_by_row_oracle():
     q = generate_points(hammersley_matrices(12))
     q = PointSet(q.b, q.n, q.d, q.numerators, provenance={"family": "hammersley", "n": 12})
     for ps in (p, q):
+        new, old = io.StringIO(), io.StringIO()
+        save_pointset(ps, new)
+        write_pointset_oracle(ps, old)
+        assert new.getvalue() == old.getvalue()
+
+
+def test_netfile_writer_matches_the_oracle_across_blocks(monkeypatch):
+    # blocks of 7 rows, the last one partial, of values with 1 to 5 digits
+    # and zeros among them, so that blocks differ in their digit width
+    monkeypatch.setattr(nets, "_WRITE_ROWS", 7)
+    rng = np.random.default_rng(11)
+    sets = [cs_point_set(CSParams(11, 2, 1))]
+    for d in (1, 2, 3):
+        nums = rng.integers(0, 10 ** rng.integers(1, 6, size=(45, d)))
+        nums[::9] = 0
+        sets.append(PointSet(11, 5, d, nums))
+    for ps in sets:
         new, old = io.StringIO(), io.StringIO()
         save_pointset(ps, new)
         write_pointset_oracle(ps, old)

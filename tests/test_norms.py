@@ -1,6 +1,11 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ import oracles
 from oracles import warnock_sq_oracle
 from qmcnet import norms
 from qmcnet.cs import CSParams, cs_point_set
-from qmcnet.errors import InvalidParams
+from qmcnet.errors import InvalidParams, InvalidRange, SizeOverflow
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import (
     BesovParams,
@@ -118,7 +123,7 @@ def test_two_coordinate_base_case_matches_weighted_double_sum():
                 for ra, wa in zip(rows, w)
                 for rb, wb in zip(rows, w)
             )
-            assert _pair_min_sum(rows, w, 0) == brute
+            assert _pair_min_sum(rows, w) == brute
 
 
 def test_warnock_2d_matches_oracle_on_repeated_coordinates():
@@ -129,6 +134,47 @@ def test_warnock_2d_matches_oracle_on_repeated_coordinates():
             nums[: size // 2, 1] = nums[0, 1]  # one shared second coordinate
             p = PointSet(b, n, 2, nums)
             assert warnock_l2_sq(p) == warnock_sq_oracle(nums, b**n)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 2000])
+def test_pair_min_sum_2d_matches_the_fenwick_oracle(size):
+    # few values tie in u and in v; unit weights, and weights up to 2^40,
+    # whose sums pass 2^62 at N = 2000 and run on Python ints; one group,
+    # and the same points cut into three groups with signed coefficients
+    rng = np.random.default_rng(size)
+    cuts = sorted(rng.integers(0, size, 2, endpoint=True).tolist())
+    sizes = [cuts[0], cuts[1] - cuts[0], size - cuts[1]]
+    coefs = [3, -(2**70), 1]
+    python_ints = False
+    for values in (1, 3, 50, 2**20):
+        us = rng.integers(0, values, size, endpoint=True).tolist()
+        vs = rng.integers(0, values, size, endpoint=True).tolist()
+        for w in ([1] * size, rng.integers(0, 2**40, size, endpoint=True).tolist()):
+            got = norms._pair_min_sum_2d(us, vs, w, [size], [1])
+            assert got == oracles.pair_min_sum_2d_fenwick(us, vs, w)
+            grouped = sum(
+                coef * oracles.pair_min_sum_2d_fenwick(us[a:b], vs[a:b], w[a:b])
+                for coef, a, b in zip(coefs, [0] + cuts, cuts + [size])
+            )
+            assert norms._pair_min_sum_2d(us, vs, w, sizes, coefs) == grouped
+            python_ints |= size * max(w, default=0) * max(vs, default=0) >= 2**62
+    assert python_ints or size < 2000
+
+
+def test_warnock_values_are_pinned():
+    # the exact values of the divide and conquer with a Fenwick-tree base case
+    # and a Python-int linear term, d = 2, 3 and 4
+    rng = np.random.default_rng(21)
+    pins = [
+        (hammersley(10), "260281343/79164837199872"),
+        (shifted_hammersley(9), "14162687/4947802324992"),
+        (balanced_hammersley(13), "19226431487/324259173170675712"),
+        (cs_point_set(CSParams(11, 2, 1)), "6634118939/827095137544298898"),
+        (PointSet(3, 4, 3, rng.integers(0, 81, (500, 3))), "12595743812981/35303692060125000"),
+        (PointSet(2, 5, 4, rng.integers(0, 32, (300, 4))), "27891506296553/178120883699712000"),
+    ]
+    for p, value in pins:
+        assert warnock_l2_sq(p) == Fraction(value)
 
 
 def test_parseval_at_cap_n_minus_1_matches_exact_warnock():
@@ -360,6 +406,107 @@ def test_scaling_table_rejects_no_sizes_and_repeated_kinds():
     # a repeated kind printed every row twice and fit slopes over repeated sizes
     with pytest.raises(InvalidParams, match="norm kind twice"):
         scaling_table(hammersley, range(3, 5), params, kinds=("l2", "l2"))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [hammersley, shifted_hammersley, balanced_hammersley, lambda n: hammersley(n)],
+    ids=["hammersley", "shifted_hammersley", "balanced_hammersley", "lambda"],
+)
+def test_pooled_scaling_rows_equal_in_process_rows(family, monkeypatch):
+    params, kinds = BesovParams(2, 2, 0.25), ("l2", "parseval", "besov")
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 1)
+    serial = scaling_table(family, [6, 4, 5], params, kinds)
+    forked = []
+    spy = norms._forked_values
+    monkeypatch.setattr(norms, "_forked_values", lambda *a: forked.append(a) or spy(*a))
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 3)
+    pooled = scaling_table(family, [6, 4, 5], params, kinds)
+    assert [sizes for _, sizes, _ in forked] == [[6, 4, 5]]
+    assert [r.n for r in pooled.rows] == [6] * 3 + [4] * 3 + [5] * 3
+    # repr round-trips a float, so equal CSV text is equal floats
+    assert pooled.csv() == serial.csv()
+    assert multiprocessing.active_children() == []
+
+
+def test_unknown_kind_is_rejected_before_any_point_set_is_built():
+    built = []
+
+    def family(n):
+        built.append(n)
+        return hammersley(n)
+
+    with pytest.raises(InvalidParams, match="unknown norm kind 'nope'"):
+        scaling_table(family, [4, 5], BesovParams(2, 2, 0.25), ("parseval", "nope"))
+    assert built == []
+
+
+def test_pooled_scaling_raises_the_first_failing_size_in_the_callers_order(monkeypatch):
+    # 6 is submitted, and fails, first; the caller's order puts 4 before it
+    def family(n):
+        if n == 4:
+            raise InvalidRange("size 4 is out of range")
+        if n == 6:
+            raise InvalidParams("size 6 is invalid")
+        return hammersley(n)
+
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
+    with pytest.raises(InvalidParams) as caught:
+        scaling_table(family, [3, 4, 6], BesovParams(2, 2, 0.25))
+    assert type(caught.value) is InvalidRange
+    assert str(caught.value) == "size 4 is out of range"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_is_a_size_overflow_naming_its_size(monkeypatch):
+    parent = os.getpid()
+
+    def family(n):
+        if n == 5 and os.getpid() != parent:
+            os._exit(1)
+        return hammersley(n)
+
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
+    with pytest.raises(SizeOverflow, match="^size n = 5: its worker process died"):
+        scaling_table(family, [3, 4, 5, 6], BesovParams(2, 2, 0.25))
+    assert multiprocessing.active_children() == []
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+
+
+def test_pooled_scaling_prints_pending_output_once():
+    # a forked worker flushes its copy of the parent's stdout buffer on exit,
+    # so the buffer must be flushed before each fork (multiprocessing's fork
+    # start method does so)
+    out = _python(
+        "import sys\n"
+        "from qmcnet import norms\n"
+        "from qmcnet.families import hammersley\n"
+        "from qmcnet.haar import BesovParams\n"
+        "norms._usable_cpus = lambda: 2\n"
+        "sys.stdout.write('x')\n"
+        "norms.scaling_table(hammersley, [3, 4, 5], BesovParams(2, 2, 0.25))\n"
+    ).stdout
+    assert out == "x"
+
+
+def test_cli_import_loads_no_process_pool():
+    out = _python(
+        "import sys, qmcnet.cli\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_scaling_parseval_row_is_in_norm_units():
