@@ -147,10 +147,13 @@ def cmd_norm(args) -> int:
     p = _load_net(args)
     params = BesovParams(p=args.p, q=args.q, r=args.r)
     pv, bs = haar_norms(p, params)
+    if math.isinf(bs.value):  # "value": Infinity is not JSON
+        why = "diverges" if params.r >= 1 else "overflows a float"
+        raise InvalidParams(f"the Besov sum {why} at p = {args.p}, q = {args.q}, r = {args.r}")
     lines = [pv.to_json(), bs.to_json()]
     if args.warnock:
         exact = warnock_l2_sq(p)
-        agree = abs(Fraction(pv.value) - exact) <= pv.tail_bound
+        agree = Fraction(pv.metadata["exact"]) == exact
         lines.append(
             json.dumps(
                 {

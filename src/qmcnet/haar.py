@@ -13,36 +13,32 @@ by (prefix box indices, k_d) and builds all that depends on the head alone
 (`level_prefix`); each level with that prefix finds its occupied boxes as
 runs of that order and builds its last coordinate's part (`level_aggregate`).
 
-Each point's sub-cell vector in one coordinate is read through one form, its
-Helmert coordinates (`Offsets.helmert`).  A level's p = 2 mass
-sum_(m,l) |mu_jml|^2 comes from them by Plancherel on Z_b^s without forming mu
-(`LevelAggregate.mass`), with one form per level: an O(s b) form per row when
-every occupied box holds one point, else one `np.add.reduceat` of the rows'
-Helmert tensors.  The coefficients mu, the DFTs of the boxes' sub-cell
-tensors, are streamed in blocks of whole boxes for the audit and Besov at
-p != 2, which reduce them block by block (`LevelAggregate.mu_blocks`), so no
-level's mu array is ever whole.  The box tensors are real, so mu at b - l is
-the conjugate of mu at l: mu is computed at one l-combination of each pair,
-and at odd b the occupied boxes' sums count twice.  On a level with a
-multi-point box, mu comes from each box's real Helmert tensor, summed by one
-batched real matmul per block and contracted with the DFT by `np.einsum`;
-on a level of single-point boxes it is each row's product of DFT factors.
-One reduction (`_qsum`) turns the sweep into sum_j Xi_j^q plus that exact
-tail: its q-th root is the Besov quasi-norm, and at (p, q, r) = (2, 2, 0) it
-is Parseval's ||D_P||_2^2.
+Every sub-cell quantity is an integer in units of b^-n.  A point's sub-cell
+vector in one coordinate is read through its integer Helmert coordinates G
+(`Offsets.helmert`), and a row adds w (x)_i G_i / M to its box's real
+tensor, w = prod (b^n - k_i) over level -1 and M = N b^(nd).  A level's
+p = 2 mass sum_(m,l) |mu_jml|^2 follows by Plancherel on Z_b^s from the
+boxes' integer sums A_m = sum w (x)_i G_i, exact in any order (int64 where
+the operands' maxima prove it, else Python ints), as a `Fraction`
+(`LevelAggregate.mass`), so Parseval's ||D_P||_2^2 is exact.  The float
+coefficients mu, the DFTs of the box tensors, are streamed in blocks of
+whole boxes for the audit and Besov at p != 2 (`LevelAggregate.mu_blocks`),
+so no level's mu array is ever whole.  The box tensors are real, so mu at
+b - l is the conjugate of mu at l: mu is computed at one l-combination of
+each pair.  On a level with a multi-point box, mu comes from each box's
+real tensor, summed by one batched real matmul per block and contracted
+with the DFT by `np.einsum`; on a level of single-point boxes it is each
+row's product of DFT factors.  One reduction (`_qsum`) turns the float
+level masses into sum_j Xi_j^q plus the exact tail: its q-th root is the
+Besov quasi-norm.
 
-At p = 2 the norms need no level past a head's first single-point level.
-Finer boxes refine coarser ones and hold a subset of their interior points,
-so once every occupied box of level (head, j_d) holds at most one point, so
-does every deeper j_d of that head.  On such a level each row's Plancherel
-form is a product over coordinates, and the masses of all of them come from
-one contraction of per-point factors (`_single_point_masses`): per
-coordinate and level, ||P c||^2, <c, v> and the interior indicator, summed
-over the points of their products by `np.einsum` into one array per
-factor over the levels asked for, in blocks of about `_SUM_ENTRIES` points
-times coordinate levels.  So `haar_norms` at p = 2 sweeps each head
-only up to that level; the audit, Besov at p != 2 and `haar_levels` visit
-every level.
+Once every occupied box of level (head, j_d) holds at most one point, so
+does every deeper j_d of that head, as finer boxes hold a subset of the
+coarser ones' interior points.  There each box sum is one row, a product
+over coordinates, and the p = 2 masses of all those levels come from one
+integer contraction of per-point factors (`_single_point_masses`).  So
+`haar_norms` at p = 2 reads no level past each head's first single-point
+level; the audit, Besov at p != 2 and `haar_levels` visit every level.
 """
 from __future__ import annotations
 
@@ -154,10 +150,11 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
 
 _MU_ENTRIES = 2**16  # rows times l-combinations per `LevelAggregate.mu_blocks` block
 _SUM_ENTRIES = 2**16  # points times coordinate levels per block of `_single_point_masses`
-# points per `np.einsum` of `_single_point_masses`.  einsum sums them in
-# sequence: over all 14641 CS-11 points a sum of products was 4e-14 off its
-# exact value, in runs of 256 points 4e-16
-_SUM_RUN = 2**8
+
+
+def _int_dtype(bound: int):
+    """np.int64 if `bound` proves every sum below 2^63, else object (Python ints)."""
+    return np.int64 if bound < 2**63 else object
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,13 +170,14 @@ def _helmert_dft(b: int) -> np.ndarray:
     return table
 
 
-def _single_forms(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(||P c||^2, <c, v>) per row of Helmert coordinates H: P c =
-    sum_h H_h e_h / (h (h + 1)), so ||P c||^2 = sum_h H_h^2 / (h (h + 1)), and
-    <c, v> = -sum_h H_h for v[r] = 2r - (b-1).  `einsum`, unlike `@`, sums a
-    row in the same order in any batch, so a row's forms are its own."""
-    h = np.arange(1, H.shape[1] + 1, dtype=float)
-    return np.einsum("rh,rh,h->r", H, H, 1.0 / (h * (h + 1))), -H.sum(1)
+@functools.lru_cache(maxsize=None)
+def _helmert_weights(b: int) -> tuple[int, np.ndarray]:
+    """(L, W): L the lcm of h (h + 1) over h = 1..b-1 and W[h-1] = L / (h (h + 1))
+    as Python ints, so 1 / ||e_h||^2 = W_h / L; read-only."""
+    L = math.lcm(*(h * (h + 1) for h in range(1, b)))
+    W = np.array([L // (h * (h + 1)) for h in range(1, b)], dtype=object)
+    W.flags.writeable = False
+    return L, W
 
 
 @dataclass(frozen=True)
@@ -188,11 +186,11 @@ class Offsets:
 
     With sub = b^(n-j-1), the sub-cell width in units of b^-n, a point at
     offset rem = b^n z - b sub m inside box m lies in sub-cell
-    k = rem // sub at low = rem % sub; it is interior when rem > 0.  Its
-    indicator coefficient on this coordinate is b^(-j-1) times the DFT at
-    l = 1..b-1 of the real sub-cell vector c[r] = u [r = k] + [r > k] with
-    u = 1 - low / sub.  Every per-row form reads c through its Helmert
-    coordinates (`helmert`).
+    k = rem // sub; it is interior when rem > 0.  Its indicator coefficient
+    on this coordinate is b^(-j-1) times the DFT at l = 1..b-1 of the real
+    sub-cell vector c[r] = u [r = k] + [r > k] with u = 1 - (rem % sub) / sub.
+    Every per-row form reads c through its integer Helmert coordinates
+    (`helmert`).
     """
 
     b: int
@@ -200,20 +198,18 @@ class Offsets:
     sub: int
 
     def helmert(self, rows: np.ndarray) -> np.ndarray:
-        """H (len(rows), b-1) of `rows`, the coordinates H_h = <c, e_h> in the
-        Helmert basis e_h = 1 on r < h, -h at r = h: 0 for h < k, -k u at
-        h = k, -rem / sub beyond.  The DFT of c is H @ `_helmert_dft`, and
-        `_single_forms` reads ||P c||^2 and <c, v> from H.  H depends on rem
-        alone: with fewer offsets b sub than rows, it is built once per offset
-        and looked up."""
+        """G (len(rows), b-1) int64 of `rows`, the coordinates G_h = <sub c, e_h>
+        in the Helmert basis e_h = 1 on r < h, -h at r = h: 0 for h < k,
+        k (rem - k sub - sub) at h = k, -rem beyond.  The DFT of sub c is
+        G @ `_helmert_dft`.  G depends on rem alone: with fewer offsets b sub
+        than rows, it is built once per offset and looked up."""
         at = self.rem[rows]
         table = self.b * self.sub < at.size
         rem = np.arange(self.b * self.sub) if table else at
         k = rem // self.sub  # floor division is much faster than np.divmod
-        sub, h = float(self.sub), np.arange(1, self.b)
-        diag = (k * ((rem - k * self.sub - sub) / sub))[:, None]
-        k = k[:, None]
-        out = np.where(h > k, -rem[:, None] / sub, np.where(h == k, diag, 0.0))
+        diag = (k * (rem - k * self.sub - self.sub))[:, None]
+        k, h = k[:, None], np.arange(1, self.b)
+        out = np.where(h > k, -rem[:, None], np.where(h == k, diag, 0))
         return np.take(out, at, axis=0) if table else out  # take: 4x out[at] on 2-d
 
 
@@ -244,9 +240,9 @@ class LevelPrefix:
 
     @functools.cached_property
     def dft(self) -> list[np.ndarray]:
-        """The DFT factors H @ T of `helmert`, built when a level of
+        """The DFT factors G @ T of `helmert`, built when a level of
         single-point boxes first reads mu."""
-        return [H @ _helmert_dft(H.shape[1] + 1) for H in self.helmert]
+        return [G @ _helmert_dft(G.shape[1] + 1) for G in self.helmert]
 
 
 def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
@@ -289,7 +285,28 @@ def _scatter(rows: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
 
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
     """The s-fold outer power of `vector`, flattened, first factor slowest."""
-    return functools.reduce(np.multiply.outer, [vector] * s, np.ones(())).ravel()
+    return functools.reduce(np.multiply.outer, [vector] * s, np.ones((), vector.dtype)).ravel()
+
+
+def _exact_mass(b: int, j: tuple[int, ...], scale: int, sq: int, lin: int) -> Fraction:
+    """The p = 2 mass of level j from its boxes' integer sums A_m[h] of
+    w (x)_i G_i: sq = L^s sum_m sum_h A_m[h]^2 / prod_i h_i (h_i + 1) and
+    lin = sum_m sum_h A_m[h], with M = `scale` = N b^(nd).
+
+    A box's real sub-cell tensor is X = A_m / M - gamma (x)_i v with
+    v[r] = 2r - (b-1) and gamma = b^(-2|j|-2s) / 2^d, and its mass is
+    b^s ||P X||^2 (Plancherel; P removes the mean along every axis).  In the
+    Helmert basis v has coordinates -h (h + 1), so the mass of level j is
+    b^s (sq / (L^s M^2) - 2 (-1)^s gamma lin / M + b^|j| gamma^2 V^s) with
+    V = ||v||^2 = (b-1) b (b+1) / 3; the last term counts every box, the
+    empty ones too.  At s = 0 it is (sum w / M - 2^-d)^2.
+    """
+    s = sum(1 for v in j if v >= 0)
+    total_level = sum(v for v in j if v >= 0)
+    g, Ls = b ** (2 * total_level + 2 * s) * 2 ** len(j), _helmert_weights(b)[0] ** s  # g = 1/gamma
+    volume = b**total_level * ((b - 1) * b * (b + 1) // 3) ** s * Ls * scale**2
+    numerator = sq * g * g - 2 * (-1) ** s * lin * Ls * scale * g + volume
+    return Fraction(b**s * numerator, Ls * scale**2 * g * g)
 
 
 @dataclass
@@ -297,17 +314,16 @@ class LevelAggregate:
     """The boxes of one level j for a fixed point set, and their coefficients.
 
     The occupied boxes are runs of rows: box i holds `counts[i]` rows from
-    `starts[i]`.  Row h is entry sel[h] of the prefix order and adds base[h]
-    times the outer product of its sub-cell vectors, read through their
-    Helmert coordinates H (one per active coordinate), to its box's real
-    tensor; mu_jml is the tensor's DFT at l minus the volume coefficient.
-    The head coordinates' H are the prefix's, read at sel; the last
-    coordinate's H (`last`) is built once per level.  `mu_blocks` yields the
-    coefficients of the occupied boxes at one l-combination of each
-    conjugate pair (`columns`), a few boxes at a time and never the whole
-    level; the empty boxes all carry mu = -volume.  `mass(2)` and
-    `mu_blocks` each read the same H with one form for the whole level,
-    chosen from `counts` alone.
+    `starts[i]`.  Row h is entry sel[h] of the prefix order and adds
+    weight[h] times the outer product of its coordinates' integer Helmert
+    coordinates G (one per active coordinate), over `scale` = N b^(nd), to
+    its box's real tensor; mu_jml is the tensor's DFT at l minus the volume
+    coefficient.  The head coordinates' G are the prefix's, read at sel; the
+    last coordinate's G (`last`) is built once per level.  `mass(2)` sums
+    the rows exactly; `mu_blocks` yields the coefficients of the occupied
+    boxes at one l-combination of each conjugate pair (`columns`), a few
+    boxes at a time and never the whole level; the empty boxes all carry
+    mu = -volume.
     """
 
     j: tuple[int, ...]
@@ -315,10 +331,11 @@ class LevelAggregate:
     l_combos: np.ndarray  # (n_lcombos, s) read-only, shared per (b, d, s, |j|)
     n_boxes: float  # b**|j| (float; may exceed integer range at deep levels)
     volume: np.ndarray  # (n_lcombos,) volume coefficients, read-only
-    base: np.ndarray  # per row: b^(-|j|-s) / N * prod (1 - z_i) over level -1
+    weight: np.ndarray  # per row: prod (b^n - k_i) over level -1, int64 or Python ints
+    scale: int  # N b^(nd) (b^(nd) at N = 0)
     sel: np.ndarray  # per row: its entry in the prefix order
     prefix: LevelPrefix
-    last: list[np.ndarray]  # [H per row of the last coordinate] if j_d is active, else []
+    last: list[np.ndarray]  # [G per row of the last coordinate] if j_d is active, else []
     starts: np.ndarray  # (n_occ,) first row of each box
     counts: np.ndarray  # (n_occ,) rows of each box
 
@@ -347,22 +364,29 @@ class LevelAggregate:
         conj mu_(j,m,l).  At b = 2 or s = 0 each l is its own partner."""
         return len(self.l_combos) // (2 if self.s and self.b > 2 else 1)
 
+    @functools.cached_property
+    def base(self) -> np.ndarray:
+        """Per row: w / (N b^(nd)) as a float, the factor of its (x)_i G_i in mu."""
+        return self.weight.astype(float) / float(self.scale)
+
     def mu_blocks(self) -> Iterator[np.ndarray]:
         """mu of the occupied boxes in box order at the leading `columns`
         l-combinations, (boxes, columns) complex per block of whole boxes of
         about `_MU_ENTRIES` rows times l-combinations.
 
-        When every box holds one point, a block is its rows' `_terms`
-        product of DFT factors H @ T, built once per prefix or level, never
-        per block, as `@` rounds a row by its batch.  Otherwise a box's mu is
-        the DFT of its real Helmert tensor (`_box_tensors`): as the DFT of c
-        is H @ T, the tensor is contracted with `_helmert_dft` along every
-        axis, by `np.einsum`, which, unlike `@`, sums an entry in the same
-        order in any batch.  So mu has the same bits at any block size.
+        At s = 0 the one box's mu, sum w / M - 2^-d, is exact.  When every
+        box holds one point, a block is its rows' `_terms` product of DFT
+        factors G @ T, built once per prefix or level, never per block, as
+        `@` rounds a row by its batch.  Otherwise a box's mu is the DFT of
+        its real tensor (`_box_tensors`): as the DFT of sub c is G @ T, the
+        tensor is contracted with `_helmert_dft` along every axis, by
+        `np.einsum`, which, unlike `@`, sums an entry in the same order in
+        any batch.  So mu has the same bits at any block size.
         """
         b, s, width = self.b, self.s, len(self.l_combos)
-        if s == 0:  # one box of every point, summed pairwise in the set's order
-            yield np.array([[self.base.sum()]], dtype=complex) - self.volume
+        if s == 0:
+            mean = Fraction(int(self.weight.sum()), self.scale)
+            yield np.array([[float(mean - Fraction(1, 2 ** len(self.j)))]], dtype=complex)
             return
         if not self.occupied:
             return
@@ -370,7 +394,7 @@ class LevelAggregate:
         lead = self.columns // (b - 1) ** (s - 1)  # the l_1 computed
         single = self.counts.max() == 1
         if single:
-            last = [H @ T for H in self.last]
+            last = [G @ T for G in self.last]
         else:  # a matmul's rows: the mean box's, at most sqrt(rows), rounded up
             rows = self.sel.size
             chunk = min(-(-rows // self.occupied), math.isqrt(rows - 1) + 1)
@@ -391,7 +415,7 @@ class LevelAggregate:
             box = stop
 
     def _terms(self, last: list[np.ndarray], rows: slice, lead: int) -> np.ndarray:
-        """base times the outer product of the DFT factors H @ T at `rows`,
+        """base times the outer product of the DFT factors G @ T at `rows`,
         multiplied in coordinate order, first factor slowest and at its
         leading `lead` l: (rows, columns).  The head coordinates' factors
         are the prefix's (`LevelPrefix.dft`), `last` the last coordinate's
@@ -407,11 +431,11 @@ class LevelAggregate:
         return terms
 
     def _box_tensors(self, box: int, stop: int, chunk: int) -> np.ndarray:
-        """The real Helmert tensors S = sum_rows base (x)_i H_i of the boxes
-        box..stop-1: (boxes, (b-1)^s), first factor slowest.
+        """The real tensors S = sum_rows base (x)_i G_i of the boxes
+        box..stop-1 in floats: (boxes, (b-1)^s), first factor slowest.
 
-        Each row's head tensor base (x)_(i<s) H_i meets the last active
-        coordinate's H in one batched matmul over chunks of `chunk` rows.
+        Each row's head tensor base (x)_(i<s) G_i meets the last active
+        coordinate's G in one batched matmul over chunks of `chunk` rows.
         A box's rows fill whole chunks, zero-padded, so no chunk spans two
         boxes and every matmul of the level has one shape; one real
         `np.add.reduceat` adds each box's chunk sums.  `chunk` is at most
@@ -421,10 +445,11 @@ class LevelAggregate:
         """
         starts, counts = self.starts[box:stop], self.counts[box:stop]
         rows = slice(starts[0], starts[-1] + counts[-1])
-        *H, last = [Hp[self.sel[rows]] for Hp in self.prefix.helmert] + [L[rows] for L in self.last]
+        *G, last = [Gp[self.sel[rows]] for Gp in self.prefix.helmert] + [L[rows] for L in self.last]
         head = self.base[rows, None]
-        for Hi in H:
-            head = (head[:, :, None] * Hi[:, None, :]).reshape(len(head), -1)
+        for Gi in G:
+            head = (head[:, :, None] * Gi[:, None, :]).reshape(len(head), -1)
+        last = last.astype(float)
         per_box = -(-counts // chunk)
         first_chunk = np.cumsum(per_box) - per_box
         n = int(per_box.sum())
@@ -438,18 +463,28 @@ class LevelAggregate:
             sums = np.add.reduceat(sums, first_chunk, axis=0)
         return sums.reshape(len(counts), -1)
 
-    def mass(self, p: float) -> float:
+    def mass(self, p: float) -> Fraction | float:
         """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf.
 
-        At p = 2 it never forms mu: Plancherel on Z_b^s gives each occupied
-        box's mass as b^s ||P X||^2 (`_plancherel`), and the empty boxes add
-        their volume mass.  Otherwise it reduces `mu_blocks`, one
+        At p = 2 it is an exact `Fraction` and never forms mu: one
+        `np.add.reduceat` sums every row's integer w (x)_i G_i per box, and
+        `_exact_mass` reads the mass from those sums A and their squares, in
+        int64 where |A| < M = N b^(nd) < 2^63 and max|A|^2 times the boxes
+        < 2^63 prove it, else in Python ints.  Otherwise it reduces `mu_blocks`, one
         l-combination of each conjugate pair: at odd b the occupied boxes'
         sums count twice, and the empty boxes add the full-width volume sum.
         """
-        if p == 2:
-            vol = float(np.sum(self.volume.real**2 + self.volume.imag**2))
-            return self._plancherel() + self.empty_count * vol
+        if p == 2 and not self.occupied:
+            return _exact_mass(self.b, self.j, self.scale, 0, 0)
+        if p == 2:  # the rows' outer products, first factor slowest, one column per row
+            terms = self.weight[None, :]
+            for G in itertools.chain((Gp[self.sel] for Gp in self.prefix.helmert), self.last):
+                terms = np.multiply(terms[:, None, :], G.T, order="C").reshape(-1, terms.shape[1])
+            # reduceat along contiguous rows: 2-6 ms a CS-13 level, 21-24 across them
+            A = terms if self.occupied == terms.shape[1] else np.add.reduceat(terms, self.starts, axis=1)
+            squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2
+            sq = np.dot(squares.sum(axis=1).astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
+            return _exact_mass(self.b, self.j, self.scale, int(sq), sum(A.sum(axis=1).tolist()))
         vol = np.abs(self.volume)
         if math.isinf(p):
             empty_sup = float(vol.max()) if self.empty_count > 0 else 0.0
@@ -458,45 +493,6 @@ class LevelAggregate:
         pairs = len(self.l_combos) // self.columns  # 2 at odd b, else 1
         return pairs * occ + self.empty_count * float(np.sum(vol**p))
 
-    def _plancherel(self) -> float:
-        """sum over the occupied boxes of b^s ||P X||^2.
-
-        X = sum_h base_h (x)_i c_(h,i) - gamma (x)_i v is the box's real
-        sub-cell tensor: gamma prod_i DFT(v)(l_i) is the volume coefficient,
-        so mu_jml = DFT(X)(l), and P removes the mean along every axis.  Every
-        row is read in the Helmert basis, and one form serves the whole
-        level.  When every box holds one point, each row takes the O(s b)
-        form base^2 prod ||P c_i||^2 - 2 base gamma prod <c_i, v> +
-        gamma^2 prod ||v||^2, each coordinate's factors built from its H at
-        the level's rows.  Otherwise one `np.add.reduceat` sums the rows'
-        outer products per box, and each squared coordinate is weighted by
-        prod_i 1 / (h_i (h_i + 1)): at b = 2 that is 1/2, so dyadic values
-        stay exact.
-        """
-        b, s = self.b, self.s
-        gamma = float(b) ** (-2 * self.total_level - 2 * s) / 2.0 ** len(self.j)
-        if not self.occupied:
-            return 0.0
-        if s == 0:  # one box of every point in the set's own order: the volume
-            # comes off point by point, so no partial sum nears gamma = 2^-d
-            return float(np.sum(self.base - gamma / self.base.size)) ** 2
-        # each coordinate's H at the level's rows, gathered one at a time
-        H = itertools.chain((Hp[self.sel] for Hp in self.prefix.helmert), self.last)
-        if self.counts.max() == 1:
-            norm = dot = 1.0
-            for H_norm, H_dot in map(_single_forms, H):
-                norm, dot = norm * H_norm, dot * H_dot
-            v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s  # ||v||^2 = (b-1) b (b+1) / 3
-            total = float(np.sum(self.base * (self.base * norm - 2.0 * gamma * dot)))
-            return float(b) ** s * (total + self.occupied * gamma**2 * v_norm)
-        terms = self.base[:, None]
-        for Hi in H:  # row-wise outer products, first factor slowest
-            terms = (terms[:, :, None] * Hi[:, None, :]).reshape(len(terms), -1)
-        sums = np.add.reduceat(terms, self.starts, axis=0)
-        h = np.arange(1, b, dtype=float)
-        sums -= gamma * _tensor(-h * (h + 1), s)
-        return float(b) ** s * float(np.sum(sums * sums * _tensor(1.0 / (h * (h + 1)), s)))
-
 
 def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> LevelAggregate:
     """Find the occupied boxes of level j as runs of the sorted `prefix`.
@@ -504,7 +500,7 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
     Only points interior to their box (in every active coordinate) contribute;
     boundary points have vanishing indicator coefficients.  `prefix` is
     `level_prefix(p, j[:-1])`.  Nothing is summed here: `LevelAggregate.mass`
-    and `.mu` do that when asked.
+    and `.mu_blocks` do that when asked.
     """
     j = tuple(int(v) for v in j)
     if len(j) != p.d or j[:-1] != prefix.head:
@@ -525,15 +521,13 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
         sel = np.flatnonzero(off.rem)
         boxes, last = boxes + [m], [off.helmert(sel)]
 
-    # constant factors from level -1 coordinates: prod (1 - z_i)
-    base = np.full(sel.size, b ** float(-total_level - s) / max(N, 1))  # no rows at N = 0
-    if s < p.d:  # the points themselves are read only at level -1
-        idx = prefix.idx[sel]
-        if s == 0:  # one box of every point, in the set's own order (on CS-11
-            idx = np.sort(idx)  # the pairwise sum then lands 7x nearer the exact value)
-        for i, ji in enumerate(j):
-            if ji == -1:
-                base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
+    # a row's |w prod G| is below b^(nd), a box sum below M = N b^(nd)
+    scale = max(N, 1) * p.denominator**p.d  # no rows at N = 0
+    weight = np.ones(sel.size, dtype=_int_dtype(scale))
+    idx = prefix.idx[sel]
+    for i, ji in enumerate(j):
+        if ji == -1:  # the points themselves are read only at level -1
+            weight = weight * (p.denominator - p.numerators[idx, i]).astype(weight.dtype)
 
     # a box starts wherever the head run or the last box index changes; at
     # s = 0 every point is in the one box
@@ -545,7 +539,7 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
     starts = np.flatnonzero(new_box)
     counts = np.diff(starts, append=sel.size)
     return LevelAggregate(
-        j, b, l_combos, float(b) ** total_level, vol, base, sel, prefix, last, starts, counts
+        j, b, l_combos, float(b) ** total_level, vol, weight, scale, sel, prefix, last, starts, counts
     )
 
 
@@ -585,76 +579,69 @@ def haar_levels(p: PointSet, cap: Optional[int] = None) -> Iterator[LevelAggrega
             yield level_aggregate(p, head + (jd,), prefix)
 
 
-def _point_factors(p: PointSet, i: int, nums: np.ndarray, levels: list[int]) -> np.ndarray:
-    """Coordinate i's factors of the single-point Plancherel form for the
-    points with numerators `nums`, (3, len(levels), rows): ||P c||^2 and
-    <c, v> (`_single_forms`) and the interior indicator at each of `levels`
-    >= 0; (1 - z)^2, 1 - z and 1 at level -1.  A point on a box's left edge
-    has H = 0, so both forms vanish there."""
+def _point_factors(p: PointSet, i: int, nums: np.ndarray, levels: list[int], dtype) -> np.ndarray:
+    """Coordinate i's factors of a single-point box sum for the points with
+    numerators `nums`, (2, len(levels), rows): L sum_h G_h^2 / (h (h + 1))
+    and sum_h G_h at each of `levels` >= 0, (b^n - k)^2 and b^n - k at
+    level -1.  A point on a box's left edge has G = 0."""
     b, n = p.b, p.n
+    W = _helmert_weights(b)[1].astype(dtype)
     rows = np.arange(len(nums))
-    A, B, interior = F = np.empty((3, len(levels), len(nums)))
+    F = np.empty((2, len(levels), len(nums)), dtype=dtype)
     for k, ji in enumerate(levels):
         if ji == -1:
-            B[k] = 1.0 - nums[:, i] / float(p.denominator)
-            A[k] = B[k] * B[k]
-            interior[k] = 1.0
+            F[1, k] = p.denominator - nums[:, i]
+            F[0, k] = F[1, k] * F[1, k]
         else:
-            off = _offsets(nums[:, i], b, n, ji)[1]
-            A[k], B[k] = _single_forms(off.helmert(rows))
-            interior[k] = off.rem != 0
+            G = _offsets(nums[:, i], b, n, ji)[1].helmert(rows).astype(dtype)
+            F[0, k], F[1, k] = (G * G) @ W, G.sum(axis=1)
     return F
 
 
-def _single_point_masses(p: PointSet, levels: Sequence[tuple[int, ...]]) -> list[float]:
+def _single_point_masses(p: PointSet, levels: Sequence[tuple[int, ...]]) -> list[Fraction]:
     """`LevelAggregate.mass(2)` of each of `levels`, all with j_i <= n - 1,
     where every occupied box holds at most one point, from one contraction.
 
-    There each box is one row, whose Plancherel form base^2 prod ||P c_i||^2
-    - 2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2 is a product over
-    coordinates: base = c prod (1 - z_i) over level -1, c = b^(-|j|-s) / N.
-    So the sums over the points of the products of `_point_factors`,
-    sum A, sum B and the occupied count occ, are arrays over the levels
-    each coordinate takes in `levels`, contracted by `np.einsum` in runs of
-    `_SUM_RUN` points; the factors are built for blocks of about
-    `_SUM_ENTRIES` points times coordinate levels.  Level j's mass is
-    b^s (c^2 sum A - 2 c gamma sum B + occ gamma^2 ||v||^(2s)) plus the
-    b^|j| - occ empty boxes' volume mass.
+    There each box sum A is one row w (x)_i G_i, so the level's sq and lin
+    of `_exact_mass` are sum over the points of prod_i of the
+    `_point_factors` at j_i: the factors are arrays over the levels each
+    coordinate takes in `levels`, contracted by `np.einsum` for blocks of
+    about `_SUM_ENTRIES` points times coordinate levels.  An einsum sums
+    in int64 as many points as the largest product of factor maxima over
+    `levels` proves below 2^63 (entries for level combinations not asked
+    for may wrap; they are never read), in Python ints when one point's
+    product is not; the blocks add up in Python ints.
     """
-    b, n, d = p.b, p.n, p.d
+    b, d = p.b, p.d
     axes = [sorted({j[i] for j in levels}) for i in range(d)]  # coordinate i's levels
-    sums = np.zeros((3,) + tuple(len(a) for a in axes))  # sum A, sum B, occ
+    at = [tuple(a.index(v) for a, v in zip(axes, j)) for j in levels]
+    # a factor is at most b^(2n) L
+    dtype = _int_dtype(p.denominator**2 * _helmert_weights(b)[0])
+    sums = np.zeros((2,) + tuple(len(a) for a in axes), dtype=object)  # sq, lin
     step = max(1, _SUM_ENTRIES // max(1, sum(len(a) for a in axes)))
     for start in range(0, p.size, step):
         nums = p.numerators[start : start + step]
-        factors = [_point_factors(p, i, nums, a) for i, a in enumerate(axes)]
-        for k, run in itertools.product(range(3), range(0, len(nums), _SUM_RUN)):
+        factors = [_point_factors(p, i, nums, a, dtype) for i, a in enumerate(axes)]
+        tops = [np.abs(F).max(axis=2) for F in factors]
+        worst = max((math.prod(int(t[k, a]) for t, a in zip(tops, js)) for js in at for k in (0, 1)),
+                    default=0)
+        run = (2**63 - 1) // max(worst, 1) or len(nums)  # points per einsum
+        for k, first in itertools.product(range(2), range(0, len(nums), run)):
             # axis i is coordinate i's level, d the points (contiguous)
-            operands = [(F[k, :, run : run + _SUM_RUN], [i, d]) for i, F in enumerate(factors)]
-            sums[k] += np.einsum(*itertools.chain(*operands), list(range(d)))
+            operands = [(F[k, :, first : first + run].astype(_int_dtype(worst), copy=False), [i, d])
+                        for i, F in enumerate(factors)]
+            sums[k] += np.einsum(*itertools.chain(*operands), list(range(d))).astype(object)
         del factors, operands  # before the next block builds its own
-    masses = []
-    for j in levels:
-        s = sum(1 for v in j if v >= 0)
-        total_level = sum(v for v in j if v >= 0)
-        vol = _volume(b, d, s, total_level)[1]
-        c = b ** float(-total_level - s) / max(p.size, 1)  # all sums are 0 at N = 0
-        gamma = float(b) ** (-2 * total_level - 2 * s) / 2.0**d
-        v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s
-        A, B, occ = sums[(slice(None),) + tuple(a.index(v) for a, v in zip(axes, j))]
-        occupied = float(b) ** s * (c * (c * A - 2.0 * gamma * B) + occ * gamma**2 * v_norm)
-        empty = (float(b) ** total_level - occ) * float(np.sum(vol.real**2 + vol.imag**2))
-        masses.append(occupied + empty)
-    return masses
+    scale = max(p.size, 1) * p.denominator**d
+    return [_exact_mass(b, j, scale, int(sums[(0,) + js]), int(sums[(1,) + js])) for j, js in zip(levels, at)]
 
 
 # --- norm reports --------------------------------------------------------------
 
 
-#: Relative allowance for floating-point roundoff in the Haar-side norm
-#: values, reported as their tail_bound.  It is checked against the exact
-#: Warnock value (measured relative gap of Parseval 5.1e-15 on the CS net
-#: b=11 d=2 and 8.6e-14 at b=13), not proven.
+#: Relative allowance for floating-point roundoff in the Besov value,
+#: reported as its tail_bound.  It is not proven: the level masses off p = 2
+#: and the q-sum are floats.  (Parseval is exact and needs none.)
 ROUNDOFF_ALLOWANCE = 1e-10
 
 
@@ -764,37 +751,44 @@ def _qsum(terms: list[float], params: BesovParams, b: int, d: int, cap: int) -> 
 def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport]:
     """Parseval's ||D_P||_2^2 and the Besov quasi-norm of D_P, one sweep.
 
-    Both reduce the same Haar levels, those of `haar_levels`, with `_qsum`:
-    the Parseval report is the q-sum at (p, q, r) = (2, 2, 0), the Besov
-    report the q-th root of the q-sum at `params` (a sup at q = inf).  At
-    params.p == 2 the sweep stops each head at its first level of
-    single-point boxes, and the deeper levels of the head, all single-point
-    too, take their mass from one contraction (`_single_point_masses`) after
-    the sweep.  The levels beyond n - 1 are folded into the values exactly,
-    so r >= 1 gives inf; tail_bound is the roundoff allowance
-    `ROUNDOFF_ALLOWANCE * value`.
+    Both reduce the same Haar levels, those of `haar_levels`.  Parseval is
+    exact: sum_j b^|j| mass_j over the exact p = 2 level masses, plus the
+    levels beyond n - 1, 3^-d - (1/3 - b^(-2n) / 12)^d.  Its report carries
+    that `Fraction` as "exact" = "p/q", its correctly rounded float as the
+    value and half an ulp of it as tail_bound.  The Besov report is the q-th
+    root of `_qsum` at `params` (a sup at q = inf), the levels beyond n - 1
+    folded in exactly, so r >= 1 gives inf; its tail_bound is the roundoff
+    allowance `ROUNDOFF_ALLOWANCE * value`.  A head's first level of
+    single-point boxes and the deeper ones, all single-point, take their
+    p = 2 mass from one contraction (`_single_point_masses`) after the
+    sweep; at params.p == 2 the sweep stops each head there.
     """
     b, d, cap = p.b, p.d, p.n - 1
-    levels, single = [], []
+    masses, besov, single = [], [], []  # (|j|, mass): exact at p = 2, at params.p
     for head in levels_up_to(cap, d - 1):  # the sweep of `haar_levels`, cut short at p = 2
         prefix = level_prefix(p, head)
+        multi = True  # this level of the head and every coarser one has a multi-point box
         for jd in range(-1, cap + 1):
             agg = level_aggregate(p, head + (jd,), prefix)
-            mass2 = agg.mass(2.0)  # shared by both reports when params.p == 2
-            mass = mass2 if params.p == 2 else agg.mass(params.p)
-            levels.append((agg.total_level, mass2, mass))
-            one_point = agg.counts.max(initial=0) <= 1
+            if multi and agg.counts.max(initial=0) <= 1:  # so is every deeper j_d
+                multi = False
+                single += [head + (v,) for v in range(jd, cap + 1)]
+            if multi:
+                masses.append((agg.total_level, agg.mass(2.0)))
+            if params.p != 2:
+                besov.append((agg.total_level, agg.mass(params.p)))
             del agg  # before the sweep builds the next level
-            if params.p == 2 and one_point:  # so is every deeper j_d of the head
-                single += [head + (v,) for v in range(jd + 1, cap + 1)]
+            if not multi and params.p == 2:
                 break
     del prefix
-    if single:
-        tls = [sum(v for v in j if v >= 0) for j in single]
-        levels += [(tl, m, m) for tl, m in zip(tls, _single_point_masses(p, single))]
-    pv = _qsum([_xi_q(tl, m2, PARSEVAL, b) for tl, m2, _ in levels], PARSEVAL, b, d, cap)
+    masses += zip((sum(v for v in j if v >= 0) for j in single), _single_point_masses(p, single))
+    tail = Fraction(1, 3**d) - (Fraction(1, 3) - Fraction(1, 12 * b ** (2 * cap + 2))) ** d
+    exact = sum((b**tl * m for tl, m in masses), tail)
+    pv = float(exact)
+    if params.p == 2:
+        besov = [(tl, float(m)) for tl, m in masses]
     try:  # a float power of the level weights or the tail can overflow
-        bs = _qsum([_xi_q(tl, m, params, b) for tl, _, m in levels], params, b, d, cap)
+        bs = _qsum([_xi_q(tl, m, params, b) for tl, m in besov], params, b, d, cap)
     except OverflowError as exc:
         bad = f"p = {params.p}, q = {params.q}, r = {params.r}"
         raise InvalidParams(f"{bad} overflow the Besov sum: {exc}") from exc
@@ -802,7 +796,8 @@ def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport
         bs **= 1.0 / params.q
     sizes = dict(b=b, n=p.n, d=d, N=p.size)
     return (
-        NormReport("parseval", pv, ROUNDOFF_ALLOWANCE * pv, **sizes),
+        NormReport("parseval", pv, math.ulp(pv) / 2, **sizes,
+                   metadata={"exact": f"{exact.numerator}/{exact.denominator}"}),
         NormReport(
             "besov",
             bs,

@@ -8,10 +8,9 @@ netfiles are written one row at a time; Haar levels are aggregated point by
 point with `np.unique` and `np.add.at`, in the points' own order, or box by
 box with the sweep's arithmetic (chunked real box tensors, an `einsum` DFT),
 which the sweep's mu, its blocks joined (`joined_mu_blocks`), must match
-bit for bit, and their squared mass is
-summed exactly on explicit sub-cell tensors in Fractions, or by Plancherel
-from Helmert coordinates rebuilt at every level, which the sweep's mass
-must match bit for bit; Walsh integrals are
+bit for bit, or from explicit sub-cell tensors in Fractions and one float
+DFT, and their squared mass is summed exactly on those tensors, never
+through the Helmert basis; Walsh integrals are
 Riemann sums of `walsh_eval_1d` over Fraction grid points; character sums
 recompute every point's digits per frequency digit; V-set counts decide each
 word's digits against the definition; net tests count every
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import collections
-import functools
 import itertools
 import json
 import math
@@ -161,18 +159,20 @@ def mirror_mu_oracle(p, j) -> np.ndarray:
     by (box index of each active coordinate but the last, numerator of the
     last coordinate), and the boxes are the runs of that order.  mu is
     computed at the l-combinations with l_1 <= (b-1)/2 at odd b (all at
-    b = 2), one of each conjugate pair.  When every box holds one point, a
-    box's mu is its row's product of DFT factors in coordinate order.
-    Otherwise each box's real Helmert tensor is summed chunk by chunk: a
-    chunk is ceil(rows / boxes) of the box's rows, or ceil(sqrt(rows)) if
-    that is fewer, zero-padded, and takes one matmul of its head tensors by
-    the last coordinate's Helmert coordinates; one `np.add.reduceat` over
-    the box's own chunks adds them, and the tensors of all the boxes are
-    contracted with the DFT along each axis by `np.einsum`.  At s = 0 the
-    one box sums pairwise in the set's own order.  The arithmetic is that
-    of the sweep, so mu must agree bit for bit.
+    b = 2), one of each conjugate pair.  Each row carries its integer
+    Helmert coordinates G = sub H and the float weight prod (b^n - k_i)
+    over level -1, divided by N b^(nd).  When every box holds one point, a
+    box's mu is its row's product of DFT factors G @ T in coordinate order.
+    Otherwise each box's real tensor is summed chunk by chunk: a chunk is
+    ceil(rows / boxes) of the box's rows, or ceil(sqrt(rows)) if that is
+    fewer, zero-padded, and takes one matmul of its head tensors by the last
+    coordinate's G; one `np.add.reduceat` over the box's own chunks adds
+    them, and the tensors of all the boxes are contracted with the DFT along
+    each axis by `np.einsum`.  At s = 0 the one box's mu is exact.  The
+    arithmetic is that of the sweep, so mu must agree bit for bit.
     """
     b, n, d, N = p.b, p.n, p.d, p.size
+    D = b**n
     active = [i for i, v in enumerate(j) if v >= 0]
     s = len(active)
     total_level = sum(j[i] for i in active)
@@ -197,29 +197,30 @@ def mirror_mu_oracle(p, j) -> np.ndarray:
         step = b ** (n - j[i])
         m, rem = np.divmod(p.numerators[:, i], step)
         ksub, low = np.divmod(rem, step // b)
-        sub = float(step // b)
         keep &= rem != 0
         boxes.append(m)
-        # the sub-cell vector's Helmert coordinates: 0 below its sub-cell,
-        # -k u at it, -rem / sub above
-        hel = np.zeros((N, b - 1))
+        # the sub-cell vector's integer Helmert coordinates: 0 below its
+        # sub-cell, k (low - sub) at it, -rem above
+        hel = np.zeros((N, b - 1), dtype=np.int64)
         for hh in range(1, b):
-            hel[:, hh - 1] = np.where(ksub < hh, -rem / sub, 0.0)
+            hel[:, hh - 1] = np.where(ksub < hh, -rem, 0)
             at = ksub == hh
-            hel[at, hh - 1] = ksub[at] * ((low[at] - sub) / sub)
+            hel[at, hh - 1] = ksub[at] * (low[at] - step // b)
         hels.append(hel)
     idx = np.flatnonzero(keep)
     if s:
         head = boxes[:-1] if active[-1] == d - 1 else boxes
         idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(head)])]
-    base = np.full(idx.size, b ** float(-total_level - s)) / N
+    weight = np.ones(idx.size, dtype=np.int64)
     for i, ji in enumerate(j):
         if ji == -1:
-            base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
+            weight = weight * (D - p.numerators[idx, i])
     if s == 0:
-        return np.array([[base.sum()]], dtype=complex) - vol
+        mean = Fraction(int(weight.sum()), N * D**d)
+        return np.array([[float(mean - Fraction(1, 2**d))]], dtype=complex)
     if not idx.size:
         return np.zeros((0, columns), dtype=complex)
+    base = weight.astype(float) / float(N * D**d)
     new_box = np.zeros(idx.size, dtype=bool)
     new_box[0] = True
     for m in boxes:
@@ -268,176 +269,90 @@ def joined_mu_blocks(agg) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.empty((0, agg.columns), complex)
 
 
-def _helmert_form(b, rem, sub, rows, form) -> np.ndarray:
-    """form(H) at `rows` of the Helmert coordinates of the sub-cell vectors
-    at offsets `rem`: H_h = 0 for h < k, -k u at h = k, -rem / sub beyond.
-    With fewer offsets b sub than rows, form(H) is built once per offset and
-    looked up."""
-    at = rem[rows]
-    table = b * sub < at.size
-    rem = np.arange(b * sub) if table else at
-    k = rem // sub
-    fsub, h = float(sub), np.arange(1, b)
-    diag = (k * ((rem - k * sub - fsub) / fsub))[:, None]
-    k = k[:, None]
-    out = form(np.where(h > k, -rem[:, None] / fsub, np.where(h == k, diag, 0.0)))
-    return np.take(out, at, axis=0) if table else out
+def _exact_box_tensors(p, j) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(sorted occupied box ids, Y, Y_0, den) at level j: the real b^s
+    sub-cell tensor X of each occupied box is Y[m] / den, that of an empty
+    box Y_0 / den, with Y and Y_0 object arrays of Python ints.
 
-
-def plancherel_mass_oracle(p, j) -> float:
-    """sum over boxes m and l-combinations of |mu_jml|^2 at level j, by
-    Plancherel on Z_b^s with every coordinate's Helmert coordinates rebuilt
-    for this level alone.
-
-    The points interior to their box in every active coordinate of the head
-    are sorted by (head box indices, numerator of the last coordinate), and
-    the boxes are runs of that order.  One form serves the whole level: when
-    every box holds one point, each row takes base^2 prod ||P c_i||^2 -
-    2 base gamma prod <c_i, v> + gamma^2 prod ||v||^2, each coordinate's forms
-    built from its own H with `einsum`; otherwise every row's outer product
-    of H, built again, is summed per box with one `np.add.reduceat`.  The
-    empty boxes add the volume mass.  The arithmetic is that of the sweep, so
-    `LevelAggregate.mass(2)` must agree bit for bit.
+    X is the mean over the points of prod_i (length of cell r_i of box m_i
+    above z_i) times the (1 - z_i) of level -1, minus prod_i (integral of x
+    over cell r_i) times the 1/2 of level -1.  Cell lengths are integers in
+    units of b^-n (n raised to max j_i + 1 if that is larger), summed per
+    box in int64 (the sum S is below N b^(nd) < 2^63), so the first term is
+    S / (N b^(nd)); the integral of x over cell r of width c b^-n is
+    (2r + 1) c^2 / (2 b^(2n)) plus a term constant in r, which only the mean
+    over the cells, never mu, sees; so the integral tensor is taken as
+    prod_i (2 r_i + 1) c_i^2 / (2^d b^(2ns)).
     """
-    b, n, d, N = p.b, p.n, p.d, p.size
-    s = sum(1 for v in j if v >= 0)
-    total_level = sum(v for v in j if v >= 0)
-    roots = [_omega(b, l) - 1.0 for l in range(1, b)]
-    denoms = [2.0 ** (d - s)]
-    for _ in range(s):
-        denoms = [x * r for x in denoms for r in roots]
-    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms], dtype=complex)
-    vol_mass = float(np.sum(vol.real**2 + vol.imag**2))
-    n_boxes = float(b) ** total_level
-
-    def offsets(k, ji):  # (box index, offset inside the box, sub-cell width)
-        step = b ** (n - ji)
-        return k // step, k - k // step * step, step // b
-
-    keep = np.ones(N, dtype=bool)
-    boxes, rems = [], []
-    for i, ji in enumerate(j[:-1]):
-        if ji == -1:
-            continue
-        if ji >= n:
-            keep[:] = False
-            continue
-        m, rem, sub = offsets(p.numerators[:, i], ji)
-        keep &= rem != 0
-        boxes.append(m)
-        rems.append((rem, sub))
-    idx = np.flatnonzero(keep)
-    idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
-    boxes = [m[idx] for m in boxes]
-    rems = [(rem[idx], sub) for rem, sub in rems]
-    sel = np.arange(idx.size)
-    if j[-1] >= n:
-        sel = sel[:0]
-    elif j[-1] >= 0:
-        m, rem, sub = offsets(p.numerators[idx, -1], j[-1])
-        sel = np.flatnonzero(rem)
-        boxes = [mi[sel] for mi in boxes] + [m[sel]]
-        rems.append((rem, sub))
-    idx = idx[sel]
-    if s == 0:
-        idx = np.sort(idx)
-    base = np.full(idx.size, b ** float(-total_level - s)) / N
+    b, d, N = p.b, p.d, p.size
+    active = [i for i, v in enumerate(j) if v >= 0]
+    s = len(active)
+    n = max([p.n] + [j[i] + 1 for i in active])  # the unit b^-n refines every cell
+    D = b**n
+    k = p.numerators * b ** (n - p.n)
+    interior = np.ones(N, dtype=bool)
+    for i in active:
+        interior &= k[:, i] % b ** (n - j[i]) != 0
+    k = k[interior]
+    assert not k.size or N * D**d < 2**63
+    weight = np.ones(len(k), dtype=np.int64)
     for i, ji in enumerate(j):
         if ji == -1:
-            base = base * (1.0 - p.numerators[idx, i] / float(p.denominator))
-    gamma = float(b) ** (-2 * total_level - 2 * s) / 2.0**d
-    if s == 0:
-        return float(np.sum(base - gamma / base.size)) ** 2 + (n_boxes - 1) * vol_mass
-    if idx.size == 0:
-        return 0.0 + n_boxes * vol_mass
-    new_box = np.zeros(idx.size, dtype=bool)
-    new_box[0] = True
-    for m in boxes:
-        new_box[1:] |= m[1:] != m[:-1]
-    starts = np.flatnonzero(new_box)
-    counts = np.diff(starts, append=idx.size)
-    h = np.arange(1, b, dtype=float)
-    weight = 1.0 / (h * (h + 1))
-    if counts.max() == 1:
-        norm, dot = 1.0, 1.0
-        for rem, sub in rems:
-            forms = _helmert_form(
-                b, rem, sub, sel,
-                lambda H: np.stack([np.einsum("rh,rh,h->r", H, H, weight), -H.sum(1)], 1),
-            )
-            norm, dot = norm * forms[:, 0], dot * forms[:, 1]
-        v_norm = ((b - 1) * b * (b + 1) / 3.0) ** s
-        total = float(np.sum(base * (base * norm - 2.0 * gamma * dot)))
-        total += starts.size * gamma**2 * v_norm
-    else:
-        terms = base[:, None]
-        for rem, sub in rems:
-            hel = _helmert_form(b, rem, sub, sel, lambda H: H)
-            terms = (terms[:, :, None] * hel[:, None, :]).reshape(len(terms), -1)
-        sums = np.add.reduceat(terms, starts, axis=0)
-        outer = functools.reduce(np.multiply.outer, [-h * (h + 1)] * s, np.ones(()))
-        sums -= gamma * outer.ravel()
-        weights = functools.reduce(np.multiply.outer, [weight] * s, np.ones(()))
-        total = float(np.sum(sums * sums * weights.ravel()))
-    return float(b) ** s * total + (n_boxes - starts.size) * vol_mass
+            weight = weight * (D - k[:, i])
+    box = np.zeros(len(k), dtype=np.int64)
+    tensor = weight[:, None]
+    vol = np.ones(1, dtype=object)
+    for i in active:
+        cell = b ** (n - j[i] - 1)  # cell width in units of b^-n
+        box = box * b ** j[i] + k[:, i] // (b * cell)
+        start = (k[:, i] // (b * cell) * b)[:, None] * cell + np.arange(b) * cell
+        lengths = np.clip(start + cell - np.maximum(start, k[:, i, None]), 0, cell)
+        tensor = (tensor[:, :, None] * lengths[:, None, :]).reshape(len(k), b * tensor.shape[1])
+        vol = np.multiply.outer(vol, [(2 * r + 1) * cell * cell for r in range(b)]).ravel()
+    box_ids, inv = np.unique(box, return_inverse=True)
+    sums = np.zeros((box_ids.size, tensor.shape[1]), dtype=np.int64)
+    np.add.at(sums, inv, tensor)
+    # X = S / (N D^d) - vol / (2^d D^(2s)), over den = 2^d N D^(d+s)
+    y0 = -N * D ** (d - s) * vol
+    return box_ids, 2**d * D**s * sums.astype(object) + y0, y0, 2**d * N * D ** (d + s)
 
 
 def level_mass_exact(p, j) -> Fraction:
     """sum over boxes m and l-combinations of |mu_jml|^2, exactly.
 
-    mu_jml is the DFT at l of the box's real b^s tensor X, the mean over the
-    points of prod_i (length of cell r_i of box m_i above z_i) times the
-    (1 - z_i) of level -1, minus prod_i (integral of x over cell r_i) times
-    the 1/2 of level -1.  By Plancherel the sum over l in {1..b-1}^s is
-    b^s ||P X||^2, P removing the mean along every axis; P cancels the m
-    dependence of the volume tensor, so every empty box adds the same.  Cell
-    lengths are integers in units of b^-n, summed per box in int64 (the sum
-    is below N b^(nd) < 2^63), then combined in Fractions: meant for levels
-    with few boxes.
+    mu_jml is the DFT at l of the box's real b^s tensor X
+    (`_exact_box_tensors`).  By Plancherel the sum over l in {1..b-1}^s is
+    b^s ||P X||^2, P removing the mean along every axis, here in integers:
+    b^s P scales to b Y - (sum along the axis) per axis.  P cancels the m
+    dependence of the volume tensor, so every empty box adds the same.
     """
-    b, n, d, N = p.b, p.n, p.d, p.size
-    D = b**n
-    assert N * D**d < 2**63
+    b = p.b
     active = [i for i, v in enumerate(j) if v >= 0]
     s = len(active)
-    weight = np.ones(N, dtype=np.int64)
-    for i, ji in enumerate(j):
-        if ji == -1:
-            weight = weight * (D - p.numerators[:, i])
-    interior = np.ones(N, dtype=bool)
-    box = np.zeros(N, dtype=np.int64)
-    tensor = weight[:, None]
-    for i in active:
-        cell = b ** (n - j[i] - 1)  # cell width in units of b^-n
-        k = p.numerators[:, i]
-        interior &= k % (b * cell) != 0
-        box = box * b ** j[i] + k // (b * cell)
-        start = (k // (b * cell) * b)[:, None] * cell + np.arange(b) * cell
-        lengths = np.clip(start + cell - np.maximum(start, k[:, None]), 0, cell)
-        tensor = (tensor[:, :, None] * lengths[:, None, :]).reshape(N, -1)
-    box_ids, inv = np.unique(box[interior], return_inverse=True)
-    sums = np.zeros((box_ids.size, tensor.shape[1]), dtype=np.int64)
-    np.add.at(sums, inv, tensor[interior])
+    box_ids, Y, Y0, den = _exact_box_tensors(p, j)
+    y = np.vstack([Y, Y0]).reshape((-1,) + (b,) * s)  # the occupied boxes, then an empty one
+    for axis in range(1, s + 1):
+        y = b * y - y.sum(axis=axis, keepdims=True)
+    sq = (y * y).reshape(len(y), -1).sum(axis=1)  # b^(2s) ||P X||^2 den^2 per box
+    n_empty = b ** sum(j[i] for i in active) - box_ids.size
+    return Fraction(b**s * (int(sq[:-1].sum()) + n_empty * int(sq[-1])), b ** (2 * s) * den * den)
 
-    def integral(cell_index, width):  # of x over [cell_index, cell_index + 1) * width
-        return Fraction((2 * cell_index + 1) * width * width, 2)
 
-    vol = np.array([Fraction(1, 2 ** (d - s))], dtype=object)
-    for i in active:
-        width = Fraction(1, b ** (j[i] + 1))
-        cells = np.array([integral(r, width) for r in range(b)], dtype=object)
-        vol = np.multiply.outer(vol, cells).ravel()
-
-    def projected_sq(x):
-        x = x.reshape((b,) * s)
-        for axis in range(s):
-            x = x - x.sum(axis=axis, keepdims=True) / b
-        return sum(v * v for v in x.ravel())
-
-    scale = Fraction(1, N * D ** (d - s) * D**s)
-    total = sum(projected_sq(row.astype(object) * scale - vol) for row in sums)
-    empty = b ** sum(j[i] for i in active) - box_ids.size
-    return b**s * (total + empty * projected_sq(-vol))
+def exact_mu_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted occupied box ids, mu) of level j at every l-combination, first
+    l slowest: each box's tensor X exact in Fractions (`_exact_box_tensors`),
+    the volume already off, then one float DFT along every axis.  Meant for
+    levels with few boxes, such as the one-box levels, where the points'
+    sums cancel to a small mu."""
+    b = p.b
+    s = sum(1 for v in j if v >= 0)
+    box_ids, Y, _, den = _exact_box_tensors(p, j)
+    mu = np.array([[float(Fraction(int(v), den)) for v in y] for y in Y])
+    mu = mu.reshape((len(Y),) + (b,) * s)
+    dft = np.array([[_omega(b, r * l) for l in range(1, b)] for r in range(b)])
+    for axis in range(1, s + 1):
+        mu = np.moveaxis(np.tensordot(mu, dft, axes=([axis], [0])), -1, axis)
+    return box_ids, mu.reshape(len(Y), -1)
 
 
 def warnock_sq_oracle(numerators, denom: int) -> Fraction:

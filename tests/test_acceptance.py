@@ -26,7 +26,7 @@ from qmcnet.families import balanced_hammersley
 from qmcnet.field import gf_rank
 from qmcnet.haar import BesovParams, besov_quasi_norm, indicator_coeff, parseval_l2, volume_coeff
 from qmcnet.nets import GeneratingMatrices, char_sum, dual_set, generate_points, is_net
-from qmcnet.norms import coeff_bound_audit, scaling_table, warnock_l2
+from qmcnet.norms import coeff_bound_audit, scaling_table, warnock_l2_sq
 from qmcnet.walsh import (
     fine_price_coeff,
     group_walsh_transform,
@@ -151,24 +151,19 @@ def test_criterion_5_theta_duality_and_residual(cs_points, cs_matrices):
 
 
 def test_criterion_6_parseval_vs_warnock(cs_points):
-    rep = parseval_l2(cs_points)
-    w = warnock_l2(cs_points)
-    gap = abs(rep.value - w * w)
-    rel = gap / (w * w)
-    ok_cs = gap <= rep.tail_bound and rel <= 1e-10
-
+    # Parseval's exact sum is Warnock's exact value, and the report's value
+    # is its correctly rounded float, within tail_bound = ulp / 2
     ident = np.eye(6, dtype=np.int64)
     p1 = generate_points(GeneratingMatrices(2, 6, 1, ident[None]))
-    rep1 = parseval_l2(p1)
-    w1 = warnock_l2(p1)
-    gap1 = abs(rep1.value - w1 * w1)
-    rel1 = gap1 / (w1 * w1)
-    ok_d1 = gap1 <= rep1.tail_bound and rel1 <= 1e-14
-    report(
-        6,
-        ok_cs and ok_d1,
-        f"CS rel gap {rel:.2e}; d=1 rel gap {rel1:.2e}",
-    )
+    gaps = []
+    for p in (cs_points, p1):
+        rep = parseval_l2(p)
+        exact = warnock_l2_sq(p)
+        assert Fraction(rep.metadata["exact"]) == exact
+        assert rep.value == float(exact) and rep.tail_bound == math.ulp(rep.value) / 2
+        gaps.append(abs(Fraction(rep.value) - exact) / exact)
+    report(6, all(g <= 2.0**-53 for g in gaps),
+           f"exact == Warnock; CS rel rounding {float(gaps[0]):.2e}; d=1 {float(gaps[1]):.2e}")
 
 
 def test_criterion_7_coefficient_bound_audit(cs_points):

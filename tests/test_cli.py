@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 from fractions import Fraction
@@ -193,15 +194,18 @@ def test_norm_reports(tmp_path, capsys):
 
 
 def test_norm_warnock_compares_with_the_exact_square(capsys):
-    # on CS-11 the float root of the exact value squared again is one ulp low
+    # Parseval's line carries its exact value, which is Warnock's exact
+    # square; its value is that correctly rounded, within half an ulp
     assert run(["norm", "--base", "11", "--dim", "2", "--w", "1", "--warnock"]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-    pv, cross = lines[0], lines[2]
+    pv, bs, cross = lines
     assert cross["kind"] == "warnock_crosscheck" and cross["parseval"] == pv["value"]
     exact = warnock_l2_sq(cs_point_set(CSParams(11, 2, 1)))
-    assert cross["warnock_sq"] == float(exact)
+    assert Fraction(pv["exact"]) == exact and pv["exact"] == f"{exact.numerator}/{exact.denominator}"
+    assert cross["warnock_sq"] == pv["value"] == float(exact)
     assert cross["within_tail"] is True
-    assert abs(Fraction(pv["value"]) - exact) <= pv["tail_bound"]
+    assert pv["tail_bound"] == math.ulp(pv["value"]) / 2
+    assert "exact" not in bs and set(pv) == set(bs) - {"out_of_window"} | {"exact"}
 
 
 def test_norm_out_of_window_warning(tmp_path, capsys):
@@ -254,15 +258,19 @@ def test_norm_sweeps_each_level_once(monkeypatch):
     monkeypatch.setattr(haar, "level_aggregate", counted)
     monkeypatch.setattr(haar.LevelAggregate, "mass", counted_mass)
     monkeypatch.setattr(haar, "_single_point_masses", contracted)
-    # the CS net b=11 d=2 w=1 (n=4) has (n+1)^d = 25 levels.  Heads 2 and 3
-    # first hold one point per box at (2, 2) and (3, 1), so their deeper
-    # levels come from one contraction; the other 22 are aggregated once,
-    # and their mass read once (p = 2: Parseval and Besov share it)
+    # the CS net b=11 d=2 w=1 (n=4) has (n+1)^d = 25 levels.  Heads 1, 2
+    # and 3 first hold one point per box at (1, 3), (2, 2) and (3, 1): those
+    # levels are aggregated but their mass is not read, and they and the
+    # deeper levels of their heads come from one contraction; the other 22
+    # are aggregated once, and the mass of the 19 with a multi-point box is
+    # read once (p = 2: Parseval and Besov share it)
     assert run(["norm", "--base", "11", "--dim", "2", "--w", "1"]) == 0
+    single_point = [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
     deeper = [(2, 3), (3, 2), (3, 3)]
-    swept = [j for j in itertools.product(range(-1, 4), repeat=2) if j not in deeper]
-    assert levels == masses == swept
-    assert single == [deeper]
+    all_levels = list(itertools.product(range(-1, 4), repeat=2))
+    assert levels == [j for j in all_levels if j not in deeper]
+    assert masses == [j for j in all_levels if j not in single_point]
+    assert single == [single_point]
 
 
 def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):
@@ -279,11 +287,13 @@ def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):
     # the report recorded when the audit still swept all (n+1)^d levels, but
     # for const_small_levels: it read 1181.08, the volume coefficient of an
     # empty box that no level up to the cap has.  Its last digits are those
-    # of mu from the box tensors (…2987 when mu summed complex rows)
+    # of mu from the box tensors of integer Helmert coordinates (…29897
+    # from float ones, …2987 when mu summed complex rows).  const_full_cube
+    # is b^n |mu| of the one box at s = 0, now exact (…64896 from a float sum)
     assert capsys.readouterr().out.strip() == (
         '{"b": 11, "cap": 1, "const_exceptional": 0.0, '
-        '"const_full_cube": 0.5000170753364896, '
-        '"const_small_levels": 0.28633421748029897, "const_typical": 0.0, '
+        '"const_full_cube": 0.5000170753363842, '
+        '"const_small_levels": 0.2863342174802996, "const_typical": 0.0, '
         '"d": 2, "exceptional_counts": {}, "n": 4, "part_iii_ok": true, '
         '"part_iv_exceptions": 0, "part_iv_levels_checked": 0, "passed": true, '
         '"schema": 1}'
@@ -341,6 +351,14 @@ def test_norm_infinite_r_is_a_parameter_error(r, capsys):
     assert run(["norm", "--base", "3", "--dim", "1", f"--r={r}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"r = {r}" in err
+
+
+def test_norm_divergent_besov_sum_is_a_parameter_error(capsys):
+    # at r >= 1 the Besov sum diverges: the report carried "value":
+    # Infinity, "tail_bound": Infinity, which is not JSON, with exit 0
+    assert run(["norm", "--base", "3", "--dim", "1", "--r", "1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Besov sum diverges at p = 2.0, q = 2.0, r = 1.5" in err
 
 
 def test_norm_overflowing_parameters_are_a_parameter_error(capsys):

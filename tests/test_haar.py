@@ -7,11 +7,11 @@ import pytest
 
 from oracles import (
     discrepancy_coeff,
+    exact_mu_oracle,
     indicator_coeff_oracle,
     joined_mu_blocks,
     level_aggregate_oracle,
     level_mass_exact,
-    plancherel_mass_oracle,
     mirror_mu_oracle,
     volume_coeff_oracle,
 )
@@ -24,7 +24,9 @@ from qmcnet.haar import (
     HaarIndex,
     Offsets,
     _helmert_dft,
-    _single_forms,
+    _helmert_weights,
+    _offsets,
+    _point_factors,
     _single_point_masses,
     besov_quasi_norm,
     haar_levels,
@@ -256,19 +258,41 @@ def test_plancherel_mass_matches_mu_on_repeated_and_grid_points(
 
 
 def test_plancherel_mass_on_every_cs11_level(cs11_oracle):
-    # where a level's few boxes hold thousands of points (|j| <= 1) the float
-    # sums cancel: the exact mass of (0, 0) is 0, and Sigma |mu|^2 of the
-    # oracle is 1.1e-10 off at (-1, 0).  There the reference is exact, and
-    # each level must match it within 1e-12 of its mass or of its share
-    # b^-|j| ||D||^2 of Parseval's sum, whichever is larger.
+    # the 13 levels with |j| <= 2, where a few boxes hold thousands of
+    # points and float sums cancel (the exact mass of (0, 0) is 0), equal
+    # the exact mass; every other level is within 1e-12 of the oracle's
+    # Sigma |mu|^2 or of its share b^-|j| ||D||^2 of Parseval's sum,
+    # whichever is larger
     cs, refs = cs11_oracle
     l2_sq = warnock_l2_sq(cs)
+    exact_levels = 0
     for j, (_, mu) in refs.items():
         agg = level_aggregate(cs, j, level_prefix(cs, j[:-1]))
-        tl = agg.total_level
-        ref = level_mass_exact(cs, j) if tl <= 1 else Fraction(_oracle_mass(agg, mu))
-        scale = max(ref, l2_sq / cs.b**tl)
-        assert abs(Fraction(agg.mass(2)) - ref) <= Fraction(1e-12) * scale, j
+        mass = agg.mass(2)
+        assert isinstance(mass, Fraction)
+        if agg.total_level <= 2:
+            assert mass == level_mass_exact(cs, j), j
+            exact_levels += 1
+        else:
+            ref = Fraction(_oracle_mass(agg, mu))
+            scale = max(ref, l2_sq / cs.b**agg.total_level)
+            assert abs(mass - ref) <= Fraction(1e-12) * scale, j
+    assert exact_levels == 13
+
+
+def test_one_box_mu_against_the_exact_box_tensor():
+    # on the levels where one box holds all N points, the points' sums
+    # cancel to a small mu; the exact tensor with one float DFT holds the
+    # sweep's mu there within 1e-11 of max|mu| (3.7e-12 measured), where
+    # `level_aggregate_oracle` is 1e-10 off
+    for b in (11, 13):
+        cs = cs_point_set(CSParams(b=b, d=2, w=1))
+        for j in [(-1, 0), (0, -1)]:
+            agg = level_aggregate(cs, j, level_prefix(cs, j[:-1]))
+            box_ids, mu = exact_mu_oracle(cs, j)
+            assert agg.occupied == box_ids.size == 1
+            mu = mu[:, : agg.columns]
+            assert np.abs(joined_mu_blocks(agg) - mu).max() <= 1e-11 * np.abs(mu).max(), (b, j)
 
 
 @pytest.mark.parametrize("power", [1.0, 1.5, 3.0, math.inf])
@@ -388,13 +412,18 @@ def test_haar_norms_reads_the_p2_mass_once_per_level(monkeypatch):
         return mass(self, p)
 
     monkeypatch.setattr(haar.LevelAggregate, "mass", counted)
-    haar.haar_norms(cs_point_set(CSParams(b=11, d=2, w=1)), BesovParams(2.0, 2.0, 0.25))
-    # one per aggregated level, Parseval and Besov sharing it; the 3 levels
-    # past each head's first single-point level come from the contraction
-    assert calls == [2.0] * 22
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
+    # one per level with a multi-point box, Parseval and Besov sharing it;
+    # the 6 single-point levels, from (1, 3), (2, 2) and (3, 1) on in their
+    # heads, come from the contraction
+    single = {(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)}
+    assert calls == [2.0] * 19
     calls.clear()
-    haar.haar_norms(cs_point_set(CSParams(b=11, d=2, w=1)), BesovParams(1.5, 2.0, 0.25))
-    assert calls == [2.0, 1.5] * 25  # Besov off p = 2 reads mu on every level
+    haar.haar_norms(cs, BesovParams(1.5, 2.0, 0.25))
+    # Besov off p = 2 reads mu on every level
+    expected = [[2.0, 1.5] if j not in single else [1.5] for j in levels_up_to(3, 2)]
+    assert calls == sum(expected, [])
 
 
 def test_haar_levels_sorts_once_per_head(monkeypatch):
@@ -415,12 +444,13 @@ def test_haar_levels_sorts_once_per_head(monkeypatch):
 
 
 def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
-    # over one CS-11 audit: a head coordinate's H once per prefix with
+    # over one CS-11 audit: a head coordinate's G once per prefix with
     # j_1 >= 0, the last coordinate's once per level with j_2 >= 0, and
     # nothing else (4 + 5 * 4 builds).  `haar_norms` builds the same but for
-    # the 3 levels it leaves to the contraction, whose builds are counted
+    # the 3 levels past each head's first single-point level, which it
+    # leaves to the contraction with that level; its builds are counted
     # apart: one per block of points, coordinate and level j_i >= 0 of those
-    # levels, here levels 2 and 3 in each coordinate in one block
+    # levels, here levels 1, 2 and 3 in each coordinate in two blocks
     import qmcnet.haar as haar
     from qmcnet.norms import coeff_bound_audit
 
@@ -459,33 +489,57 @@ def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
     log.clear()
     haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
     deeper = [[(2, 3), 1], [(3, 2), 1], [(3, 3), 1]]
-    assert cs.size * 4 <= haar._SUM_ENTRIES
-    assert log == [e for e in expected if e not in deeper] + [[("contraction",), 2 * 2]]
+    assert -(-cs.size // (haar._SUM_ENTRIES // 6)) == 2
+    assert log == [e for e in expected if e not in deeper] + [[("contraction",), 2 * 6]]
 
 
-def test_plancherel_mass_is_the_per_level_computation_bit_for_bit(
-    repeated_and_grid_oracle,
-):
-    """mass(2) from the prefix's head coordinates equals `plancherel_mass_oracle`,
-    which rebuilds every coordinate's Helmert coordinates at every level, on
-    every level with all j_i <= n: CS-11, balanced Hammersley n = 10, the
-    d = 3 set of `test_haar_levels_sorts_once_per_head` and the seeded sets
-    with repeated and grid points."""
+def _affordable(p, agg) -> bool:
+    """Whether `level_mass_exact` on this level stays cheap: at most 3000
+    Fraction cells over the occupied boxes, and N b^(nd) < 2^63."""
+    cells = (agg.occupied + 1) * p.b**agg.s
+    return cells <= 3000 and p.size * p.b ** (p.n * p.d) < 2**63
+
+
+def _assert_exact_masses(p):
+    """mass(2) on every level with all j_i <= n is an exact Fraction and
+    equals `level_mass_exact` wherever that is affordable; returns the
+    levels checked against it and the kinds of level seen."""
+    checked, kinds = 0, set()
+    for head in levels_up_to(p.n, p.d - 1):
+        prefix = level_prefix(p, head)
+        for jd in range(-1, p.n + 1):
+            agg = level_aggregate(p, head + (jd,), prefix)
+            mass = agg.mass(2)
+            assert isinstance(mass, Fraction) and mass >= 0, (p.b, agg.j)
+            if _affordable(p, agg):
+                assert mass == level_mass_exact(p, agg.j), (p.b, p.n, p.d, p.size, agg.j)
+                checked += 1
+            if agg.s:
+                single = agg.counts == 1
+                kinds.add((agg.occupied > 0, single.all(), not single.any()))
+    return checked, kinds
+
+
+def test_level_mass_is_exact(repeated_and_grid_oracle):
+    """mass(2) equals the exact mass from explicit sub-cell tensors in
+    Fractions on every affordable level with all j_i <= n: balanced
+    Hammersley n = 10, Hammersley n = 5 (every level), the d = 3 set of
+    `test_haar_levels_sorts_once_per_head`, a 30-point b = 3 multiset and
+    the seeded sets with repeated and grid points.  CS-11's affordable
+    levels all have |j| <= 2, which `test_plancherel_mass_on_every_cs11_level`
+    checks."""
     sets = [
-        cs_point_set(CSParams(b=11, d=2, w=1)),
         balanced_hammersley(10),
+        hammersley(5),
         PointSet(3, 2, 3, np.arange(27).reshape(9, 3) % 9),
+        PointSet(3, 3, 2, np.random.default_rng(7).integers(0, 27, size=(30, 2))),
     ] + [p for p, _ in repeated_and_grid_oracle]
-    kinds = set()
+    checked, kinds = 0, set()
     for p in sets:
-        for head in levels_up_to(p.n, p.d - 1):
-            prefix = level_prefix(p, head)
-            for jd in range(-1, p.n + 1):
-                agg = level_aggregate(p, head + (jd,), prefix)
-                assert agg.mass(2) == plancherel_mass_oracle(p, agg.j), (p.b, agg.j)
-                if agg.s:
-                    single = agg.counts == 1
-                    kinds.add((agg.occupied > 0, single.all(), not single.any()))
+        got, seen = _assert_exact_masses(p)
+        checked, kinds = checked + got, kinds | seen
+    assert _assert_exact_masses(hammersley(5))[0] == 7 * 7  # every level
+    assert checked > 800
     # empty, all single-point, all multi-point and mixed levels
     assert kinds == {(False, True, True), (True, True, False), (True, False, True),
                      (True, False, False)}
@@ -505,39 +559,35 @@ def _random_sets():
     return sets
 
 
-def test_plancherel_mass_is_the_per_level_computation_on_random_sets():
-    """mass(2) equals `plancherel_mass_oracle` bit for bit on every level with
-    all j_i <= n of the 60 `_random_sets`: a row's forms do not depend on
-    how many rows share the call, so the bits hold on any set."""
-    for p in _random_sets():
-        b, n, d = p.b, p.n, p.d
-        for head in levels_up_to(n, d - 1):
-            prefix = level_prefix(p, head)
-            for jd in range(-1, n + 1):
-                agg = level_aggregate(p, head + (jd,), prefix)
-                assert agg.mass(2) == plancherel_mass_oracle(p, agg.j), (b, n, d, p.size, agg.j)
+def test_level_mass_is_exact_on_random_sets():
+    """mass(2) equals `level_mass_exact` on every affordable level with all
+    j_i <= n of the 60 `_random_sets`."""
+    assert sum(_assert_exact_masses(p)[0] for p in _random_sets()) > 1500
 
 
 def _single_point_levels(p):
     """(level, `LevelAggregate.mass(2)`) of every level of `haar_levels(p)`
-    with s >= 1 where every occupied box holds at most one point."""
-    return [(agg.j, agg.mass(2)) for agg in haar_levels(p)
-            if agg.s and agg.counts.max(initial=0) <= 1]
+    where every occupied box holds at most one point, with whether
+    `level_mass_exact` is affordable there."""
+    return [(agg.j, agg.mass(2), _affordable(p, agg)) for agg in haar_levels(p)
+            if agg.counts.max(initial=0) <= 1]
 
 
-def _assert_contraction_matches(p, rel):
-    levels = _single_point_levels(p)
-    got = _single_point_masses(p, [j for j, _ in levels])
-    for (j, ref), mass in zip(levels, got):
-        assert abs(mass - ref) <= rel * ref, (p.b, p.n, p.d, p.size, j, mass, ref)
-    return len(levels)
+def _contracted(sets):
+    """(p, level, mass(2), whether `level_mass_exact` is affordable, the
+    contraction's mass) of every single-point level of the `sets`."""
+    out = []
+    for p in sets:
+        single = _single_point_levels(p)
+        got = _single_point_masses(p, [j for j, _, _ in single]) if single else []
+        out += [(p, j, mass, affordable, c) for (j, mass, affordable), c in zip(single, got)]
+    return out
 
 
-def test_single_point_contraction_is_the_per_level_mass_bit_for_bit_at_b2():
-    # at b = 2 every per-point factor is a dyadic of few bits, so with N a
-    # power of 2 (c = 2^(-|j|-s) / N dyadic too) both routes' sums are
-    # exact and the contraction gives mass(2)'s bits; at other N, c rounds
-    # and the two routes round it differently (the odd-b test covers that)
+@pytest.fixture(scope="module")
+def contracted(repeated_and_grid_oracle):
+    """`_contracted` on balanced Hammersley n = 1..12, 20 seeded b = 2 sets,
+    the 60 `_random_sets` and the repeated-and-grid sets."""
     rng = np.random.default_rng(5)
     sets = [balanced_hammersley(n) for n in range(1, 13)]
     for _ in range(20):
@@ -545,29 +595,37 @@ def test_single_point_contraction_is_the_per_level_mass_bit_for_bit_at_b2():
         n += 3
         size = 2 ** int(rng.integers(0, 8))
         sets.append(PointSet(2, n, d, rng.integers(0, 2**n, size=(size, d))))
-    assert sum(_assert_contraction_matches(p, 0.0) for p in sets) > 500
+    return _contracted(sets + _random_sets() + [p for p, _ in repeated_and_grid_oracle])
 
 
-def test_single_point_contraction_agrees_with_the_per_level_mass(repeated_and_grid_oracle):
-    # at odd b the contraction sums each product over the points, the sweep
-    # each row's form: within 1e-15 relative (6.5e-16 measured)
-    sets = _random_sets() + [p for p, _ in repeated_and_grid_oracle]
-    assert sum(_assert_contraction_matches(p, 1e-15) for p in sets) > 100
+def test_single_point_contraction_agrees_with_the_per_level_mass(contracted):
+    # both routes sum integers, so the contraction's masses equal mass(2)
+    # of the same levels, at every b
+    for p, j, mass, _, got in contracted:
+        assert got == mass, (p.b, p.n, p.d, p.size, j)
+    assert len(contracted) > 1000 and {p.b for p, *_ in contracted} == {2, 3, 5, 7, 11, 13}
 
 
-def test_single_point_contraction_against_the_exact_mass(repeated_and_grid_oracle):
-    # `level_mass_exact` works in Fractions on the b^s cells of every
-    # occupied box, so only the sets (N <= 120) with b^(n d) <= 1e6 (2.6e-16
-    # measured; 5.2e-16 for the sweep's mass(2))
-    sets = [p for p in _random_sets() if p.b ** (p.n * p.d) <= 10**6]
+def test_single_point_contraction_against_the_exact_mass(contracted):
+    # `level_mass_exact` sums explicit sub-cell tensors, never the Helmert
+    # basis: on every affordable single-point level of the b = 2 sets (on
+    # the others mass(2), which the contraction equals, is held to it by
+    # `test_level_mass_is_exact*`)
     checked = 0
-    for p in sets + [p for p, _ in repeated_and_grid_oracle]:
-        levels = [j for j, _ in _single_point_levels(p)]
-        for j, mass in zip(levels, _single_point_masses(p, levels)):
-            exact = level_mass_exact(p, j)
-            assert abs(Fraction(mass) - exact) <= Fraction(1e-15) * exact, (p.b, p.n, p.d, j)
+    for p, j, _, affordable, got in contracted:
+        if affordable and p.b == 2:
+            assert got == level_mass_exact(p, j), (p.b, p.n, p.d, p.size, j)
             checked += 1
-    assert checked > 50
+    assert checked > 300
+
+
+def test_single_point_contraction_past_int64():
+    # b = 2, n = 32: N b^(nd) = 6 * 2^64 is past int64, so the sweep sums in
+    # Python ints, and the contraction too (a point's factors reach 2^64)
+    p = PointSet(2, 32, 2, np.random.default_rng(2).integers(0, 2**32, size=(6, 2)))
+    single = _single_point_levels(p)
+    assert len(single) > 1000
+    assert _single_point_masses(p, [j for j, _, _ in single]) == [m for _, m, _ in single]
 
 
 def test_single_point_levels_stay_single_point_deeper(repeated_and_grid_oracle):
@@ -608,14 +666,15 @@ def test_norms_of_no_points_are_those_of_the_volume():
     # at once, and all but the first of each head come from the contraction
     for b, d in [(2, 1), (2, 2), (3, 2), (5, 3)]:
         p = PointSet(b, 3, d, np.zeros((0, d), dtype=np.int64))
-        assert parseval_l2(p).value == pytest.approx(3.0**-d, rel=1e-14)
+        assert Fraction(parseval_l2(p).metadata["exact"]) == Fraction(1, 3**d)
 
 
 def test_parseval_single_point_is_exact_third():
     p = PointSet(2, 1, 1, np.array([[0]]))
     rep = parseval_l2(p)
     # D(x) = 1 - x on (0, 1]: squared L2 norm 1/3
-    assert rep.value == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert Fraction(rep.metadata["exact"]) == Fraction(1, 3)
+    assert rep.value == 1.0 / 3.0 and rep.tail_bound == math.ulp(1.0 / 3.0) / 2
 
 
 def test_besov_222_r0_matches_parseval():
@@ -673,17 +732,20 @@ def test_levels_up_to():
 
 @pytest.mark.parametrize("b", [2, 3, 5, 11])
 def test_helmert_forms_match_exact_values(b):
-    """Each per-row form is a map of the Helmert coordinates H: the DFT
-    H @ T against sum_r c_r omega^(r l) to 40 digits, and the single-point
-    forms of `_single_forms`, (H o H) . 1/(h (h+1)) and -sum_h H_h, against
-    the exact `Fraction` values of ||P c||^2 and <c, v>, v[r] = 2r - (b-1).
-    Every interior offset is asked for twice (more rows than offsets: the lookup branch) and once
-    (fewer: the direct branch).  The tolerance is 1e-15 relative, for the DFT
-    relative to the largest entry of its row."""
+    """Each per-row form is a map of the integer Helmert coordinates
+    G = sub H: G itself against the exact sub <c, e_h>, the DFT G @ T
+    against sub sum_r c_r omega^(r l) to 40 digits (within 1e-15 of the
+    largest entry of its row), and the single-point factors of
+    `_point_factors`, L sum_h G_h^2 / (h (h+1)) and sum_h G_h, against the
+    exact L sub^2 ||P c||^2 and -sub <c, v>, v[r] = 2r - (b-1).  Every
+    interior offset at level 0 is asked for twice (more rows than offsets:
+    the lookup branch) and once (fewer: the direct branch)."""
     mpmath = pytest.importorskip("mpmath")
-    sub = b if b == 11 else b * b
+    n = 2 if b == 11 else 3
+    sub = b ** (n - 1)
     rem = np.arange(1, b * sub)
     off = Offsets(b, np.concatenate([rem, rem]), sub)
+    L = _helmert_weights(b)[0]
     exact = []
     with mpmath.workdps(40):
         for r in rem:
@@ -691,19 +753,21 @@ def test_helmert_forms_match_exact_values(b):
             c = [Fraction(0)] * k + [1 - Fraction(low, sub)] + [Fraction(1)] * (b - 1 - k)
             cells = [mpmath.mpf(x.numerator) / x.denominator for x in c]
             dft = [
-                complex(mpmath.fsum(x * mpmath.expjpi(mpmath.mpf(2 * t * l) / b)
-                                    for t, x in enumerate(cells)))
+                complex(sub * mpmath.fsum(x * mpmath.expjpi(mpmath.mpf(2 * t * l) / b)
+                                          for t, x in enumerate(cells)))
                 for l in range(1, b)
             ]
-            norm = sum(x * x for x in c) - sum(c) ** 2 / b
-            dot = sum(x * (2 * t - (b - 1)) for t, x in enumerate(c))
-            exact.append((dft, norm, dot))
-    dft = np.array([e[0] for e in exact])
-    norm, dot = (np.array([float(e[i]) for e in exact]) for i in (1, 2))
+            G = [sub * (sum(c[:h]) - h * c[h]) for h in range(1, b)]
+            norm = L * sub**2 * (sum(x * x for x in c) - sum(c) ** 2 / b)
+            dot = -sub * sum(x * (2 * t - (b - 1)) for t, x in enumerate(c))
+            exact.append((G, dft, norm, dot))
+    dft = np.array([e[1] for e in exact])
     for rows in (np.arange(2 * rem.size), np.arange(rem.size)):
-        H = off.helmert(rows)[: rem.size]
+        G = off.helmert(rows)[: rem.size]
+        assert G.dtype == np.int64 and G.tolist() == [e[0] for e in exact]
         scale = np.abs(dft).max(axis=1, keepdims=True)
-        assert np.all(np.abs(H @ _helmert_dft(b) - dft) <= 1e-15 * scale)
-        got_norm, got_dot = _single_forms(H)
-        assert np.all(np.abs(got_norm - norm) <= 1e-15 * norm)
-        assert np.all(np.abs(got_dot - dot) <= 1e-15 * dot)
+        assert np.all(np.abs(G @ _helmert_dft(b) - dft) <= 1e-15 * scale)
+    p = PointSet(b, n, 1, rem[:, None])
+    assert np.array_equal(_offsets(rem, b, n, 0)[1].helmert(np.arange(rem.size)), G)
+    norm, dot = _point_factors(p, 0, p.numerators, [0], np.int64)[:, 0]
+    assert norm.tolist() == [e[2] for e in exact] and dot.tolist() == [e[3] for e in exact]

@@ -17,14 +17,14 @@ from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams, InvalidRange, SizeOverflow
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import (
+    ROUNDOFF_ALLOWANCE,
     BesovParams,
-    besov_quasi_norm,
     haar_levels,
     haar_norms,
     levels_up_to,
     parseval_l2,
 )
-from qmcnet.nets import PointSet, is_net
+from qmcnet.nets import GeneratingMatrices, PointSet, generate_points, is_net
 from qmcnet.norms import (
     _pair_min_sum,
     _interior_counts,
@@ -178,33 +178,60 @@ def test_warnock_values_are_pinned():
 
 
 def test_parseval_at_cap_n_minus_1_matches_exact_warnock():
-    # the Besov (2, 2, 0) value squared is the same q-sum, exact tail included
+    # Parseval is exact; the Besov (2, 2, 0) value squared is the same sum
+    # in floats, exact tail included
     for p, tol in (
         (balanced_hammersley(14), 1e-13),
         (cs_point_set(CSParams(b=11, d=2, w=1)), 1e-12),
     ):
         exact = warnock_l2_sq(p)
-        value = Fraction(parseval_l2(p).value)
-        assert abs(value - exact) <= tol * exact
-        besov_sq = Fraction(besov_quasi_norm(p, BesovParams(2, 2, 0)).value) ** 2
-        assert abs(besov_sq - exact) <= tol * exact
+        pv, bs = haar_norms(p, BesovParams(2, 2, 0))
+        assert Fraction(pv.metadata["exact"]) == exact
+        assert abs(Fraction(bs.value) ** 2 - exact) <= tol * exact
+
+
+def _random_digital_net(rng, b, n, d):
+    mats = rng.integers(0, b, size=(d, n, n))
+    return generate_points(GeneratingMatrices(b, n, d, mats))
+
+
+def test_parseval_is_warnock_exactly():
+    # sets of every kind: nets with d = 1, 2, CS-13, random digital nets up
+    # to d = 4, a multiset, and a set where N b^(nd) = 6 * 2^80 passes
+    # int64, so the box sums are Python ints (balanced Hammersley n = 14
+    # and CS-11 are checked in the test above)
+    rng = np.random.default_rng(3)
+    sets = [hammersley(5), hammersley(8)]
+    sets += [balanced_hammersley(n) for n in range(4, 16) if n != 14]
+    sets.append(cs_point_set(CSParams(b=13, d=2, w=1)))
+    for b, n, d in [(2, 4, 3), (3, 3, 3), (5, 2, 3), (2, 5, 1), (3, 4, 1), (2, 3, 4)]:
+        sets += [_random_digital_net(rng, b, n, d) for _ in range(2)]
+    sets.append(PointSet(3, 3, 2, rng.integers(0, 27, size=(40, 2))))
+    sets.append(PointSet(2, 40, 2, rng.integers(0, 2**40, size=(6, 2))))
+    for p in sets:
+        rep = parseval_l2(p)
+        exact = warnock_l2_sq(p)
+        assert Fraction(rep.metadata["exact"]) == exact, (p.b, p.n, p.d, p.size)
+        assert rep.value == float(exact) and rep.tail_bound == math.ulp(rep.value) / 2
 
 
 def test_parseval_within_warnock_tail():
     for n in (3, 4, 5):
         p = hammersley(n)
         rep = parseval_l2(p)
-        w = warnock_l2(p)
-        assert abs(rep.value - w * w) <= rep.tail_bound + 1e-15
         exact = warnock_l2_sq(p)
-        assert abs(Fraction(rep.value) - exact) <= Fraction(1, 10**14) * exact
+        assert Fraction(rep.metadata["exact"]) == exact
+        assert abs(Fraction(rep.value) - exact) <= rep.tail_bound
 
 
 def test_roundoff_allowance_covers_exact_gap_and_is_relative():
-    for p in (cs_point_set(CSParams(b=11, d=2, w=1)), balanced_hammersley(14)):
-        rep = parseval_l2(p)
-        assert abs(Fraction(rep.value) - warnock_l2_sq(p)) <= rep.tail_bound
-        assert rep.tail_bound < 1e-6 * rep.value
+    # Parseval's tail_bound is half an ulp of its correctly rounded value,
+    # rigorous; the Besov allowance stays relative
+    for p in (cs_point_set(CSParams(b=3, d=1, w=2)), balanced_hammersley(9)):
+        pv, bs = haar_norms(p, BesovParams(2, 2, 0))
+        assert abs(Fraction(pv.value) - warnock_l2_sq(p)) <= pv.tail_bound
+        assert pv.tail_bound == math.ulp(pv.value) / 2
+        assert bs.tail_bound == ROUNDOFF_ALLOWANCE * bs.value < 1e-6 * bs.value
 
 
 def _interior_count_by_fractions(p, j) -> int:
