@@ -16,21 +16,20 @@ runs of that order and builds its last coordinate's part (`level_aggregate`).
 Every sub-cell quantity is an integer in units of b^-n.  A point's sub-cell
 vector in one coordinate is read through its integer Helmert coordinates G
 (`Offsets.helmert`), and a row adds w (x)_i G_i / M to its box's real
-tensor, w = prod (b^n - k_i) over level -1 and M = N b^(nd).  A level's
-p = 2 mass sum_(m,l) |mu_jml|^2 follows by Plancherel on Z_b^s from the
-boxes' integer sums A_m = sum w (x)_i G_i, exact in any order (int64 where
-the operands' maxima prove it, else Python ints), as a `Fraction`
-(`LevelAggregate.mass`), so Parseval's ||D_P||_2^2 is exact.  The float
-coefficients mu, the DFTs of the box tensors, are streamed in blocks of
-whole boxes for the audit and Besov at p != 2 (`LevelAggregate.mu_blocks`),
-so no level's mu array is ever whole.  The box tensors are real, so mu at
-b - l is the conjugate of mu at l: mu is computed at one l-combination of
-each pair.  On a level with a multi-point box, mu comes from each box's
-real tensor, summed by one batched real matmul per block and contracted
-with the DFT by `np.einsum`; on a level of single-point boxes it is each
-row's product of DFT factors.  One reduction (`_qsum`) turns the float
-level masses into sum_j Xi_j^q plus the exact tail: its q-th root is the
-Besov quasi-norm.
+tensor, w = prod (b^n - k_i) over level -1 and M = N b^(nd).  One kernel
+(`LevelAggregate.box_sums`) sums the rows of each box into the integers
+A_m = sum w (x)_i G_i, exact in any order (int64 where M proves it, else
+Python ints).  A level's p = 2 mass sum_(m,l) |mu_jml|^2 follows from them
+by Plancherel on Z_b^s as a `Fraction` (`LevelAggregate.mass`), so
+Parseval's ||D_P||_2^2 is exact.  The float coefficients mu, read by the
+audit and Besov at p != 2 (`LevelAggregate.mu_blocks`), are on a level with
+a multi-point box the DFT of A less the volume, taken off in integers, so
+the DFT is their only rounding; on a level of single-point boxes they are
+each row's product of DFT factors less the volume.  The box tensors are
+real, so mu at b - l is the conjugate of mu at l: mu is computed at one
+l-combination of each pair.  One reduction (`_qsum`) turns the float level
+masses into sum_j Xi_j^q plus the exact tail: its q-th root is the Besov
+quasi-norm.
 
 Once every occupied box of level (head, j_d) holds at most one point, so
 does every deeper j_d of that head, as finer boxes hold a subset of the
@@ -42,7 +41,6 @@ level; the audit, Besov at p != 2 and `haar_levels` visit every level.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import json
@@ -103,8 +101,19 @@ class HaarIndex:
         return sum(self.j[i] for i in self.active)
 
 
+@functools.lru_cache(maxsize=None)
+def _roots(b: int) -> np.ndarray:
+    """omega^k = e^(2 pi i k / b) for k = 0..b-1, read-only and built once per
+    base; omega^(b/2) is -1 exactly at even b, so at b = 2 every root is real."""
+    roots = np.exp(2j * np.pi * np.arange(b) / b)
+    if b % 2 == 0:
+        roots[b // 2] = -1.0
+    roots.flags.writeable = False
+    return roots
+
+
 def _root(b: int, k: int) -> complex:
-    return cmath.exp(2j * cmath.pi * (k % b) / b)
+    return complex(_roots(b)[k % b])
 
 
 def volume_coeff(idx: HaarIndex, b: int) -> complex:
@@ -148,7 +157,7 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
 # --- the level sweep ------------------------------------------------------------
 
 
-_MU_ENTRIES = 2**16  # rows times l-combinations per `LevelAggregate.mu_blocks` block
+_MU_ENTRIES = 2**16  # rows times l-combinations per `mu_blocks` block of a single-point level
 _SUM_ENTRIES = 2**16  # points times coordinate levels per block of `_single_point_masses`
 
 
@@ -162,8 +171,7 @@ def _helmert_dft(b: int) -> np.ndarray:
     """T[h-1, l-1] = (sum_(r<h) omega^(r l) - h omega^(h l)) / (h (h + 1)), the
     DFT at l = 1..b-1 of Helmert column h over its squared norm; read-only
     and built once per base."""
-    omega = np.exp(2j * np.pi * np.arange(b) / b)
-    powers = omega[np.arange(b)[:, None] * np.arange(1, b) % b]  # omega^(r l)
+    powers = _roots(b)[np.arange(b)[:, None] * np.arange(1, b) % b]  # omega^(r l)
     h = np.arange(1, b)[:, None]
     table = (np.cumsum(powers, axis=0)[:-1] - h * powers[1:]) / (h * (h + 1))
     table.flags.writeable = False
@@ -276,13 +284,6 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert)
 
 
-def _scatter(rows: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
-    """`rows` placed at entries `at` of a zero array of `size` rows."""
-    out = np.zeros((size, rows.shape[1]))
-    out[at] = rows
-    return out
-
-
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
     """The s-fold outer power of `vector`, flattened, first factor slowest."""
     return functools.reduce(np.multiply.outer, [vector] * s, np.ones((), vector.dtype)).ravel()
@@ -319,11 +320,10 @@ class LevelAggregate:
     coordinates G (one per active coordinate), over `scale` = N b^(nd), to
     its box's real tensor; mu_jml is the tensor's DFT at l minus the volume
     coefficient.  The head coordinates' G are the prefix's, read at sel; the
-    last coordinate's G (`last`) is built once per level.  `mass(2)` sums
-    the rows exactly; `mu_blocks` yields the coefficients of the occupied
-    boxes at one l-combination of each conjugate pair (`columns`), a few
-    boxes at a time and never the whole level; the empty boxes all carry
-    mu = -volume.
+    last coordinate's G (`last`) is built once per level.  `box_sums` sums
+    the rows of each box exactly, for `mass(2)` and `mu_blocks`; the latter
+    yields the coefficients of the occupied boxes at one l-combination of
+    each conjugate pair (`columns`); the empty boxes all carry mu = -volume.
     """
 
     j: tuple[int, ...]
@@ -369,50 +369,66 @@ class LevelAggregate:
         """Per row: w / (N b^(nd)) as a float, the factor of its (x)_i G_i in mu."""
         return self.weight.astype(float) / float(self.scale)
 
+    def box_sums(self) -> np.ndarray:
+        """A ((b-1)^s, occupied): each occupied box's exact integer sum
+        sum_rows w (x)_i G_i, first factor slowest, in int64 where
+        M = `scale` = N b^(nd) < 2^63 proves every sum (a row's |w prod G| is
+        below b^(nd)), else in Python ints.  The rows' outer products are
+        formed as one column per row, and one `np.add.reduceat` sums each
+        box's contiguous rows."""
+        terms = self.weight[None, :]
+        for G in itertools.chain((Gp[self.sel] for Gp in self.prefix.helmert), self.last):
+            terms = np.multiply(terms[:, None, :], G.T, order="C").reshape(-1, terms.shape[1])
+        # reduceat along contiguous rows: 2-6 ms a CS-13 level, 21-24 across them
+        return terms if self.occupied == terms.shape[1] else np.add.reduceat(terms, self.starts, axis=1)
+
     def mu_blocks(self) -> Iterator[np.ndarray]:
         """mu of the occupied boxes in box order at the leading `columns`
-        l-combinations, (boxes, columns) complex per block of whole boxes of
-        about `_MU_ENTRIES` rows times l-combinations.
+        l-combinations, (boxes, columns) complex per block.
 
-        At s = 0 the one box's mu, sum w / M - 2^-d, is exact.  When every
-        box holds one point, a block is its rows' `_terms` product of DFT
-        factors G @ T, built once per prefix or level, never per block, as
-        `@` rounds a row by its batch.  Otherwise a box's mu is the DFT of
-        its real tensor (`_box_tensors`): as the DFT of sub c is G @ T, the
-        tensor is contracted with `_helmert_dft` along every axis, by
-        `np.einsum`, which, unlike `@`, sums an entry in the same order in
-        any batch.  So mu has the same bits at any block size.
+        At s = 0 the one box's mu, sum w / M - 2^-d, is exact.  On a level
+        with a multi-point box, the whole level is one block, never larger
+        than the integer array `box_sums` builds: each box's tensor less the
+        volume, X = (A - V / g) / M in the units of G, with V / g =
+        (-1)^s M gamma (x)_i h_i (h_i + 1) (`_exact_mass`), is taken in
+        integers as A - floor(V / g), then its float less the fraction of
+        V / g and over M, and contracted with `_helmert_dft` along every
+        axis by one matmul each.  So a level of zero mass has mu exactly 0,
+        and the DFT is mu's only rounding beyond X's.  When every box holds
+        one point, mu is each row's `_terms` product of DFT factors G @ T
+        less the volume, in blocks of about `_MU_ENTRIES` rows times
+        l-combinations; the factors are built once per prefix or level,
+        never per block, as `@` rounds a row by its batch.  So mu has the
+        same bits at any block size.
         """
-        b, s, width = self.b, self.s, len(self.l_combos)
+        b, s = self.b, self.s
         if s == 0:
-            mean = Fraction(int(self.weight.sum()), self.scale)
+            mean = Fraction(int(self.box_sums().sum()), self.scale)
             yield np.array([[float(mean - Fraction(1, 2 ** len(self.j)))]], dtype=complex)
             return
         if not self.occupied:
             return
         T = _helmert_dft(b)
         lead = self.columns // (b - 1) ** (s - 1)  # the l_1 computed
-        single = self.counts.max() == 1
-        if single:
+        if self.counts.max() == 1:
             last = [G @ T for G in self.last]
-        else:  # a matmul's rows: the mean box's, at most sqrt(rows), rounded up
-            rows = self.sel.size
-            chunk = min(-(-rows // self.occupied), math.isqrt(rows - 1) + 1)
-        ends, box = self.starts + self.counts, 0
-        while box < self.occupied:
-            first = self.starts[box]
-            stop = max(box + 1, int(np.searchsorted(ends, first + _MU_ENTRIES // width, "right")))
-            if single:
-                block = self._terms(last, slice(first, ends[stop - 1]), lead)
-            else:
-                block = self._box_tensors(box, stop, chunk)
-                for i in range(s):  # first axis slowest; l_1 restricted to `lead`
-                    block = block.reshape(-1, b - 1, (b - 1) ** (s - 1 - i))
-                    block = np.einsum("ahc,hl->alc", block, T[:, :lead] if i == 0 else T)
-                block = block.reshape(stop - box, -1)
-            block -= self.volume[: self.columns]
-            yield block
-            box = stop
+            step = max(1, _MU_ENTRIES // len(self.l_combos))
+            for first in range(0, self.occupied, step):
+                block = self._terms(last, slice(first, first + step), lead)
+                block -= self.volume[: self.columns]
+                yield block
+            return
+        g = b ** (2 * self.total_level + 2 * s) * 2 ** len(self.j)  # 1 / gamma
+        V = _tensor(np.arange(1, b, dtype=object) * np.arange(2, b + 1), s) * ((-1) ** s * self.scale)
+        dtype = _int_dtype(2 * self.scale)  # |A - floor(V / g)| < 2 M
+        X = (self.box_sums().astype(dtype, copy=False) - (V // g).astype(dtype)[:, None]).astype(float)
+        X = (X - np.array([(v % g) / g for v in V])[:, None]) / float(self.scale)  # int / int rounds once
+        # the first axis at its leading `lead` l, by two real matmuls
+        X = X.reshape(b - 1, -1).T
+        X = X @ T[:, :lead].real + 1j * (X @ T[:, :lead].imag)
+        for _ in range(s - 1):  # each matmul moves the axis it transforms to the end
+            X = X.reshape(b - 1, -1).T @ T
+        yield X.reshape(self.occupied, self.columns)
 
     def _terms(self, last: list[np.ndarray], rows: slice, lead: int) -> np.ndarray:
         """base times the outer product of the DFT factors G @ T at `rows`,
@@ -430,58 +446,20 @@ class LevelAggregate:
             terms = terms.reshape(len(out), -1)
         return terms
 
-    def _box_tensors(self, box: int, stop: int, chunk: int) -> np.ndarray:
-        """The real tensors S = sum_rows base (x)_i G_i of the boxes
-        box..stop-1 in floats: (boxes, (b-1)^s), first factor slowest.
-
-        Each row's head tensor base (x)_(i<s) G_i meets the last active
-        coordinate's G in one batched matmul over chunks of `chunk` rows.
-        A box's rows fill whole chunks, zero-padded, so no chunk spans two
-        boxes and every matmul of the level has one shape; one real
-        `np.add.reduceat` adds each box's chunk sums.  `chunk` is at most
-        sqrt(rows), so a box of most points is summed in blocks: one BLAS
-        sum over the 14640 rows of a CS-11 one-box level left its mu 2.5e-11
-        off, against 5e-12 in blocks.
-        """
-        starts, counts = self.starts[box:stop], self.counts[box:stop]
-        rows = slice(starts[0], starts[-1] + counts[-1])
-        *G, last = [Gp[self.sel[rows]] for Gp in self.prefix.helmert] + [L[rows] for L in self.last]
-        head = self.base[rows, None]
-        for Gi in G:
-            head = (head[:, :, None] * Gi[:, None, :]).reshape(len(head), -1)
-        last = last.astype(float)
-        per_box = -(-counts // chunk)
-        first_chunk = np.cumsum(per_box) - per_box
-        n = int(per_box.sum())
-        if n * chunk != len(head):  # some box is not whole chunks: pad it
-            shift = first_chunk * chunk - (starts - rows.start)
-            at = np.arange(len(head)) + np.repeat(shift, counts)
-            head = _scatter(head, at, n * chunk)
-            last = _scatter(last, at, n * chunk)
-        sums = head.reshape(n, chunk, -1).transpose(0, 2, 1) @ last.reshape(n, chunk, -1)
-        if n > len(counts):
-            sums = np.add.reduceat(sums, first_chunk, axis=0)
-        return sums.reshape(len(counts), -1)
-
     def mass(self, p: float) -> Fraction | float:
         """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf.
 
-        At p = 2 it is an exact `Fraction` and never forms mu: one
-        `np.add.reduceat` sums every row's integer w (x)_i G_i per box, and
-        `_exact_mass` reads the mass from those sums A and their squares, in
-        int64 where |A| < M = N b^(nd) < 2^63 and max|A|^2 times the boxes
-        < 2^63 prove it, else in Python ints.  Otherwise it reduces `mu_blocks`, one
+        At p = 2 it is an exact `Fraction` and never forms mu: `_exact_mass`
+        reads the mass from the boxes' integer sums A (`box_sums`) and their
+        squares, in int64 where max|A|^2 times the boxes < 2^63 proves it,
+        else in Python ints.  Otherwise it reduces `mu_blocks`, one
         l-combination of each conjugate pair: at odd b the occupied boxes'
         sums count twice, and the empty boxes add the full-width volume sum.
         """
         if p == 2 and not self.occupied:
             return _exact_mass(self.b, self.j, self.scale, 0, 0)
-        if p == 2:  # the rows' outer products, first factor slowest, one column per row
-            terms = self.weight[None, :]
-            for G in itertools.chain((Gp[self.sel] for Gp in self.prefix.helmert), self.last):
-                terms = np.multiply(terms[:, None, :], G.T, order="C").reshape(-1, terms.shape[1])
-            # reduceat along contiguous rows: 2-6 ms a CS-13 level, 21-24 across them
-            A = terms if self.occupied == terms.shape[1] else np.add.reduceat(terms, self.starts, axis=1)
+        if p == 2:
+            A = self.box_sums()
             squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2
             sq = np.dot(squares.sum(axis=1).astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
             return _exact_mass(self.b, self.j, self.scale, int(sq), sum(A.sum(axis=1).tolist()))

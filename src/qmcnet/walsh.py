@@ -18,7 +18,7 @@ import numpy as np
 
 from .cs import CodeSpace, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
-from .haar import _root
+from .haar import _root, _roots
 from .nets import DualSet, GeneratingMatrices, PointSet, dual_set
 from .norms import disc_eval
 
@@ -120,7 +120,7 @@ def _digit_dft(a: np.ndarray, b: int, sign: int) -> np.ndarray:
     """
     if a.ndim == 0:
         return a
-    w = np.exp(sign * 2j * np.pi * np.outer(np.arange(b), np.arange(b)) / b)
+    w = _roots(b)[sign * np.outer(np.arange(b), np.arange(b)) % b]
     x = a.reshape(b, -1)
     for _ in range(a.ndim):
         x = (x.T @ w.T).reshape(b, -1)
@@ -132,7 +132,7 @@ def _digit_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
     """(W, S) with W[c, tau] = omega^(-tau c) and S[c, tau] = sum over c' < c
     of W[c', tau]; read-only and built once per base."""
     x = np.arange(b)
-    w = np.exp(-2j * np.pi * (np.outer(x, x) % b) / b)
+    w = _roots(b)[-np.outer(x, x) % b]
     s = np.cumsum(np.concatenate([np.zeros((1, b)), w[:-1]]), axis=0)
     w.flags.writeable = s.flags.writeable = False
     return w, s

@@ -5,12 +5,11 @@ obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
-point with `np.unique` and `np.add.at`, in the points' own order, or box by
-box with the sweep's arithmetic (chunked real box tensors, an `einsum` DFT),
-which the sweep's mu, its blocks joined (`joined_mu_blocks`), must match
-bit for bit, or from explicit sub-cell tensors in Fractions and one float
-DFT, and their squared mass is summed exactly on those tensors, never
-through the Helmert basis; Walsh integrals are
+point with `np.unique` and `np.add.at`, in the points' own order, or from
+explicit sub-cell tensors in Fractions and one float DFT of unit roots, which
+hold the sweep's mu, its blocks joined (`joined_mu_blocks`), within an
+a-priori rounding bound, and their squared mass is summed exactly on those
+tensors, never through the Helmert basis; Walsh integrals are
 Riemann sums of `walsh_eval_1d` over Fraction grid points; character sums
 recompute every point's digits per frequency digit; V-set counts decide each
 word's digits against the definition; net tests count every
@@ -152,116 +151,6 @@ def level_aggregate_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
     return box_ids, counting - vol
 
 
-def mirror_mu_oracle(p, j) -> np.ndarray:
-    """mu of level j at its representative l-combinations, box by box.
-
-    The points interior to their box in every active coordinate are sorted
-    by (box index of each active coordinate but the last, numerator of the
-    last coordinate), and the boxes are the runs of that order.  mu is
-    computed at the l-combinations with l_1 <= (b-1)/2 at odd b (all at
-    b = 2), one of each conjugate pair.  Each row carries its integer
-    Helmert coordinates G = sub H and the float weight prod (b^n - k_i)
-    over level -1, divided by N b^(nd).  When every box holds one point, a
-    box's mu is its row's product of DFT factors G @ T in coordinate order.
-    Otherwise each box's real tensor is summed chunk by chunk: a chunk is
-    ceil(rows / boxes) of the box's rows, or ceil(sqrt(rows)) if that is
-    fewer, zero-padded, and takes one matmul of its head tensors by the last
-    coordinate's G; one `np.add.reduceat` over the box's own chunks adds
-    them, and the tensors of all the boxes are contracted with the DFT along
-    each axis by `np.einsum`.  At s = 0 the one box's mu is exact.  The
-    arithmetic is that of the sweep, so mu must agree bit for bit.
-    """
-    b, n, d, N = p.b, p.n, p.d, p.size
-    D = b**n
-    active = [i for i, v in enumerate(j) if v >= 0]
-    s = len(active)
-    total_level = sum(j[i] for i in active)
-    # the DFTs of the Helmert columns over their squared norms, by the
-    # sweep's own expression
-    omega = np.exp(2j * np.pi * np.arange(b) / b)
-    powers = omega[np.arange(b)[:, None] * np.arange(1, b) % b]
-    h = np.arange(1, b)[:, None]
-    dft = (np.cumsum(powers, axis=0)[:-1] - h * powers[1:]) / (h * (h + 1))
-    roots = [_omega(b, l) - 1.0 for l in range(1, b)]
-    denoms = [2.0 ** (d - s)]
-    for _ in range(s):
-        denoms = [x * r for x in denoms for r in roots]
-    lead = (b - 1) // 2 if s and b > 2 else b - 1  # the l_1 of one of each pair
-    columns = len(denoms) * lead // (b - 1)
-    vol = np.array([b ** (-2 * total_level - s) / x for x in denoms[:columns]], dtype=complex)
-    if any(j[i] >= n for i in active):
-        return np.zeros((0, columns), dtype=complex) - vol
-    keep = np.ones(N, dtype=bool)
-    boxes, hels = [], []
-    for i in active:
-        step = b ** (n - j[i])
-        m, rem = np.divmod(p.numerators[:, i], step)
-        ksub, low = np.divmod(rem, step // b)
-        keep &= rem != 0
-        boxes.append(m)
-        # the sub-cell vector's integer Helmert coordinates: 0 below its
-        # sub-cell, k (low - sub) at it, -rem above
-        hel = np.zeros((N, b - 1), dtype=np.int64)
-        for hh in range(1, b):
-            hel[:, hh - 1] = np.where(ksub < hh, -rem, 0)
-            at = ksub == hh
-            hel[at, hh - 1] = ksub[at] * (low[at] - step // b)
-        hels.append(hel)
-    idx = np.flatnonzero(keep)
-    if s:
-        head = boxes[:-1] if active[-1] == d - 1 else boxes
-        idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(head)])]
-    weight = np.ones(idx.size, dtype=np.int64)
-    for i, ji in enumerate(j):
-        if ji == -1:
-            weight = weight * (D - p.numerators[idx, i])
-    if s == 0:
-        mean = Fraction(int(weight.sum()), N * D**d)
-        return np.array([[float(mean - Fraction(1, 2**d))]], dtype=complex)
-    if not idx.size:
-        return np.zeros((0, columns), dtype=complex)
-    base = weight.astype(float) / float(N * D**d)
-    new_box = np.zeros(idx.size, dtype=bool)
-    new_box[0] = True
-    for m in boxes:
-        new_box[1:] |= m[idx][1:] != m[idx][:-1]
-    starts = np.flatnonzero(new_box)
-    ends = np.append(starts[1:], idx.size)
-    if np.all(ends - starts == 1):
-        factors = [hel @ dft for hel in hels]  # every row of the set at once
-        factors = [factors[0][idx, :lead]] + [f[idx] for f in factors[1:]]
-        mu = np.empty((idx.size, columns), dtype=complex)
-        widths = [range(f.shape[1]) for f in factors]
-        for c, combo in enumerate(itertools.product(*widths)):
-            prod = base
-            for f, l in zip(factors, combo):
-                prod = prod * f[:, l]
-            mu[:, c] = prod
-        return mu - vol
-    *lead_hel, last = [hel[idx] for hel in hels]
-    head = np.empty((idx.size, (b - 1) ** (s - 1)))
-    for c, combo in enumerate(itertools.product(range(b - 1), repeat=s - 1)):
-        prod = base
-        for hel, hh in zip(lead_hel, combo):
-            prod = prod * hel[:, hh]
-        head[:, c] = prod
-    chunk = min(-(-idx.size // starts.size), math.isqrt(idx.size - 1) + 1)
-    tensors = np.empty((starts.size, head.shape[1], b - 1))
-    for box, (lo, hi) in enumerate(zip(starts, ends)):
-        parts = []
-        for at in range(lo, hi, chunk):
-            rows = slice(at, min(at + chunk, hi))
-            A, B = np.zeros((chunk, head.shape[1])), np.zeros((chunk, b - 1))
-            A[: rows.stop - at], B[: rows.stop - at] = head[rows], last[rows]
-            parts.append(A.T @ B)
-        tensors[box] = np.add.reduceat(np.stack(parts), [0], axis=0)[0]
-    mu = tensors
-    for i in range(s):
-        mu = mu.reshape(-1, b - 1, (b - 1) ** (s - 1 - i))
-        mu = np.einsum("ahc,hl->alc", mu, dft[:, :lead] if i == 0 else dft)
-    return mu.reshape(starts.size, columns) - vol
-
-
 def joined_mu_blocks(agg) -> np.ndarray:
     """mu of every occupied box of the level `agg`, its
     `LevelAggregate.mu_blocks` joined in order: (occupied, agg.columns)."""
@@ -340,19 +229,18 @@ def level_mass_exact(p, j) -> Fraction:
 
 def exact_mu_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
     """(sorted occupied box ids, mu) of level j at every l-combination, first
-    l slowest: each box's tensor X exact in Fractions (`_exact_box_tensors`),
-    the volume already off, then one float DFT along every axis.  Meant for
-    levels with few boxes, such as the one-box levels, where the points'
-    sums cancel to a small mu."""
+    l slowest: each box's tensor X exact in integers over one denominator
+    (`_exact_box_tensors`), the volume already off, correctly rounded (as
+    Python's int / int is), then one float DFT along every axis."""
     b = p.b
     s = sum(1 for v in j if v >= 0)
     box_ids, Y, _, den = _exact_box_tensors(p, j)
-    mu = np.array([[float(Fraction(int(v), den)) for v in y] for y in Y])
+    mu = np.array([[int(v) / den for v in y] for y in Y])
     mu = mu.reshape((len(Y),) + (b,) * s)
     dft = np.array([[_omega(b, r * l) for l in range(1, b)] for r in range(b)])
     for axis in range(1, s + 1):
         mu = np.moveaxis(np.tensordot(mu, dft, axes=([axis], [0])), -1, axis)
-    return box_ids, mu.reshape(len(Y), -1)
+    return box_ids, mu.reshape(len(Y), (b - 1) ** s)
 
 
 def warnock_sq_oracle(numerators, denom: int) -> Fraction:

@@ -286,14 +286,15 @@ def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):
     assert sorted(levels) == list(itertools.product(range(-1, 2), repeat=2))
     # the report recorded when the audit still swept all (n+1)^d levels, but
     # for const_small_levels: it read 1181.08, the volume coefficient of an
-    # empty box that no level up to the cap has.  Its last digits are those
-    # of mu from the box tensors of integer Helmert coordinates (…29897
-    # from float ones, …2987 when mu summed complex rows).  const_full_cube
-    # is b^n |mu| of the one box at s = 0, now exact (…64896 from a float sum)
+    # empty box that no level up to the cap has.  It is now one float DFT of
+    # the exact integer box sums less the volume, 1.4e-16 from the sup over
+    # `exact_mu_oracle`, …2974 (…2996 from float box sums, …2987 when mu
+    # summed complex rows).  const_full_cube is b^n |mu| of the one box at
+    # s = 0, exact (…64896 from a float sum)
     assert capsys.readouterr().out.strip() == (
         '{"b": 11, "cap": 1, "const_exceptional": 0.0, '
         '"const_full_cube": 0.5000170753363842, '
-        '"const_small_levels": 0.2863342174802996, "const_typical": 0.0, '
+        '"const_small_levels": 0.28633421748029736, "const_typical": 0.0, '
         '"d": 2, "exceptional_counts": {}, "n": 4, "part_iii_ok": true, '
         '"part_iv_exceptions": 0, "part_iv_levels_checked": 0, "passed": true, '
         '"schema": 1}'

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _exact_box_tensors,
     discrepancy_coeff,
     exact_mu_oracle,
     indicator_coeff_oracle,
     joined_mu_blocks,
     level_aggregate_oracle,
     level_mass_exact,
-    mirror_mu_oracle,
     volume_coeff_oracle,
 )
 from qmcnet.cs import CSParams, cs_point_set
@@ -27,7 +27,9 @@ from qmcnet.haar import (
     _helmert_weights,
     _offsets,
     _point_factors,
+    _roots,
     _single_point_masses,
+    _volume,
     besov_quasi_norm,
     haar_levels,
     haar_norms,
@@ -173,8 +175,6 @@ def _assert_matches_oracle(p, levels, oracle=level_aggregate_oracle):
         assert joined.shape == mu.shape
         scale = max(np.abs(mu).max(initial=0.0), np.abs(agg.volume).max())
         assert np.abs(joined - mu).max(initial=0.0) <= 1e-12 * scale
-        # blocks of whole boxes give the bits of the oracle's box-by-box sums
-        assert np.array_equal(joined, mirror_mu_oracle(p, j))
 
 
 def test_level_aggregate_matches_unique_add_at_oracle(cs11_oracle):
@@ -210,35 +210,117 @@ def test_level_aggregate_matches_oracle_on_repeated_and_grid_points(
         _assert_matches_oracle(p, refs, lambda p, j: refs[j])
 
 
+def _small_sets(repeated_and_grid_oracle):
+    """The Hammersley sets n = 3..6, the repeated-and-grid sets, CS (3,1,2)
+    and CS (2,1,3)."""
+    sets = [hammersley(n) for n in range(3, 7)] + [p for p, _ in repeated_and_grid_oracle]
+    return sets + [cs_point_set(CSParams(b=3, d=1, w=2)), cs_point_set(CSParams(b=2, d=1, w=3))]
+
+
 @pytest.fixture(scope="module")
-def mirror_oracle(repeated_and_grid_oracle):
-    """`mirror_mu_oracle` on every level with all j_i <= n of CS-11, the
-    Hammersley sets n = 3..6, the repeated-and-grid sets, CS (3,1,2) and
-    CS (2,1,3)."""
-    sets = [cs_point_set(CSParams(b=11, d=2, w=1))]
-    sets += [hammersley(n) for n in range(3, 7)] + [p for p, _ in repeated_and_grid_oracle]
-    sets += [cs_point_set(CSParams(b=3, d=1, w=2)), cs_point_set(CSParams(b=2, d=1, w=3))]
-    return [(p, {j: mirror_mu_oracle(p, j) for j in levels_up_to(p.n, p.d)}) for p in sets]
+def default_mu(repeated_and_grid_oracle):
+    """mu at the default block size on every level with all j_i <= n of
+    CS-11 and the `_small_sets`."""
+    sets = [cs_point_set(CSParams(b=11, d=2, w=1))] + _small_sets(repeated_and_grid_oracle)
+    return [(p, {j: joined_mu_blocks(level_aggregate(p, j, level_prefix(p, j[:-1])))
+                 for j in levels_up_to(p.n, p.d)}) for p in sets]
 
 
 @pytest.mark.parametrize("entries", [None, 500, 7])
-def test_mu_blocks_join_to_the_oracle_at_any_block_size(mirror_oracle, entries, monkeypatch):
-    # the DFT factors are built once per prefix or level, never per block,
-    # every matmul of a level has one shape, and no box is split across
-    # blocks: so a block constant below the largest box keeps every bit.
-    # CS-11 at 7 entries (one box per block) is left out for time; 500
-    # entries is 5 of its rows.
+def test_mu_blocks_join_to_the_oracle_at_any_block_size(default_mu, entries, monkeypatch):
+    # the reference is mu at the default block size, read again here with
+    # the caches built.  A level with a multi-point box is one block, and
+    # the DFT factors of a single-point level are built once per prefix or
+    # level, never per block: so a smaller block keeps every bit.  CS-11 at
+    # 7 entries (one box per block) is left out for time; 500 entries is 5
+    # of its rows.
     if entries is not None:
         monkeypatch.setattr("qmcnet.haar._MU_ENTRIES", entries)
-    largest = 0
-    for p, refs in mirror_oracle:
+    split = 0
+    for p, refs in default_mu:
         if entries == 7 and p.size > 1000:
             continue
         for j, ref in refs.items():
             agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
-            assert np.array_equal(joined_mu_blocks(agg), ref), (p.b, p.n, p.d, j)
-            largest = max(largest, int(agg.counts.max(initial=0)) * len(agg.l_combos))
-    assert entries is None or entries < largest
+            blocks = list(agg.mu_blocks()) or [np.empty((0, agg.columns), complex)]
+            assert np.array_equal(np.concatenate(blocks), ref), (p.b, p.n, p.d, j)
+            split += len(blocks) > 1
+    assert entries is None or split > 0
+
+
+def _helmert_coordinates(Y, b, s):
+    """Y (boxes, b^s) of Python ints as its Helmert coordinates along every
+    axis, G_h = sum_(r<h) y_r - h y_h: (boxes, (b-1)^s), first axis slowest."""
+    E = np.zeros((b, b - 1), dtype=object)
+    for h in range(1, b):
+        E[:h, h - 1], E[h, h - 1] = 1, -h
+    G = Y.reshape((len(Y),) + (b,) * s)
+    for axis in range(1, s + 1):
+        G = np.moveaxis(np.tensordot(G, E, axes=([axis], [0])), -1, axis)
+    return G.reshape(len(Y), (b - 1) ** s)
+
+
+def _mu_error_bound(p, agg):
+    """(mu of `exact_mu_oracle` at agg.columns, an a-priori bound on its
+    distance from the sweep's mu), with k = s (b + 2) + 4 and u = 2^-53.
+
+    The sweep's mu is one float DFT of X, each box's Helmert tensor less the
+    volume: it is within k u (|X| contracted with |T| along every axis) of
+    the exact mu, T = `_helmert_dft`.  On a single-point level mu is the
+    rank-1 product of the points' part of X, less the volume after it, so
+    there |X| is that part and |volume| adds.  The oracle rounds X once and
+    takes one DFT of unit roots over the b^s cells: k u sum_cells |X|.
+    """
+    b, s, columns = p.b, agg.s, agg.columns
+    _, Y, Y0, den = _exact_box_tensors(p, agg.j)
+    _, exact = exact_mu_oracle(p, agg.j)
+    single = agg.counts.max(initial=0) == 1
+    spread = np.abs(_helmert_coordinates(Y - Y0 if single else Y, b, s).astype(float)) / den
+    spread = spread.reshape((len(Y),) + (b - 1,) * s)
+    for axis in range(1, s + 1):
+        spread = np.moveaxis(np.tensordot(spread, np.abs(_helmert_dft(b)), axes=([axis], [0])), -1, axis)
+    spread = spread.reshape(len(Y), (b - 1) ** s)[:, :columns]
+    if single:
+        spread = spread + np.abs(agg.volume[:columns])
+    cells = np.abs(Y.astype(float)).sum(axis=1, keepdims=True) / den
+    k, u = s * (b + 2) + 4, 2.0**-53
+    return exact[:, :columns], k * u * spread + k * u * cells
+
+
+def test_mu_against_the_exact_mu_within_its_a_priori_bound(repeated_and_grid_oracle):
+    # on every level of the `_small_sets` with an interior point (all
+    # j_i <= n - 1) and on CS-11's levels with |j| <= 2, where a few boxes
+    # hold thousands of points
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    levels = [(p, agg) for p in _small_sets(repeated_and_grid_oracle) for agg in haar_levels(p)]
+    levels += [(cs, agg) for agg in haar_levels(cs, 2) if agg.total_level <= 2]
+    kinds = set()
+    for p, agg in levels:
+        exact, bound = _mu_error_bound(p, agg)
+        mu = joined_mu_blocks(agg)
+        assert mu.shape == exact.shape
+        assert np.all(np.abs(mu - exact) <= bound), (p.b, p.n, p.d, agg.j)
+        kinds.add((agg.s > 0, agg.counts.max(initial=0) > 1))
+    assert kinds == {(False, True), (True, False), (True, True)}
+
+
+def test_mu_is_zero_where_the_exact_mass_is_zero():
+    # X is then exactly 0 in integers and the DFT keeps it so; at b = 2 the
+    # roots are real, so a single-point level's product less the volume
+    # cancels exactly too.  Float box sums and complex roots at b = 2 left
+    # these mu as rounding noise up to 3e-17.
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    levels = [(cs, agg) for agg in haar_levels(cs, 2) if agg.total_level <= 2]
+    for params in [(3, 1, 2), (2, 1, 3), (2, 1, 1)]:
+        p = cs_point_set(CSParams(*params))
+        levels += [(p, agg) for agg in haar_levels(p)]
+    for n in range(3, 7):
+        p = hammersley(n)
+        levels += [(p, agg) for agg in haar_levels(p)]
+    zero = [(p, agg) for p, agg in levels if level_mass_exact(p, agg.j) == 0]
+    assert len(zero) == 13
+    for p, agg in zero:
+        assert np.all(joined_mu_blocks(agg) == 0), (p.b, p.n, p.d, agg.j)
 
 
 def _oracle_mass(agg, mu):
@@ -282,17 +364,18 @@ def test_plancherel_mass_on_every_cs11_level(cs11_oracle):
 
 def test_one_box_mu_against_the_exact_box_tensor():
     # on the levels where one box holds all N points, the points' sums
-    # cancel to a small mu; the exact tensor with one float DFT holds the
-    # sweep's mu there within 1e-11 of max|mu| (3.7e-12 measured), where
-    # `level_aggregate_oracle` is 1e-10 off
+    # cancel to a small mu, which `level_aggregate_oracle` holds only to
+    # 1e-10; the sweep's mu is within the a-priori bound of the exact one
+    # (4.6e-16 and 5.9e-16 of max|mu| measured; a float box sum was 3.7e-12
+    # and 5.6e-12 off)
     for b in (11, 13):
         cs = cs_point_set(CSParams(b=b, d=2, w=1))
         for j in [(-1, 0), (0, -1)]:
             agg = level_aggregate(cs, j, level_prefix(cs, j[:-1]))
-            box_ids, mu = exact_mu_oracle(cs, j)
-            assert agg.occupied == box_ids.size == 1
-            mu = mu[:, : agg.columns]
-            assert np.abs(joined_mu_blocks(agg) - mu).max() <= 1e-11 * np.abs(mu).max(), (b, j)
+            assert agg.occupied == 1
+            mu, bound = _mu_error_bound(cs, agg)
+            assert np.all(np.abs(joined_mu_blocks(agg) - mu) <= bound), (b, j)
+            assert bound.max() <= 1e-13 * np.abs(mu).max(), (b, j)
 
 
 @pytest.mark.parametrize("power", [1.0, 1.5, 3.0, math.inf])
@@ -326,10 +409,14 @@ def test_mass_off_p2_matches_the_full_width(cs11_oracle, repeated_and_grid_oracl
 
 
 def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
-    # on CS-11 the audit forms the rank-1 `_terms` product only on the 6
-    # levels whose boxes hold one point each, never sums complex rows with
-    # `np.add.reduceat`, and reads one l-combination of each conjugate pair:
-    # (b-1)^s / 2 columns at b = 11, the one l-combination at b = 2
+    # on CS-11 the audit calls `box_sums` once on each of its 19 levels with
+    # a multi-point box (s = 0 among them) and forms the rank-1 `_terms`
+    # product only on the 6 levels whose boxes hold one point each;
+    # `haar_norms` at p = 2 calls
+    # `box_sums` only through `mass(2)`, once per multi-point level.  No
+    # complex row sum runs through `np.add.reduceat`, and mu is read at one
+    # l-combination of each conjugate pair: (b-1)^s / 2 columns at b = 11,
+    # the one l-combination at b = 2
     import qmcnet.haar as haar
     from qmcnet.norms import coeff_bound_audit
 
@@ -344,8 +431,13 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-    terms_levels, widths = [], {}
-    terms, mu_blocks = haar.LevelAggregate._terms, haar.LevelAggregate.mu_blocks
+    box_levels, terms_levels, widths, in_mass = [], [], {}, []
+    box_sums, terms = haar.LevelAggregate.box_sums, haar.LevelAggregate._terms
+    mu_blocks, mass = haar.LevelAggregate.mu_blocks, haar.LevelAggregate.mass
+
+    def counted_box_sums(self):
+        box_levels.append((self.j, bool(in_mass)))
+        return box_sums(self)
 
     def counted_terms(self, *args):
         terms_levels.append(self.j)
@@ -356,15 +448,29 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
             widths.setdefault((self.b, self.s), set()).add(block.shape[1])
             yield block
 
+    def counted_mass(self, p):
+        in_mass.append(p)
+        try:
+            return mass(self, p)
+        finally:
+            in_mass.pop()
+
     cs = cs_point_set(CSParams(b=11, d=2, w=1))
-    single = {agg.j for agg in haar.haar_levels(cs) if agg.occupied and agg.counts.max() == 1}
-    assert len(single) == 6
+    levels = [(agg.j, agg.counts.max() == 1) for agg in haar.haar_levels(cs)]
+    multi = [j for j, single in levels if not single]
+    assert len(multi) == 19 and len(levels) == 25
     monkeypatch.setattr(haar, "np", NumPy())
+    monkeypatch.setattr(haar.LevelAggregate, "box_sums", counted_box_sums)
     monkeypatch.setattr(haar.LevelAggregate, "_terms", counted_terms)
     monkeypatch.setattr(haar.LevelAggregate, "mu_blocks", counted_blocks)
+    monkeypatch.setattr(haar.LevelAggregate, "mass", counted_mass)
     assert coeff_bound_audit(cs).passed
-    assert set(terms_levels) == single
+    assert box_levels == [(j, False) for j in multi]
+    assert set(terms_levels) == {j for j, single in levels if single}
     assert widths == {(11, 0): {1}, (11, 1): {5}, (11, 2): {50}}
+    box_levels.clear()
+    haar.haar_norms(cs, PARSEVAL)
+    assert box_levels == [(j, True) for j in multi]
     widths.clear()
     assert coeff_bound_audit(hammersley(6)).passed
     assert widths == {(2, 0): {1}, (2, 1): {1}, (2, 2): {1}}
@@ -731,6 +837,22 @@ def test_besov_infinite_q_is_sup():
     # sup is dominated by any finite-q sum over the same levels
     rep_q1 = besov_quasi_norm(p, BesovParams(2, 1, 0.25))
     assert rep.value <= rep_q1.value + 1e-12
+
+
+def test_roots_of_unity_are_real_at_b2():
+    # omega = -1 exactly, so the Helmert DFT, the volume coefficients and the
+    # Walsh tables at b = 2 carry no imaginary rounding, and the audit of the
+    # b = 2 CS nets, whose mu is 0 on every level it reads, reports 0 (it
+    # read 1.2e-16 and 1.96e-15 with e^(i pi) = -1 + 1.2e-16 i)
+    from qmcnet.norms import coeff_bound_audit
+    from qmcnet.walsh import _digit_tables
+
+    assert _roots(2).tolist() == [1, -1]
+    assert _helmert_dft(2).tolist() == [[1]]
+    assert not np.any(_volume(2, 2, 2, 3)[1].imag)
+    assert not np.any(_digit_tables(2)[0].imag)
+    assert coeff_bound_audit(cs_point_set(CSParams(b=2, d=1, w=1)), cap=1).const_small_levels == 0
+    assert coeff_bound_audit(cs_point_set(CSParams(b=2, d=1, w=3))).const_small_levels == 0
 
 
 def test_levels_up_to():

@@ -17,6 +17,7 @@ from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams, InvalidRange, SizeOverflow
 from qmcnet.families import balanced_hammersley, hammersley, shifted_hammersley
 from qmcnet.haar import (
+    PARSEVAL,
     ROUNDOFF_ALLOWANCE,
     BesovParams,
     haar_levels,
@@ -309,6 +310,22 @@ def test_audit_small_level_constant_ranges_over_existing_boxes(p, cap):
         assert rep.const_small_levels < 1
 
 
+@pytest.mark.parametrize("cap, exact", [(0, 0.08066967120191419), (1, 0.2863342174802974)])
+def test_audit_small_level_constant_is_that_of_the_exact_mu(cap, exact):
+    # the sup of b^(|j| + n) |mu| over `exact_mu_oracle`, every l, on CS-11's
+    # levels up to the cap, where every box is occupied: float box sums had
+    # left the audit 4.3e-13 off at cap 0
+    p = cs_point_set(CSParams(b=11, d=2, w=1))
+    sup = 0.0
+    for agg in haar_levels(p, cap):
+        if max(agg.j) >= 0:
+            assert agg.empty_count == 0
+            _, mu = oracles.exact_mu_oracle(p, agg.j)
+            sup = max(sup, float(np.abs(mu).max()) * float(p.b) ** (agg.total_level + p.n))
+    assert abs(sup - exact) <= 1e-15 * exact
+    assert abs(coeff_bound_audit(p, cap=cap).const_small_levels - sup) <= 1e-15 * sup
+
+
 def test_audit_passes_where_b_to_the_level_exceeds_int64():
     # b^j_i >= 2^63 from j_i = 9 on: the audit up to cap 10 runs past int64
     p = PointSet(131, 2, 1, np.arange(131**2)[:, None])
@@ -348,13 +365,19 @@ def test_audit_keeps_one_level_alive():
     assert _peak_bytes(lambda: coeff_bound_audit(p)) <= 2 * largest
 
 
-def test_audit_and_besov_never_hold_a_whole_level_of_mu():
-    # both reduce mu block by block, so neither peak reaches one level's mu
-    # array (23 MB at CS-11; whole arrays peaked at 37 and 48 MB)
+def test_audit_and_besov_peak_below_the_largest_full_width_mu_array():
+    # mu is read at one l-combination of each conjugate pair, a level with a
+    # multi-point box as one block no larger than its `box_sums` term array,
+    # so neither peak reaches one level's mu array at every l-combination
+    # (23 MB at CS-11; whole arrays peaked at 37 and 48 MB).  The audit's
+    # peak is that of Parseval's, which builds the same term arrays, give or
+    # take the interpreter's frames and generators (tens of bytes measured)
     p = cs_point_set(CSParams(b=11, d=2, w=1))
     largest = _largest_mu_bytes(p)
-    assert _peak_bytes(lambda: coeff_bound_audit(p)) < largest
+    audit = _peak_bytes(lambda: coeff_bound_audit(p))
+    assert audit < largest
     assert _peak_bytes(lambda: haar_norms(p, BesovParams(1.5, 3, 0.3))) < largest
+    assert audit <= _peak_bytes(lambda: haar_norms(p, PARSEVAL)) + 2**16
 
 
 def test_audit_rejects_a_cap_below_minus_one():
