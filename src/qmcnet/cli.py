@@ -22,8 +22,8 @@ from .haar import BesovParams, haar_norms
 from .nets import (
     GeneratingMatrices,
     PointSet,
-    _dual_frequencies,
     char_sum,
+    dual_frequencies,
     generate_points,
     is_net,
     load_pointset,
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
         report["dual_ok"] = rep.passed
         # the dual set from the dual words just enumerated: its four least
         # nonzero t and (1, 0, ..., 0) are tried
-        t = _dual_frequencies(dual.words(), p.b, p.n, p.d)
+        t = dual_frequencies(dual.words(), p.b, p.n, p.d)
         samples = list(t[:4]) + [np.eye(p.d, dtype=t.dtype)[0]]
         report["char_sum_ok"] = all(
             char_sum(p, s) == (p.size if (t == s).all(axis=1).any() else 0) for s in samples

@@ -1,11 +1,12 @@
 """Exact arithmetic over prime fields F_b.
 
-The primality gate on a base and the small linear algebra (RREF, null
-spaces, span enumeration) used by the net and code modules.  Everything here
-is pure.
+The primality gate on a base, the small linear algebra (RREF, null spaces,
+span enumeration) used by the net and code modules, and the b-th roots of
+unity of the Haar and Walsh modules.  Everything here is pure.
 """
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -42,6 +43,22 @@ def require_prime(b: int) -> None:
     """Raise NotPrime unless b is prime, so that F_b is a field."""
     if not is_prime(b):
         raise NotPrime(f"base {b} is not prime")
+
+
+@functools.lru_cache(maxsize=None)
+def roots_of_unity(b: int) -> np.ndarray:
+    """omega^k = e^(2 pi i k / b) for k = 0..b-1, read-only and built once per
+    base; omega^(b/2) is -1 exactly at even b, so at b = 2 every root is real."""
+    roots = np.exp(2j * np.pi * np.arange(b) / b)
+    if b % 2 == 0:
+        roots[b // 2] = -1.0
+    roots.flags.writeable = False
+    return roots
+
+
+def root_of_unity(b: int, k: int) -> complex:
+    """omega^k for any integer k, from `roots_of_unity`."""
+    return complex(roots_of_unity(b)[k % b])
 
 
 # --- linear algebra over F_b -------------------------------------------------

@@ -17,19 +17,19 @@ Every sub-cell quantity is an integer in units of b^-n.  A point's sub-cell
 vector in one coordinate is read through its integer Helmert coordinates G
 (`Offsets.helmert`), and a row adds w (x)_i G_i / M to its box's real
 tensor, w = prod (b^n - k_i) over level -1 and M = N b^(nd).  One kernel
-(`LevelAggregate.box_sums`) sums the rows of each box into the integers
-A_m = sum w (x)_i G_i, exact in any order (int64 where M proves it, else
-Python ints).  A level's p = 2 mass sum_(m,l) |mu_jml|^2 follows from them
-by Plancherel on Z_b^s as a `Fraction` (`LevelAggregate.mass`), so
-Parseval's ||D_P||_2^2 is exact.  The float coefficients mu, read by the
-audit and Besov at p != 2 (`LevelAggregate.mu_blocks`), are on a level with
-a multi-point box the DFT of A less the volume, taken off in integers, so
-the DFT is their only rounding; on a level of single-point boxes they are
-each row's product of DFT factors less the volume.  The box tensors are
-real, so mu at b - l is the conjugate of mu at l: mu is computed at one
-l-combination of each pair.  One reduction (`_qsum`) turns the float level
-masses into sum_j Xi_j^q plus the exact tail: its q-th root is the Besov
-quasi-norm.
+(`LevelAggregate.box_sums`, once per level) sums the rows of each box into
+the integers A_m = sum w (x)_i G_i, exact in any order (int64 where M
+proves it, else Python ints).  A level's p = 2 mass sum_(m,l) |mu_jml|^2
+follows from them by Plancherel on Z_b^s as a `Fraction`
+(`LevelAggregate.mass`), so Parseval's ||D_P||_2^2 is exact.  The float
+coefficients mu (`LevelAggregate.mu_blocks`, which the audit and Besov at
+p != 2 read through `sups` and `mass`) are on a level with a multi-point
+box the DFT of A less the volume, taken off in integers, so the DFT is
+their only rounding; on a level of single-point boxes they are each row's
+product of DFT factors less the volume.  The box tensors are real, so mu at
+b - l is the conjugate of mu at l: mu is computed at one l-combination of
+each pair.  One reduction (`_qsum`) turns the float level masses into
+sum_j Xi_j^q plus the exact tail: its q-th root is the Besov quasi-norm.
 
 Once every occupied box of level (head, j_d) holds at most one point, so
 does every deeper j_d of that head, as finer boxes hold a subset of the
@@ -52,6 +52,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParams
+from .field import root_of_unity, roots_of_unity
 from .nets import PointSet
 
 Point = Sequence[Fraction]
@@ -101,21 +102,6 @@ class HaarIndex:
         return sum(self.j[i] for i in self.active)
 
 
-@functools.lru_cache(maxsize=None)
-def _roots(b: int) -> np.ndarray:
-    """omega^k = e^(2 pi i k / b) for k = 0..b-1, read-only and built once per
-    base; omega^(b/2) is -1 exactly at even b, so at b = 2 every root is real."""
-    roots = np.exp(2j * np.pi * np.arange(b) / b)
-    if b % 2 == 0:
-        roots[b // 2] = -1.0
-    roots.flags.writeable = False
-    return roots
-
-
-def _root(b: int, k: int) -> complex:
-    return complex(_roots(b)[k % b])
-
-
 def volume_coeff(idx: HaarIndex, b: int) -> complex:
     """Haar coefficient of f(x) = x_1 ... x_d; independent of m.
 
@@ -125,7 +111,7 @@ def volume_coeff(idx: HaarIndex, b: int) -> complex:
     s = idx.s
     denom = 2.0 ** (idx.d - s)
     for i in idx.active:
-        denom *= _root(b, idx.l[i]) - 1.0
+        denom *= root_of_unity(b, idx.l[i]) - 1.0
     return b ** (-2 * idx.total_level - s) / denom
 
 
@@ -147,9 +133,9 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
         fine = Fraction(zi) * b ** (ji + 1)
         k = math.floor(fine) - b * mi
         u = float(b * mi + k + 1 - fine)
-        bracket = u * _root(b, k * li)
+        bracket = u * root_of_unity(b, k * li)
         for r in range(k + 1, b):
-            bracket += _root(b, r * li)
+            bracket += root_of_unity(b, r * li)
         value *= b ** (-ji - 1) * bracket
     return value
 
@@ -171,7 +157,7 @@ def _helmert_dft(b: int) -> np.ndarray:
     """T[h-1, l-1] = (sum_(r<h) omega^(r l) - h omega^(h l)) / (h (h + 1)), the
     DFT at l = 1..b-1 of Helmert column h over its squared norm; read-only
     and built once per base."""
-    powers = _roots(b)[np.arange(b)[:, None] * np.arange(1, b) % b]  # omega^(r l)
+    powers = roots_of_unity(b)[np.arange(b)[:, None] * np.arange(1, b) % b]  # omega^(r l)
     h = np.arange(1, b)[:, None]
     table = (np.cumsum(powers, axis=0)[:-1] - h * powers[1:]) / (h * (h + 1))
     table.flags.writeable = False
@@ -321,9 +307,10 @@ class LevelAggregate:
     its box's real tensor; mu_jml is the tensor's DFT at l minus the volume
     coefficient.  The head coordinates' G are the prefix's, read at sel; the
     last coordinate's G (`last`) is built once per level.  `box_sums` sums
-    the rows of each box exactly, for `mass(2)` and `mu_blocks`; the latter
-    yields the coefficients of the occupied boxes at one l-combination of
-    each conjugate pair (`columns`); the empty boxes all carry mu = -volume.
+    the rows of each box exactly, once, for `mass(2)` and `mu_blocks`; the
+    latter yields mu of the occupied boxes at one l-combination of each
+    conjugate pair (`columns`), read outside only through `sups` and `mass`;
+    the empty boxes all carry mu = -volume.
     """
 
     j: tuple[int, ...]
@@ -369,13 +356,14 @@ class LevelAggregate:
         """Per row: w / (N b^(nd)) as a float, the factor of its (x)_i G_i in mu."""
         return self.weight.astype(float) / float(self.scale)
 
+    @functools.cached_property
     def box_sums(self) -> np.ndarray:
         """A ((b-1)^s, occupied): each occupied box's exact integer sum
         sum_rows w (x)_i G_i, first factor slowest, in int64 where
         M = `scale` = N b^(nd) < 2^63 proves every sum (a row's |w prod G| is
         below b^(nd)), else in Python ints.  The rows' outer products are
         formed as one column per row, and one `np.add.reduceat` sums each
-        box's contiguous rows."""
+        box's contiguous rows.  Built on the first read, once per level."""
         terms = self.weight[None, :]
         for G in itertools.chain((Gp[self.sel] for Gp in self.prefix.helmert), self.last):
             terms = np.multiply(terms[:, None, :], G.T, order="C").reshape(-1, terms.shape[1])
@@ -403,7 +391,7 @@ class LevelAggregate:
         """
         b, s = self.b, self.s
         if s == 0:
-            mean = Fraction(int(self.box_sums().sum()), self.scale)
+            mean = Fraction(int(self.box_sums.sum()), self.scale)
             yield np.array([[float(mean - Fraction(1, 2 ** len(self.j)))]], dtype=complex)
             return
         if not self.occupied:
@@ -421,7 +409,7 @@ class LevelAggregate:
         g = b ** (2 * self.total_level + 2 * s) * 2 ** len(self.j)  # 1 / gamma
         V = _tensor(np.arange(1, b, dtype=object) * np.arange(2, b + 1), s) * ((-1) ** s * self.scale)
         dtype = _int_dtype(2 * self.scale)  # |A - floor(V / g)| < 2 M
-        X = (self.box_sums().astype(dtype, copy=False) - (V // g).astype(dtype)[:, None]).astype(float)
+        X = (self.box_sums.astype(dtype, copy=False) - (V // g).astype(dtype)[:, None]).astype(float)
         X = (X - np.array([(v % g) / g for v in V])[:, None]) / float(self.scale)  # int / int rounds once
         # the first axis at its leading `lead` l, by two real matmuls
         X = X.reshape(b - 1, -1).T
@@ -446,30 +434,37 @@ class LevelAggregate:
             terms = terms.reshape(len(out), -1)
         return terms
 
+    def sups(self) -> tuple[float, float]:
+        """(sup |mu_jml| over the occupied boxes, sup |volume| over the empty
+        ones), each 0.0 where the level has no such box.  |mu| at b - l is
+        |mu| at l, so the sup over `mu_blocks` is that over every l."""
+        occupied = max([float(np.abs(mu).max()) for mu in self.mu_blocks()], default=0.0)
+        empty = float(np.abs(self.volume).max()) if self.empty_count > 0 else 0.0
+        return occupied, empty
+
     def mass(self, p: float) -> Fraction | float:
         """sum over boxes m and l-combinations of |mu_jml|^p; the sup at p = inf.
 
         At p = 2 it is an exact `Fraction` and never forms mu: `_exact_mass`
         reads the mass from the boxes' integer sums A (`box_sums`) and their
         squares, in int64 where max|A|^2 times the boxes < 2^63 proves it,
-        else in Python ints.  Otherwise it reduces `mu_blocks`, one
-        l-combination of each conjugate pair: at odd b the occupied boxes'
-        sums count twice, and the empty boxes add the full-width volume sum.
+        else in Python ints.  At p = inf it is the larger of `sups`.
+        Otherwise it reduces `mu_blocks`, one l-combination of each conjugate
+        pair: at odd b the occupied boxes' sums count twice, and the empty
+        boxes add the full-width volume sum.
         """
         if p == 2 and not self.occupied:
             return _exact_mass(self.b, self.j, self.scale, 0, 0)
         if p == 2:
-            A = self.box_sums()
+            A = self.box_sums
             squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2
             sq = np.dot(squares.sum(axis=1).astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
             return _exact_mass(self.b, self.j, self.scale, int(sq), sum(A.sum(axis=1).tolist()))
-        vol = np.abs(self.volume)
         if math.isinf(p):
-            empty_sup = float(vol.max()) if self.empty_count > 0 else 0.0
-            return max([float(np.abs(mu).max()) for mu in self.mu_blocks()] + [empty_sup])
+            return max(self.sups())
         occ = sum(float(np.sum(np.abs(mu) ** p)) for mu in self.mu_blocks())
         pairs = len(self.l_combos) // self.columns  # 2 at odd b, else 1
-        return pairs * occ + self.empty_count * float(np.sum(vol**p))
+        return pairs * occ + self.empty_count * float(np.sum(np.abs(self.volume) ** p))
 
 
 def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> LevelAggregate:
@@ -527,7 +522,7 @@ def _volume(b: int, d: int, s: int, total_level: int) -> tuple[np.ndarray, np.nd
     |j| = total_level: b^(-2|j|-s) over the outer product of 2^(d-s) and one
     (omega^l - 1) vector per active coordinate."""
     l_combos = np.array(list(itertools.product(range(1, b), repeat=s)), dtype=np.int64)
-    roots = [_root(b, l) - 1.0 for l in range(1, b)]
+    roots = [root_of_unity(b, l) - 1.0 for l in range(1, b)]
     denoms = [2.0 ** (d - s)]
     for _ in range(s):
         denoms = [x * r for x in denoms for r in roots]
@@ -552,9 +547,15 @@ def haar_levels(p: PointSet, cap: Optional[int] = None) -> Iterator[LevelAggrega
     """
     top = p.n - 1 if cap is None else min(cap, p.n - 1)
     for head in levels_up_to(top, p.d - 1):
-        prefix = level_prefix(p, head)
-        for jd in range(-1, top + 1):
-            yield level_aggregate(p, head + (jd,), prefix)
+        yield from _head_levels(p, head, top)
+
+
+def _head_levels(p: PointSet, head: tuple[int, ...], top: int) -> Iterator[LevelAggregate]:
+    """`level_aggregate` on the levels (head, j_d), j_d = -1..top, in order,
+    all from one `level_prefix`, which lives as long as the iterator."""
+    prefix = level_prefix(p, head)
+    for jd in range(-1, top + 1):
+        yield level_aggregate(p, head + (jd,), prefix)
 
 
 def _point_factors(p: PointSet, i: int, nums: np.ndarray, levels: list[int], dtype) -> np.ndarray:
@@ -729,14 +730,16 @@ def _qsum(terms: list[float], params: BesovParams, b: int, d: int, cap: int) -> 
 def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport]:
     """Parseval's ||D_P||_2^2 and the Besov quasi-norm of D_P, one sweep.
 
-    Both reduce the same Haar levels, those of `haar_levels`.  Parseval is
-    exact: sum_j b^|j| mass_j over the exact p = 2 level masses, plus the
-    levels beyond n - 1, 3^-d - (1/3 - b^(-2n) / 12)^d.  Its report carries
-    that `Fraction` as "exact" = "p/q", its correctly rounded float as the
-    value and half an ulp of it as tail_bound.  The Besov report is the q-th
-    root of `_qsum` at `params` (a sup at q = inf), the levels beyond n - 1
-    folded in exactly, so r >= 1 gives inf; its tail_bound is the roundoff
-    allowance `ROUNDOFF_ALLOWANCE * value`.  A head's first level of
+    Both reduce the levels of `haar_levels`, head by head (`_head_levels`),
+    through `LevelAggregate.mass` alone, which shares a level's box sums
+    between p = 2 and params.p.  Parseval is exact: sum_j b^|j| mass_j over
+    the exact p = 2 level masses, plus the levels beyond n - 1,
+    3^-d - (1/3 - b^(-2n) / 12)^d.  Its report carries that `Fraction` as
+    "exact" = "p/q", its correctly rounded float as the value and half an
+    ulp of it as tail_bound.  The Besov report is the q-th root of `_qsum`
+    at `params` (a sup at q = inf), the levels beyond n - 1 folded in
+    exactly, so r >= 1 gives inf; its tail_bound is the roundoff allowance
+    `ROUNDOFF_ALLOWANCE * value`.  A head's first level of
     single-point boxes and the deeper ones, all single-point, take their
     p = 2 mass from one contraction (`_single_point_masses`) after the
     sweep; at params.p == 2 the sweep stops each head there.
@@ -744,13 +747,11 @@ def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport
     b, d, cap = p.b, p.d, p.n - 1
     masses, besov, single = [], [], []  # (|j|, mass): exact at p = 2, at params.p
     for head in levels_up_to(cap, d - 1):  # the sweep of `haar_levels`, cut short at p = 2
-        prefix = level_prefix(p, head)
         multi = True  # this level of the head and every coarser one has a multi-point box
-        for jd in range(-1, cap + 1):
-            agg = level_aggregate(p, head + (jd,), prefix)
+        for agg in _head_levels(p, head, cap):
             if multi and agg.counts.max(initial=0) <= 1:  # so is every deeper j_d
                 multi = False
-                single += [head + (v,) for v in range(jd, cap + 1)]
+                single += [head + (v,) for v in range(agg.j[-1], cap + 1)]
             if multi:
                 masses.append((agg.total_level, agg.mass(2.0)))
             if params.p != 2:
@@ -758,7 +759,6 @@ def haar_norms(p: PointSet, params: BesovParams) -> tuple[NormReport, NormReport
             del agg  # before the sweep builds the next level
             if not multi and params.p == 2:
                 break
-    del prefix
     masses += zip((sum(v for v in j if v >= 0) for j in single), _single_point_masses(p, single))
     tail = Fraction(1, 3**d) - (Fraction(1, 3) - Fraction(1, 12 * b ** (2 * cap + 2))) ** d
     exact = sum((b**tl * m for tl, m in masses), tail)

@@ -223,31 +223,41 @@ def is_net(p: PointSet) -> NetCheck:
     return NetCheck(ok=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSet:
     """Nonzero frequency tuples annihilated by the transposed matrices.
 
     `array` is the (M, d) int64 array of the frequencies in lexicographic
-    row order; `elements` holds the same rows as a sorted tuple of int tuples,
-    and membership reads a set built once.
+    row order.  `elements`, the same rows as a sorted tuple of int tuples,
+    and the set that membership reads are built from it on first read.
     """
 
     b: int
     n: int
     d: int
-    array: np.ndarray = field(repr=False, compare=False)
-    elements: tuple[tuple[int, ...], ...] = field(init=False)
-    _members: frozenset = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(map(tuple, self.array.tolist())))
-        object.__setattr__(self, "_members", frozenset(self.elements))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DualSet):
+            return NotImplemented
+        return (
+            (self.b, self.n, self.d) == (other.b, other.n, other.d)
+            and np.array_equal(self.array, other.array)
+        )
+
+    @functools.cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
 
     def __contains__(self, t) -> bool:
         return tuple(int(v) for v in t) in self._members
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
 
 def dual_set(g: GeneratingMatrices) -> DualSet:
@@ -258,10 +268,10 @@ def dual_set(g: GeneratingMatrices) -> DualSet:
     b, n, d = g.b, g.n, g.d
     stacked = np.concatenate([g.mats[i].T for i in range(d)], axis=1)  # (n, d*n)
     words = enumerate_span(gf_nullspace(stacked, b), b)
-    return DualSet(b, n, d, _dual_frequencies(words, b, n, d))
+    return DualSet(b, n, d, dual_frequencies(words, b, n, d))
 
 
-def _dual_frequencies(words: np.ndarray, b: int, n: int, d: int) -> np.ndarray:
+def dual_frequencies(words: np.ndarray, b: int, n: int, d: int) -> np.ndarray:
     """The nonzero dual words as (M, d) int64 frequencies in lexicographic
     order: entry i n + nu of a word is digit nu of t_i."""
     t = words.reshape(len(words), d, n) @ (b ** np.arange(n, dtype=np.int64))

@@ -175,8 +175,10 @@ class AuditReport:
     Regimes by level j: (i) the full cube j = (-1, ..., -1); (ii) levels with
     |j| <= n; (iii) |j| > n with every active j_i < n, where all but the
     occupied boxes carry the pure volume coefficient; (iv) levels with some
-    active j_i >= n, where no point is interior and mu = -volume exactly.
-    Each sup runs over existing boxes; regime (iv) is counted on every level.
+    active j_i >= n, where every point k / b^n sits on the level's grid, so
+    no point is interior and mu = -volume exactly.  Each sup runs over
+    existing boxes.  Regime (iv) holds by that integer grid, not by a count:
+    its two fields stay for JSON schema 1.
     """
 
     b: int
@@ -189,48 +191,24 @@ class AuditReport:
     const_exceptional: float  # sup |mu| * b^(|j|+n) over occupied, regime (iii)
     exceptional_counts: dict = dc_field(default_factory=dict)
     part_iii_ok: bool = True
-    part_iv_levels_checked: int = 0  # every regime-(iv) level within the cap
-    part_iv_exceptions: int = 0  # those that hold a point inside a box
-    passed: bool = True
+    part_iv_levels_checked: int = 0  # the regime-(iv) levels within the cap
+    part_iv_exceptions: int = 0  # those that hold an interior point: none, by the grid
+    passed: bool = True  # part_iii_ok
 
     def to_json(self) -> str:
         return json.dumps({"schema": 1, **asdict(self)}, sort_keys=True)
 
 
-def _interior_counts(p: PointSet, cap: int) -> np.ndarray:
-    """Entry j + 1 counts the points inside their box in every active
-    coordinate of level j, on the levels of {-1..cap}^d where it can be
-    nonzero; every other level holds no interior point.
-
-    k / b^n is interior at j_i >= 0 exactly when b^max(n - j_i, 0) does not
-    divide k_i, that is when j_i < t_i = n - (the trailing zero digits of
-    k_i); at j_i = -1 every point counts.  So entry c counts the points with
-    t >= c: a histogram of min(t, cap + 1), summed from the top on each axis.
-    As t <= n, regime (iv) holds none, and the grid is at most the sweep's size.
-    """
-    q, t, trailing = p.numerators, np.full(p.numerators.shape, p.n), True
-    for _ in range(p.n):  # digits least significant first, while all are 0
-        q, digit = np.divmod(q, p.b)
-        trailing &= digit == 0
-        t -= trailing
-    t = np.minimum(t, cap + 1)
-    shape = tuple(t.max(axis=0, initial=0) + 1)
-    cells = np.ravel_multi_index(tuple(t.T), shape)
-    counts = np.bincount(cells, minlength=math.prod(shape)).reshape(shape)
-    for axis in range(p.d):
-        counts = np.flip(np.flip(counts, axis).cumsum(axis), axis)
-    return counts
-
-
 def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
     """Record per-regime constants over all levels with entries <= cap.
 
-    Regimes (i)-(iii) read the coefficients of one `haar_levels` sweep to
-    min(cap, n - 1), block by block (`LevelAggregate.mu_blocks`); a sup
-    reads the volume coefficient only on levels with an empty box.  Regime
-    (iv) is counted on every one of its levels (`_interior_counts`).
-    Hard structural checks: the occupied-box count never exceeds b^n on any
-    regime-(iii) level, and no regime-(iv) level holds a point inside a box.
+    Regimes (i)-(iii) read the two sups of each level of one `haar_levels`
+    sweep to min(cap, n - 1) (`LevelAggregate.sups`): |mu| over the
+    occupied boxes, and the volume coefficient over the empty ones, if any.
+    The hard structural check: the occupied-box count never exceeds b^n on
+    any regime-(iii) level.  Regime (iv), the levels with some j_i >= n, is
+    not swept: a point k / b^n lies on every such level's grid, so none is
+    interior there and mu = -volume by construction.
     """
     b, n, d = p.b, p.n, p.d
     if cap is None:
@@ -240,34 +218,26 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
     if cap < -1:
         raise InvalidParams(f"cap {cap} < -1: the audit would sweep no level")
 
-    const_i = 0.0
-    const_ii = 0.0
-    const_iii = 0.0
-    const_iii_exc = 0.0
+    const_i = const_ii = const_iii = const_iii_exc = 0.0
     counts: dict[str, int] = {}
     part_iii_ok = True
 
     for agg in haar_levels(p, cap):
         j, tl = agg.j, agg.total_level
-        occ_max = max([float(np.abs(mu).max()) for mu in agg.mu_blocks()], default=0.0)
+        occ_max, empty_max = agg.sups()
         if max(j) == -1:  # one box, one l-combination
             const_i = occ_max * b**n
+        elif tl <= n:
+            const_ii = max(const_ii, max(occ_max, empty_max) * float(b) ** (tl + n))
         else:
-            empty_max = float(np.max(np.abs(agg.volume))) if agg.empty_count > 0 else 0.0
-            if tl <= n:
-                const_ii = max(const_ii, max(occ_max, empty_max) * float(b) ** (tl + n))
-            else:
-                counts[",".join(map(str, j))] = agg.occupied
-                if agg.occupied > b**n:
-                    part_iii_ok = False
-                const_iii = max(const_iii, empty_max * float(b) ** (2 * tl))
-                if agg.occupied:
-                    const_iii_exc = max(const_iii_exc, occ_max * float(b) ** (tl + n))
+            counts[",".join(map(str, j))] = agg.occupied
+            if agg.occupied > b**n:
+                part_iii_ok = False
+            const_iii = max(const_iii, empty_max * float(b) ** (2 * tl))
+            if agg.occupied:
+                const_iii_exc = max(const_iii_exc, occ_max * float(b) ** (tl + n))
         del agg  # before the sweep builds the next level
 
-    # regime (iv): the levels with some j_i >= n, outside the corner j < n
-    interior = _interior_counts(p, cap)
-    iv_fails = int(np.count_nonzero(interior) - np.count_nonzero(interior[(slice(n + 1),) * d]))
     return AuditReport(
         b=b,
         n=n,
@@ -280,8 +250,8 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
         exceptional_counts=counts,
         part_iii_ok=part_iii_ok,
         part_iv_levels_checked=(cap + 2) ** d - (min(cap, n - 1) + 2) ** d,
-        part_iv_exceptions=iv_fails,
-        passed=part_iii_ok and iv_fails == 0,
+        part_iv_exceptions=0,
+        passed=part_iii_ok,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cs import CodeSpace, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
-from .haar import _root, _roots
+from .field import root_of_unity, roots_of_unity
 from .nets import DualSet, GeneratingMatrices, PointSet, dual_set
 from .norms import disc_eval
 
@@ -57,7 +57,7 @@ def walsh_eval_1d(alpha: int, x: Fraction, b: int) -> complex:
             exponent += tau * digits[nu]
         alpha //= b
         nu += 1
-    return _root(b, exponent)
+    return root_of_unity(b, exponent)
 
 
 def _unit_interval(y) -> Fraction:
@@ -91,16 +91,16 @@ def fine_price_coeff(t: int, y: Fraction, b: int) -> complex:
     wal_tp = walsh_eval_1d(t_prime, y, b)
     wal_t = walsh_eval_1d(t, y, b)
 
-    total = (1.0 / (1.0 - _root(b, -tau))) * wal_tp.conjugate()
-    total += (1.0 / (_root(b, -tau) - 1.0) + 0.5) * wal_t.conjugate()
+    total = (1.0 / (1.0 - root_of_unity(b, -tau))) * wal_tp.conjugate()
+    total += (1.0 / (root_of_unity(b, -tau) - 1.0) + 0.5) * wal_t.conjugate()
 
     # explicit terms while digit y_(rho+a) may be nonzero, then the closed tail
     a_max = max(big_m - rho, 0)
     series = 0.0j
     for a in range(1, a_max + 1):
         for z in range(1, b):
-            term = _root(b, -(z * digits[rho + a - 1])) * wal_t.conjugate()
-            series += term / (b**a * (_root(b, z) - 1.0))
+            term = root_of_unity(b, -(z * digits[rho + a - 1])) * wal_t.conjugate()
+            series += term / (b**a * (root_of_unity(b, z) - 1.0))
     series += -wal_t.conjugate() * float(b) ** (-a_max) / 2.0
     total += series
     return total / b**rho
@@ -120,7 +120,7 @@ def _digit_dft(a: np.ndarray, b: int, sign: int) -> np.ndarray:
     """
     if a.ndim == 0:
         return a
-    w = _roots(b)[sign * np.outer(np.arange(b), np.arange(b)) % b]
+    w = roots_of_unity(b)[sign * np.outer(np.arange(b), np.arange(b)) % b]
     x = a.reshape(b, -1)
     for _ in range(a.ndim):
         x = (x.T @ w.T).reshape(b, -1)
@@ -132,7 +132,7 @@ def _digit_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
     """(W, S) with W[c, tau] = omega^(-tau c) and S[c, tau] = sum over c' < c
     of W[c', tau]; read-only and built once per base."""
     x = np.arange(b)
-    w = _roots(b)[-np.outer(x, x) % b]
+    w = roots_of_unity(b)[-np.outer(x, x) % b]
     s = np.cumsum(np.concatenate([np.zeros((1, b)), w[:-1]]), axis=0)
     w.flags.writeable = s.flags.writeable = False
     return w, s

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from oracles import (
 )
 from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams
+from qmcnet.field import roots_of_unity
 from qmcnet.families import balanced_hammersley
 from qmcnet.haar import (
     PARSEVAL,
@@ -27,7 +29,6 @@ from qmcnet.haar import (
     _helmert_weights,
     _offsets,
     _point_factors,
-    _roots,
     _single_point_masses,
     _volume,
     besov_quasi_norm,
@@ -408,12 +409,28 @@ def test_mass_off_p2_matches_the_full_width(cs11_oracle, repeated_and_grid_oracl
                 assert np.abs(mu - np.conj(mu[:, ::-1])).max() <= 1e-12 * scale, (p.b, j)
 
 
+def _count_box_sum_builds(monkeypatch, record):
+    """Make each build of `LevelAggregate.box_sums` call record(level) first;
+    a read of the cached sums calls nothing."""
+    import qmcnet.haar as haar
+
+    build = haar.LevelAggregate.box_sums.func
+
+    def counted(self):
+        record(self)
+        return build(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(haar.LevelAggregate, "box_sums")
+    monkeypatch.setattr(haar.LevelAggregate, "box_sums", prop)
+
+
 def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
-    # on CS-11 the audit calls `box_sums` once on each of its 19 levels with
+    # on CS-11 the audit builds `box_sums` once on each of its 19 levels with
     # a multi-point box (s = 0 among them) and forms the rank-1 `_terms`
     # product only on the 6 levels whose boxes hold one point each;
-    # `haar_norms` at p = 2 calls
-    # `box_sums` only through `mass(2)`, once per multi-point level.  No
+    # `haar_norms` at p = 2 builds
+    # `box_sums` only in `mass(2)`, once per multi-point level.  No
     # complex row sum runs through `np.add.reduceat`, and mu is read at one
     # l-combination of each conjugate pair: (b-1)^s / 2 columns at b = 11,
     # the one l-combination at b = 2
@@ -432,12 +449,8 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
             return getattr(np, name)
 
     box_levels, terms_levels, widths, in_mass = [], [], {}, []
-    box_sums, terms = haar.LevelAggregate.box_sums, haar.LevelAggregate._terms
+    terms = haar.LevelAggregate._terms
     mu_blocks, mass = haar.LevelAggregate.mu_blocks, haar.LevelAggregate.mass
-
-    def counted_box_sums(self):
-        box_levels.append((self.j, bool(in_mass)))
-        return box_sums(self)
 
     def counted_terms(self, *args):
         terms_levels.append(self.j)
@@ -460,7 +473,7 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
     multi = [j for j, single in levels if not single]
     assert len(multi) == 19 and len(levels) == 25
     monkeypatch.setattr(haar, "np", NumPy())
-    monkeypatch.setattr(haar.LevelAggregate, "box_sums", counted_box_sums)
+    _count_box_sum_builds(monkeypatch, lambda agg: box_levels.append((agg.j, bool(in_mass))))
     monkeypatch.setattr(haar.LevelAggregate, "_terms", counted_terms)
     monkeypatch.setattr(haar.LevelAggregate, "mu_blocks", counted_blocks)
     monkeypatch.setattr(haar.LevelAggregate, "mass", counted_mass)
@@ -474,6 +487,20 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
     widths.clear()
     assert coeff_bound_audit(hammersley(6)).passed
     assert widths == {(2, 0): {1}, (2, 1): {1}, (2, 2): {1}}
+
+
+@pytest.mark.parametrize("power", [1.5, math.inf])
+def test_box_sums_are_built_once_per_level(power, monkeypatch):
+    # off p = 2 `haar_norms` reads a multi-point level's box sums twice, in
+    # `mass(2)` and in `mass(p)` through mu: on CS-11 they are built once on
+    # each of the 19 multi-point levels (38 builds when each read built
+    # them), as in the audit (`test_mu_of_multi_point_levels_comes_from_box_tensors`)
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    multi = [agg.j for agg in haar_levels(cs) if agg.counts.max() > 1]
+    builds = []
+    _count_box_sum_builds(monkeypatch, lambda agg: builds.append(agg.j))
+    haar_norms(cs, BesovParams(power, 2.0, 0.25))
+    assert builds == multi and len(multi) == 19
 
 
 def test_haar_norms_reads_mu_only_off_p2(monkeypatch):
@@ -847,7 +874,7 @@ def test_roots_of_unity_are_real_at_b2():
     from qmcnet.norms import coeff_bound_audit
     from qmcnet.walsh import _digit_tables
 
-    assert _roots(2).tolist() == [1, -1]
+    assert roots_of_unity(2).tolist() == [1, -1]
     assert _helmert_dft(2).tolist() == [[1]]
     assert not np.any(_volume(2, 2, 2, 3)[1].imag)
     assert not np.any(_digit_tables(2)[0].imag)

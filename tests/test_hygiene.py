@@ -171,6 +171,44 @@ def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Private names the source imports from a module of the package, by a
+    relative import or one from `qmcnet`."""
+    return [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "qmcnet")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_scan_flags_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .haar import _roots, level_prefix\n"
+        "from qmcnet.nets import _dual_frequencies\n"
+        "from . import _private\n"
+        "from numpy import _globals\n"
+        "def f():\n"
+        "    from .field import _inner\n"
+    )
+    assert private_imports(source) == [
+        "from .haar import _roots (line 2)",
+        "from qmcnet.nets import _dual_frequencies (line 3)",
+        "from . import _private (line 4)",
+        "from .field import _inner (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    # a private name is its module's own business: what another module
+    # needs is public, or lives in a lower layer
+    assert private_imports(path.read_text()) == []
+
+
 #: modules whose results depend on their inputs alone
 DETERMINISTIC = ("field", "nets", "cs", "families", "haar", "norms")
 

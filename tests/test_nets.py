@@ -17,6 +17,7 @@ from qmcnet import nets
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, NetFileError, NotPowerCardinality
 from qmcnet.nets import (
+    DualSet,
     GeneratingMatrices,
     NetCheck,
     PointSet,
@@ -244,6 +245,23 @@ def test_dual_set_elements_are_the_sorted_solutions():
             assert dual.elements == tuple(sorted(solutions))
             assert dual.array.dtype == np.int64 and dual.array.shape == (len(solutions), d)
             assert dual.array.tolist() == [list(t) for t in dual.elements]
+
+
+def test_dual_set_builds_its_tuples_on_first_read():
+    # `dual_set` returns the frequency array alone: the tuples and the
+    # membership set, which only some callers read, are built on first read
+    g = hammersley_matrices(3)
+    dual = dual_set(g)
+    assert "elements" not in vars(dual) and "_members" not in vars(dual)
+    assert len(dual) == 2**3 - 1
+    assert "elements" not in vars(dual)
+    assert (1, 4) in dual and (1, 1) not in dual
+    assert dual.elements == tuple(sorted(map(tuple, dual.array.tolist())))
+    # equality reads (b, n, d) and the array, never the tuples
+    other = dual_set(g)
+    assert other == dual and "elements" not in vars(other)
+    assert dual != DualSet(2, 3, 2, dual.array[1:])
+    assert dual != DualSet(3, 3, 2, dual.array)
 
 
 def test_matrices_json_roundtrip():

@@ -28,7 +28,6 @@ from qmcnet.haar import (
 from qmcnet.nets import GeneratingMatrices, PointSet, generate_points, is_net
 from qmcnet.norms import (
     _pair_min_sum,
-    _interior_counts,
     coeff_bound_audit,
     disc_eval,
     fit_slope,
@@ -248,29 +247,20 @@ def _interior_count_by_fractions(p, j) -> int:
     hammersley(4),
     # repeated points, points on coarse grid lines and the origin
     PointSet(3, 2, 2, np.array([[0, 0], [3, 6], [3, 6], [1, 4], [8, 2], [4, 3], [4, 3]])),
-], ids=["hammersley4", "repeated_and_grid"])
-def test_interior_counts_match_the_fraction_route_on_every_level(p):
-    counts = _interior_counts(p, p.n + 1)
-    # the grid ends where no point is interior: at most n + 1 cells per axis
-    assert max(counts.shape) <= p.n + 1
+    cs_point_set(CSParams(b=3, d=1, w=2)),
+], ids=["hammersley4", "repeated_and_grid", "cs312"])
+def test_regime_iv_levels_hold_no_interior_point(p):
+    # every point k / b^n lies on the grid of a level with some j_i >= n, so
+    # the audit counts nothing there: by the exact fractions no point is
+    # interior on any such level of {-1..n+1}^d, while below n some level
+    # with an active coordinate holds one
     for j in levels_up_to(p.n + 1, p.d):
-        expected = _interior_count_by_fractions(p, j)
-        c = tuple(v + 1 for v in j)
-        count = counts[c] if all(ci < si for ci, si in zip(c, counts.shape)) else 0
-        assert count == expected, j
         if max(j) >= p.n:
-            assert expected == 0
-    # below n points are inside boxes, also on levels with active coordinates
-    assert counts[(slice(1, p.n + 1),) * p.d].any()
-
-
-def test_audit_flags_a_regime_iv_level_that_holds_a_point(monkeypatch):
-    # the audit reads the counts on the levels with some j_i >= n only
-    p = hammersley(2)
-    monkeypatch.setattr(norms, "_interior_counts", lambda p, cap: np.ones((cap + 2,) * p.d, int))
-    rep = coeff_bound_audit(p, cap=3)
-    assert rep.part_iv_levels_checked == rep.part_iv_exceptions == 5**2 - 3**2
-    assert not rep.passed
+            assert _interior_count_by_fractions(p, j) == 0, j
+    assert any(_interior_count_by_fractions(p, j) for j in levels_up_to(p.n - 1, p.d) if max(j) >= 0)
+    rep = coeff_bound_audit(p, cap=p.n + 1)
+    assert rep.part_iv_exceptions == 0
+    assert rep.part_iv_levels_checked == (p.n + 3) ** p.d - (p.n + 1) ** p.d
 
 
 def test_audit_counts_regime_iv_on_every_level_within_the_cap():
@@ -378,6 +368,44 @@ def test_audit_and_besov_peak_below_the_largest_full_width_mu_array():
     assert audit < largest
     assert _peak_bytes(lambda: haar_norms(p, BesovParams(1.5, 3, 0.3))) < largest
     assert audit <= _peak_bytes(lambda: haar_norms(p, PARSEVAL)) + 2**16
+
+
+def test_norms_read_mu_only_through_the_level_aggregate(monkeypatch):
+    # the audit and Besov leave mu's block and conjugate-column layout to
+    # `LevelAggregate`: they read it through `sups` and `mass` alone
+    import qmcnet.haar as haar
+
+    source = Path(norms.__file__).read_text()
+    assert "mu_blocks" not in source and ".volume" not in source
+    inside = []
+
+    def within(method):
+        def wrapped(self, *args):
+            inside.append(method.__name__)
+            try:
+                return method(self, *args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    mu_blocks = haar.LevelAggregate.mu_blocks
+
+    def guarded(self):
+        if not inside:
+            raise AssertionError(f"mu of level {self.j} read outside sups and mass")
+        return mu_blocks(self)
+
+    for name in ("sups", "mass"):
+        monkeypatch.setattr(haar.LevelAggregate, name, within(getattr(haar.LevelAggregate, name)))
+    monkeypatch.setattr(haar.LevelAggregate, "mu_blocks", guarded)
+    repeated_and_grid = PointSet(3, 2, 2, np.array([[0, 0], [3, 6], [3, 6], [1, 4], [8, 2], [4, 3]]))
+    for p in (hammersley(6), cs_point_set(CSParams(b=3, d=1, w=2)), repeated_and_grid):
+        assert coeff_bound_audit(p).passed
+        for power in (1.5, math.inf):
+            assert haar_norms(p, BesovParams(power, 2, 0.25))[1].value > 0
+    with pytest.raises(AssertionError, match="outside sups and mass"):
+        next(haar_levels(hammersley(2))).mu_blocks()
 
 
 def test_audit_rejects_a_cap_below_minus_one():
