@@ -112,6 +112,15 @@ class CodeSpace:
         return words
 
     @cached_property
+    def zero_patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(masks, multiplicities), read-only: the distinct nonzero-position
+        masks of the words, one `np.packbits` row each (any d n), and how
+        many words have each.  Built from `words` once."""
+        masks, counts = np.unique(np.packbits(self.words() != 0, axis=1), axis=0, return_counts=True)
+        masks.flags.writeable = counts.flags.writeable = False
+        return masks, counts
+
+    @cached_property
     def dual(self) -> "CodeSpace":
         """`dual_code(self)`, built once."""
         return dual_code(self)

@@ -364,6 +364,8 @@ class LevelAggregate:
         below b^(nd)), else in Python ints.  The rows' outer products are
         formed as one column per row, and one `np.add.reduceat` sums each
         box's contiguous rows.  Built on the first read, once per level."""
+        if not self.occupied:  # no rows, and no last G where j_d >= n
+            return np.zeros(((self.b - 1) ** self.s, 0), dtype=self.weight.dtype)
         terms = self.weight[None, :]
         for G in itertools.chain((Gp[self.sel] for Gp in self.prefix.helmert), self.last):
             terms = np.multiply(terms[:, None, :], G.T, order="C").reshape(-1, terms.shape[1])
@@ -453,8 +455,6 @@ class LevelAggregate:
         pair: at odd b the occupied boxes' sums count twice, and the empty
         boxes add the full-width volume sum.
         """
-        if p == 2 and not self.occupied:
-            return _exact_mass(self.b, self.j, self.scale, 0, 0)
         if p == 2:
             A = self.box_sums
             squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2

@@ -50,6 +50,11 @@ class GeneratingMatrices:
             raise InvalidParams("matrix entries must lie in [0, b)")
         object.__setattr__(self, "mats", m)
 
+    @functools.cached_property
+    def dual(self) -> "DualSet":
+        """`dual_set(self)`, built once."""
+        return dual_set(self)
+
     def to_json(self) -> str:
         return json.dumps(
             {"b": self.b, "n": self.n, "d": self.d, "matrices": self.mats.tolist()}
@@ -114,19 +119,47 @@ class PointSet:
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
-        """Base-b digits of the numerators, (d, n, N), most significant first.
+        """The digit table of the character sums, (d n, N), read-only.
 
-        Row [i, nu] holds digit nu + 1 of coordinate i of every point, in the
-        smallest unsigned dtype that holds b - 1.  Built on first use only:
-        the character sums read it, the Haar and Warnock routes never do.
+        Row i n + nu holds digit nu + 1 (most significant first) of
+        coordinate i of every point, in the smallest float dtype in which a
+        sum of d n products of two digits, at most d n (b-1)^2, is exact:
+        float32 below 2^24, float64 below 2^53; above that SizeOverflow.
+        Built on first use only: `char_sum` reads it, the Haar and Warnock
+        routes never do.
         """
-        b, n = self.b, self.n
-        out = np.empty((self.d, n, self.size), dtype=np.min_scalar_type(b - 1))
-        for i in range(self.d):
+        b, n, d = self.b, self.n, self.d
+        top = d * n * (b - 1) ** 2
+        if top >= 2**53:
+            raise SizeOverflow(f"exponent sums d n (b-1)^2 = {top} exceed 2^53 at b = {b}")
+        out = np.empty((d * n, self.size), dtype=np.float32 if top < 2**24 else np.float64)
+        for i in range(d):
             k = self.numerators[:, i]
             for nu in range(n - 1, -1, -1):
-                k, out[i, nu] = np.divmod(k, b)
+                k, out[i * n + nu] = np.divmod(k, b)
+        out.flags.writeable = False
         return out
+
+    @functools.cached_property
+    def sorted_columns(self) -> np.ndarray:
+        """The numerators as (d, N) rows, the points stably sorted by
+        coordinate 1, read-only; built on the first `count_below`."""
+        order = np.argsort(self.numerators[:, 0], kind="stable")
+        out = np.ascontiguousarray(self.numerators[order].T)
+        out.flags.writeable = False
+        return out
+
+    def count_below(self, cuts: Sequence[int]) -> int:
+        """The number of points with k_i < cuts[i] in every coordinate.
+
+        Those with k_1 < cuts[0] are a prefix of `sorted_columns`; only that
+        prefix is compared in the other coordinates, against the integer
+        cuts as given (Python ints, so any size compares exactly).
+        """
+        cols = self.sorted_columns
+        head = int(np.searchsorted(cols[0], cuts[0]))
+        below = [row < cut for row, cut in zip(cols[1:, :head], cuts[1:])]
+        return int(np.count_nonzero(functools.reduce(np.logical_and, below))) if below else head
 
 
 _SPAN_WORDS = 2**14  # words of the low span in `generate_points`
@@ -268,7 +301,9 @@ def dual_set(g: GeneratingMatrices) -> DualSet:
     b, n, d = g.b, g.n, g.d
     stacked = np.concatenate([g.mats[i].T for i in range(d)], axis=1)  # (n, d*n)
     words = enumerate_span(gf_nullspace(stacked, b), b)
-    return DualSet(b, n, d, dual_frequencies(words, b, n, d))
+    array = dual_frequencies(words, b, n, d)
+    array.flags.writeable = False
+    return DualSet(b, n, d, array)
 
 
 def dual_frequencies(words: np.ndarray, b: int, n: int, d: int) -> np.ndarray:
@@ -283,11 +318,14 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
     """sum_h wal_t(x_h) from the residue counts of the exponents.
 
     The exponent of point h is sum_(i, nu) tau_(i,nu) x_(h,i,nu+1) over the
-    nonzero base-b digits tau of t (least significant first), read from
-    `PointSet.digits`.  Exactly N when every exponent is 0 mod b and exactly
-    0 when all b residues are equally frequent, which for a digital net are
-    the dual set (plus t = 0) and its complement; otherwise the float root
-    sum.
+    base-b digits tau of t (least significant first): all N of them are one
+    contraction of tau with `PointSet.digits`, exact integers up to
+    d n (b-1)^2.  One `bincount` counts them, folded mod b, or counts their
+    residues when they can take more values than there are points, so the
+    counts never outgrow N + b.  Exactly N when every exponent is 0 mod b
+    and exactly 0 when all b residues are equally frequent, which for a
+    digital net are the dual set (plus t = 0) and its complement; otherwise
+    the float root sum over the residues that occur.
     """
     b, n = p.b, p.n
     t = [int(v) for v in t]
@@ -295,23 +333,20 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
         raise InvalidParams("t must have d coordinates")
     if any(not 0 <= ti < b**n for ti in t):
         raise InvalidParams(f"t coordinates must lie in [0, b^n) = [0, {b**n})")
-    # exponent sums reach d n (b-1)^2 before their reduction mod b
-    acc = np.min_scalar_type(max(b, p.d * n * (b - 1) ** 2))
-    if acc.kind != "u":
-        raise SizeOverflow(f"exponent sums d n (b-1)^2 exceed 64 bits at b = {b}")
-    exponents = np.zeros(p.size, dtype=acc)
-    for i, ti in enumerate(t):
-        for nu in range(n):  # digit nu of t pairs with digit nu + 1 of x
-            ti, tau = divmod(ti, b)
-            if tau:
-                exponents += p.digits[i, nu] * acc.type(tau)
-    counts = np.bincount((exponents % b).astype(np.intp), minlength=b)
+    table = p.digits  # SizeOverflow when the exponents pass 2^53
+    tau = np.array([ti // b**nu % b for ti in t for nu in range(n)], dtype=table.dtype)
+    exponents = tau @ table
+    values = p.d * n * (b - 1) ** 2 + 1
+    if values > p.size:  # more values than points: count the residues
+        exponents, values = np.fmod(exponents, b), b
+    counts = np.bincount(exponents.astype(np.intp), minlength=-(-values // b) * b)
+    counts = counts.reshape(-1, b).sum(axis=0)
     if counts[0] == p.size:
         return complex(p.size)
     if (counts == counts[0]).all():
         return 0j
-    roots = [cmath.exp(2j * cmath.pi * k / b) for k in range(b)]
-    return sum(int(c) * r for c, r in zip(counts, roots))
+    residues = np.flatnonzero(counts).tolist()
+    return sum(int(counts[r]) * cmath.exp(2j * cmath.pi * r / b) for r in residues)
 
 
 # --- point-set file format ---------------------------------------------------

@@ -23,18 +23,17 @@ def disc_eval(p: PointSet, x: Sequence[Fraction]) -> Fraction:
     """D_P(x): exact point fraction in [0, x) minus the exact box volume.
 
     k / b^n < x_i exactly when k < ceil(x_i b^n), an integer threshold at
-    most b^n computed in Python ints, so no product can overflow.
+    most b^n computed in Python ints, so no product can overflow; the points
+    below every threshold are counted by `PointSet.count_below`.
     """
     if len(x) != p.d:
         raise InvalidParams("x must have d coordinates")
     xs = [Fraction(v) for v in x]
-    inside = np.ones(p.size, dtype=bool)
-    for i, xi in enumerate(xs):
-        if not 0 <= xi <= 1:
-            raise InvalidParams("coordinates must lie in [0, 1]")
-        inside &= p.numerators[:, i] < math.ceil(xi * p.denominator)
+    if any(not 0 <= xi <= 1 for xi in xs):
+        raise InvalidParams("coordinates must lie in [0, 1]")
+    inside = p.count_below([math.ceil(xi * p.denominator) for xi in xs])
     volume = math.prod(xs, start=Fraction(1))
-    return Fraction(int(inside.sum()), p.size) - volume
+    return Fraction(inside, p.size) - volume
 
 
 def _pair_min_sum(rows: list[list[int]], w: list[int]) -> int:

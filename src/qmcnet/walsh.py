@@ -9,6 +9,7 @@ the Haar-side computations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 from .cs import CodeSpace, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
 from .field import root_of_unity, roots_of_unity
-from .nets import DualSet, GeneratingMatrices, PointSet, dual_set
+from .nets import DualSet, GeneratingMatrices, PointSet
 from .norms import disc_eval
 
 GROUP_TABLE_LIMIT = 2**24
@@ -165,18 +166,29 @@ def interval_coeff_vector(y: Fraction, b: int, n: int) -> np.ndarray:
 # --- Theta / R decomposition ----------------------------------------------------
 
 
-def _truncated_indicator(y: Fraction, b: int, n: int, k: np.ndarray) -> np.ndarray:
-    """sum over t < b^n of chi_hat_[0,y)(t) wal_t on the cells k of width b^-n.
+def _definition_sum(p: PointSet, y: list[Fraction]) -> float:
+    """The mean over the points of prod_i the cell average of chi_[0,y_i)
+    at k_i, minus the volume: exact, and rounded once.
 
-    That partial Walsh sum is the average of chi_[0,y) over each cell:
-    1 on cells k < g = floor(y b^n), y b^n - g on cell g and 0 above it.
+    With y_i b^n = a_i / q_i, g_i = floor(a_i / q_i) and r_i = a_i - g_i q_i,
+    the cell average at k is 1 below g_i, r_i / q_i on g_i and 0 above it:
+    (q_i - r_i) / q_i [k < g_i] + r_i / q_i [k < g_i + 1].  So the sum over
+    the points times Q = prod_i q_i is an integer, the sum over e in
+    {0, 1}^d of prod_i (r_i if e_i else q_i - r_i) times the number of
+    points below g + e (`PointSet.count_below`, a prefix with k_1 at or
+    below g_1), and so is the volume times Q b^(nd).
     """
-    scaled = y * b**n
-    g = math.floor(scaled)
-    table = np.zeros(b**n + 1)
-    table[:g] = 1.0
-    table[g] = float(scaled - g)
-    return table[k]
+    a = [yi.numerator * p.denominator for yi in y]
+    q = [yi.denominator for yi in y]
+    g = [ai // qi for ai, qi in zip(a, q)]
+    r = [ai - gi * qi for ai, gi, qi in zip(a, g, q)]
+    total = 0
+    for e in itertools.product((0, 1), repeat=p.d):
+        weight = math.prod(ri if ei else qi - ri for ei, qi, ri in zip(e, q, r))
+        if weight:  # r_i = 0 on the b^-n grid: no term with e_i = 1
+            total += weight * p.count_below([gi + ei for gi, ei in zip(g, e)])
+    scale = p.denominator**p.d
+    return (total * scale - p.size * math.prod(a)) / (math.prod(q) * p.size * scale)
 
 
 def _same_shape(p: PointSet, other):
@@ -213,23 +225,22 @@ def theta(
                      analysis per coordinate.
     definition_sum:  mean over the net of the truncated indicator, read per
                      coordinate as the cell average of chi_[0,y_i) at each
-                     point's numerator, minus the volume.
-    g and dual must have the point set's (b, n, d).
+                     point's numerator, minus the volume; counted exactly
+                     by `PointSet.count_below` (`_definition_sum`) and
+                     rounded once.
+    g and dual must have the point set's (b, n, d); dual defaults to g.dual.
     """
     b, n = p.b, p.n
     y = [_unit_interval(v) for v in y]
     if len(y) != p.d:
         raise InvalidParams(f"y has {len(y)} coordinates, the point set {p.d}")
     _same_shape(p, g)
-    dual = _same_shape(p, dual_set(g) if dual is None else dual)
+    dual = _same_shape(p, g.dual if dual is None else dual)
 
     terms = np.ones(len(dual), dtype=complex)
-    prod = np.ones(p.size)
     for i, yi in enumerate(y):
         terms *= interval_coeff_vector(yi, b, n)[dual.array[:, i]]
-        prod *= _truncated_indicator(yi, b, n, p.numerators[:, i])
-    definition = complex(prod.sum() / p.size - math.prod(float(yi) for yi in y))
-    return ThetaResult(complex(terms.sum()), definition)
+    return ThetaResult(complex(terms.sum()), complex(_definition_sum(p, y)))
 
 
 @dataclass(frozen=True)
@@ -256,7 +267,7 @@ def residual_check(
         raise InvalidParams(f"need sample_count >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     grid = b ** (n + 1)
-    dual = dual_set(_same_shape(p, g))
+    dual = _same_shape(p, g).dual
     max_resid = 0.0
     max_gap = 0.0
     ys = rng.integers(0, grid, size=(sample_count, p.d))
@@ -308,6 +319,13 @@ class VCountReport:
     sigma: int
 
 
+def _vanishing(patterns: tuple[np.ndarray, np.ndarray], where: np.ndarray) -> int:
+    """How many words of a code vanish at the positions `where`, from its
+    `CodeSpace.zero_patterns` (masks, multiplicities)."""
+    masks, counts = patterns
+    return int(counts[~(masks & np.packbits(where)).any(axis=1)].sum())
+
+
 def v_gamma_lambda(
     c: CodeSpace,
     gamma: Sequence[int],
@@ -333,11 +351,10 @@ def v_gamma_lambda(
     # V holds the words that vanish there, Vperp those that vanish elsewhere
     k = np.arange(1, n + 1)
     fixed = np.concatenate([(k <= lm) | (k == g) for g, lm in zip(gamma, lam)])
-    words_c = c.words()
-    count_c = int((~words_c[:, fixed].any(axis=1)).sum())
-    count_d = int((~c.dual.words()[:, ~fixed].any(axis=1)).sum())
+    count_c = _vanishing(c.zero_patterns, fixed)
+    count_d = _vanishing(c.dual.zero_patterns, ~fixed)
 
-    identity_ok = count_c * b ** (sum(lam) + sigma) == len(words_c) * count_d
+    identity_ok = count_c * b ** (sum(lam) + sigma) == b**c.dim * count_d
 
     bound_ok = None
     if check_bound:

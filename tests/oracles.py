@@ -17,7 +17,8 @@ box point by point.  Single Haar
 coefficients of D_P come point by point from the closed forms that
 criterion 3 checks against the piecewise integrals; truncated Walsh sums
 point by point from Fine-Price coefficients, or on the whole b^n grid by
-the synthesis transform; interval coefficient vectors by the analysis
+the synthesis transform; Theta's definition sum as the full-N product of
+cell averages; D_P(x) point by point in Fractions; interval coefficient vectors by the analysis
 transform of the exact cell weights; group transforms from the dense
 character table; code weights word by word; Chen-Skriganov codewords from
 the Taylor expansion of (beta + h)^k.
@@ -409,6 +410,34 @@ def truncated_indicator_1d(y, n: int, x, b: int) -> complex:
     )
 
 
+def disc_eval_oracle(p, x) -> Fraction:
+    """D_P(x) by its definition: the points with k_i / b^n < x_i in every
+    coordinate, decided one at a time in Fractions, over N, minus the volume."""
+    x = [Fraction(v) for v in x]
+    inside = sum(all(c < xi for c, xi in zip(point, x)) for point in p.fractions())
+    return Fraction(inside, p.size) - math.prod(x)
+
+
+def cell_average_oracle(y, b: int, n: int, k: np.ndarray) -> np.ndarray:
+    """The average of chi_[0,y) over each cell [k, k + 1) / b^n, one table
+    lookup per k: 1 below g = floor(y b^n), y b^n - g on cell g, 0 above."""
+    scaled = Fraction(y) * b**n
+    g = math.floor(scaled)
+    table = np.zeros(b**n + 1)
+    table[:g] = 1.0
+    table[g] = float(scaled - g)
+    return table[k]
+
+
+def theta_definition_oracle(p, y) -> float:
+    """sum over all N points of prod_i the cell average of chi_[0,y_i) at
+    k_i, as a product of float columns and one float sum."""
+    prod = np.ones(p.size)
+    for i, yi in enumerate(y):
+        prod *= cell_average_oracle(yi, p.b, p.n, p.numerators[:, i])
+    return float(prod.sum())
+
+
 def interval_coeff_oracle(y, b: int, n: int) -> np.ndarray:
     """chi_hat_[0,y)(t) for all t < b^n: the radix-b analysis transform of the
     exact cell weights of chi_[0,y) on the b^n grid, O(n b^(n+1))."""
@@ -453,7 +482,8 @@ def dense_group_transform(table, b: int, width: int, sign: int = 1) -> np.ndarra
 
 
 def char_sum_oracle(p, t) -> complex:
-    """sum_h wal_t(x_h) with each point's digit recomputed per digit of t.
+    """sum_h wal_t(x_h) with each point's digit recomputed per digit of t,
+    all in Python ints, reduced mod b and counted per residue.
 
     Exactly N or 0 when the residue counts say so, else the float root sum.
     """
@@ -463,14 +493,14 @@ def char_sum_oracle(p, t) -> complex:
         for nu in range(n):  # digit nu of t (LSB first), digit nu + 1 of x
             tau = (int(ti) // b**nu) % b
             if tau:
-                xdig = (p.numerators[:, i] // (b ** (n - 1 - nu))) % b
-                exponents = exponents + tau * xdig.astype(object)
-    counts = np.bincount(np.asarray(exponents % b, dtype=np.int64), minlength=b)
-    if counts[0] == p.size:
+                xdig = (p.numerators[:, i].astype(object) // (b ** (n - 1 - nu))) % b
+                exponents = exponents + tau * xdig
+    counts = collections.Counter((exponents % b).tolist())
+    if set(counts) <= {0}:
         return complex(p.size)
-    if (counts == counts[0]).all():
+    if len(counts) == b and len(set(counts.values())) == 1:
         return 0j
-    return sum(int(c) * _omega(b, k) for k, c in enumerate(counts))
+    return sum(c * _omega(b, k) for k, c in sorted(counts.items()))
 
 
 def v_weight(a) -> int:

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +23,7 @@ from qmcnet.haar import (
     PARSEVAL,
     BesovParams,
     HaarIndex,
+    LevelAggregate,
     Offsets,
     _helmert_dft,
     _helmert_weights,
@@ -156,6 +156,19 @@ def test_level_aggregate_empty_boxes_carry_volume_only():
     assert agg.occupied == 0
     idx = HaarIndex((3, 3), (1, 2), (1, 1))
     assert discrepancy_coeff(p, idx) == pytest.approx(-volume_coeff(idx, 2))
+
+
+def test_box_sums_of_a_level_without_occupied_boxes_are_empty():
+    # both points sit on the grid of level (-1, 1) in coordinate 2, so no box
+    # is occupied: the sums are an empty ((b-1)^s, 0) integer array, and
+    # mass(2) reads them like any other level's
+    p = PointSet(2, 2, 2, [[0, 0], [2, 2]])
+    for j in [(-1, 1), (1, 1), (-1, 2)]:
+        agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+        assert agg.occupied == 0
+        A = agg.box_sums
+        assert A.shape == ((p.b - 1) ** agg.s, 0) and A.dtype.kind == "i"
+        assert agg.mass(2) == level_mass_exact(p, j)
 
 
 @pytest.fixture(scope="module")
@@ -409,23 +422,7 @@ def test_mass_off_p2_matches_the_full_width(cs11_oracle, repeated_and_grid_oracl
                 assert np.abs(mu - np.conj(mu[:, ::-1])).max() <= 1e-12 * scale, (p.b, j)
 
 
-def _count_box_sum_builds(monkeypatch, record):
-    """Make each build of `LevelAggregate.box_sums` call record(level) first;
-    a read of the cached sums calls nothing."""
-    import qmcnet.haar as haar
-
-    build = haar.LevelAggregate.box_sums.func
-
-    def counted(self):
-        record(self)
-        return build(self)
-
-    prop = functools.cached_property(counted)
-    prop.__set_name__(haar.LevelAggregate, "box_sums")
-    monkeypatch.setattr(haar.LevelAggregate, "box_sums", prop)
-
-
-def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
+def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch, record_builds):
     # on CS-11 the audit builds `box_sums` once on each of its 19 levels with
     # a multi-point box (s = 0 among them) and forms the rank-1 `_terms`
     # product only on the 6 levels whose boxes hold one point each;
@@ -473,7 +470,7 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
     multi = [j for j, single in levels if not single]
     assert len(multi) == 19 and len(levels) == 25
     monkeypatch.setattr(haar, "np", NumPy())
-    _count_box_sum_builds(monkeypatch, lambda agg: box_levels.append((agg.j, bool(in_mass))))
+    record_builds(haar.LevelAggregate, "box_sums", lambda agg: box_levels.append((agg.j, bool(in_mass))))
     monkeypatch.setattr(haar.LevelAggregate, "_terms", counted_terms)
     monkeypatch.setattr(haar.LevelAggregate, "mu_blocks", counted_blocks)
     monkeypatch.setattr(haar.LevelAggregate, "mass", counted_mass)
@@ -490,7 +487,7 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch):
 
 
 @pytest.mark.parametrize("power", [1.5, math.inf])
-def test_box_sums_are_built_once_per_level(power, monkeypatch):
+def test_box_sums_are_built_once_per_level(power, record_builds):
     # off p = 2 `haar_norms` reads a multi-point level's box sums twice, in
     # `mass(2)` and in `mass(p)` through mu: on CS-11 they are built once on
     # each of the 19 multi-point levels (38 builds when each read built
@@ -498,7 +495,7 @@ def test_box_sums_are_built_once_per_level(power, monkeypatch):
     cs = cs_point_set(CSParams(b=11, d=2, w=1))
     multi = [agg.j for agg in haar_levels(cs) if agg.counts.max() > 1]
     builds = []
-    _count_box_sum_builds(monkeypatch, lambda agg: builds.append(agg.j))
+    record_builds(LevelAggregate, "box_sums", lambda agg: builds.append(agg.j))
     haar_norms(cs, BesovParams(power, 2.0, 0.25))
     assert builds == multi and len(multi) == 19
 

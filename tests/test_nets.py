@@ -15,7 +15,7 @@ from oracles import (
 )
 from qmcnet import nets
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
-from qmcnet.errors import InvalidParams, NetFileError, NotPowerCardinality
+from qmcnet.errors import InvalidParams, NetFileError, NotPowerCardinality, SizeOverflow
 from qmcnet.nets import (
     DualSet,
     GeneratingMatrices,
@@ -149,14 +149,28 @@ def test_char_sum_off_the_dual_set_is_exactly_zero():
     assert char_sum(p, t) == 0
 
 
+def frequencies_with_zero_digits(b, n, d, rng):
+    """t = 0, the top frequency, a t of one digit, and t of random digits:
+    a zero coordinate, about half the digits 0, or none forced to 0."""
+    def draw(zero_share):
+        digits = rng.integers(0, b, size=(d, n)) * (rng.random((d, n)) >= zero_share)
+        return tuple(sum(int(v) * b**nu for nu, v in enumerate(row)) for row in digits)
+
+    freqs = [(0,) * d, (b**n - 1,) * d, (b ** (n - 1),) + (0,) * (d - 1)]
+    freqs.append((0,) + draw(0.0)[1:])
+    return freqs + [draw(0.5) for _ in range(4)] + [draw(0.0) for _ in range(4)]
+
+
 def char_sum_point_sets(rng):
-    """(point set, dual set or None) at b in {2, 3, 11, 257} and d in {1, 2, 3}:
-    digital sets of random matrices, two nets and random non-net sets."""
-    for b, n in [(2, 4), (3, 3), (11, 2), (257, 1)]:
+    """(point set, dual set or None) at b in {2, 3, 5, 11, 257} and d in
+    {1, 2, 3}: digital sets of random matrices, two nets and random
+    multisets, a quarter of their points repeated."""
+    for b, n in [(2, 4), (3, 3), (5, 2), (11, 2), (257, 1)]:
         for d in (1, 2, 3):
             g = GeneratingMatrices(b, n, d, rng.integers(0, b, size=(d, n, n)))
             yield generate_points(g), dual_set(g)
-            yield PointSet(b, n, d, rng.integers(0, b**n, size=(40, d))), None
+            rows = rng.integers(0, b**n, size=(32, d))
+            yield PointSet(b, n, d, np.concatenate([rows, rows[:8]])), None
     for g in (hammersley_matrices(5), cs_generating_matrices(CSParams(3, 1, 2))):
         yield generate_points(g), dual_set(g)
 
@@ -165,9 +179,7 @@ def test_char_sum_matches_digit_by_digit_oracle():
     rng = np.random.default_rng(23)
     root_sums = 0
     for p, dual in char_sum_point_sets(rng):
-        top = p.b**p.n
-        freqs = [(0,) * p.d, (top - 1,) * p.d]
-        freqs += [tuple(int(v) for v in row) for row in rng.integers(0, top, size=(6, p.d))]
+        freqs = frequencies_with_zero_digits(p.b, p.n, p.d, rng)
         if dual is not None and len(dual):
             freqs += [dual.elements[k] for k in rng.integers(0, len(dual), size=4)]
         for t in freqs:
@@ -188,16 +200,19 @@ def test_char_sum_rejects_frequencies_outside_the_digit_range():
 
 
 def test_digit_table_is_built_on_first_char_sum_only(tmp_path, monkeypatch):
+    # one (d n, N) row per digit, in the smallest float dtype that holds
+    # d n (b-1)^2: 3 * 4096^2 = 3 * 2^24 needs float64
     rng = np.random.default_rng(5)
-    for b, n, dtype in [(2, 6, np.uint8), (11, 3, np.uint8), (257, 2, np.uint16)]:
+    for b, n, dtype in [(2, 6, np.float32), (11, 3, np.float32), (257, 2, np.float32),
+                        (4097, 1, np.float64)]:
         p = PointSet(b, n, 3, rng.integers(0, b**n, size=(50, 3)))
         assert "digits" not in vars(p)
         table = p.digits
-        assert table.dtype == dtype and table.shape == (3, n, 50)
+        assert table.dtype == dtype and table.shape == (3 * n, 50)
         assert table.flags.c_contiguous
         horner = np.zeros((3, 50), dtype=np.int64)
-        for nu in range(n):  # most significant digit first
-            horner = horner * b + table[:, nu]
+        for nu in range(n):  # row i n + nu: digit nu + 1, most significant first
+            horner = horner * b + table[nu::n].astype(np.int64)
         assert np.array_equal(horner.T, p.numerators)
 
     g = hammersley_matrices(8)
@@ -220,6 +235,78 @@ def test_digit_table_is_built_on_first_char_sum_only(tmp_path, monkeypatch):
     assert len(loaded) == 1 and "digits" not in vars(loaded[0])
     char_sum(p, (1, 0))
     assert "digits" in vars(p)
+
+
+@pytest.mark.parametrize(
+    "b, n, d, dtype",
+    [
+        (257, 85, 3, np.float32),  # d n (b-1)^2 = 255 * 2^16 < 2^24
+        (257, 128, 2, np.float64),  # = 2^24
+        (4096, 1, 1, np.float32),  # 4095^2 < 2^24: the largest exponent is exact
+        (4097, 1, 1, np.float64),  # 4096^2 = 2^24
+        (2**20 + 1, 1, 1, np.float64),  # 2^40
+    ],
+)
+def test_char_sum_is_exact_on_both_sides_of_the_float32_bound(b, n, d, dtype):
+    rng = np.random.default_rng(b + n + d)
+    high = min(b**n, 2**62)
+    # at n = 1 the top point meets the top frequency: the largest exponent
+    nums = np.concatenate([rng.integers(0, high, size=(40, d)), np.full((2, d), high - 1)])
+    p = PointSet(b, n, d, nums)
+    for t in frequencies_with_zero_digits(b, n, d, rng):
+        assert char_sum(p, t) == char_sum_oracle(p, t), t
+    assert p.digits.dtype == dtype
+
+
+@pytest.mark.parametrize("b, n, d", [(2**26 + 1, 2, 1), (2**26 + 1, 1, 2), (2**31 - 1, 1, 1)])
+def test_char_sum_refuses_exponent_sums_from_2_to_the_53(b, n, d):
+    # d n (b-1)^2 >= 2^53 is past float64's integers
+    p = PointSet(b, n, d, np.zeros((3, d), dtype=np.int64))
+    with pytest.raises(SizeOverflow, match="2\\^53"):
+        char_sum(p, (1,) * d)
+    assert "digits" not in vars(p)
+
+
+def test_point_set_tables_are_lazy_built_once_and_read_only(record_builds):
+    # the digit table of the character sums and the sorted numerators of
+    # disc_eval and Theta's definition route: each built on its first read
+    # only, once, and never written through
+    from qmcnet.norms import disc_eval
+    from qmcnet.walsh import theta
+
+    built = {"digits": [], "sorted_columns": []}
+    for name, record in built.items():
+        record_builds(PointSet, name, record.append)
+    g = hammersley_matrices(5)
+    p = generate_points(g)
+    assert "digits" not in vars(p) and "sorted_columns" not in vars(p)
+    for t in [(1, 0), (3, 5), (0, 0)]:
+        char_sum(p, t)
+    assert "sorted_columns" not in vars(p)
+    for x in [(Fraction(1, 3), Fraction(1, 2)), (Fraction(0), Fraction(1))]:
+        disc_eval(p, x)
+        theta(p, g, x)
+    assert [len(built[name]) for name in built] == [1, 1]
+    cols = p.sorted_columns
+    assert np.array_equal(cols, p.numerators[np.argsort(p.numerators[:, 0], kind="stable")].T)
+    for table in (p.digits, cols):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_dual_set_of_the_matrices_is_lazy_built_once_and_read_only(monkeypatch):
+    calls = []
+    build = nets.dual_set
+    monkeypatch.setattr(nets, "dual_set", lambda g: calls.append(g) or build(g))
+    g = hammersley_matrices(4)
+    assert "dual" not in vars(g)
+    dual = g.dual
+    assert g.dual is dual and calls == [g]
+    assert dual == build(g) and len(dual) == 2**4 - 1
+    assert not dual.array.flags.writeable
+    with pytest.raises(ValueError):
+        dual.array[0, 0] = 1
 
 
 def test_dual_set_size():

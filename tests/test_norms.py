@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import warnock_sq_oracle
+from oracles import disc_eval_oracle, warnock_sq_oracle
 from qmcnet import norms
 from qmcnet.cs import CSParams, cs_point_set
 from qmcnet.errors import InvalidParams, InvalidRange, SizeOverflow
@@ -55,6 +56,27 @@ def test_disc_eval_is_exact_past_int64_products():
         exact = Fraction(int(inside.sum()), p.size) - x[0] * x[1]
         assert abs(exact) < 1e-6
         assert disc_eval(p, x) == exact
+
+def test_disc_eval_matches_the_fraction_count_on_multisets():
+    # repeated points, points on grid lines and at the corners; x in {0, 1},
+    # on the b^-n grid (at a point's own coordinate too) and off every grid
+    rng = np.random.default_rng(43)
+    for b, n, d in [(2, 4, 1), (3, 2, 2), (5, 2, 3), (11, 1, 2), (2, 6, 2)]:
+        top = b**n
+        rows = rng.integers(0, top, size=(30, d))
+        rows[:8] -= rows[:8] % b  # on the grid lines of b^-(n-1)
+        corners = np.array([[0] * d, [top - 1] * d])
+        p = PointSet(b, n, d, np.concatenate([rows, rows[:10], corners, corners]))
+        xs = [Fraction(0), Fraction(1), Fraction(int(rng.integers(1, top)), top),
+              Fraction(int(rows[0, 0]), top), Fraction(int(rows[9, 0]) + 1, top),
+              Fraction(1, 3) if b != 3 else Fraction(2, 7), Fraction(int(rng.integers(0, top * b)), top * b)]
+        for x in itertools.product(xs, repeat=d) if d < 3 else rng.choice(xs, (80, 3)):
+            assert disc_eval(p, x) == disc_eval_oracle(p, x), (b, n, d, x)
+    # b^n past int64: the thresholds stay Python ints
+    big = PointSet(257, 85, 2, rng.integers(0, 2**62, size=(20, 2)))
+    for x in [(1, 1), (Fraction(1, 2), 1), (Fraction(2**61, 257**85), Fraction(2**62, 257**85))]:
+        assert disc_eval(big, x) == disc_eval_oracle(big, x), x
+
 
 def test_disc_eval_is_exact_rational():
     p = hammersley(3)

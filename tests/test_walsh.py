@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cell_average_oracle,
     dense_group_transform,
     interval_coeff_oracle,
+    theta_definition_oracle,
     truncated_indicator_1d,
     v_set_counts_oracle,
     walsh_synthesis,
 )
 from qmcnet import walsh
-from qmcnet.cs import CodeSpace, CSParams, cs_code_space, dual_code
+from qmcnet.cs import CodeSpace, CSParams, cs_code_space, cs_point_set, dual_code
 from qmcnet.errors import InvalidParams, InvalidRange, NonTerminatingExpansion
 from qmcnet.field import gf_rank
-from qmcnet.nets import GeneratingMatrices, dual_set, generate_points
+from qmcnet import nets
+from qmcnet.nets import GeneratingMatrices, PointSet, dual_set, generate_points
 from qmcnet.walsh import (
+    _definition_sum,
     _digit_dft,
-    _truncated_indicator,
     fine_price_coeff,
     group_walsh_transform,
     interval_coeff_vector,
@@ -146,7 +149,7 @@ def test_cell_averages_are_the_synthesized_partial_sums():
         ys.append(Fraction(1, 3) if b != 3 else Fraction(1, 7))
         for y in ys:
             vals = walsh_synthesis(interval_coeff_vector(y, b, n), b, n)
-            assert np.abs(_truncated_indicator(y, b, n, cells) - vals).max() < 1e-12
+            assert np.abs(cell_average_oracle(y, b, n, cells) - vals).max() < 1e-12
 
 
 def test_synthesis_matches_pointwise_walsh():
@@ -190,6 +193,34 @@ def test_theta_transforms_once_per_coordinate(monkeypatch):
         res = theta(p, g, [Fraction(3, 8)] * g.d)
         assert (len(transforms), len(vectors)) == (0, g.d)
         assert res.gap < 1e-12
+
+
+def test_theta_definition_sum_against_the_full_product_oracle():
+    # the prefix count, rounded once, against every point's float product of
+    # cell averages: nets and multisets with repeated points and points on
+    # the grid lines, y in {0, 1}, on the b^-n grid, at a point's own
+    # coordinate, on the b^-(n+1) grid and off every b-adic grid
+    rng = np.random.default_rng(37)
+    sets = [generate_points(hammersley_g(5)), cs_point_set(CSParams(11, 2, 1))]
+    for b, n, d in [(2, 4, 1), (3, 3, 2), (5, 2, 3), (11, 2, 2)]:
+        rows = rng.integers(0, b**n, size=(40, d))
+        rows[:8] -= rows[:8] % b  # on the grid lines of b^-(n-1)
+        sets.append(PointSet(b, n, d, np.concatenate([rows, rows[:12], np.zeros((2, d), int)])))
+    for p in sets:
+        b, top = p.b, p.b**p.n
+        ys = [Fraction(0), Fraction(1), Fraction(int(rng.integers(0, top)), top),
+              Fraction(int(p.numerators[0, 0]), top), Fraction(1, 3) if b != 3 else Fraction(2, 7)]
+        ys += [Fraction(int(k), top * b) for k in rng.integers(0, top * b, 3)]
+        for y in itertools.product(ys, repeat=p.d) if p.d < 3 else rng.choice(ys, (60, 3)):
+            y = [Fraction(v) for v in y]
+            value = _definition_sum(p, y)
+            expected = Fraction(theta_definition_oracle(p, y)) - p.size * math.prod(y)
+            assert abs(p.size * Fraction(value) - expected) <= Fraction(1e-15) * p.size, (b, y)
+            if all(v in (0, 1) for v in y):
+                assert value == 0
+    g = hammersley_g(5)
+    y = [Fraction(3, 64), Fraction(1)]
+    assert theta(generate_points(g), g, y).definition_sum == _definition_sum(generate_points(g), y)
 
 
 def test_theta_rejects_another_nets_matrices_or_dual_set():
@@ -389,6 +420,44 @@ def test_v_gamma_lambda_enumerates_each_code_once(monkeypatch):
     assert not c.words().flags.writeable
     with pytest.raises(ValueError):
         c.words()[0, 0] = 1
+
+
+def test_zero_pattern_tables_are_lazy_built_once_and_read_only(record_builds):
+    # one table per code, built on the first V-count and read by every
+    # later one: distinct packed nonzero masks and their multiplicities
+    built = []
+    record_builds(CodeSpace, "zero_patterns", built.append)
+    c = cs_code_space(CSParams(11, 2, 1))
+    assert "zero_patterns" not in vars(c)
+    pairs = admissible_pairs(c.d, c.n)[:40]
+    reps = [v_gamma_lambda(c, gamma, lam) for gamma, lam in pairs]
+    assert built == [c, c.dual] and all(r.identity_ok for r in reps)
+    for code in (c, c.dual):
+        masks, counts = code.zero_patterns
+        assert counts.sum() == code.b**code.dim
+        words = np.unpackbits(masks, axis=1, count=code.d * code.n).astype(bool)
+        support = code.words() != 0
+        for mask, count in zip(words, counts):
+            assert (support == mask).all(axis=1).sum() == count
+        for table in (masks, counts):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+def test_residual_check_builds_the_dual_set_once_per_matrices(monkeypatch):
+    calls = []
+    build = nets.dual_set
+    monkeypatch.setattr(nets, "dual_set", lambda g: calls.append(g) or build(g))
+    g = hammersley_g(3)
+    p = generate_points(g)
+    first = residual_check(p, g, sample_count=5, seed=2)
+    assert residual_check(p, g, sample_count=5, seed=2) == first
+    theta(p, g, [Fraction(1, 2)] * 2)
+    assert calls == [g]
+    other = hammersley_g(3)
+    residual_check(p, other, sample_count=3)
+    assert calls == [g, other]
 
 
 def test_v_gamma_lambda_range_checks():
