@@ -8,28 +8,35 @@ j in {-1, 0, 1, ...}^d; a coordinate at level -1 carries the constant
 
 One sweep (`haar_levels`) visits every level with all j_i <= n - 1; deeper
 levels hold no interior point, so there mu = -volume and their mass has a
-closed form.  Once per level prefix (j_1, ..., j_(d-1)) it sorts the points
-by (prefix box indices, k_d) and builds all that depends on the head alone
-(`level_prefix`); each level with that prefix finds its occupied boxes as
-runs of that order and builds its last coordinate's part (`level_aggregate`).
+closed form.  Once per level prefix (head) (j_1, ..., j_(d-1)) it sorts the
+points by (prefix box indices, k_d) and builds all that depends on the head
+alone (`level_prefix`): each row's head factor P = w (x)_i G_i, the running
+sums of P and of P k_d, and how many leading base-b digits of k_d each row
+shares with the row before.  Each level with that prefix finds its boxes
+and their sub-cells as the runs of rows that share enough digits
+(`level_aggregate`), and counts the interior rows of each box.
 
 Every sub-cell quantity is an integer in units of b^-n.  A point's sub-cell
 vector in one coordinate is read through its integer Helmert coordinates G
 (`Offsets.helmert`), and a row adds w (x)_i G_i / M to its box's real
 tensor, w = prod (b^n - k_i) over level -1 and M = N b^(nd).  One kernel
-(`LevelAggregate.box_sums`, once per level) sums the rows of each box into
-the integers A_m = sum w (x)_i G_i, exact in any order (int64 where M
-proves it, else Python ints).  A level's p = 2 mass sum_(m,l) |mu_jml|^2
-follows from them by Plancherel on Z_b^s as a `Fraction`
-(`LevelAggregate.mass`), so Parseval's ||D_P||_2^2 is exact.  The float
-coefficients mu (`LevelAggregate.mu_blocks`, which the audit and Besov at
-p != 2 read through `sups` and `mass`) are on a level with a multi-point
-box the DFT of A less the volume, taken off in integers, so the DFT is
-their only rounding; on a level of single-point boxes they are each row's
-product of DFT factors less the volume.  The box tensors are real, so mu at
-b - l is the conjugate of mu at l: mu is computed at one l-combination of
-each pair.  One reduction (`_qsum`) turns the float level masses into
-sum_j Xi_j^q plus the exact tail: its q-th root is the Besov quasi-norm.
+(`LevelAggregate.box_sums`, once per level) reads the integer sums
+A_m = sum w (x)_i G_i of every box from the running sums at its sub-cell
+bounds: the last coordinate's G is linear in k_d within each sub-cell, so a
+box's sums are differences of the running sums, as in a summed-area table
+(Crow, SIGGRAPH 1984), and no per-row product is formed.  They are exact
+(int64 where M proves it, else Python ints).  A level's p = 2 mass
+sum_(m,l) |mu_jml|^2 follows from them by Plancherel on Z_b^s as a
+`Fraction` (`LevelAggregate.mass`), so Parseval's ||D_P||_2^2 is exact.
+The float coefficients mu (`LevelAggregate.mu_blocks`, which the audit and
+Besov at p != 2 read through `sups` and `mass`) are on a level with a
+multi-point box the DFT of A less the volume, taken off in integers, so the
+DFT is their only rounding; on a level of single-point boxes they are each
+row's product of DFT factors less the volume, the only place per-row data
+are built.  The box tensors are real, so mu at b - l is the conjugate of mu
+at l: mu is computed at one l-combination of each pair.  One reduction
+(`_qsum`) turns the float level masses into sum_j Xi_j^q plus the exact
+tail: its q-th root is the Besov quasi-norm.
 
 Once every occupied box of level (head, j_d) holds at most one point, so
 does every deeper j_d of that head, as finer boxes hold a subset of the
@@ -217,36 +224,69 @@ def _offsets(k: np.ndarray, b: int, n: int, ji: int) -> tuple[np.ndarray, Offset
 @dataclass
 class LevelPrefix:
     """The points of a set sorted once for every level j = (head, j_d), and
-    everything about them that depends on the head alone.
+    the running sums every level with this head reads its box sums from.
 
     `idx` lists the points interior to their box in each active coordinate of
-    the head, sorted by (head box indices m_i in coordinate order, k_d).  In
-    that order the box indices (m_1, ..., m_d) of every level with this head
-    never decrease lexicographically, since the last one grows with k_d.  The
-    other fields are per row of that order, built once per prefix.
+    the head, sorted by (head box indices m_i in coordinate order, k_d); rows
+    with equal head boxes form a head run.  In that order the box indices
+    (m_1, ..., m_d) of every level with this head never decrease
+    lexicographically, since the last one grows with k_d.  Per row r,
+    `key` = (its head run) b^n + k_d increases along the rows, and `split`
+    is the number of leading base-b digits of k_d that row r shares with
+    row r - 1, -1 where a head run starts and at r = rows.  So at level
+    j_d >= 0 the boxes start where split < j_d, their sub-cells of width
+    b^(n - j_d - 1) where split <= j_d, and a row repeats the k_d of the row
+    before where split = n.  `sums` holds the running sums C0 of the head
+    factor P = w (x)_i G_i (the weight of the head's level -1 coordinates
+    times the integer Helmert coordinates of its active ones, first factor
+    slowest) and C1 of P k_d, with a leading zero row: the sum of P over
+    rows r0 to r1 - 1 is sums[0, :, r1] - sums[0, :, r0].  Every running sum is
+    below M = N b^(nd) in absolute value, so they are int64 where
+    M < 2^63 proves it, else Python ints.
     """
 
+    p: PointSet
     head: tuple[int, ...]  # (j_1, ..., j_(d-1))
     idx: np.ndarray  # point indices, sorted
-    run: np.ndarray  # the number of the row's run of equal head boxes
-    k_d: np.ndarray  # numerator of the last coordinate
-    helmert: list[np.ndarray]  # per active head coordinate: `Offsets.helmert`
+    key: np.ndarray  # per row: head run b^n + k_d, increasing
+    split: np.ndarray  # (rows + 1,) int8: leading digits of k_d shared with the row before
+    sums: np.ndarray  # (2, width, rows + 1): C0 and C1
+
+    @property
+    def rows(self) -> int:
+        return self.idx.size
+
+    @functools.cached_property
+    def k_d(self) -> np.ndarray:
+        """The numerator of the last coordinate per row, int64."""
+        return (self.key % self.p.denominator).astype(np.int64)
+
+    @functools.cached_property
+    def group_end(self) -> np.ndarray:
+        """Per row: one past the last row with its key, built when a level
+        first counts the points on its boxes' left edges."""
+        firsts = np.flatnonzero(self.split < self.p.n)
+        return np.repeat(firsts[1:].astype(np.int32), np.diff(firsts))
 
     @functools.cached_property
     def dft(self) -> list[np.ndarray]:
-        """The DFT factors G @ T of `helmert`, built when a level of
-        single-point boxes first reads mu."""
-        return [G @ _helmert_dft(G.shape[1] + 1) for G in self.helmert]
+        """The DFT factors G @ T of each active head coordinate's G per row,
+        built when a level of single-point boxes first reads mu."""
+        p, rows = self.p, np.arange(self.rows)
+        return [_offsets(p.numerators[self.idx, i], p.b, p.n, ji)[1].helmert(rows) @ _helmert_dft(p.b)
+                for i, ji in enumerate(self.head) if ji >= 0]
 
 
 def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
-    """Sort the points of p for the levels whose first d - 1 entries are `head`."""
+    """Sort the points of p for the levels whose first d - 1 entries are
+    `head`, share out their digits and build the running sums of the head
+    factor P (`LevelPrefix`)."""
     head = tuple(int(v) for v in head)
     if len(head) != p.d - 1:
         raise InvalidParams("level must have d entries")
     if any(v < -1 for v in head):
         raise InvalidParams("levels start at -1")
-    b, n = p.b, p.n
+    b, n, D = p.b, p.n, p.denominator
     keep = np.ones(p.size, dtype=bool)
     boxes, offsets = [], []
     for i, ji in enumerate(head):
@@ -262,17 +302,51 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     idx = np.flatnonzero(keep)
     # np.lexsort sorts by its last key first
     idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
+    k_d = p.numerators[idx, -1]
     new_run = np.zeros(idx.size, dtype=bool)
+    new_run[:1] = True
     for m in boxes:
         m = m[idx]
         new_run[1:] |= m[1:] != m[:-1]
-    helmert = [off.helmert(idx) for off in offsets]
-    return LevelPrefix(head, idx, np.cumsum(new_run), p.numerators[idx, -1], helmert)
+    del boxes
+    dtype = _int_dtype(max(p.size, 1) * D**p.d)  # a row's |P k_d| is below b^(nd)
+    P = np.ones((idx.size, 1), dtype=dtype)
+    for i, ji in enumerate(head):
+        if ji == -1:
+            P *= (D - p.numerators[idx, i, None]).astype(dtype)
+    for off in offsets:
+        P = np.multiply(P[:, :, None], off.helmert(idx)[:, None, :].astype(dtype))
+        P = P.reshape(idx.size, P.shape[1] * P.shape[2])
+    del offsets
+    sums = np.zeros((2, P.shape[1], idx.size + 1), dtype=dtype)
+    np.cumsum(P, axis=0, out=sums[0, :, 1:].T)
+    P *= k_d[:, None].astype(dtype)
+    np.cumsum(P, axis=0, out=sums[1, :, 1:].T)
+    del P
+    key = np.cumsum(new_run, dtype=dtype)
+    key -= 1
+    key *= D
+    key += k_d  # below N b^n <= M
+    split = np.zeros(idx.size + 1, dtype=np.int8)
+    for _ in range(n):  # k_d // b^e: equal in all e < n - t iff t leading digits are shared
+        split[1:-1] += k_d[1:] == k_d[:-1]
+        k_d //= b
+    split[:-1][new_run] = split[-1] = -1
+    return LevelPrefix(p, head, idx, key, split, sums)
 
 
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
     """The s-fold outer power of `vector`, flattened, first factor slowest."""
     return functools.reduce(np.multiply.outer, [vector] * s, np.ones((), vector.dtype)).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_tensor(b: int, s: int) -> np.ndarray:
+    """The s-fold outer power of W from `_helmert_weights(b)`, flattened,
+    first factor slowest, as Python ints; read-only, built once per (b, s)."""
+    out = _tensor(_helmert_weights(b)[1], s)
+    out.flags.writeable = False
+    return out
 
 
 def _exact_mass(b: int, j: tuple[int, ...], scale: int, sq: int, lin: int) -> Fraction:
@@ -300,17 +374,21 @@ def _exact_mass(b: int, j: tuple[int, ...], scale: int, sq: int, lin: int) -> Fr
 class LevelAggregate:
     """The boxes of one level j for a fixed point set, and their coefficients.
 
-    The occupied boxes are runs of rows: box i holds `counts[i]` rows from
-    `starts[i]`.  Row h is entry sel[h] of the prefix order and adds
-    weight[h] times the outer product of its coordinates' integer Helmert
-    coordinates G (one per active coordinate), over `scale` = N b^(nd), to
-    its box's real tensor; mu_jml is the tensor's DFT at l minus the volume
-    coefficient.  The head coordinates' G are the prefix's, read at sel; the
-    last coordinate's G (`last`) is built once per level.  `box_sums` sums
-    the rows of each box exactly, once, for `mass(2)` and `mu_blocks`; the
-    latter yields mu of the occupied boxes at one l-combination of each
-    conjugate pair (`columns`), read outside only through `sups` and `mass`;
-    the empty boxes all carry mu = -volume.
+    The boxes that hold a row are runs of the prefix order: box i holds
+    rows `cuts[i]` to `cuts[i + 1]` - 1.  Its rows on its left edge,
+    k_d = m b^(n - j_d), come first and are not interior; `interior[i]`
+    counts the others, and a box is occupied when it has one.  Each interior
+    row adds w (x)_i G_i over `scale` = N b^(nd) to its box's real tensor,
+    with G a coordinate's integer Helmert coordinates and
+    w = prod (b^n - k_i) over level -1; mu_jml is the tensor's DFT at l
+    minus the volume coefficient.  `box_sums` reads each box's exact
+    integer sum from the prefix's running sums, once, for `mass(2)` and
+    `mu_blocks`; the latter yields mu of the occupied boxes at one
+    l-combination of each conjugate pair (`columns`), read outside only
+    through `sups` and `mass`; the empty boxes all carry mu = -volume.  The
+    per-row fields `sel`, `base` and `last` are built only where mu is read
+    row by row, on a level of single-point boxes (`_terms`): never by
+    `mass(2)`.
     """
 
     j: tuple[int, ...]
@@ -318,17 +396,19 @@ class LevelAggregate:
     l_combos: np.ndarray  # (n_lcombos, s) read-only, shared per (b, d, s, |j|)
     n_boxes: float  # b**|j| (float; may exceed integer range at deep levels)
     volume: np.ndarray  # (n_lcombos,) volume coefficients, read-only
-    weight: np.ndarray  # per row: prod (b^n - k_i) over level -1, int64 or Python ints
     scale: int  # N b^(nd) (b^(nd) at N = 0)
-    sel: np.ndarray  # per row: its entry in the prefix order
     prefix: LevelPrefix
-    last: list[np.ndarray]  # [G per row of the last coordinate] if j_d is active, else []
-    starts: np.ndarray  # (n_occ,) first row of each box
-    counts: np.ndarray  # (n_occ,) rows of each box
+    cuts: np.ndarray  # (boxes + 1,) first row of each box that holds a row, then rows
+    interior: np.ndarray  # (boxes,) the interior rows of each
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """(occupied,) the interior rows of each occupied box, in box order."""
+        return self.interior[self.interior > 0]
 
     @property
     def occupied(self) -> int:
-        return self.starts.size
+        return self.counts.size
 
     @property
     def empty_count(self) -> float:
@@ -352,25 +432,99 @@ class LevelAggregate:
         return len(self.l_combos) // (2 if self.s and self.b > 2 else 1)
 
     @functools.cached_property
+    def sel(self) -> np.ndarray:
+        """The interior rows in prefix order: on a level of single-point
+        boxes, one per occupied box."""
+        jd, n = self.j[-1], self.prefix.p.n
+        if jd >= n:  # the points sit on the level grid, none are interior
+            return np.zeros(0, dtype=np.intp)
+        if jd < 0:
+            return np.arange(self.prefix.rows)
+        return np.flatnonzero(self.prefix.k_d % self.b ** (n - jd))
+
+    @functools.cached_property
     def base(self) -> np.ndarray:
-        """Per row: w / (N b^(nd)) as a float, the factor of its (x)_i G_i in mu."""
-        return self.weight.astype(float) / float(self.scale)
+        """Per row of `sel`: w / (N b^(nd)) as a float, the factor of its
+        (x)_i G_i in mu."""
+        p = self.prefix.p
+        weight = np.ones(self.sel.size, dtype=_int_dtype(self.scale))
+        idx = self.prefix.idx[self.sel]
+        for i, ji in enumerate(self.j):
+            if ji == -1:  # the points themselves are read only at level -1
+                weight = weight * (p.denominator - p.numerators[idx, i]).astype(weight.dtype)
+        return weight.astype(float) / float(self.scale)
+
+    @functools.cached_property
+    def last(self) -> list[np.ndarray]:
+        """[the DFT factors G @ T of the last coordinate per row of `sel`]
+        if j_d is active, else []."""
+        jd = self.j[-1]
+        if jd < 0:
+            return []
+        off = _offsets(self.prefix.k_d, self.b, self.prefix.p.n, jd)[1]
+        return [off.helmert(self.sel) @ _helmert_dft(self.b)]
 
     @functools.cached_property
     def box_sums(self) -> np.ndarray:
         """A ((b-1)^s, occupied): each occupied box's exact integer sum
-        sum_rows w (x)_i G_i, first factor slowest, in int64 where
-        M = `scale` = N b^(nd) < 2^63 proves every sum (a row's |w prod G| is
-        below b^(nd)), else in Python ints.  The rows' outer products are
-        formed as one column per row, and one `np.add.reduceat` sums each
-        box's contiguous rows.  Built on the first read, once per level."""
-        if not self.occupied:  # no rows, and no last G where j_d >= n
-            return np.zeros(((self.b - 1) ** self.s, 0), dtype=self.weight.dtype)
-        terms = self.weight[None, :]
-        for G in itertools.chain((Gp[self.sel] for Gp in self.prefix.helmert), self.last):
-            terms = np.multiply(terms[:, None, :], G.T, order="C").reshape(-1, terms.shape[1])
-        # reduceat along contiguous rows: 2-6 ms a CS-13 level, 21-24 across them
-        return terms if self.occupied == terms.shape[1] else np.add.reduceat(terms, self.starts, axis=1)
+        sum_rows w (x)_i G_i, first factor slowest, in the dtype of the
+        prefix's running sums.  Built on the first read, once per level.
+
+        Every sum is one of differences of the running sums C0 of P and C1
+        of P k_d (`LevelPrefix`).  At j_d = -1 each box is a head run and
+        its sum is b^n S0 - S1, with S0 and S1 the sums of P and P k_d over
+        it.  At j_d >= 0, with sub = b^(n - j_d - 1), m a box's index and
+        rem = k_d - m b sub, G_h = -rem for h > k, k (rem - (k+1) sub) at
+        h = k and 0 for h < k on sub-cell k: linear in k_d on each sub-cell,
+        whose sums of P rem and of P (rem - (k+1) sub) are S1 - m b sub S0
+        and S1 - (m b sub + (k+1) sub) S0 over it.  So column h of a box is
+        h times the latter on its sub-cell h less the former summed over its
+        sub-cells k < h, a running sum along h.  Every intermediate is a sum
+        over rows of P times a factor below b^n in absolute value, so below
+        M = N b^(nd): int64 where M proves it; k times the sum of P rem
+        could reach b M and is never formed.  A box's rows on its left edge
+        have rem = 0 and add nothing.
+        """
+        b, prefix, jd = self.b, self.prefix, self.j[-1]
+        C = prefix.sums
+        if not self.occupied:  # no interior row, as where j_d >= n
+            return np.zeros(((b - 1) ** self.s, 0), dtype=C.dtype)
+        D, boxes, width = prefix.p.denominator, self.interior.size, C.shape[1]
+        if jd < 0:  # w holds b^n - k_d
+            S = C[:, :, self.cuts[1:]] - C[:, :, self.cuts[:-1]]  # (2, width, boxes)
+            return S[0] * D - S[1]
+        sub = b ** (prefix.p.n - jd - 1)
+        first = np.flatnonzero(prefix.split[:-1] <= jd)  # each sub-cell's first row
+        k_first = prefix.key[first] % D
+        at = np.cumsum(prefix.split[first] < jd)  # its box, then its column
+        first = np.append(first, prefix.rows)
+        S0, S1 = (np.diff(np.take(Ci, first, axis=1), axis=1) for Ci in C)
+        del first
+        k = (k_first // sub % b).astype(np.intp, copy=False)  # its sub-cell's place in its box
+        at -= 1
+        at += k * boxes
+        k_first -= k_first % (b * sub)  # m b sub
+        S = k_first * S0
+        S = np.subtract(S1, S, out=S)  # the sum of P rem
+        k_first += sub
+        k_first += k * sub
+        S0 *= k_first
+        S1 -= S0  # the sum of P (rem - (k+1) sub)
+        S1 *= k
+        del S0, k_first, k
+        Q = np.zeros((width, b * boxes), dtype=C.dtype)
+        Q[:, at] = S
+        del S
+        A = np.zeros((width, b * boxes), dtype=C.dtype)
+        A[:, at] = S1
+        del S1, at
+        Q, A = Q.reshape(width, b, boxes), A.reshape(width, b, boxes)
+        for h in range(1, b - 1):  # the running sum of Q over the sub-cells k <= h
+            Q[:, h] += Q[:, h - 1]
+        A = A[:, 1:] - Q[:, :-1]
+        if self.occupied < boxes:  # boxes of edge rows alone
+            A = A[:, :, self.interior > 0]
+        return A.reshape(-1, self.occupied)
 
     def mu_blocks(self) -> Iterator[np.ndarray]:
         """mu of the occupied boxes in box order at the leading `columns`
@@ -401,10 +555,9 @@ class LevelAggregate:
         T = _helmert_dft(b)
         lead = self.columns // (b - 1) ** (s - 1)  # the l_1 computed
         if self.counts.max() == 1:
-            last = [G @ T for G in self.last]
             step = max(1, _MU_ENTRIES // len(self.l_combos))
             for first in range(0, self.occupied, step):
-                block = self._terms(last, slice(first, first + step), lead)
+                block = self._terms(slice(first, first + step), lead)
                 block -= self.volume[: self.columns]
                 yield block
             return
@@ -420,14 +573,14 @@ class LevelAggregate:
             X = X.reshape(b - 1, -1).T @ T
         yield X.reshape(self.occupied, self.columns)
 
-    def _terms(self, last: list[np.ndarray], rows: slice, lead: int) -> np.ndarray:
+    def _terms(self, rows: slice, lead: int) -> np.ndarray:
         """base times the outer product of the DFT factors G @ T at `rows`,
         multiplied in coordinate order, first factor slowest and at its
         leading `lead` l: (rows, columns).  The head coordinates' factors
         are the prefix's (`LevelPrefix.dft`), `last` the last coordinate's
         over the level's rows.  On a level of single-point boxes, the rank-1
         mu of each box before the volume comes off."""
-        F = [D[self.sel[rows]] for D in self.prefix.dft] + [L[rows] for L in last]
+        F = [D[self.sel[rows]] for D in self.prefix.dft] + [L[rows] for L in self.last]
         F[0] = F[0][:, :lead]
         terms = self.base[rows, None]
         for Fi in F:
@@ -458,7 +611,7 @@ class LevelAggregate:
         if p == 2:
             A = self.box_sums
             squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2
-            sq = np.dot(squares.sum(axis=1).astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
+            sq = np.dot(squares.sum(axis=1).astype(object), _weight_tensor(self.b, self.s))
             return _exact_mass(self.b, self.j, self.scale, int(sq), sum(A.sum(axis=1).tolist()))
         if math.isinf(p):
             return max(self.sups())
@@ -468,7 +621,8 @@ class LevelAggregate:
 
 
 def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> LevelAggregate:
-    """Find the occupied boxes of level j as runs of the sorted `prefix`.
+    """Find the boxes of level j as runs of the sorted `prefix`, and count
+    their interior rows.
 
     Only points interior to their box (in every active coordinate) contribute;
     boundary points have vanishing indicator coefficients.  `prefix` is
@@ -481,39 +635,21 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
     if j[-1] < -1:
         raise InvalidParams("levels start at -1")
     total_level = sum(v for v in j if v >= 0)
-    b, n, N = p.b, p.n, p.size
+    b, n, jd = p.b, p.n, j[-1]
     s = sum(1 for v in j if v >= 0)
     l_combos, vol = _volume(b, p.d, s, total_level)
-
-    sel, last = np.arange(prefix.idx.size), []
-    boxes = [prefix.run]
-    if j[-1] >= n:  # the points sit on the level grid, none are interior
-        sel = sel[:0]
-    elif j[-1] >= 0:
-        m, off = _offsets(prefix.k_d, b, n, j[-1])
-        sel = np.flatnonzero(off.rem)
-        boxes, last = boxes + [m], [off.helmert(sel)]
-
-    # a row's |w prod G| is below b^(nd), a box sum below M = N b^(nd)
-    scale = max(N, 1) * p.denominator**p.d  # no rows at N = 0
-    weight = np.ones(sel.size, dtype=_int_dtype(scale))
-    idx = prefix.idx[sel]
-    for i, ji in enumerate(j):
-        if ji == -1:  # the points themselves are read only at level -1
-            weight = weight * (p.denominator - p.numerators[idx, i]).astype(weight.dtype)
-
-    # a box starts wherever the head run or the last box index changes; at
-    # s = 0 every point is in the one box
-    new_box = np.zeros(sel.size, dtype=bool)
-    new_box[:1] = True
-    for m in boxes:
-        m = m[sel]
-        new_box[1:] |= m[1:] != m[:-1]
-    starts = np.flatnonzero(new_box)
-    counts = np.diff(starts, append=sel.size)
-    return LevelAggregate(
-        j, b, l_combos, float(b) ** total_level, vol, weight, scale, sel, prefix, last, starts, counts
-    )
+    if jd >= n:  # the points sit on the level grid, none are interior
+        cuts, interior = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    else:
+        # a box starts wherever the head run or the first j_d digits of k_d
+        # change; at j_d <= 0 each head run is one box
+        cuts = np.flatnonzero(prefix.split < max(jd, 0))
+        starts = cuts[:-1]
+        if jd >= 0:  # past the rows with the first row's k_d, when that is the left edge
+            starts = np.where(prefix.key[starts] % b ** (n - jd) == 0, prefix.group_end[starts], starts)
+        interior = cuts[1:] - starts
+    scale = max(p.size, 1) * p.denominator**p.d  # no rows at N = 0
+    return LevelAggregate(j, b, l_combos, float(b) ** total_level, vol, scale, prefix, cuts, interior)
 
 
 @functools.lru_cache(maxsize=None)

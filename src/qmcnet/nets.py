@@ -320,13 +320,14 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
     The exponent of point h is sum_(i, nu) tau_(i,nu) x_(h,i,nu+1) over the
     base-b digits tau of t (least significant first): all N of them are one
     contraction of tau with `PointSet.digits`, exact integers up to
-    d n (b-1)^2.  One `bincount` counts them, folded mod b, or counts their
-    residues when they can take more values than there are points, so the
-    counts never outgrow N + b; `fmod` costs about 15 times the fold per
-    point, so it runs only there.  Exactly N when every exponent is 0 mod b
-    and exactly 0 when all b residues are equally frequent, which for a
-    digital net are the dual set (plus t = 0) and its complement; otherwise
-    the float root sum over the residues that occur.
+    d n (b-1)^2.  One `bincount` counts them, folded mod b; when they can
+    take more values than there are points, `np.unique` counts their
+    residues instead, so the counts never outgrow N + b and a base far above
+    N costs no memory in b.  `fmod` costs about 15 times the fold per point,
+    so it runs only there.  Exactly N when every exponent is 0 mod b and
+    exactly 0 when all b residues are equally frequent, which for a digital
+    net are the dual set (plus t = 0) and its complement; otherwise the
+    float root sum over the residues that occur.
     """
     b, n = p.b, p.n
     t = [int(v) for v in t]
@@ -338,16 +339,18 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
     tau = np.array([ti // b**nu % b for ti in t for nu in range(n)], dtype=table.dtype)
     exponents = tau @ table
     values = p.d * n * (b - 1) ** 2 + 1
-    if values > p.size:  # more values than points: count the residues
-        exponents, values = np.fmod(exponents, b), b
-    counts = np.bincount(exponents.astype(np.intp), minlength=-(-values // b) * b)
-    counts = counts.reshape(-1, b).sum(axis=0)
-    if counts[0] == p.size:
+    if values > p.size:  # more values than points: count the residues that occur
+        residues, counts = np.unique(np.fmod(exponents, b).astype(np.intp), return_counts=True)
+    else:
+        counts = np.bincount(exponents.astype(np.intp), minlength=-(-values // b) * b)
+        counts = counts.reshape(-1, b).sum(axis=0)
+        residues = np.flatnonzero(counts)
+        counts = counts[residues]
+    if not residues.any():  # every exponent is 0 mod b, or there is no point
         return complex(p.size)
-    if (counts == counts[0]).all():
+    if residues.size == b and (counts == counts[0]).all():
         return 0j
-    residues = np.flatnonzero(counts).tolist()
-    return sum(int(counts[r]) * cmath.exp(2j * cmath.pi * r / b) for r in residues)
+    return sum(c * cmath.exp(2j * cmath.pi * r / b) for r, c in zip(residues.tolist(), counts.tolist()))
 
 
 # --- point-set file format ---------------------------------------------------

@@ -177,7 +177,9 @@ class AuditReport:
     active j_i >= n, where every point k / b^n sits on the level's grid, so
     no point is interior and mu = -volume exactly.  Each sup runs over
     existing boxes.  Regime (iv) holds by that integer grid, not by a count:
-    its two fields stay for JSON schema 1.
+    its two fields stay for JSON schema 1.  `occupancy_ok` says that no box
+    of a swept level holds more than b^max(n - |j|, 0) interior points, as
+    in a (0, n, d)-net.
     """
 
     b: int
@@ -192,7 +194,8 @@ class AuditReport:
     part_iii_ok: bool = True
     part_iv_levels_checked: int = 0  # the regime-(iv) levels within the cap
     part_iv_exceptions: int = 0  # those that hold an interior point: none, by the grid
-    passed: bool = True  # part_iii_ok
+    occupancy_ok: bool = True
+    passed: bool = True  # part_iii_ok and occupancy_ok
 
     def to_json(self) -> str:
         return json.dumps({"schema": 1, **asdict(self)}, sort_keys=True)
@@ -204,8 +207,11 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
     Regimes (i)-(iii) read the two sups of each level of one `haar_levels`
     sweep to min(cap, n - 1) (`LevelAggregate.sups`): |mu| over the
     occupied boxes, and the volume coefficient over the empty ones, if any.
-    The hard structural check: the occupied-box count never exceeds b^n on
-    any regime-(iii) level.  Regime (iv), the levels with some j_i >= n, is
+    The hard structural checks: the occupied-box count never exceeds b^n on
+    any regime-(iii) level, and no box of a swept level holds more interior
+    points than b^max(n - |j|, 0), which a (0, n, d)-net never exceeds, as
+    its boxes of volume b^-|j| hold b^(n-|j|) points, or at most one when
+    |j| >= n.  Regime (iv), the levels with some j_i >= n, is
     not swept: a point k / b^n lies on every such level's grid, so none is
     interior there and mu = -volume by construction.
     """
@@ -219,10 +225,11 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
 
     const_i = const_ii = const_iii = const_iii_exc = 0.0
     counts: dict[str, int] = {}
-    part_iii_ok = True
+    part_iii_ok = occupancy_ok = True
 
     for agg in haar_levels(p, cap):
         j, tl = agg.j, agg.total_level
+        occupancy_ok &= int(agg.counts.max(initial=0)) <= b ** max(n - tl, 0)
         occ_max, empty_max = agg.sups()
         if max(j) == -1:  # one box, one l-combination
             const_i = occ_max * b**n
@@ -250,7 +257,8 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
         part_iii_ok=part_iii_ok,
         part_iv_levels_checked=(cap + 2) ** d - (min(cap, n - 1) + 2) ** d,
         part_iv_exceptions=0,
-        passed=part_iii_ok,
+        occupancy_ok=occupancy_ok,
+        passed=part_iii_ok and occupancy_ok,
     )
 
 

@@ -5,7 +5,8 @@ obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
-point with `np.unique` and `np.add.at`, in the points' own order, or from
+point with `np.unique` and `np.add.at`, in the points' own order, their
+boxes' integer sums as one per-point product summed box by box, or from
 explicit sub-cell tensors in Fractions and one float DFT of unit roots, which
 hold the sweep's mu, its blocks joined (`joined_mu_blocks`), within an
 a-priori rounding bound, and their squared mass is summed exactly on those
@@ -150,6 +151,47 @@ def level_aggregate_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
             prod = prod * br[pts, li - 1]
         np.add.at(counting[:, ci], inv, prod)
     return box_ids, counting - vol
+
+
+def box_sums_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, A) of level j by the per-row product: every point interior
+    to its box in each active coordinate adds w (x)_i G_i to its box, with
+    w = prod (b^n - k_i) over level -1 and G_i its integer Helmert
+    coordinates in coordinate i (0 for h < k, k (rem - (k+1) sub) at h = k,
+    -rem beyond, k = rem // sub its sub-cell).  The occupied boxes come in
+    the lexicographic order of their indices, each holding `counts` points;
+    A is ((b-1)^s, boxes), first factor slowest, summed by one
+    `np.add.reduceat` over the sorted rows in int64 where N b^(nd) < 2^63,
+    else in Python ints."""
+    b, n, D = p.b, p.n, p.denominator
+    active = [i for i, v in enumerate(j) if v >= 0]
+    interior = np.ones(p.size, dtype=bool)
+    for i in active:
+        interior &= (j[i] < n) & (p.numerators[:, i] % b ** max(n - j[i], 0) != 0)
+    rows = p.numerators[interior]
+    boxes = [rows[:, i] // b ** (n - j[i]) for i in active]
+    rows = rows[np.lexsort(boxes[::-1])] if boxes else rows
+    new_box = np.zeros(len(rows), dtype=bool)
+    new_box[:1] = True
+    for i in active:
+        m = rows[:, i] // b ** (n - j[i])
+        new_box[1:] |= m[1:] != m[:-1]
+    starts = np.flatnonzero(new_box)
+    dtype = np.int64 if max(p.size, 1) * D**p.d < 2**63 else object
+    terms = np.ones((len(rows), 1), dtype=dtype)
+    for i, ji in enumerate(j):
+        if ji == -1:
+            terms = terms * (D - rows[:, i, None]).astype(dtype)
+    h = np.arange(1, b)
+    for i in active:
+        sub = b ** (n - j[i] - 1)
+        rem = (rows[:, i] % (b * sub))[:, None]
+        k = rem // sub
+        G = np.where(h < k, 0, np.where(h == k, k * (rem - (k + 1) * sub), -rem)).astype(dtype)
+        terms = (terms[:, :, None] * G[:, None, :]).reshape(len(rows), terms.shape[1] * (b - 1))
+    if not len(rows):
+        return starts, np.zeros(((b - 1) ** len(active), 0), dtype=dtype)
+    return np.diff(starts, append=len(rows)), np.add.reduceat(terms, starts, axis=0).T
 
 
 def joined_mu_blocks(agg) -> np.ndarray:

@@ -290,12 +290,13 @@ def test_audit_sweeps_only_to_its_cap(monkeypatch, capsys):
     # the exact integer box sums less the volume, 1.4e-16 from the sup over
     # `exact_mu_oracle`, …2974 (…2996 from float box sums, …2987 when mu
     # summed complex rows).  const_full_cube is b^n |mu| of the one box at
-    # s = 0, exact (…64896 from a float sum)
+    # s = 0, exact (…64896 from a float sum).  occupancy_ok came later: no
+    # box holds more than b^max(n - |j|, 0) points
     assert capsys.readouterr().out.strip() == (
         '{"b": 11, "cap": 1, "const_exceptional": 0.0, '
         '"const_full_cube": 0.5000170753363842, '
         '"const_small_levels": 0.28633421748029736, "const_typical": 0.0, '
-        '"d": 2, "exceptional_counts": {}, "n": 4, "part_iii_ok": true, '
+        '"d": 2, "exceptional_counts": {}, "n": 4, "occupancy_ok": true, "part_iii_ok": true, '
         '"part_iv_exceptions": 0, "part_iv_levels_checked": 0, "passed": true, '
         '"schema": 1}'
     )
@@ -408,6 +409,19 @@ def test_audit_command(tmp_path, capsys):
     assert run(["audit", "--net", path, "--cap", "5"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True
+
+
+def test_audit_fails_a_set_with_an_overfull_box(tmp_path, capsys):
+    # 2^10 seeded random points at b = 2, d = 2 are no (0, 10, 2)-net: some
+    # box of volume 2^-|j| holds more than 2^max(10 - |j|, 0) interior
+    # points, so the audit exits 1, though every regime-(iii) level has at
+    # most b^n occupied boxes
+    p = PointSet(2, 10, 2, np.random.default_rng(12).integers(0, 2**10, size=(2**10, 2)))
+    path = tmp_path / "random.net"
+    save_pointset(p, path)
+    assert run(["audit", "--net", str(path)]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["occupancy_ok"] is False and obj["part_iii_ok"] is True and obj["passed"] is False
 
 
 def test_scaling_command(capsys):

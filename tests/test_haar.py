@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     _exact_box_tensors,
+    box_sums_oracle,
     discrepancy_coeff,
     exact_mu_oracle,
     indicator_coeff_oracle,
@@ -215,6 +216,55 @@ def repeated_and_grid_oracle():
             p = PointSet(b, n, d, nums)
             out.append((p, {j: level_aggregate_oracle(p, j) for j in levels_up_to(n, d)}))
     return out
+
+
+def _assert_box_sums_match(p, levels, oracle=level_aggregate_oracle):
+    """box_sums == `box_sums_oracle` and counts == its counts on each of
+    `levels`, and the occupied boxes those of `oracle`, where given; returns
+    the number of levels checked."""
+    for j in levels:
+        agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+        counts, A = box_sums_oracle(p, j)
+        assert np.array_equal(agg.counts, counts), (p.b, p.n, p.d, j)
+        assert agg.box_sums.shape == A.shape and np.array_equal(agg.box_sums, A), (p.b, p.n, p.d, j)
+        assert (agg.box_sums.dtype == object) == (A.dtype == object)
+        if oracle is not None:
+            assert agg.occupied == oracle(p, j)[0].size
+    return len(levels)
+
+
+def test_box_sums_match_the_per_row_product(cs11_oracle, repeated_and_grid_oracle):
+    # the running-sum box sums equal the per-row product summed box by box,
+    # exactly, and the interior counts and occupied boxes those of the
+    # oracles, on every level in {-1..n}^d: Hammersley n <= 8, balanced
+    # Hammersley n = 10, CS (3,1,2), the d = 3 set of
+    # `test_haar_levels_sorts_once_per_head` and the sets with duplicate and
+    # edge points; on CS-11's 25 swept levels
+    checked = 0
+    sets = [hammersley(n) for n in range(1, 9)] + [balanced_hammersley(10)]
+    sets += [cs_point_set(CSParams(b=3, d=1, w=2)), PointSet(3, 2, 3, np.arange(27).reshape(9, 3) % 9)]
+    for p in sets:
+        checked += _assert_box_sums_match(p, list(levels_up_to(p.n, p.d)))
+    for p, refs in repeated_and_grid_oracle:
+        checked += _assert_box_sums_match(p, list(refs), lambda p, j: refs[j])
+    cs, refs = cs11_oracle
+    checked += _assert_box_sums_match(cs, list(refs), lambda p, j: refs[j])
+    assert checked == sum((n + 2) ** 2 for n in range(1, 9)) + 12**2 + 6 + 4**3 + 4 * (5 + 5**2 + 5**3) + 25
+
+
+def test_box_sums_past_int64():
+    # N b^(nd) >= 2^63: the running sums and the box sums are Python ints,
+    # equal to the per-row product's, on every level in {-1..n}^2 of a
+    # 20-point set at b = 3, n = 21, and on levels of every kind of the
+    # 200-point set of `test_occupied_boxes_counted_beyond_int64` (b = 19,
+    # d = 3; all of its 512 levels in Python ints would take minutes)
+    p = PointSet(3, 21, 2, np.random.default_rng(3).integers(0, 3**21, size=(20, 2)))
+    assert p.size * p.denominator**2 >= 2**63
+    assert _assert_box_sums_match(p, list(levels_up_to(p.n, 2)), None) == 23**2
+    b, n = 19, 6
+    p = PointSet(b, n, 3, np.random.default_rng(0).integers(0, b**n, size=(200, 3)))
+    levels = [(5, 5, 5), (0, 2, 4), (-1, 3, 5), (2, -1, 1), (6, 0, 0), (-1, -1, -1), (1, 1, -1), (-1, -1, 6)]
+    _assert_box_sums_match(p, levels, None)
 
 
 def test_level_aggregate_matches_oracle_on_repeated_and_grid_points(
@@ -427,17 +477,17 @@ def test_mu_of_multi_point_levels_comes_from_box_tensors(monkeypatch, record_bui
     # a multi-point box (s = 0 among them) and forms the rank-1 `_terms`
     # product only on the 6 levels whose boxes hold one point each;
     # `haar_norms` at p = 2 builds
-    # `box_sums` only in `mass(2)`, once per multi-point level.  No
-    # complex row sum runs through `np.add.reduceat`, and mu is read at one
-    # l-combination of each conjugate pair: (b-1)^s / 2 columns at b = 11,
-    # the one l-combination at b = 2
+    # `box_sums` only in `mass(2)`, once per multi-point level.  No row
+    # sum runs through `np.add.reduceat`: the box sums are differences of
+    # the prefix's running sums.  mu is read at one l-combination of each
+    # conjugate pair: (b-1)^s / 2 columns at b = 11, the one l-combination
+    # at b = 2
     import qmcnet.haar as haar
     from qmcnet.norms import coeff_bound_audit
 
     class Add:
         def reduceat(self, a, *args, **kwargs):
-            assert not np.iscomplexobj(a), "a complex np.add.reduceat"
-            return np.add.reduceat(a, *args, **kwargs)
+            raise AssertionError("a row sum by np.add.reduceat")
 
     class NumPy:  # numpy, but for np.add.reduceat
         add = Add()
@@ -573,14 +623,18 @@ def test_haar_levels_sorts_once_per_head(monkeypatch):
     assert heads == list(levels_up_to(1, 2))
 
 
-def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
+def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch, record_builds):
     # over one CS-11 audit: a head coordinate's G once per prefix with
-    # j_1 >= 0, the last coordinate's once per level with j_2 >= 0, and
-    # nothing else (4 + 5 * 4 builds).  `haar_norms` builds the same but for
-    # the 3 levels past each head's first single-point level, which it
-    # leaves to the contraction with that level; its builds are counted
-    # apart: one per block of points, coordinate and level j_i >= 0 of those
-    # levels, here levels 1, 2 and 3 in each coordinate in two blocks
+    # j_1 >= 0, for its running sums, and the per-row data of `_terms` only
+    # on the 6 levels of single-point boxes: the last coordinate's G once on
+    # each, and the head's again for its DFT factors on each head's first
+    # such level ((1, 3), (2, 2) and (3, 1)); 4 + 6 + 3 builds.  The box
+    # sums of the 19 other levels are read from the running sums, with no
+    # per-row G.  `haar_norms` at p = 2 builds the prefixes' G alone and no
+    # per-row data of any level; its contraction's builds are counted apart:
+    # one per block of points, coordinate and level j_i >= 0 of the levels
+    # past each head's first single-point level, here levels 1, 2 and 3 in
+    # each coordinate in two blocks
     import qmcnet.haar as haar
     from qmcnet.norms import coeff_bound_audit
 
@@ -604,23 +658,35 @@ def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch):
         log.append([("contraction",), 0])
         return contract(p, levels)
 
+    rows = []  # the per-row fields built, by level or head
+    for name in ("sel", "base", "last"):
+        record_builds(haar.LevelAggregate, name, lambda agg, name=name: rows.append((name, agg.j)))
+    record_builds(haar.LevelPrefix, "dft", lambda prefix: rows.append(("dft", prefix.head)))
     monkeypatch.setattr(haar.Offsets, "helmert", counted)
     monkeypatch.setattr(haar, "level_prefix", sorted_prefix)
     monkeypatch.setattr(haar, "level_aggregate", level)
     monkeypatch.setattr(haar, "_single_point_masses", contracted)
     cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    single = [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+    first = [(1, 3), (2, 2), (3, 1)]
     expected = []
     for j1 in range(-1, 4):
         expected.append([("prefix", j1), int(j1 >= 0)])
-        expected += [[(j1, j2), int(j2 >= 0)] for j2 in range(-1, 4)]
+        expected += [[(j1, j2), ((j1, j2) in single) + ((j1, j2) in first)] for j2 in range(-1, 4)]
     coeff_bound_audit(cs)
     assert log == expected
-    assert sum(builds for _, builds in log) == 24
+    assert sum(builds for _, builds in log) == 13
+    assert sorted(j for name, j in rows if name == "last") == single
+    assert sorted(j for name, j in rows if name == "sel") == single
+    assert [head for name, head in rows if name == "dft"] == [(1,), (2,), (3,)]
     log.clear()
+    rows.clear()
     haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
-    deeper = [[(2, 3), 1], [(3, 2), 1], [(3, 3), 1]]
+    deeper = [[(2, 3), 0], [(3, 2), 0], [(3, 3), 0]]
     assert -(-cs.size // (haar._SUM_ENTRIES // 6)) == 2
-    assert log == [e for e in expected if e not in deeper] + [[("contraction",), 2 * 6]]
+    swept = [[j, builds if j[0] == "prefix" else 0] for j, builds in expected]
+    assert log == [e for e in swept if e not in deeper] + [[("contraction",), 2 * 6]]
+    assert rows == []
 
 
 def _affordable(p, agg) -> bool:

@@ -245,16 +245,28 @@ def test_digit_table_is_built_on_first_char_sum_only(tmp_path, monkeypatch):
         (4096, 1, 1, np.float32),  # 4095^2 < 2^24: the largest exponent is exact
         (4097, 1, 1, np.float64),  # 4096^2 = 2^24
         (2**20 + 1, 1, 1, np.float64),  # 2^40
+        (2**26 + 1, 1, 1, np.float64),  # 2^52, and b^n far above N
     ],
 )
 def test_char_sum_is_exact_on_both_sides_of_the_float32_bound(b, n, d, dtype):
+    # with 42 points the exponents take more values than there are points,
+    # so the residues that occur are counted in memory O(N), never O(b): at
+    # b = 2^26 + 1 a count per residue would take 537 MB
     rng = np.random.default_rng(b + n + d)
     high = min(b**n, 2**62)
     # at n = 1 the top point meets the top frequency: the largest exponent
     nums = np.concatenate([rng.integers(0, high, size=(40, d)), np.full((2, d), high - 1)])
     p = PointSet(b, n, d, nums)
-    for t in frequencies_with_zero_digits(b, n, d, rng):
-        assert char_sum(p, t) == char_sum_oracle(p, t), t
+    freqs = frequencies_with_zero_digits(b, n, d, rng)
+    tracemalloc.start()
+    try:
+        sums = [char_sum(p, t) for t in freqs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for t, got in zip(freqs, sums):
+        assert got == char_sum_oracle(p, t), t
     assert p.digits.dtype == dtype
 
 

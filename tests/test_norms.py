@@ -344,6 +344,32 @@ def test_audit_passes_where_b_to_the_level_exceeds_int64():
     assert coeff_bound_audit(p, cap=10).passed
 
 
+def test_audit_occupancy_holds_on_every_net_of_the_suite():
+    # a (0, n, d)-net holds b^(n - |j|) points in each box of volume b^-|j|
+    # and at most one when |j| >= n, so no box of a swept level holds more
+    # interior points than b^max(n - |j|, 0), and the audit passes; the
+    # bound is tight, as the level (-1, ..., -1) holds all N = b^n points
+    nets = [hammersley(n) for n in range(1, 9)] + [balanced_hammersley(n) for n in range(1, 11)]
+    nets += [cs_point_set(CSParams(b=b, d=d, w=w)) for b, d, w in [(11, 2, 1), (3, 1, 2), (2, 1, 3), (2, 1, 1)]]
+    nets.append(PointSet(131, 2, 1, np.arange(131**2)[:, None]))
+    for p in nets:
+        rep = coeff_bound_audit(p, cap=min(p.n + 2, 6))
+        assert rep.occupancy_ok and rep.passed, (p.b, p.n, p.d)
+        full = next(haar_levels(p))
+        assert full.j == (-1,) * p.d and int(full.counts.max()) == p.size == p.b**p.n
+
+
+def test_audit_occupancy_fails_past_the_net_bound():
+    # a seeded random set of 2^10 points at b = 2, d = 2, and a net with one
+    # point doubled: a box holds more points than a net's would
+    p = PointSet(2, 10, 2, np.random.default_rng(12).integers(0, 2**10, size=(2**10, 2)))
+    rep = coeff_bound_audit(p)
+    assert not rep.occupancy_ok and rep.part_iii_ok and not rep.passed
+    net = hammersley(6)
+    doubled = PointSet(2, 6, 2, np.vstack([net.numerators, net.numerators[5:6]]))
+    assert coeff_bound_audit(net).passed and not coeff_bound_audit(doubled).occupancy_ok
+
+
 def test_audit_small_net_passes():
     p = hammersley(3)
     rep = coeff_bound_audit(p, cap=5)
@@ -379,17 +405,18 @@ def test_audit_keeps_one_level_alive():
 
 def test_audit_and_besov_peak_below_the_largest_full_width_mu_array():
     # mu is read at one l-combination of each conjugate pair, a level with a
-    # multi-point box as one block no larger than its `box_sums` term array,
-    # so neither peak reaches one level's mu array at every l-combination
-    # (23 MB at CS-11; whole arrays peaked at 37 and 48 MB).  The audit's
-    # peak is that of Parseval's, which builds the same term arrays, give or
-    # take the interpreter's frames and generators (tens of bytes measured)
+    # multi-point box as one block, so neither peak reaches one level's mu
+    # array at every l-combination (23 MB at CS-11; whole arrays peaked at
+    # 37 and 48 MB).  The box sums come from the prefix's running sums, with
+    # no per-row term array: the audit peaks at 10.99 MiB and Parseval at
+    # 6.42 MiB, where they peaked at 15.09 and 15.08 MiB with one
     p = cs_point_set(CSParams(b=11, d=2, w=1))
     largest = _largest_mu_bytes(p)
     audit = _peak_bytes(lambda: coeff_bound_audit(p))
     assert audit < largest
     assert _peak_bytes(lambda: haar_norms(p, BesovParams(1.5, 3, 0.3))) < largest
-    assert audit <= _peak_bytes(lambda: haar_norms(p, PARSEVAL)) + 2**16
+    assert audit <= 12 * 2**20
+    assert _peak_bytes(lambda: haar_norms(p, PARSEVAL)) <= 7 * 2**20
 
 
 def test_norms_read_mu_only_through_the_level_aggregate(monkeypatch):
