@@ -360,14 +360,23 @@ def test_audit_occupancy_holds_on_every_net_of_the_suite():
 
 
 def test_audit_occupancy_fails_past_the_net_bound():
-    # a seeded random set of 2^10 points at b = 2, d = 2, and a net with one
-    # point doubled: a box holds more points than a net's would
+    # a seeded random set of 2^10 points at b = 2, d = 2, a net with one
+    # point doubled and one with a point moved: a box holds more points than
+    # a net's would
     p = PointSet(2, 10, 2, np.random.default_rng(12).integers(0, 2**10, size=(2**10, 2)))
     rep = coeff_bound_audit(p)
     assert not rep.occupancy_ok and rep.part_iii_ok and not rep.passed
     net = hammersley(6)
     doubled = PointSet(2, 6, 2, np.vstack([net.numerators, net.numerators[5:6]]))
     assert coeff_bound_audit(net).passed and not coeff_bound_audit(doubled).occupancy_ok
+    # the CS net b = 11, d = 2 with one point moved next to another, into
+    # the interior of its box of level (2, 2), |j| = n, which held only it
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    nums = cs.numerators.copy()
+    a = next(i for i, row in enumerate(nums) if all(1 <= k % 121 <= 119 for k in row))
+    nums[(a + 1) % len(nums)] = nums[a] + 1
+    moved = coeff_bound_audit(PointSet(11, 4, 2, nums), cap=2)
+    assert not moved.occupancy_ok and not moved.passed and coeff_bound_audit(cs, cap=2).passed
 
 
 def test_audit_small_net_passes():
