@@ -239,9 +239,9 @@ class LevelPrefix:
     before where split = n.  `sums` holds the running sums C0 of the head
     factor P = w (x)_i G_i (the weight of the head's level -1 coordinates
     times the integer Helmert coordinates of its active ones, first factor
-    slowest) and C1 of P k_d, with a leading zero row: the sum of P over
-    rows r0 to r1 - 1 is sums[0, :, r1] - sums[0, :, r0].  Every running sum is
-    below M = N b^(nd) in absolute value, so they are int64 where
+    slowest) and C1 of P k_d, with a leading zero column: the sum of P over
+    rows r0 to r1 - 1 is sums[0, :, r1] - sums[0, :, r0].  Every running
+    sum is below M = N b^(nd) in absolute value, so they are int64 where
     M < 2^63 proves it, else Python ints.
     """
 
@@ -279,8 +279,8 @@ class LevelPrefix:
 
 def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     """Sort the points of p for the levels whose first d - 1 entries are
-    `head`, share out their digits and build the running sums of the head
-    factor P (`LevelPrefix`)."""
+    `head`, count the leading digits of k_d each row shares with the row
+    before and build the running sums of the head factor P (`LevelPrefix`)."""
     head = tuple(int(v) for v in head)
     if len(head) != p.d - 1:
         raise InvalidParams("level must have d entries")
@@ -470,7 +470,7 @@ class LevelAggregate:
         sum_rows w (x)_i G_i, first factor slowest, in the dtype of the
         prefix's running sums.  Built on the first read, once per level.
 
-        Every sum is one of differences of the running sums C0 of P and C1
+        Every sum comes from differences of the running sums C0 of P and C1
         of P k_d (`LevelPrefix`).  At j_d = -1 each box is a head run and
         its sum is b^n S0 - S1, with S0 and S1 the sums of P and P k_d over
         it.  At j_d >= 0, with sub = b^(n - j_d - 1), m a box's index and
