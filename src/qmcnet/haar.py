@@ -639,7 +639,7 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
     s = sum(1 for v in j if v >= 0)
     l_combos, vol = _volume(b, p.d, s, total_level)
     if jd >= n:  # the points sit on the level grid, none are interior
-        cuts, interior = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        cuts, interior = np.full(1, prefix.rows), np.zeros(0, dtype=np.intp)
     else:
         # a box starts wherever the head run or the first j_d digits of k_d
         # change; at j_d <= 0 each head run is one box
