@@ -230,10 +230,10 @@ class LevelPrefix:
     the head, sorted by (head box indices m_i in coordinate order, k_d); rows
     with equal head boxes form a head run.  In that order the box indices
     (m_1, ..., m_d) of every level with this head never decrease
-    lexicographically, since the last one grows with k_d.  Per row r,
-    `key` = (its head run) b^n + k_d increases along the rows, and `split`
-    is the number of leading base-b digits of k_d that row r shares with
-    row r - 1, -1 where a head run starts and at r = rows.  So at level
+    lexicographically, since the last one grows with k_d.  `k_d` holds each
+    row's numerator of the last coordinate, and per row r `split` is the
+    number of leading base-b digits of k_d that row r shares with row r - 1,
+    -1 where a head run starts and at r = rows.  So at level
     j_d >= 0 the boxes start where split < j_d, their sub-cells of width
     b^(n - j_d - 1) where split <= j_d, and a row repeats the k_d of the row
     before where split = n.  `sums` holds the running sums C0 of the head
@@ -248,7 +248,7 @@ class LevelPrefix:
     p: PointSet
     head: tuple[int, ...]  # (j_1, ..., j_(d-1))
     idx: np.ndarray  # point indices, sorted
-    key: np.ndarray  # per row: head run b^n + k_d, increasing
+    k_d: np.ndarray  # per row: the numerator of the last coordinate, int64
     split: np.ndarray  # (rows + 1,) int8: leading digits of k_d shared with the row before
     sums: np.ndarray  # (2, width, rows + 1): C0 and C1
 
@@ -257,13 +257,8 @@ class LevelPrefix:
         return self.idx.size
 
     @functools.cached_property
-    def k_d(self) -> np.ndarray:
-        """The numerator of the last coordinate per row, int64."""
-        return (self.key % self.p.denominator).astype(np.int64)
-
-    @functools.cached_property
     def group_end(self) -> np.ndarray:
-        """Per row: one past the last row with its key, built when a level
+        """Per row: one past the last row of its head run with its k_d, built when a level
         first counts the points on its boxes' left edges."""
         firsts = np.flatnonzero(self.split < self.p.n)
         return np.repeat(firsts[1:].astype(np.int32), np.diff(firsts))
@@ -323,30 +318,19 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     P *= k_d[:, None].astype(dtype)
     np.cumsum(P, axis=0, out=sums[1, :, 1:].T)
     del P
-    key = np.cumsum(new_run, dtype=dtype)
-    key -= 1
-    key *= D
-    key += k_d  # below N b^n <= M
     split = np.zeros(idx.size + 1, dtype=np.int8)
+    q = k_d.copy()
     for _ in range(n):  # k_d // b^e: equal in all e < n - t iff t leading digits are shared
-        split[1:-1] += k_d[1:] == k_d[:-1]
-        k_d //= b
+        split[1:-1] += q[1:] == q[:-1]
+        q //= b
+    del q
     split[:-1][new_run] = split[-1] = -1
-    return LevelPrefix(p, head, idx, key, split, sums)
+    return LevelPrefix(p, head, idx, k_d, split, sums)
 
 
 def _tensor(vector: np.ndarray, s: int) -> np.ndarray:
     """The s-fold outer power of `vector`, flattened, first factor slowest."""
     return functools.reduce(np.multiply.outer, [vector] * s, np.ones((), vector.dtype)).ravel()
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_tensor(b: int, s: int) -> np.ndarray:
-    """The s-fold outer power of W from `_helmert_weights(b)`, flattened,
-    first factor slowest, as Python ints; read-only, built once per (b, s)."""
-    out = _tensor(_helmert_weights(b)[1], s)
-    out.flags.writeable = False
-    return out
 
 
 def _exact_mass(b: int, j: tuple[int, ...], scale: int, sq: int, lin: int) -> Fraction:
@@ -495,7 +479,7 @@ class LevelAggregate:
             return S[0] * D - S[1]
         sub = b ** (prefix.p.n - jd - 1)
         first = np.flatnonzero(prefix.split[:-1] <= jd)  # each sub-cell's first row
-        k_first = prefix.key[first] % D
+        k_first = prefix.k_d[first]
         at = np.cumsum(prefix.split[first] < jd)  # its box, then its column
         first = np.append(first, prefix.rows)
         S0, S1 = (np.diff(np.take(Ci, first, axis=1), axis=1) for Ci in C)
@@ -504,20 +488,18 @@ class LevelAggregate:
         at -= 1
         at += k * boxes
         k_first -= k_first % (b * sub)  # m b sub
-        S = k_first * S0
-        S = np.subtract(S1, S, out=S)  # the sum of P rem
-        k_first += sub
-        k_first += k * sub
-        S0 *= k_first
-        S1 -= S0  # the sum of P (rem - (k+1) sub)
-        S1 *= k
-        del S0, k_first, k
+        S1 -= k_first * S0  # the sum of P rem
+        del k_first
+        S0 *= (k + 1) * sub
+        S0 = np.subtract(S1, S0, out=S0)  # the sum of P (rem - (k+1) sub)
+        S0 *= k
+        del k
         Q = np.zeros((width, b * boxes), dtype=C.dtype)
-        Q[:, at] = S
-        del S
+        Q[:, at] = S1
+        del S1
         A = np.zeros((width, b * boxes), dtype=C.dtype)
-        A[:, at] = S1
-        del S1, at
+        A[:, at] = S0
+        del S0, at
         Q, A = Q.reshape(width, b, boxes), A.reshape(width, b, boxes)
         for h in range(1, b - 1):  # the running sum of Q over the sub-cells k <= h
             Q[:, h] += Q[:, h - 1]
@@ -611,7 +593,7 @@ class LevelAggregate:
         if p == 2:
             A = self.box_sums
             squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2
-            sq = np.dot(squares.sum(axis=1).astype(object), _weight_tensor(self.b, self.s))
+            sq = np.dot(squares.sum(axis=1).astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
             return _exact_mass(self.b, self.j, self.scale, int(sq), sum(A.sum(axis=1).tolist()))
         if math.isinf(p):
             return max(self.sups())
@@ -646,7 +628,7 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
         cuts = np.flatnonzero(prefix.split < max(jd, 0))
         starts = cuts[:-1]
         if jd >= 0:  # past the rows with the first row's k_d, when that is the left edge
-            starts = np.where(prefix.key[starts] % b ** (n - jd) == 0, prefix.group_end[starts], starts)
+            starts = np.where(prefix.k_d[starts] % b ** (n - jd) == 0, prefix.group_end[starts], starts)
         interior = cuts[1:] - starts
     scale = max(p.size, 1) * p.denominator**p.d  # no rows at N = 0
     return LevelAggregate(j, b, l_combos, float(b) ** total_level, vol, scale, prefix, cuts, interior)
