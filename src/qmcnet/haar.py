@@ -233,10 +233,10 @@ class LevelPrefix:
     lexicographically, since the last one grows with k_d.  `k_d` holds each
     row's numerator of the last coordinate, and per row r `split` is the
     number of leading base-b digits of k_d that row r shares with row r - 1,
-    -1 where a head run starts and at r = rows.  So at level
-    j_d >= 0 the boxes start where split < j_d, their sub-cells of width
-    b^(n - j_d - 1) where split <= j_d, and a row repeats the k_d of the row
-    before where split = n.  `sums` holds the running sums C0 of the head
+    -1 where a head run starts and at r = rows.  So at level j_d >= 0 the
+    boxes start where split < j_d, their sub-cells of width b^(n - j_d - 1)
+    where split <= j_d, and a row repeats the k_d of the row before where
+    split = n.  `sums` holds the running sums C0 of the head
     factor P = w (x)_i G_i (the weight of the head's level -1 coordinates
     times the integer Helmert coordinates of its active ones, first factor
     slowest) and C1 of P k_d, with a leading zero column: the sum of P over
@@ -258,8 +258,8 @@ class LevelPrefix:
 
     @functools.cached_property
     def group_end(self) -> np.ndarray:
-        """Per row: one past the last row of its head run with its k_d, built when a level
-        first counts the points on its boxes' left edges."""
+        """Per row: one past the last row of its head run with its k_d, built
+        when a level first counts the points on its boxes' left edges."""
         firsts = np.flatnonzero(self.split < self.p.n)
         return np.repeat(firsts[1:].astype(np.int32), np.diff(firsts))
 

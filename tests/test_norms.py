@@ -417,8 +417,8 @@ def test_audit_and_besov_peak_below_the_largest_full_width_mu_array():
     # multi-point box as one block, so neither peak reaches one level's mu
     # array at every l-combination (23 MB at CS-11; whole arrays peaked at
     # 37 and 48 MB).  The box sums come from the prefix's running sums, with
-    # no per-row term array: the audit peaks at 10.99 MiB and Parseval at
-    # 6.36 MiB (15.09 and 15.08 MiB with one)
+    # no per-row term array: the audit peaks at 10.88 MiB and Parseval at
+    # 6.27 MiB (15.09 and 15.08 MiB with one)
     p = cs_point_set(CSParams(b=11, d=2, w=1))
     largest = _largest_mu_bytes(p)
     audit = _peak_bytes(lambda: coeff_bound_audit(p))
