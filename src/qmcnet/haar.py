@@ -9,12 +9,14 @@ j in {-1, 0, 1, ...}^d; a coordinate at level -1 carries the constant
 One sweep (`haar_levels`) visits every level with all j_i <= n - 1; deeper
 levels hold no interior point, so there mu = -volume and their mass has a
 closed form.  Once per level prefix (head) (j_1, ..., j_(d-1)) it sorts the
-points by (prefix box indices, k_d) and builds all that depends on the head
-alone (`level_prefix`): each row's head factor P = w (x)_i G_i, the running
-sums of P and of P k_d, and how many leading base-b digits of k_d each row
-shares with the row before.  Each level with that prefix finds its boxes
-and their sub-cells as the runs of rows that share enough digits
-(`level_aggregate`), and counts the interior rows of each box.
+points by (prefix box indices, k_d), by one stable sort on the box indices
+of the point set's k_d order (`PointSet.last_order`, built once per set),
+and builds all that depends on the head alone (`level_prefix`): each row's
+head factor P = w (x)_i G_i, the running sums of P and of P k_d, and how
+many leading base-b digits of k_d each row shares with the row before.
+Each level with that prefix finds its boxes and their sub-cells as the runs
+of rows that share enough digits (`level_aggregate`), and counts the
+interior rows of each box.
 
 Every sub-cell quantity is an integer in units of b^-n.  A point's sub-cell
 vector in one coordinate is read through its integer Helmert coordinates G
@@ -33,16 +35,20 @@ Besov at p != 2 read through `sups` and `mass`) are on a level with a
 multi-point box the DFT of A less the volume, taken off in integers, so the
 DFT is their only rounding; on a level of single-point boxes they are each
 row's product of DFT factors less the volume, the only place per-row data
-are built.  The box tensors are real, so mu at b - l is the conjugate of mu
-at l: mu is computed at one l-combination of each pair.  One reduction
-(`_qsum`) turns the float level masses into sum_j Xi_j^q plus the exact
-tail: its q-th root is the Besov quasi-norm.
+are built.  There, with every coordinate active, a row's mu depends on its
+offsets in its box alone, so `sups` reads mu once per offset tuple that
+occurs when that is cheaper.  The box tensors are real, so mu at b - l is
+the conjugate of mu at l: mu is computed at one l-combination of each pair.
+One reduction (`_qsum`) turns the float level masses into sum_j Xi_j^q plus
+the exact tail: its q-th root is the Besov quasi-norm.
 
 Once every occupied box of level (head, j_d) holds at most one point, so
 does every deeper j_d of that head, as finer boxes hold a subset of the
 coarser ones' interior points.  There each box sum is one row, a product
 over coordinates, and the p = 2 masses of all those levels come from one
-integer contraction of per-point factors (`_single_point_masses`).  So
+integer contraction of per-point factors (`_single_point_masses`), each a
+closed form in the point's sub-cell whose sum over the Helmert columns past
+it telescopes (`_point_factors`), so no Helmert coordinates are built.  So
 `haar_norms` at p = 2 reads no level past each head's first single-point
 level; the audit, Besov at p != 2 and `haar_levels` visit every level.
 """
@@ -213,6 +219,18 @@ class Offsets:
         out = np.where(h > k, -rem[:, None], np.where(h == k, diag, 0))
         return np.take(out, at, axis=0) if table else out  # take: 4x out[at] on 2-d
 
+    def dft(self, rows: np.ndarray) -> np.ndarray:
+        """The DFT factors G @ `_helmert_dft` of `rows`, (len(rows), b-1)
+        complex.  With fewer offsets than rows the table of `helmert` is made
+        complex before it is looked up, so no int64 G of every row is alive
+        beside the complex copy the matmul reads; it reads the same complex
+        array either way."""
+        if self.b * self.sub >= len(rows):
+            return self.helmert(rows) @ _helmert_dft(self.b)
+        every = np.arange(self.b * self.sub)
+        table = Offsets(self.b, every, self.sub).helmert(every).astype(complex)
+        return np.take(table, self.rem[rows], axis=0) @ _helmert_dft(self.b)
+
 
 def _offsets(k: np.ndarray, b: int, n: int, ji: int) -> tuple[np.ndarray, Offsets]:
     """(box index m, `Offsets`) of the numerators k / b^n at level 0 <= ji < n."""
@@ -227,9 +245,9 @@ class LevelPrefix:
     the running sums every level with this head reads its box sums from.
 
     `idx` lists the points interior to their box in each active coordinate of
-    the head, sorted by (head box indices m_i in coordinate order, k_d); rows
-    with equal head boxes form a head run.  In that order the box indices
-    (m_1, ..., m_d) of every level with this head never decrease
+    the head, sorted by (head box indices m_i in coordinate order, k_d, point
+    index); rows with equal head boxes form a head run.  In that order the
+    box indices (m_1, ..., m_d) of every level with this head never decrease
     lexicographically, since the last one grows with k_d.  `k_d` holds each
     row's numerator of the last coordinate, and per row r `split` is the
     number of leading base-b digits of k_d that row r shares with row r - 1,
@@ -268,14 +286,20 @@ class LevelPrefix:
         """The DFT factors G @ T of each active head coordinate's G per row,
         built when a level of single-point boxes first reads mu."""
         p, rows = self.p, np.arange(self.rows)
-        return [_offsets(p.numerators[self.idx, i], p.b, p.n, ji)[1].helmert(rows) @ _helmert_dft(p.b)
+        return [_offsets(p.numerators[self.idx, i], p.b, p.n, ji)[1].dft(rows)
                 for i, ji in enumerate(self.head) if ji >= 0]
 
 
 def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
     """Sort the points of p for the levels whose first d - 1 entries are
     `head`, count the leading digits of k_d each row shares with the row
-    before and build the running sums of the head factor P (`LevelPrefix`)."""
+    before and build the running sums of the head factor P (`LevelPrefix`).
+
+    The sort reads the point set's stable k_d order (`PointSet.last_order`),
+    keeps the head's interior points in it and sorts them stably by the
+    head box indices m_i alone, each in the smallest unsigned dtype that
+    holds b^j_i - 1 (numpy radix-sorts keys of 16 bits or fewer): one
+    lexsort over (m_i, k_d) of the points in index order, row for row."""
     head = tuple(int(v) for v in head)
     if len(head) != p.d - 1:
         raise InvalidParams("level must have d entries")
@@ -292,11 +316,11 @@ def level_prefix(p: PointSet, head: Sequence[int]) -> LevelPrefix:
             continue
         m, off = _offsets(p.numerators[:, i], b, n, ji)
         keep &= off.rem != 0
-        boxes.append(m)
+        boxes.append(m.astype(np.min_scalar_type(b**ji - 1)))  # m < b^j_i
         offsets.append(off)
-    idx = np.flatnonzero(keep)
-    # np.lexsort sorts by its last key first
-    idx = idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
+    idx = p.last_order[keep[p.last_order]]  # by (k_d, point index)
+    if boxes:  # a stable sort, radix on keys of 16 bits or fewer; np.lexsort sorts by its last key first
+        idx = idx[np.lexsort([m[idx] for m in reversed(boxes)])]
     k_d = p.numerators[idx, -1]
     new_run = np.zeros(idx.size, dtype=bool)
     new_run[:1] = True
@@ -446,7 +470,7 @@ class LevelAggregate:
         if jd < 0:
             return []
         off = _offsets(self.prefix.k_d, self.b, self.prefix.p.n, jd)[1]
-        return [off.helmert(self.sel) @ _helmert_dft(self.b)]
+        return [off.dft(self.sel)]
 
     @functools.cached_property
     def box_sums(self) -> np.ndarray:
@@ -534,15 +558,11 @@ class LevelAggregate:
             return
         if not self.occupied:
             return
+        if self.counts.max() == 1:
+            yield from self._single_point_mu()
+            return
         T = _helmert_dft(b)
         lead = self.columns // (b - 1) ** (s - 1)  # the l_1 computed
-        if self.counts.max() == 1:
-            step = max(1, _MU_ENTRIES // len(self.l_combos))
-            for first in range(0, self.occupied, step):
-                block = self._terms(slice(first, first + step), lead)
-                block -= self.volume[: self.columns]
-                yield block
-            return
         g = b ** (2 * self.total_level + 2 * s) * 2 ** len(self.j)  # 1 / gamma
         V = _tensor(np.arange(1, b, dtype=object) * np.arange(2, b + 1), s) * ((-1) ** s * self.scale)
         dtype = _int_dtype(2 * self.scale)  # |A - floor(V / g)| < 2 M
@@ -555,7 +575,41 @@ class LevelAggregate:
             X = X.reshape(b - 1, -1).T @ T
         yield X.reshape(self.occupied, self.columns)
 
-    def _terms(self, rows: slice, lead: int) -> np.ndarray:
+    def _single_point_mu(self, rows: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+        """mu of a level of single-point boxes at `rows` of `sel`, all if None,
+        in blocks of about `_MU_ENTRIES` rows times l-combinations: each
+        row's `_terms` less the volume, so a row's mu has the same bits
+        whichever rows are asked for."""
+        lead = self.columns // (self.b - 1) ** (self.s - 1)  # the l_1 computed
+        step = max(1, _MU_ENTRIES // len(self.l_combos))
+        for first in range(0, self.occupied if rows is None else rows.size, step):
+            at = slice(first, first + step)
+            block = self._terms(at if rows is None else rows[at], lead)
+            block -= self.volume[: self.columns]
+            yield block
+
+    def _tuple_rows(self) -> Optional[np.ndarray]:
+        """On a level of single-point boxes with every coordinate active, the
+        first row of `sel` with each offset tuple (rem_1, ..., rem_d) that
+        occurs, when evaluating those is cheaper than every row: with
+        T = prod_i b^(n - j_i) the tuples possible, T columns + rows <
+        rows columns.  Else None.  There w = 1 and each factor of `_terms`
+        depends on its rem_i alone, so the rows of one tuple share mu."""
+        p, rows, columns = self.prefix.p, self.occupied, self.columns
+        tuples = self.b ** (p.n * p.d - self.total_level)
+        if tuples * columns + rows >= rows * columns or self.s < p.d or self.counts.max() > 1:
+            return None  # the size test first: alone it sends b = 2 back, and a level with no rows
+        key = np.zeros(rows, dtype=np.int64)  # the tuple's place in T, below rows
+        at = self.prefix.idx[self.sel]
+        for i, ji in enumerate(self.j):
+            width = self.b ** (p.n - ji)
+            key *= width
+            key += p.numerators[at, i] % width
+        first = np.empty(tuples, dtype=np.intp)
+        first[key[::-1]] = np.arange(rows - 1, -1, -1)  # the last write, the first row, stays
+        return np.flatnonzero(first[key] == np.arange(rows))
+
+    def _terms(self, rows: slice | np.ndarray, lead: int) -> np.ndarray:
         """base times the outer product of the DFT factors G @ T at `rows`,
         multiplied in coordinate order, first factor slowest and at its
         leading `lead` l: (rows, columns).  The head coordinates' factors
@@ -574,8 +628,17 @@ class LevelAggregate:
     def sups(self) -> tuple[float, float]:
         """(sup |mu_jml| over the occupied boxes, sup |volume| over the empty
         ones), each 0.0 where the level has no such box.  |mu| at b - l is
-        |mu| at l, so the sup over `mu_blocks` is that over every l."""
-        occupied = max([float(np.abs(mu).max()) for mu in self.mu_blocks()], default=0.0)
+        |mu| at l, so the sup over `mu_blocks` is that over every l.
+
+        On a level of single-point boxes with every coordinate active, w = 1
+        and mu depends on the offsets (rem_1, ..., rem_d) alone; where that
+        is cheaper, `_terms` runs on the first row of each offset tuple
+        alone (`_tuple_rows`).  Those rows read the same per-row factors as
+        `mu_blocks`, so the sup keeps its bits.  `mass` at p != inf reads
+        every row."""
+        rows = self._tuple_rows()
+        blocks = self.mu_blocks() if rows is None else self._single_point_mu(rows)
+        occupied = max([float(np.abs(mu).max()) for mu in blocks], default=0.0)
         empty = float(np.abs(self.volume).max()) if self.empty_count > 0 else 0.0
         return occupied, empty
 
@@ -680,18 +743,34 @@ def _point_factors(p: PointSet, i: int, nums: np.ndarray, levels: list[int], dty
     """Coordinate i's factors of a single-point box sum for the points with
     numerators `nums`, (2, len(levels), rows): L sum_h G_h^2 / (h (h + 1))
     and sum_h G_h at each of `levels` >= 0, (b^n - k)^2 and b^n - k at
-    level -1.  A point on a box's left edge has G = 0."""
+    level -1.
+
+    Both sums are closed forms in a point's sub-cell k = rem // sub and
+    diag = k (rem - (k+1) sub), its G_k (`Offsets.helmert`), as G_h = -rem
+    for every h > k: sum_h G_h = diag - (b-1-k) rem and, with
+    W_h = L / (h (h + 1)) and W_0 = 0, sum_h W_h G_h^2 =
+    W_k diag^2 + rem^2 sum_(h>k) W_h, where the sum telescopes to
+    L (1/(k+1) - 1/b).  So no Helmert coordinates are built: two integer
+    tables of b entries are read at k.  Each term is at most the factor, so
+    `dtype` bounds it too.  A point on a box's left edge has rem = 0, k = 0
+    and both factors 0.
+    """
     b, n = p.b, p.n
-    W = _helmert_weights(b)[1].astype(dtype)
-    rows = np.arange(len(nums))
+    L, W = _helmert_weights(b)
+    W = np.concatenate([[0], W]).astype(dtype)  # W_k at k = 0..b-1
+    tail = np.array([L // (k + 1) - L // b for k in range(b)], dtype=object).astype(dtype)  # sum_(h>k) W_h
     F = np.empty((2, len(levels), len(nums)), dtype=dtype)
-    for k, ji in enumerate(levels):
+    for t, ji in enumerate(levels):
         if ji == -1:
-            F[1, k] = p.denominator - nums[:, i]
-            F[0, k] = F[1, k] * F[1, k]
+            F[1, t] = p.denominator - nums[:, i]
+            F[0, t] = F[1, t] * F[1, t]
         else:
-            G = _offsets(nums[:, i], b, n, ji)[1].helmert(rows).astype(dtype)
-            F[0, k], F[1, k] = (G * G) @ W, G.sum(axis=1)
+            off = _offsets(nums[:, i], b, n, ji)[1]
+            k = off.rem // off.sub  # int64, so it indexes the tables in Python ints too
+            diag = (k * (off.rem - (k + 1) * off.sub)).astype(dtype)  # |diag| < b^n
+            rem = off.rem.astype(dtype)
+            F[1, t] = diag - (b - 1 - k) * rem
+            F[0, t] = W[k] * diag * diag + rem * rem * tail[k]
     return F
 
 

@@ -149,6 +149,14 @@ class PointSet:
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def last_order(self) -> np.ndarray:
+        """The point indices stably sorted by the last coordinate, read-only;
+        built on the first `haar.level_prefix`, once per point set."""
+        out = np.argsort(self.numerators[:, -1], kind="stable")
+        out.flags.writeable = False
+        return out
+
     def count_below(self, cuts: Sequence[int]) -> int:
         """The number of points with k_i < cuts[i] in every coordinate.
 

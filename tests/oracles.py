@@ -5,7 +5,9 @@ obtained by exact piecewise integration over the cells where the integrands
 are constant or linear, with Fraction endpoints (only the roots of unity are
 floating point); spans and points come from one int64 digit matrix product;
 netfiles are written one row at a time; Haar levels are aggregated point by
-point with `np.unique` and `np.add.at`, in the points' own order, their
+point with `np.unique` and `np.add.at`, in the points' own order (a level
+prefix's rows by one lexsort over head boxes and k_d, single-point factors
+from per-row Helmert coordinates, sups from every row's mu), their
 boxes' integer sums as one per-point product summed box by box, or from
 explicit sub-cell tensors in Fractions and one float DFT of unit roots, which
 hold the sweep's mu, its blocks joined (`joined_mu_blocks`), within an
@@ -192,6 +194,54 @@ def box_sums_oracle(p, j) -> tuple[np.ndarray, np.ndarray]:
     if not len(rows):
         return starts, np.zeros(((b - 1) ** len(active), 0), dtype=dtype)
     return np.diff(starts, append=len(rows)), np.add.reduceat(terms, starts, axis=0).T
+
+
+def level_prefix_order_oracle(p, head) -> np.ndarray:
+    """The rows of `haar.level_prefix(p, head)`: the points interior to their
+    box in each active coordinate of the head, in index order, sorted by
+    one `np.lexsort` over (head box indices in coordinate order, k_d)."""
+    b, n = p.b, p.n
+    keep = np.ones(p.size, dtype=bool)
+    boxes = []
+    for i, ji in enumerate(head):
+        if ji >= 0:
+            step = b ** max(n - ji, 0)
+            keep &= (ji < n) & (p.numerators[:, i] % step != 0)
+            boxes.append(p.numerators[:, i] // step)
+    idx = np.flatnonzero(keep)
+    # np.lexsort sorts by its last key first
+    return idx[np.lexsort([p.numerators[idx, -1]] + [m[idx] for m in reversed(boxes)])]
+
+
+def point_factors_oracle(p, i, nums, levels, dtype) -> np.ndarray:
+    """`haar._point_factors` from per-row Helmert coordinates: coordinate i's
+    G (rows, b-1) at each of `levels` >= 0 (0 for h < k, k (rem - (k+1) sub)
+    at h = k, -rem beyond), then (G * G) @ W, W_h = L / (h (h + 1)), and the
+    row sums of G, in `dtype`; (b^n - k)^2 and b^n - k at level -1."""
+    b, n = p.b, p.n
+    L = math.lcm(*(h * (h + 1) for h in range(1, b)))
+    W = np.array([L // (h * (h + 1)) for h in range(1, b)], dtype=object).astype(dtype)
+    h = np.arange(1, b)
+    F = np.empty((2, len(levels), len(nums)), dtype=dtype)
+    for t, ji in enumerate(levels):
+        if ji == -1:
+            F[1, t] = p.denominator - nums[:, i]
+            F[0, t] = F[1, t] * F[1, t]
+            continue
+        sub = b ** (n - ji - 1)
+        rem = (nums[:, i] % (b * sub))[:, None]
+        k = rem // sub
+        G = np.where(h < k, 0, np.where(h == k, k * (rem - (k + 1) * sub), -rem)).astype(dtype)
+        F[0, t], F[1, t] = (G * G) @ W, G.sum(axis=1)
+    return F
+
+
+def per_row_sups_oracle(agg) -> tuple[float, float]:
+    """`LevelAggregate.sups` from every occupied box's mu (`mu_blocks`):
+    (sup |mu|, sup |volume| if some box is empty), each 0.0 if none."""
+    occupied = max([float(np.abs(mu).max()) for mu in agg.mu_blocks()], default=0.0)
+    empty = float(np.abs(agg.volume).max()) if agg.empty_count > 0 else 0.0
+    return occupied, empty
 
 
 def joined_mu_blocks(agg) -> np.ndarray:

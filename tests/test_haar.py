@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,9 @@ from oracles import (
     joined_mu_blocks,
     level_aggregate_oracle,
     level_mass_exact,
+    level_prefix_order_oracle,
+    per_row_sups_oracle,
+    point_factors_oracle,
     volume_coeff_oracle,
 )
 from qmcnet.cs import CSParams, cs_point_set
@@ -88,6 +92,18 @@ def test_volume_coeff_vs_oracle_randomized():
                 assert volume_coeff(idx, b) == pytest.approx(
                     volume_coeff_oracle(idx, b), abs=1e-12
                 )
+
+
+def test_volume_coeff_reads_no_volume_table():
+    # the scalar closed form is O(d); the sweep's (b-1)^s table of `_volume`
+    # is neither built nor read by it
+    before = _volume.cache_info()
+    rng = np.random.default_rng(4)
+    for b in (2, 3, 5, 11):
+        for d in (1, 2, 3):
+            for _ in range(10):
+                volume_coeff(random_index(rng, b, d, 4), b)
+    assert _volume.cache_info() == before
 
 
 def test_indicator_coeff_vs_oracle_randomized():
@@ -623,6 +639,30 @@ def test_haar_levels_sorts_once_per_head(monkeypatch):
     assert heads == list(levels_up_to(1, 2))
 
 
+def test_level_prefix_rows_match_the_two_key_lexsort(repeated_and_grid_oracle):
+    # the point set's cached k_d order, filtered to the head's interior
+    # points and stably sorted by the head's box indices in their smallest
+    # unsigned dtype, is one lexsort over (head boxes, k_d) row for row, on
+    # every head of Hammersley n <= 8, balanced Hammersley n = 10, CS
+    # (3,1,2), CS-11, the d = 3 set of `test_haar_levels_sorts_once_per_head`,
+    # the `_random_sets` and the sets with duplicate and edge points; and on
+    # hammersley(18) at head (17,), whose box indices pass 16 bits
+    sets = [hammersley(n) for n in range(1, 9)] + [balanced_hammersley(10)]
+    sets += [cs_point_set(CSParams(b=3, d=1, w=2)), cs_point_set(CSParams(b=11, d=2, w=1))]
+    sets += [PointSet(3, 2, 3, np.arange(27).reshape(9, 3) % 9)] + _random_sets()
+    sets += [p for p, _ in repeated_and_grid_oracle]
+    heads = 0
+    for p in sets:
+        for head in levels_up_to(p.n, p.d - 1):
+            idx = level_prefix(p, head).idx
+            assert idx.dtype == np.intp, (p.b, p.n, p.d, head)
+            assert np.array_equal(idx, level_prefix_order_oracle(p, head)), (p.b, p.n, p.d, head)
+            heads += 1
+    assert heads == sum((p.n + 2) ** (p.d - 1) for p in sets) == 590
+    p = hammersley(18)
+    assert np.array_equal(level_prefix(p, (17,)).idx, level_prefix_order_oracle(p, (17,)))
+
+
 def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch, record_builds):
     # over one CS-11 audit: a head coordinate's G once per prefix with
     # j_1 >= 0, for its running sums, and the per-row data of `_terms` only
@@ -631,10 +671,9 @@ def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch, re
     # such level ((1, 3), (2, 2) and (3, 1)); 4 + 6 + 3 builds.  The box
     # sums of the 19 other levels are read from the running sums, with no
     # per-row G.  `haar_norms` at p = 2 builds the prefixes' G alone and no
-    # per-row data of any level; its contraction's builds are counted apart:
-    # one per block of points, coordinate and level j_i >= 0 of the levels
-    # past each head's first single-point level, here levels 1, 2 and 3 in
-    # each coordinate in two blocks
+    # per-row data of any level; its contraction reads the closed-form
+    # single-point factors and builds no G.  The k_d order is built once
+    # for the point set, by the first prefix, and read by every later one
     import qmcnet.haar as haar
     from qmcnet.norms import coeff_bound_audit
 
@@ -662,6 +701,8 @@ def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch, re
     for name in ("sel", "base", "last"):
         record_builds(haar.LevelAggregate, name, lambda agg, name=name: rows.append((name, agg.j)))
     record_builds(haar.LevelPrefix, "dft", lambda prefix: rows.append(("dft", prefix.head)))
+    orders = []
+    record_builds(PointSet, "last_order", lambda p: orders.append(len(log)))
     monkeypatch.setattr(haar.Offsets, "helmert", counted)
     monkeypatch.setattr(haar, "level_prefix", sorted_prefix)
     monkeypatch.setattr(haar, "level_aggregate", level)
@@ -676,17 +717,96 @@ def test_helmert_coordinates_built_once_per_prefix_and_per_level(monkeypatch, re
     coeff_bound_audit(cs)
     assert log == expected
     assert sum(builds for _, builds in log) == 13
-    assert sorted(j for name, j in rows if name == "last") == single
-    assert sorted(j for name, j in rows if name == "sel") == single
+    assert orders == [1]  # in the first prefix
+    for name in ("sel", "base", "last"):
+        assert sorted(j for built, j in rows if built == name) == single
     assert [head for name, head in rows if name == "dft"] == [(1,), (2,), (3,)]
     log.clear()
     rows.clear()
     haar.haar_norms(cs, BesovParams(2.0, 2.0, 0.25))
     deeper = [[(2, 3), 0], [(3, 2), 0], [(3, 3), 0]]
-    assert -(-cs.size // (haar._SUM_ENTRIES // 6)) == 2
     swept = [[j, builds if j[0] == "prefix" else 0] for j, builds in expected]
-    assert log == [e for e in swept if e not in deeper] + [[("contraction",), 2 * 6]]
+    assert log == [e for e in swept if e not in deeper] + [[("contraction",), 0]]
     assert rows == []
+    assert orders == [1]
+
+
+def _assert_sups_per_tuple(agg) -> bool:
+    """sups == `per_row_sups_oracle` on the level `agg`; where `_tuple_rows`
+    picks rows, they are the first row of each offset tuple, and every
+    row's mu is that of its tuple's first row.  Returns whether it picked."""
+    assert agg.sups() == per_row_sups_oracle(agg), agg.j
+    rows = agg._tuple_rows()
+    if rows is None:
+        return False
+    p = agg.prefix.p
+    at = agg.prefix.idx[agg.sel]
+    rems = np.stack([p.numerators[at, i] % p.b ** (p.n - ji) for i, ji in enumerate(agg.j)], axis=1)
+    _, first, tuple_of = np.unique(rems, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(rows, np.sort(first)), agg.j
+    mu = joined_mu_blocks(agg)
+    assert np.array_equal(mu, mu[first[tuple_of.ravel()]]), agg.j
+    return True
+
+
+def _distinct_box_set(rng, b, n, d, size) -> PointSet:
+    """`size` seeded points, each in its own box of level (j_1, n-1, ..., n-1)
+    for every j_1 >= -1 (distinct box indices in the last d - 1
+    coordinates), at interior offsets 1..b-1 on level n - 1 in every
+    coordinate."""
+    cells = b ** (n - 1)
+    m = np.unravel_index(rng.choice(cells ** (d - 1), size, replace=False), (cells,) * (d - 1))
+    m = np.stack([rng.integers(0, cells, size=size)] + list(m), axis=1)
+    return PointSet(b, n, d, b * m + rng.integers(1, b, size=(size, d)))
+
+
+def test_sups_once_per_offset_tuple_match_the_per_row_sups():
+    # on a single-point level with every coordinate active, sups reads mu at
+    # the first row of each offset tuple when that is cheaper, and every sup
+    # is the per-row one as a float: CS-11's three sparse single-point
+    # levels, on every level of CS-11, CS (3,1,2) and seeded b = 5, d = 3 sets
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    assert [agg.j for agg in haar_levels(cs) if _assert_sups_per_tuple(agg)] == [(2, 3), (3, 2), (3, 3)]
+    assert not any(_assert_sups_per_tuple(agg) for agg in haar_levels(cs_point_set(CSParams(b=3, d=1, w=2))))
+    rng = np.random.default_rng(1)
+    for size in (300, 600, 600):
+        p = _distinct_box_set(rng, 5, 3, 3, size)
+        assert [agg.j for agg in haar_levels(p) if _assert_sups_per_tuple(agg)] == [(2, 2, 2)]
+    # a coordinate at level -1: w is not 1, so the rule must not fire,
+    # although its size test holds with b^n offsets in that coordinate:
+    # 3^7 tuples times 4 columns plus 3100 rows < 3100 rows times 4 columns
+    p = _distinct_box_set(rng, 3, 4, 4, 3100)
+    agg = level_aggregate(p, (-1, 3, 3, 3), level_prefix(p, (-1, 3, 3)))
+    assert agg.counts.max() == 1 and agg.occupied == 3100 and agg.columns == 4
+    assert 3**7 * agg.columns + agg.occupied < agg.occupied * agg.columns
+    assert not _assert_sups_per_tuple(agg)
+
+
+def test_sups_per_tuple_never_at_b2(monkeypatch):
+    # at b = 2 `columns` is 1, so T columns + rows < rows columns never
+    # holds and the b = 2 audit reads mu row by row: the rule is asked on
+    # every single-point level of hammersley(10) and balanced Hammersley
+    # n = 12 and fires on none (on CS-11, where it does, on three)
+    import qmcnet.haar as haar
+    from qmcnet.norms import coeff_bound_audit
+
+    asked = []
+    tuple_rows = haar.LevelAggregate._tuple_rows
+
+    def counted(agg):
+        rows = tuple_rows(agg)
+        asked.append((agg.j, rows is not None))
+        return rows
+
+    monkeypatch.setattr(haar.LevelAggregate, "_tuple_rows", counted)
+    for p, fired in [(hammersley(10), []), (balanced_hammersley(12), []),
+                     (cs_point_set(CSParams(b=11, d=2, w=1)), [(2, 3), (3, 2), (3, 3)])]:
+        asked.clear()
+        coeff_bound_audit(p)
+        single = [agg.j for agg in haar_levels(p) if agg.occupied and agg.counts.max() == 1]
+        assert len(single) > 10 or p.b == 11
+        assert [j for j, _ in asked if j in single] == single
+        assert [j for j, picked in asked if picked] == fired
 
 
 def _affordable(p, agg) -> bool:
@@ -992,3 +1112,58 @@ def test_helmert_forms_match_exact_values(b):
     assert np.array_equal(_offsets(rem, b, n, 0)[1].helmert(np.arange(rem.size)), G)
     norm, dot = _point_factors(p, 0, p.numerators, [0], np.int64)[:, 0]
     assert norm.tolist() == [e[2] for e in exact] and dot.tolist() == [e[3] for e in exact]
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 11, 19])
+def test_point_factors_closed_form_match_the_helmert_form(b):
+    # the closed forms read at the sub-cell k equal the sums over per-row
+    # Helmert coordinates, in int64 and in Python ints, on every level
+    # -1..n-1 of both coordinates of 200 seeded points, some on the box
+    # edges of each level (rem = 0) and some at 0
+    n = {2: 7, 3: 5, 5: 3, 11: 2, 19: 2}[b]
+    nums = np.random.default_rng(b).integers(0, b**n, size=(200, 2))
+    for t in range(n):  # on the left edges of level t
+        nums[5 * t : 5 * t + 5] -= nums[5 * t : 5 * t + 5] % b ** (n - t)
+    nums[-3:] = 0
+    p = PointSet(b, n, 2, nums)
+    levels = list(range(-1, n))
+    for i, dtype in itertools.product(range(2), (np.int64, object)):
+        got = _point_factors(p, i, p.numerators, levels, dtype)
+        want = point_factors_oracle(p, i, p.numerators, levels, dtype)
+        assert got.dtype == dtype and got.tolist() == want.tolist(), (i, dtype)
+        for t in range(n):  # an edge point's factors are 0 at its level
+            assert not got[:, t + 1, 5 * t : 5 * t + 5].any()
+
+
+def test_point_factors_closed_form_past_int64():
+    # the set of `test_single_point_contraction_past_int64`: its factors
+    # reach 2^64, so they are Python ints, and the tables are read at an
+    # int64 k
+    p = PointSet(2, 32, 2, np.random.default_rng(2).integers(0, 2**32, size=(6, 2)))
+    levels = list(range(-1, 32))
+    for i in range(2):
+        got = _point_factors(p, i, p.numerators, levels, object)
+        assert got.tolist() == point_factors_oracle(p, i, p.numerators, levels, object).tolist()
+        assert max(got[0].ravel()) >= 2**63
+
+
+def test_dft_factors_keep_the_bits_of_the_helmert_matmul():
+    # `Offsets.dft` looks its rows up in a complex table where there are
+    # fewer offsets than rows: the matmul reads the same complex array as
+    # helmert(rows) @ T, so every factor keeps its bits, on both branches:
+    # each level of both coordinates of CS-11 and of seeded sets at
+    # b in {2, 3, 5, 19}, at all rows and at a few
+    cs = cs_point_set(CSParams(b=11, d=2, w=1))
+    rng = np.random.default_rng(6)
+    sets = [cs] + [PointSet(b, n, 2, rng.integers(0, b**n, size=(3000, 2)))
+                   for b, n in [(2, 12), (3, 7), (5, 5), (19, 3)]]
+    branches = set()
+    for p in sets:
+        for i, ji, size in itertools.product(range(2), range(p.n), (p.size, 7)):
+            off = _offsets(p.numerators[:, i], p.b, p.n, ji)[1]
+            rows = np.sort(rng.choice(p.size, size, replace=False))
+            got = off.dft(rows)
+            assert got.dtype == complex, (p.b, i, ji)
+            assert np.array_equal(got, off.helmert(rows) @ _helmert_dft(p.b)), (p.b, i, ji)
+            branches.add(p.b * off.sub < size)
+    assert branches == {True, False}
