@@ -280,15 +280,56 @@ SUBCOMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qmcnet")
     sub = top.add_subparsers(dest="command", required=True)
+    module = sys.modules[__name__]
     for name, help_text, func, flags in SUBCOMMANDS:
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
             sp.add_argument(f"--{flag}", **FLAGS[flag])
-        sp.set_defaults(func=func)
+        # the handler the module binds now, so that a rebinding (a test's
+        # monkeypatch, a tracer's wrapper) is the one called
+        sp.set_defaults(func=getattr(module, func.__name__))
     return top
 
 
+# --- process policy ---------------------------------------------------------------
+
+
+#: glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_allocator_set = False
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory in the heap for reuse; once per process.
+
+    glibc maps each block above its mmap threshold afresh and hands the heap
+    top above its trim threshold back to the kernel.  Both thresholds start
+    low and rise only when a larger mapped block is freed, so the Haar
+    sweeps' temporaries (0.1-4 MB on CS-11) leave the process and are
+    faulted in again level after level.  Fixing the thresholds at the
+    ceiling of glibc's own dynamic rule (32 MiB mmap, 64 MiB trim on 64-bit)
+    keeps them.  Setting either one switches that rule off, so both are set.
+    Forked workers inherit the setting; on any other libc this does nothing.
+    """
+    global _allocator_set
+    if _allocator_set:
+        return
+    _allocator_set = True
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # the process's own libc
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed

@@ -1,5 +1,6 @@
 import functools
 import os
+import subprocess
 import sys
 
 import pytest
@@ -19,3 +20,23 @@ def record_builds(monkeypatch):
         monkeypatch.setattr(cls, name, prop)
 
     return wrap
+
+
+@pytest.fixture
+def python():
+    """python(code) runs `code` in a fresh interpreter that imports qmcnet
+    from the checkout's src/, and returns the completed process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=120,
+        )
+
+    return run

@@ -1,7 +1,9 @@
+import ctypes
 import itertools
 import json
 import math
 import os
+import platform
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 import qmcnet
 from oracles import grid_coeff_oracle
 from qmcnet import families as fam
-from qmcnet import haar, norms
+from qmcnet import cli, haar, norms
 from qmcnet.cli import IntegrandSpec, main
 from qmcnet.cs import CSParams, cs_generating_matrices, cs_point_set
 from qmcnet.errors import InvalidParams, SizeOverflow
@@ -522,3 +524,74 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
     assert qmcnet.__version__ == declared.group(1)
+
+
+def test_main_calls_the_handler_the_module_binds(monkeypatch):
+    # a rebinding of cli.cmd_* (a monkeypatch, a tracer's wrapper) is the
+    # handler argparse dispatches to
+    seeds = []
+    monkeypatch.setattr(cli, "cmd_walsh_check", lambda args: seeds.append(args.seed) or 7)
+    assert run(["walsh-check", "--seed", "3"]) == 7
+    assert seeds == [3]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+def test_second_audit_in_a_process_reuses_freed_memory(python):
+    # the CLI keeps freed sweep temporaries in the heap, so a second audit of
+    # CS-11 in the same process faults in (almost) no fresh pages
+    out = python(
+        "import contextlib, io, json, resource\n"
+        "from qmcnet.cli import main\n"
+        "runs = []\n"
+        "for _ in range(2):\n"
+        "    text = io.StringIO()\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(text):\n"
+        "        rc = main(['audit', '--base', '11', '--dim', '2', '--w', '1'])\n"
+        "    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "    runs.append([rc, faults, text.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    ).stdout
+    (rc1, _, text1), (rc2, faults, text2) = json.loads(out)
+    assert rc1 == rc2 == 0 and text1 == text2
+    assert faults < 1000
+
+
+NORM_ARGV = ["norm", "--base", "3", "--dim", "1", "--w", "2"]
+
+
+@pytest.mark.parametrize("fallback", ["other libc", "no symbol lookup"])
+def test_allocator_policy_falls_back_silently(monkeypatch, capsys, fallback):
+    assert run(NORM_ARGV) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_allocator_set", False)
+    if fallback == "other libc":
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("musl", "1.2"))
+    else:
+
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert run(NORM_ARGV) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_allocator_policy_is_set_once_per_process(monkeypatch):
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None  # the process's own symbols, no library search
+
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli, "_allocator_set", False)
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(ctypes, "CDLL", Libc)
+    for _ in range(3):
+        assert run(NORM_ARGV) == 0
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD at glibc's dynamic ceiling
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]

@@ -2,8 +2,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -608,24 +606,11 @@ def test_a_dead_worker_is_a_size_overflow_naming_its_size(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-        timeout=120,
-    )
-
-
-def test_pooled_scaling_prints_pending_output_once():
+def test_pooled_scaling_prints_pending_output_once(python):
     # a forked worker flushes its copy of the parent's stdout buffer on exit,
     # so the buffer must be flushed before each fork (multiprocessing's fork
     # start method does so)
-    out = _python(
+    out = python(
         "import sys\n"
         "from qmcnet import norms\n"
         "from qmcnet.families import hammersley\n"
@@ -637,8 +622,8 @@ def test_pooled_scaling_prints_pending_output_once():
     assert out == "x"
 
 
-def test_cli_import_loads_no_process_pool():
-    out = _python(
+def test_cli_import_loads_no_process_pool(python):
+    out = python(
         "import sys, qmcnet.cli\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
     ).stdout
