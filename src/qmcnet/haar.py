@@ -26,19 +26,26 @@ tensor, w = prod (b^n - k_i) over level -1 and M = N b^(nd).  One kernel
 A_m = sum w (x)_i G_i of every box from the running sums at its sub-cell
 bounds: the last coordinate's G is linear in k_d within each sub-cell, so a
 box's sums are differences of the running sums, as in a summed-area table
-(Crow, SIGGRAPH 1984), and no per-row product is formed.  They are exact
-(int64 where M proves it, else Python ints).  A level's p = 2 mass
-sum_(m,l) |mu_jml|^2 follows from them by Plancherel on Z_b^s as a
-`Fraction` (`LevelAggregate.mass`), so Parseval's ||D_P||_2^2 is exact.
-The float coefficients mu (`LevelAggregate.mu_blocks`, which the audit and
-Besov at p != 2 read through `sups` and `mass`) are on a level with a
-multi-point box the DFT of A less the volume, taken off in integers, so the
-DFT is their only rounding; on a level of single-point boxes they are each
-row's product of DFT factors less the volume, the only place per-row data
-are built.  There, with every coordinate active, a row's mu depends on its
-offsets in its box alone, so `sups` reads mu once per offset tuple that
-occurs when that is cheaper.  The box tensors are real, so mu at b - l is
-the conjugate of mu at l: mu is computed at one l-combination of each pair.
+(Crow, SIGGRAPH 1984), and no per-row product is formed.  It fills them
+over blocks of whole boxes, about `_BOX_ENTRIES` sub-cell slots times the
+head's width each, so beside the running sums a level holds its box sums
+and one block of scratch.  They are exact (int64 where M proves it, else
+Python ints).  A level's p = 2 mass sum_(m,l) |mu_jml|^2 follows from them
+by Plancherel on Z_b^s as a `Fraction` (`LevelAggregate.mass`), so
+Parseval's ||D_P||_2^2 is exact.  The float coefficients mu
+(`LevelAggregate.mu_blocks`, which the audit and Besov at p != 2 read
+through `sups` and `mass`) are on a level with a multi-point box the DFT of
+A less the volume, taken off in integers, so the DFT is their only
+rounding; on a level of single-point boxes they are each row's product of
+DFT factors less the volume.  A coordinate's factor depends on the row's
+offset in its box alone, so where there are fewer offsets than rows it is
+read from a table with one row per offset, through each row's offset;
+elsewhere a row's factor is its own row, so no table outgrows the rows it
+serves (`Offsets.dft`).  There,
+with every coordinate active, a row's mu depends on its offsets alone, so
+`sups` reads mu once per offset tuple that occurs when that is cheaper.
+The box tensors are real, so mu at b - l is the conjugate of mu at l: mu
+is computed at one l-combination of each pair.
 One reduction (`_qsum`) turns the float level masses into sum_j Xi_j^q plus
 the exact tail: its q-th root is the Besov quasi-norm.
 
@@ -158,6 +165,7 @@ def indicator_coeff(z: Point, idx: HaarIndex, b: int) -> complex:
 
 _MU_ENTRIES = 2**16  # rows times l-combinations per `mu_blocks` block of a single-point level
 _SUM_ENTRIES = 2**16  # points times coordinate levels per block of `_single_point_masses`
+_BOX_ENTRIES = 2**16  # boxes times b times the prefix's width per block of `box_sums`
 
 
 def _int_dtype(bound: int):
@@ -219,17 +227,30 @@ class Offsets:
         out = np.where(h > k, -rem[:, None], np.where(h == k, diag, 0))
         return np.take(out, at, axis=0) if table else out  # take: 4x out[at] on 2-d
 
-    def dft(self, rows: np.ndarray) -> np.ndarray:
-        """The DFT factors G @ `_helmert_dft` of `rows`, (len(rows), b-1)
-        complex.  With fewer offsets than rows the table of `helmert` is made
-        complex before it is looked up, so no int64 G of every row is alive
-        beside the complex copy the matmul reads; it reads the same complex
-        array either way."""
+    def dft(self, rows: np.ndarray) -> Factors:
+        """The DFT factors G @ `_helmert_dft` of `rows`.  With fewer offsets
+        b sub than rows, a table of one row per offset, one matmul over
+        every offset, and each row's rem, so no per-row factor is kept; else
+        helmert(rows) @ T, one row per row.  A table row has the bits of the
+        same row in any matmul of 2 or more rows."""
+        T = _helmert_dft(self.b)
         if self.b * self.sub >= len(rows):
-            return self.helmert(rows) @ _helmert_dft(self.b)
+            return Factors(self.helmert(rows) @ T)
         every = np.arange(self.b * self.sub)
-        table = Offsets(self.b, every, self.sub).helmert(every).astype(complex)
-        return np.take(table, self.rem[rows], axis=0) @ _helmert_dft(self.b)
+        return Factors(Offsets(self.b, every, self.sub).helmert(every) @ T, self.rem[rows])
+
+
+@dataclass(frozen=True)
+class Factors:
+    """One coordinate's DFT factors of some rows, (len(rows), b-1) complex
+    when read as F[rows]: rows `at[rows]` of a per-offset `table`, or, with
+    `at` None, rows `rows` of a per-row one (`Offsets.dft`)."""
+
+    table: np.ndarray
+    at: Optional[np.ndarray] = None
+
+    def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:
+        return self.table[rows] if self.at is None else np.take(self.table, self.at[rows], axis=0)
 
 
 def _offsets(k: np.ndarray, b: int, n: int, ji: int) -> tuple[np.ndarray, Offsets]:
@@ -282,9 +303,10 @@ class LevelPrefix:
         return np.repeat(firsts[1:].astype(np.int32), np.diff(firsts))
 
     @functools.cached_property
-    def dft(self) -> list[np.ndarray]:
-        """The DFT factors G @ T of each active head coordinate's G per row,
-        built when a level of single-point boxes first reads mu."""
+    def dft(self) -> list[Factors]:
+        """The DFT factors G @ T of each active head coordinate over the rows
+        (`Offsets.dft`), built when a level of single-point boxes first reads
+        mu."""
         p, rows = self.p, np.arange(self.rows)
         return [_offsets(p.numerators[self.idx, i], p.b, p.n, ji)[1].dft(rows)
                 for i, ji in enumerate(self.head) if ji >= 0]
@@ -394,9 +416,9 @@ class LevelAggregate:
     `mu_blocks`; the latter yields mu of the occupied boxes at one
     l-combination of each conjugate pair (`columns`), read outside only
     through `sups` and `mass`; the empty boxes all carry mu = -volume.  The
-    per-row fields `sel`, `base` and `last` are built only where mu is read
-    row by row, on a level of single-point boxes (`_terms`): never by
-    `mass(2)`.
+    fields `sel`, `base` and `last` (the last coordinate's DFT factors) are
+    built only where mu is read row by row, on a level of single-point boxes
+    (`_terms`): never by `mass(2)`.
     """
 
     j: tuple[int, ...]
@@ -448,7 +470,8 @@ class LevelAggregate:
             return np.zeros(0, dtype=np.intp)
         if jd < 0:
             return np.arange(self.prefix.rows)
-        return np.flatnonzero(self.prefix.k_d % self.b ** (n - jd))
+        k_d, width = self.prefix.k_d, self.b ** (n - jd)
+        return np.flatnonzero(k_d // width * width != k_d)  # k_d % width, without numpy's slow int64 %
 
     @functools.cached_property
     def base(self) -> np.ndarray:
@@ -463,9 +486,9 @@ class LevelAggregate:
         return weight.astype(float) / float(self.scale)
 
     @functools.cached_property
-    def last(self) -> list[np.ndarray]:
-        """[the DFT factors G @ T of the last coordinate per row of `sel`]
-        if j_d is active, else []."""
+    def last(self) -> list[Factors]:
+        """[the DFT factors G @ T of the last coordinate over the rows of
+        `sel` (`Offsets.dft`)] if j_d is active, else []."""
         jd = self.j[-1]
         if jd < 0:
             return []
@@ -492,6 +515,14 @@ class LevelAggregate:
         M = N b^(nd): int64 where M proves it; k times the sum of P rem
         could reach b M and is never formed.  A box's rows on its left edge
         have rem = 0 and add nothing.
+
+        The result is allocated once and filled over blocks of whole boxes,
+        whose sub-cells are contiguous in prefix order: b slots per box
+        times the width, about `_BOX_ENTRIES` per block, hold the block's
+        dense sums, so no intermediate spans the level.  Where some box
+        holds edge rows alone the result is box-major, the layout selecting
+        the occupied boxes of a whole level gave it, as the rounding of
+        `mu_blocks` follows it.
         """
         b, prefix, jd = self.b, self.prefix, self.j[-1]
         C = prefix.sums
@@ -502,35 +533,56 @@ class LevelAggregate:
             S = C[:, :, self.cuts[1:]] - C[:, :, self.cuts[:-1]]  # (2, width, boxes)
             return S[0] * D - S[1]
         sub = b ** (prefix.p.n - jd - 1)
-        first = np.flatnonzero(prefix.split[:-1] <= jd)  # each sub-cell's first row
-        k_first = prefix.k_d[first]
-        at = np.cumsum(prefix.split[first] < jd)  # its box, then its column
-        first = np.append(first, prefix.rows)
-        S0, S1 = (np.diff(np.take(Ci, first, axis=1), axis=1) for Ci in C)
-        del first
-        k = (k_first // sub % b).astype(np.intp, copy=False)  # its sub-cell's place in its box
-        at -= 1
-        at += k * boxes
-        k_first -= k_first % (b * sub)  # m b sub
-        S1 -= k_first * S0  # the sum of P rem
-        del k_first
-        S0 *= (k + 1) * sub
-        S0 = np.subtract(S1, S0, out=S0)  # the sum of P (rem - (k+1) sub)
-        S0 *= k
-        del k
-        Q = np.zeros((width, b * boxes), dtype=C.dtype)
-        Q[:, at] = S1
-        del S1
-        A = np.zeros((width, b * boxes), dtype=C.dtype)
-        A[:, at] = S0
-        del S0, at
-        Q, A = Q.reshape(width, b, boxes), A.reshape(width, b, boxes)
-        for h in range(1, b - 1):  # the running sum of Q over the sub-cells k <= h
-            Q[:, h] += Q[:, h - 1]
-        A = A[:, 1:] - Q[:, :-1]
-        if self.occupied < boxes:  # boxes of edge rows alone
-            A = A[:, :, self.interior > 0]
-        return A.reshape(-1, self.occupied)
+        if self.occupied < boxes:  # box-major, as selecting the occupied boxes made it; mu's rounding follows
+            out = np.empty((self.occupied, width, b - 1), dtype=C.dtype).transpose(1, 2, 0)
+        else:
+            out = np.empty((width, b - 1, self.occupied), dtype=C.dtype)
+        step = max(1, _BOX_ENTRIES // (b * width))  # boxes per block, of b sub-cells at most
+        done = 0  # occupied boxes filled
+        for box in range(0, boxes, step):
+            nb = min(step, boxes - box)
+            r0, r1 = self.cuts[box], self.cuts[box + nb]
+            # each sub-cell's first row, then r1, where the next box or the prefix's end has split < 0 <= jd
+            first = np.flatnonzero(prefix.split[r0 : r1 + 1] <= jd)
+            first += r0
+            S0, S1 = (np.diff(np.take(Ci, first, axis=1), axis=1) for Ci in C)
+            starts = prefix.split[first[:-1]] < jd  # where a box starts
+            k = prefix.k_d[first[:-1]]
+            del first
+            k //= sub  # m b + k, m its box's index and k its place in the box
+            mbs = k // b
+            mbs *= b
+            k -= mbs
+            mbs *= sub  # m b sub
+            S1 -= mbs * S0  # the sum of P rem
+            del mbs
+            S0 *= (k + 1) * sub
+            S0 = np.subtract(S1, S0, out=S0)  # the sum of P (rem - (k+1) sub)
+            S0 *= k
+            at = np.cumsum(starts)  # its box in the block, from 1
+            del starts
+            at -= 1
+            k *= nb
+            at += k  # then its place in (b, nb)
+            del k
+            Q = np.zeros((width, b * nb), dtype=C.dtype)
+            Q[:, at] = S1
+            del S1
+            A = np.zeros((width, b * nb), dtype=C.dtype)
+            A[:, at] = S0
+            del S0, at
+            Q, A = Q.reshape(width, b, nb), A.reshape(width, b, nb)
+            for h in range(1, b - 1):  # the running sum of Q over the sub-cells k <= h
+                Q[:, h] += Q[:, h - 1]
+            occupied = self.interior[box : box + nb] > 0  # else a box of edge rows alone
+            fill = int(occupied.sum())
+            if fill == nb:
+                np.subtract(A[:, 1:], Q[:, :-1], out=out[:, :, done : done + nb])
+            else:
+                out[:, :, done : done + fill] = (A[:, 1:] - Q[:, :-1])[:, :, occupied]
+            del Q, A
+            done += fill
+        return out.reshape(-1, self.occupied)
 
     def mu_blocks(self) -> Iterator[np.ndarray]:
         """mu of the occupied boxes in box order at the leading `columns`
@@ -542,14 +594,18 @@ class LevelAggregate:
         volume, X = (A - V / g) / M in the units of G, with V / g =
         (-1)^s M gamma (x)_i h_i (h_i + 1) (`_exact_mass`), is taken in
         integers as A - floor(V / g), then its float less the fraction of
-        V / g and over M, and contracted with `_helmert_dft` along every
-        axis by one matmul each.  So a level of zero mass has mu exactly 0,
-        and the DFT is mu's only rounding beyond X's.  When every box holds
+        V / g and over M, all in one float array, and contracted with
+        `_helmert_dft` along every axis by one matmul each, the first as two
+        real matmuls written into one complex array.  Splitting this DFT
+        into blocks of boxes would change its bits, and so does the memory
+        layout of the first matmul's operand, which follows the box sums'.
+        So a level of zero mass has mu exactly 0, and the DFT is mu's only
+        rounding beyond X's.  When every box holds
         one point, mu is each row's `_terms` product of DFT factors G @ T
         less the volume, in blocks of about `_MU_ENTRIES` rows times
-        l-combinations; the factors are built once per prefix or level,
-        never per block, as `@` rounds a row by its batch.  So mu has the
-        same bits at any block size.
+        l-combinations; the factors (`Offsets.dft`) are built once per
+        prefix or level, never per block, as `@` rounds a row of a one-row
+        batch differently.  So mu has the same bits at any block size.
         """
         b, s = self.b, self.s
         if s == 0:
@@ -566,11 +622,19 @@ class LevelAggregate:
         g = b ** (2 * self.total_level + 2 * s) * 2 ** len(self.j)  # 1 / gamma
         V = _tensor(np.arange(1, b, dtype=object) * np.arange(2, b + 1), s) * ((-1) ** s * self.scale)
         dtype = _int_dtype(2 * self.scale)  # |A - floor(V / g)| < 2 M
-        X = (self.box_sums.astype(dtype, copy=False) - (V // g).astype(dtype)[:, None]).astype(float)
-        X = (X - np.array([(v % g) / g for v in V])[:, None]) / float(self.scale)  # int / int rounds once
-        # the first axis at its leading `lead` l, by two real matmuls
+        A = self.box_sums.astype(dtype, copy=False)
+        X = np.empty_like(A, dtype=float)  # in A's layout, which the first matmul's rounding follows
+        np.subtract(A, (V // g).astype(dtype)[:, None], out=X, casting="unsafe")  # in integers, then rounded
+        del A
+        X -= np.array([(v % g) / g for v in V])[:, None]  # int / int rounds once
+        X /= float(self.scale)
+        # the first axis at its leading `lead` l, by two real matmuls into one complex array
         X = X.reshape(b - 1, -1).T
-        X = X @ T[:, :lead].real + 1j * (X @ T[:, :lead].imag)
+        Y = np.empty((len(X), lead), dtype=complex)
+        Y.real = X @ T[:, :lead].real
+        Y.imag = X @ T[:, :lead].imag
+        X = Y
+        del Y
         for _ in range(s - 1):  # each matmul moves the axis it transforms to the end
             X = X.reshape(b - 1, -1).T @ T
         yield X.reshape(self.occupied, self.columns)
@@ -604,7 +668,9 @@ class LevelAggregate:
         for i, ji in enumerate(self.j):
             width = self.b ** (p.n - ji)
             key *= width
-            key += p.numerators[at, i] % width
+            k = p.numerators[at, i]
+            key += k
+            key -= k // width * width  # k % width
         first = np.empty(tuples, dtype=np.intp)
         first[key[::-1]] = np.arange(rows - 1, -1, -1)  # the last write, the first row, stays
         return np.flatnonzero(first[key] == np.arange(rows))
@@ -633,7 +699,7 @@ class LevelAggregate:
         On a level of single-point boxes with every coordinate active, w = 1
         and mu depends on the offsets (rem_1, ..., rem_d) alone; where that
         is cheaper, `_terms` runs on the first row of each offset tuple
-        alone (`_tuple_rows`).  Those rows read the same per-row factors as
+        alone (`_tuple_rows`).  Those rows read the same factors as
         `mu_blocks`, so the sup keeps its bits.  `mass` at p != inf reads
         every row."""
         rows = self._tuple_rows()
@@ -655,8 +721,10 @@ class LevelAggregate:
         """
         if p == 2:
             A = self.box_sums
-            squares = A.astype(_int_dtype(int(np.abs(A).max(initial=0)) ** 2 * A.shape[1])) ** 2
-            sq = np.dot(squares.sum(axis=1).astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
+            top = max(-int(A.min(initial=0)), int(A.max(initial=0)))
+            A = A.astype(_int_dtype(top**2 * A.shape[1]), copy=False)
+            squares = np.einsum("ij,ij->i", A, A)  # each row's sum of squares, with no squared copy
+            sq = np.dot(squares.astype(object), _tensor(_helmert_weights(self.b)[1], self.s))
             return _exact_mass(self.b, self.j, self.scale, int(sq), sum(A.sum(axis=1).tolist()))
         if math.isinf(p):
             return max(self.sups())
@@ -691,7 +759,8 @@ def level_aggregate(p: PointSet, j: Sequence[int], prefix: LevelPrefix) -> Level
         cuts = np.flatnonzero(prefix.split < max(jd, 0))
         starts = cuts[:-1]
         if jd >= 0:  # past the rows with the first row's k_d, when that is the left edge
-            starts = np.where(prefix.k_d[starts] % b ** (n - jd) == 0, prefix.group_end[starts], starts)
+            k, width = prefix.k_d[starts], b ** (n - jd)
+            starts = np.where(k // width * width == k, prefix.group_end[starts], starts)
         interior = cuts[1:] - starts
     scale = max(p.size, 1) * p.denominator**p.d  # no rows at N = 0
     return LevelAggregate(j, b, l_combos, float(b) ** total_level, vol, scale, prefix, cuts, interior)

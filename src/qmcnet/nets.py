@@ -135,8 +135,10 @@ class PointSet:
         out = np.empty((d * n, self.size), dtype=np.float32 if top < 2**24 else np.float64)
         for i in range(d):
             k = self.numerators[:, i]
-            for nu in range(n - 1, -1, -1):
-                k, out[i * n + nu] = np.divmod(k, b)
+            for nu in range(n - 1, -1, -1):  # // and a multiply-subtract: numpy's int64 divmod is slower
+                q = k // b
+                out[i * n + nu] = k - q * b
+                k = q
         out.flags.writeable = False
         return out
 
@@ -382,8 +384,9 @@ def _write_pointset(p: PointSet, fh) -> None:
         text = np.empty((values.size, width + 1), dtype=np.uint8)
         rest = values
         for col in range(width - 1, -1, -1):
-            rest, digit = np.divmod(rest, 10)
-            text[:, col] = digit + ord("0")
+            q = rest // 10  # // and a multiply-subtract: numpy's int64 divmod is slower
+            text[:, col] = rest - q * 10 + ord("0")
+            rest = q
         text[:, width] = ord(" ")
         text[p.d - 1 :: p.d, width] = ord("\n")
         digits = np.searchsorted(_POW10, values, side="right") + 1

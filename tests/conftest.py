@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -38,5 +39,21 @@ def python():
             check=True,
             timeout=120,
         )
+
+    return run
+
+
+@pytest.fixture
+def peak_bytes():
+    """peak_bytes(fn, *args) calls fn(*args) under tracemalloc and returns the
+    peak of the memory traced meanwhile, in bytes."""
+
+    def run(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     return run

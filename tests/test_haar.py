@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +265,20 @@ def test_box_sums_match_the_per_row_product(cs11_oracle, repeated_and_grid_oracl
     cs, refs = cs11_oracle
     checked += _assert_box_sums_match(cs, list(refs), lambda p, j: refs[j])
     assert checked == sum((n + 2) ** 2 for n in range(1, 9)) + 12**2 + 6 + 4**3 + 4 * (5 + 5**2 + 5**3) + 25
+
+
+@pytest.mark.parametrize("entries", [1, 40])
+def test_box_sums_block_by_block_match_the_oracle(entries, monkeypatch, repeated_and_grid_oracle):
+    # with one box per block, or a few, every level with two boxes or more
+    # takes several blocks, some of them holding boxes of edge rows alone,
+    # in int64 and in Python ints
+    monkeypatch.setattr("qmcnet.haar._BOX_ENTRIES", entries)
+    for p, refs in repeated_and_grid_oracle:
+        _assert_box_sums_match(p, list(refs), lambda p, j: refs[j])
+    p = PointSet(3, 21, 2, np.random.default_rng(3).integers(0, 3**21, size=(20, 2)))
+    _assert_box_sums_match(p, list(levels_up_to(p.n, 2)), None)
+    p = cs_point_set(CSParams(b=3, d=1, w=2))
+    _assert_box_sums_match(p, list(levels_up_to(p.n, p.d)))
 
 
 def test_box_sums_past_int64():
@@ -968,7 +981,7 @@ def test_single_point_levels_stay_single_point_deeper(repeated_and_grid_oracle):
             single[head] = one_point
 
 
-def test_p2_norms_memory_stays_that_of_the_sweep():
+def test_p2_norms_memory_stays_that_of_the_sweep(peak_bytes):
     # the contraction's factors are built in blocks of `_SUM_ENTRIES` points
     # times coordinate levels
     # after the sweep has dropped its last level: on balanced Hammersley
@@ -977,13 +990,7 @@ def test_p2_norms_memory_stays_that_of_the_sweep():
     # Whole (N, n + 1) factor tables would peak at several times that.
     p = balanced_hammersley(14)
     haar_norms(p, PARSEVAL)  # caches built
-    tracemalloc.start()
-    try:
-        haar_norms(p, PARSEVAL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * p.numerators.nbytes
+    assert peak_bytes(haar_norms, p, PARSEVAL) <= 8 * p.numerators.nbytes
 
 
 def test_norms_of_no_points_are_those_of_the_volume():
@@ -1147,23 +1154,74 @@ def test_point_factors_closed_form_past_int64():
         assert max(got[0].ravel()) >= 2**63
 
 
+def _whole_level_mu(agg):
+    """mu of a level with a multi-point box in the whole-level form: X =
+    (A - floor(V / g)) as floats, less the fraction of V / g, over M; then
+    X @ Re T + 1j (X @ Im T) along the first axis and X @ T along the rest,
+    every step a new array in the layout numpy gives it."""
+    b, s = agg.b, agg.s
+    T = _helmert_dft(b)
+    lead = agg.columns // (b - 1) ** (s - 1)
+    g = b ** (2 * agg.total_level + 2 * s) * 2 ** len(agg.j)
+    V = [(-1) ** s * agg.scale * math.prod(h * (h + 1) for h in hs)
+         for hs in itertools.product(range(1, b), repeat=s)]
+    dtype = np.int64 if 2 * agg.scale < 2**63 else object
+    floor = np.array([v // g for v in V], dtype=dtype)[:, None]
+    X = (agg.box_sums.astype(dtype, copy=False) - floor).astype(float)
+    X = (X - np.array([(v % g) / g for v in V])[:, None]) / float(agg.scale)
+    X = X.reshape(b - 1, -1).T
+    X = X @ T[:, :lead].real + 1j * (X @ T[:, :lead].imag)
+    for _ in range(s - 1):
+        X = X.reshape(b - 1, -1).T @ T
+    return X.reshape(agg.occupied, agg.columns)
+
+
+def test_multi_point_mu_keeps_the_bits_of_the_whole_level_dft(repeated_and_grid_oracle):
+    # `mu_blocks` forms a multi-point level's X in place and writes the two
+    # real matmuls into one complex array: mu equals the whole-level form
+    # to the last bit (signed zeros aside).  The first matmul rounds by its
+    # operand's memory layout, which follows the box sums': they are
+    # box-major at j_d = -1 and where some box holds edge rows alone, and
+    # box-minor elsewhere, as before they were filled block by block, so mu
+    # keeps its bits on levels of both kinds
+    rng = np.random.default_rng(5)
+    sets = [p for p, _ in repeated_and_grid_oracle] + [cs_point_set(CSParams(b=11, d=2, w=1))]
+    for b, n, size in [(3, 6, 500), (19, 6, 200)]:
+        sets.append(PointSet(b, n, 2, rng.integers(0, b**n, size=(size, 2))))
+    layouts = set()
+    for p in sets:
+        for agg in haar_levels(p):
+            if agg.s == 0 or agg.counts.max(initial=0) <= 1:
+                continue
+            box_major = agg.j[-1] < 0 or agg.occupied < agg.interior.size
+            assert agg.box_sums.flags["F_CONTIGUOUS" if box_major else "C_CONTIGUOUS"], (p.b, agg.j)
+            assert np.array_equal(joined_mu_blocks(agg), _whole_level_mu(agg)), (p.b, p.n, agg.j)
+            layouts.add((box_major, agg.s))
+    assert layouts >= {(True, 1), (False, 1), (True, 2), (False, 2)}
+
+
 def test_dft_factors_keep_the_bits_of_the_helmert_matmul():
-    # `Offsets.dft` looks its rows up in a complex table where there are
-    # fewer offsets than rows: the matmul reads the same complex array as
-    # helmert(rows) @ T, so every factor keeps its bits, on both branches:
+    # `Offsets.dft` keeps one table row per offset where there are fewer
+    # offsets b sub than rows, else one row per row, never a table larger
+    # than the rows it serves; rows gathered from it have the bits of
+    # helmert(rows) @ T in every batch of 2 or more rows, on both branches:
     # each level of both coordinates of CS-11 and of seeded sets at
-    # b in {2, 3, 5, 19}, at all rows and at a few
+    # b in {2, 3, 5, 7, 19}, at all rows, at 7 and at 2
     cs = cs_point_set(CSParams(b=11, d=2, w=1))
     rng = np.random.default_rng(6)
     sets = [cs] + [PointSet(b, n, 2, rng.integers(0, b**n, size=(3000, 2)))
-                   for b, n in [(2, 12), (3, 7), (5, 5), (19, 3)]]
+                   for b, n in [(2, 12), (3, 7), (5, 5), (7, 4), (19, 3)]]
     branches = set()
     for p in sets:
-        for i, ji, size in itertools.product(range(2), range(p.n), (p.size, 7)):
+        for i, ji, size in itertools.product(range(2), range(p.n), (p.size, 7, 2)):
             off = _offsets(p.numerators[:, i], p.b, p.n, ji)[1]
             rows = np.sort(rng.choice(p.size, size, replace=False))
-            got = off.dft(rows)
-            assert got.dtype == complex, (p.b, i, ji)
-            assert np.array_equal(got, off.helmert(rows) @ _helmert_dft(p.b)), (p.b, i, ji)
-            branches.add(p.b * off.sub < size)
+            F = off.dft(rows)
+            assert len(F.table) <= size, (p.b, i, ji, size)
+            for batch in (np.arange(size), slice(size - 2, size)):
+                got = F[batch]
+                assert got.dtype == complex, (p.b, i, ji)
+                want = off.helmert(rows[batch]) @ _helmert_dft(p.b)
+                assert np.array_equal(got, want), (p.b, i, ji, size)
+            branches.add(F.at is not None)
     assert branches == {True, False}

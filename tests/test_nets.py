@@ -1,6 +1,5 @@
 import io
 import itertools
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -70,16 +69,7 @@ def test_generate_points_block_by_block_matches_the_oracle(span_words, monkeypat
         assert np.array_equal(generate_points(g).numerators, digital_method_oracle(g))
 
 
-def traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_generation_and_loading_memory_is_a_few_numerator_arrays(tmp_path):
+def test_generation_and_loading_memory_is_a_few_numerator_arrays(tmp_path, peak_bytes):
     # digits are kept in one byte each, never as an (N, n) int64 array, and
     # generation holds one block of span words at a time, never an (N, d n)
     # word table (3.07 numerator arrays with it, 2.50 without)
@@ -87,8 +77,8 @@ def test_generation_and_loading_memory_is_a_few_numerator_arrays(tmp_path):
     p = generate_points(g)
     path = str(tmp_path / "h16.net")
     save_pointset(p, path)
-    assert traced_peak(generate_points, g) <= 2.75 * p.numerators.nbytes
-    assert traced_peak(load_pointset, path) <= 8 * p.numerators.nbytes
+    assert peak_bytes(generate_points, g) <= 2.75 * p.numerators.nbytes
+    assert peak_bytes(load_pointset, path) <= 8 * p.numerators.nbytes
 
 
 def test_hammersley_is_net():
@@ -248,7 +238,7 @@ def test_digit_table_is_built_on_first_char_sum_only(tmp_path, monkeypatch):
         (2**26 + 1, 1, 1, np.float64),  # 2^52, and b^n far above N
     ],
 )
-def test_char_sum_is_exact_on_both_sides_of_the_float32_bound(b, n, d, dtype):
+def test_char_sum_is_exact_on_both_sides_of_the_float32_bound(b, n, d, dtype, peak_bytes):
     # with 42 points the exponents take more values than there are points,
     # so the residues that occur are counted in memory O(N), never O(b): at
     # b = 2^26 + 1 a count per residue would take 537 MB
@@ -258,13 +248,8 @@ def test_char_sum_is_exact_on_both_sides_of_the_float32_bound(b, n, d, dtype):
     nums = np.concatenate([rng.integers(0, high, size=(40, d)), np.full((2, d), high - 1)])
     p = PointSet(b, n, d, nums)
     freqs = frequencies_with_zero_digits(b, n, d, rng)
-    tracemalloc.start()
-    try:
-        sums = [char_sum(p, t) for t in freqs]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    sums = []
+    assert peak_bytes(lambda: sums.extend(char_sum(p, t) for t in freqs)) < 2**20
     for t, got in zip(freqs, sums):
         assert got == char_sum_oracle(p, t), t
     assert p.digits.dtype == dtype

@@ -2,7 +2,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -393,37 +392,40 @@ def _largest_mu_bytes(p):
     return max(agg.occupied * len(agg.l_combos) * 16 for agg in haar_levels(p))
 
 
-def _peak_bytes(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_audit_keeps_one_level_alive():
+def test_audit_keeps_one_level_alive(peak_bytes):
     # the audit drops each level before the sweep builds the next one, so its
     # peak stays below two of the largest level's mu array
     p = cs_point_set(CSParams(b=11, d=2, w=1))
     largest = _largest_mu_bytes(p)
-    assert _peak_bytes(lambda: coeff_bound_audit(p)) <= 2 * largest
+    assert peak_bytes(coeff_bound_audit, p) <= 2 * largest
 
 
-def test_audit_and_besov_peak_below_the_largest_full_width_mu_array():
+def test_audit_and_besov_peak_below_the_largest_full_width_mu_array(peak_bytes):
     # mu is read at one l-combination of each conjugate pair, a level with a
     # multi-point box as one block, so neither peak reaches one level's mu
     # array at every l-combination (23 MB at CS-11; whole arrays peaked at
-    # 37 and 48 MB).  The box sums come from the prefix's running sums, with
-    # no per-row term array: the audit peaks at 10.88 MiB and Parseval at
-    # 6.27 MiB (15.09 and 15.08 MiB with one)
-    p = cs_point_set(CSParams(b=11, d=2, w=1))
-    largest = _largest_mu_bytes(p)
-    audit = _peak_bytes(lambda: coeff_bound_audit(p))
-    assert audit < largest
-    assert _peak_bytes(lambda: haar_norms(p, BesovParams(1.5, 3, 0.3))) < largest
-    assert audit <= 12 * 2**20
-    assert _peak_bytes(lambda: haar_norms(p, PARSEVAL)) <= 7 * 2**20
+    # 37 and 48 MB).  The sweep holds the prefix's running sums, one block
+    # of box sums and DFT factors per offset where there are fewer offsets
+    # than rows, and takes mu's DFT without whole-level copies: on fresh
+    # sets the audit, Besov and Parseval peak at 6.26, 6.24 and 5.34 MiB on
+    # CS-11 and 14.56, 14.53 and 10.12 MiB on CS-13 (9.94, 9.91, 6.36 and
+    # 22.76, 22.73, 14.58 MiB with per-row factors and whole-level box
+    # sums).  On 200 points at b = 19, n = 6 the factors of the levels
+    # j_i <= 4 stay per row, as their b^(6 - j_i) offsets outnumber the
+    # rows: a table of 19^3 offsets alone would take 2 MB, one of 19^6
+    # offsets 13.5 GB
+    MiB = 2**20
+    besov = lambda p: haar_norms(p, BesovParams(1.5, 3, 0.3))
+    parseval = lambda p: haar_norms(p, PARSEVAL)
+    cs = lambda b: cs_point_set(CSParams(b=b, d=2, w=1))
+    for b, bounds in [(11, (6.5, 6.5, 6.0)), (13, (15, 15, 11))]:
+        peaks = [peak_bytes(run, cs(b)) for run in (coeff_bound_audit, besov, parseval)]
+        assert all(peak <= bound * MiB for peak, bound in zip(peaks, bounds)), (b, peaks)
+        if b == 11:
+            assert max(peaks[:2]) < _largest_mu_bytes(cs(11))
+    sparse = lambda: PointSet(19, 6, 2, np.random.default_rng(0).integers(0, 19**6, size=(200, 2)))
+    assert peak_bytes(coeff_bound_audit, sparse()) <= 2.5 * MiB
+    assert peak_bytes(besov, sparse()) <= 2.5 * MiB
 
 
 def test_norms_read_mu_only_through_the_level_aggregate(monkeypatch):
