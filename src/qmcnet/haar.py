@@ -27,9 +27,9 @@ A_m = sum w (x)_i G_i of every box from the running sums at its sub-cell
 bounds: the last coordinate's G is linear in k_d within each sub-cell, so a
 box's sums are differences of the running sums, as in a summed-area table
 (Crow, SIGGRAPH 1984), and no per-row product is formed.  It fills them
-over blocks of whole boxes, about `_BOX_ENTRIES` sub-cell slots times the
-head's width each, so beside the running sums a level holds its box sums
-and one block of scratch.  They are exact (int64 where M proves it, else
+over blocks of whole boxes of about `_BOX_ENTRIES` entries each (b sub-cell
+slots per box times the head's width), so beside the running sums a level
+holds its box sums and one block of scratch.  They are exact (int64 where M proves it, else
 Python ints).  A level's p = 2 mass sum_(m,l) |mu_jml|^2 follows from them
 by Plancherel on Z_b^s as a `Fraction` (`LevelAggregate.mass`), so
 Parseval's ||D_P||_2^2 is exact.  The float coefficients mu
