@@ -183,8 +183,10 @@ def generate_points(g: GeneratingMatrices) -> PointSet:
     of every C_i; digit nu of coordinate i multiplies b**-(nu+1).  The span
     is never whole: with r = r_low + b^L r_high, b^L <= `_SPAN_WORDS`, row r
     is the sum mod b of row r_low of the low rows' span and row r_high of
-    the high rows' span, so each high word gives one block of b^L points,
-    packed into its rows of the numerators by Horner.
+    the high rows' span.  At b = 2 that sum is the XOR of the two rows'
+    numerators, so each span is Horner-packed once and one broadcast XOR
+    forms every point; at b > 2 each high word gives one block of b^L
+    points, added to the low span mod b and packed into its rows by Horner.
     """
     b, n, d = g.b, g.n, g.d
     if b**n > enum_limit():
@@ -194,17 +196,29 @@ def generate_points(g: GeneratingMatrices) -> PointSet:
     while low < n and b ** (low + 1) <= _SPAN_WORDS:
         low += 1
     low_words = block = enumerate_span(basis[:low], b)
+    high_words = enumerate_span(basis[low:], b)
+    if b == 2:
+        low_nums = _horner(low_words, b, n, np.zeros((len(low_words), d), dtype=np.int64))
+        high_nums = _horner(high_words, b, n, np.zeros((len(high_words), d), dtype=np.int64))
+        nums = np.bitwise_xor(low_nums[None], high_nums[:, None]).reshape(b**n, d)
+        return PointSet(b, n, d, nums)
     nums = np.zeros((b**n, d), dtype=np.int64)
-    for r_high, word in enumerate(enumerate_span(basis[low:], b)):
+    for r_high, word in enumerate(high_words):
         if r_high:  # high word 0 is the zero word: its block is the low span
             block = np.add(low_words, word, out=None if r_high == 1 else block)
             np.subtract(block, block.dtype.type(b), out=block, where=block >= b)
-        digits = block.reshape(len(block), d, n)
-        out = nums[r_high * len(block) : (r_high + 1) * len(block)]
-        for nu in range(n):  # Horner, most significant digit first
-            out *= b
-            out += digits[:, :, nu]
+        _horner(block, b, n, nums[r_high * len(block) : (r_high + 1) * len(block)])
     return PointSet(b, n, d, nums)
+
+
+def _horner(words: np.ndarray, b: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Pack digit words, rows of d blocks of n digits, most significant
+    first, into the zeroed (rows, d) numerators `out`, and return it."""
+    digits = words.reshape(out.shape + (n,))
+    for nu in range(n):
+        out *= b
+        out += digits[:, :, nu]
+    return out
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -229,10 +243,12 @@ def is_net(p: PointSet) -> NetCheck:
     """Exact (0,n,d)-net test: every b-adic box of volume b**-n holds one point.
 
     Checks all shapes (j_1..j_d) with sum j_i = n by digit-prefix bucketing
-    on the numerators; coarser boxes follow by aggregation.  With N = b^n
-    points, every box holds one point exactly when every box is hit, so each
-    shape marks one reused boolean array; the counts that name a witness box
-    are computed only for a failing shape.
+    on the numerators; coarser boxes follow by aggregation.  A shape's box
+    key starts as the quotient k_i // b^(n - j_i) of its first coordinate
+    with j_i > 0, and each later one multiplies it by b^(j_i) and adds its
+    own.  With N = b^n points, every box holds one point exactly when every
+    box is hit, so each shape marks one reused boolean array; the counts
+    that name a witness box are computed only for a failing shape.
     """
     b, n, d = p.b, p.n, p.d
     if p.size != b**n:
@@ -240,12 +256,16 @@ def is_net(p: PointSet) -> NetCheck:
     columns = p.numerators.T.copy()
     seen = np.empty(b**n, dtype=bool)
     for shape in compositions(n, d):
-        # box index of each point under this shape, mixed-radix packed
-        key = np.zeros(p.size, dtype=np.int64)
-        for column, j in zip(columns, shape):
-            if j:
-                key *= b**j
-                key += column // (b ** (n - j))
+        # the first quotient is a fresh array, so the in-place steps of the
+        # later coordinates never write to `columns`
+        active = [(column, j) for column, j in zip(columns, shape) if j]
+        if not active:  # n = 0: one box holds every point
+            key = np.zeros(p.size, dtype=np.int64)
+        else:
+            key = active[0][0] // (b ** (n - active[0][1]))
+        for column, j in active[1:]:
+            key *= b**j
+            key += column // (b ** (n - j))
         seen[:] = False
         seen[key] = True
         if seen.all():
@@ -367,14 +387,14 @@ def char_sum(p: PointSet, t: Sequence[int]) -> complex:
 
 _HEADER_RE = re.compile(r"^#qmcnet v1 b=(\d+) n=(\d+) d=(\d+) N=(\d+)\s*$")
 _WRITE_ROWS = 2**14  # rows per block of text
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # a value >= 10^k has more than k digits
 
 
 def _write_pointset(p: PointSet, fh) -> None:
     """Header, provenance, then one text per block of rows: each value's
     digits right-aligned in a fixed-width ASCII table with a separator
-    column (a newline after every d-th value), its leading zeros masked out
-    (digit counts by `searchsorted` on the powers of 10)."""
+    column (a newline after every d-th value), its leading zeros masked out:
+    the loop that takes the digits keeps a column where the quotient before
+    it is positive, and always keeps the units and separator columns."""
     fh.write(f"#qmcnet v1 b={p.b} n={p.n} d={p.d} N={p.size}\n")
     if p.provenance:
         fh.write(f"#provenance {json.dumps(p.provenance, sort_keys=True)}\n")
@@ -382,15 +402,16 @@ def _write_pointset(p: PointSet, fh) -> None:
         values = p.numerators[start : start + _WRITE_ROWS].ravel()
         width = len(str(values.max()))
         text = np.empty((values.size, width + 1), dtype=np.uint8)
+        keep = np.ones((values.size, width + 1), dtype=bool)
         rest = values
         for col in range(width - 1, -1, -1):
+            if col < width - 1:
+                np.greater(rest, 0, out=keep[:, col])
             q = rest // 10  # // and a multiply-subtract: numpy's int64 divmod is slower
             text[:, col] = rest - q * 10 + ord("0")
             rest = q
         text[:, width] = ord(" ")
         text[p.d - 1 :: p.d, width] = ord("\n")
-        digits = np.searchsorted(_POW10, values, side="right") + 1
-        keep = np.arange(width + 1) >= width - digits[:, None]
         fh.write(text[keep].tobytes().decode("ascii"))
 
 

@@ -51,7 +51,8 @@ def generators():
     yield cs_generating_matrices(CSParams(3, 1, 2))
     yield cs_generating_matrices(CSParams(11, 2, 1))
     rng = np.random.default_rng(3)
-    for b, n, d in [(2, 5, 1), (3, 3, 2), (5, 2, 3), (2, 4, 3), (2, 0, 2)]:
+    # (2, 16, 3): at the default `_SPAN_WORDS` of 2^14, 4 high words
+    for b, n, d in [(2, 5, 1), (3, 3, 2), (5, 2, 3), (2, 4, 3), (2, 0, 2), (2, 16, 3)]:
         yield GeneratingMatrices(b, n, d, rng.integers(0, b, size=(d, n, n)))
 
 
@@ -391,7 +392,8 @@ def test_netfile_writer_matches_row_by_row_oracle():
 
 def test_netfile_writer_matches_the_oracle_across_blocks(monkeypatch):
     # blocks of 7 rows, the last one partial, of values with 1 to 5 digits
-    # and zeros among them, so that blocks differ in their digit width
+    # and zeros among them, so that blocks differ in their digit width; and
+    # values of every width from 1 to 19 digits, each 10^k - 1 beside 10^k
     monkeypatch.setattr(nets, "_WRITE_ROWS", 7)
     rng = np.random.default_rng(11)
     sets = [cs_point_set(CSParams(11, 2, 1))]
@@ -399,6 +401,10 @@ def test_netfile_writer_matches_the_oracle_across_blocks(monkeypatch):
         nums = rng.integers(0, 10 ** rng.integers(1, 6, size=(45, d)))
         nums[::9] = 0
         sets.append(PointSet(11, 5, d, nums))
+    widths = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)] + [2**62 - 1]
+    for d in (1, 3):
+        nums = np.array(widths * d, dtype=np.int64).reshape(-1, d)
+        sets.append(PointSet(2, 62, d, nums))
     for ps in sets:
         new, old = io.StringIO(), io.StringIO()
         save_pointset(ps, new)

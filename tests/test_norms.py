@@ -608,6 +608,25 @@ def test_a_dead_worker_is_a_size_overflow_naming_its_size(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_an_unpicklable_worker_exception_is_that_sizes_pickling_error(monkeypatch):
+    # size 4's exception holds a lambda, so its worker cannot send it back:
+    # the pool raises the pickling error in 4's place, ahead of 6's own
+    # error and not as a dead worker
+    def family(n):
+        if n == 4:
+            exc = InvalidParams("size 4 is invalid")
+            exc.hook = lambda: None
+            raise exc
+        if n == 6:
+            raise InvalidParams("size 6 is invalid")
+        return hammersley(n)
+
+    monkeypatch.setattr(norms, "_usable_cpus", lambda: 2)
+    with pytest.raises(AttributeError, match="^Can't pickle local object .*<lambda>"):
+        scaling_table(family, [3, 4, 5, 6], BesovParams(2, 2, 0.25))
+    assert multiprocessing.active_children() == []
+
+
 def test_pooled_scaling_prints_pending_output_once(python):
     # a forked worker flushes its copy of the parent's stdout buffer on exit,
     # so the buffer must be flushed before each fork (multiprocessing's fork
