@@ -15,7 +15,6 @@ from .cs import (
 )
 from .errors import (
     BaseTooSmall,
-    CapExceeded,
     InvalidParams,
     NetFileError,
     NonTerminatingExpansion,

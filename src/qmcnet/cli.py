@@ -17,7 +17,7 @@ import numpy as np
 
 from . import families as fam
 from .cs import CSParams, cs_code_space, cs_point_set, verify_dual_properties
-from .errors import CapExceeded, InvalidParams, QmcNetError, SizeOverflow
+from .errors import InvalidParams, QmcNetError, SizeOverflow
 from .haar import BesovParams, haar_norms
 from .nets import (
     GeneratingMatrices,
@@ -335,7 +335,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise InvalidParams(f"seed {args.seed} < 0")
         return args.func(args)
-    except (SizeOverflow, CapExceeded) as exc:
+    except SizeOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (QmcNetError, OSError) as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import BaseTooSmall, InvalidParams
 from .field import enumerate_span, gf_nullspace, gf_rank, require_prime
-from .nets import GeneratingMatrices, PointSet, generate_points
+from .nets import GeneratingMatrices, PointSet, as_integer, generate_points
 
 
 def default_betas(b: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -52,7 +51,10 @@ class CSParams:
                 f"need b >= 2d^2 = {2 * self.d * self.d}, got b = {self.b}"
             )
         betas = self.betas or default_betas(self.b, self.d)
-        betas = tuple(tuple(int(v) % self.b for v in row) for row in betas)
+        try:
+            betas = tuple(tuple(as_integer(v) % self.b for v in row) for row in betas)
+        except TypeError as exc:
+            raise InvalidParams(f"betas must be a matrix of integers: {exc}") from None
         if len(betas) != self.d or any(len(row) != 2 * self.d for row in betas):
             raise InvalidParams("betas must be a d x 2d matrix")
         flat = [v for row in betas for v in row]
@@ -74,7 +76,7 @@ class CSParams:
         """Parse `to_json` output; malformed input raises InvalidParams."""
         try:
             obj = json.loads(text)
-            b, d, w = (operator.index(obj[key]) for key in "bdw")
+            b, d, w = (as_integer(obj[key]) for key in "bdw")
             return cls(b, d, w, tuple(tuple(row) for row in obj.get("betas") or ()))
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidParams(f"bad CS params {text}: {exc!r}") from None

@@ -25,10 +25,6 @@ class NotPowerCardinality(QmcNetError):
     """Point set cardinality is not b**n where required."""
 
 
-class CapExceeded(QmcNetError):
-    """A level or truncation cap outside the configured bound."""
-
-
 class InvalidRange(InvalidParams):
     """Index arguments outside their admissible range."""
 

@@ -463,15 +463,10 @@ class LevelAggregate:
 
     @functools.cached_property
     def sel(self) -> np.ndarray:
-        """The interior rows in prefix order: on a level of single-point
-        boxes, one per occupied box."""
-        jd, n = self.j[-1], self.prefix.p.n
-        if jd >= n:  # the points sit on the level grid, none are interior
-            return np.zeros(0, dtype=np.intp)
-        if jd < 0:
-            return np.arange(self.prefix.rows)
-        k_d, width = self.prefix.k_d, self.b ** (n - jd)
-        return np.flatnonzero(k_d // width * width != k_d)  # k_d % width, without numpy's slow int64 %
+        """On a level of single-point boxes, the interior row of each
+        occupied box in prefix order: its last row, as its edge rows come
+        first.  Read only there."""
+        return self.cuts[1:][self.interior > 0] - 1
 
     @functools.cached_property
     def base(self) -> np.ndarray:
@@ -519,10 +514,7 @@ class LevelAggregate:
         The result is allocated once and filled over blocks of whole boxes,
         whose sub-cells are contiguous in prefix order: b slots per box
         times the width, about `_BOX_ENTRIES` per block, hold the block's
-        dense sums, so no intermediate spans the level.  Where some box
-        holds edge rows alone the result is box-major, the layout selecting
-        the occupied boxes of a whole level gave it, as the rounding of
-        `mu_blocks` follows it.
+        dense sums, so no intermediate spans the level.
         """
         b, prefix, jd = self.b, self.prefix, self.j[-1]
         C = prefix.sums
@@ -530,13 +522,10 @@ class LevelAggregate:
             return np.zeros(((b - 1) ** self.s, 0), dtype=C.dtype)
         D, boxes, width = prefix.p.denominator, self.interior.size, C.shape[1]
         if jd < 0:  # w holds b^n - k_d
-            S = C[:, :, self.cuts[1:]] - C[:, :, self.cuts[:-1]]  # (2, width, boxes)
-            return S[0] * D - S[1]
+            S0, S1 = np.diff(np.take(C, self.cuts, axis=2), axis=2)  # each (width, boxes)
+            return S0 * D - S1
         sub = b ** (prefix.p.n - jd - 1)
-        if self.occupied < boxes:  # box-major, as selecting the occupied boxes made it; mu's rounding follows
-            out = np.empty((self.occupied, width, b - 1), dtype=C.dtype).transpose(1, 2, 0)
-        else:
-            out = np.empty((width, b - 1, self.occupied), dtype=C.dtype)
+        out = np.empty((width, b - 1, self.occupied), dtype=C.dtype)
         step = max(1, _BOX_ENTRIES // (b * width))  # boxes per block, of b sub-cells at most
         done = 0  # occupied boxes filled
         for box in range(0, boxes, step):
@@ -597,13 +586,11 @@ class LevelAggregate:
         V / g and over M, all in one float array, and contracted with
         `_helmert_dft` along every axis by one matmul each, the first as two
         real matmuls written into one complex array.  Splitting this DFT
-        into blocks of boxes would change its bits, and so does the memory
-        layout of the first matmul's operand, which follows the box sums'.
-        So a level of zero mass has mu exactly 0, and the DFT is mu's only
-        rounding beyond X's.  When every box holds
-        one point, mu is each row's `_terms` product of DFT factors G @ T
-        less the volume, in blocks of about `_MU_ENTRIES` rows times
-        l-combinations; the factors (`Offsets.dft`) are built once per
+        into blocks of boxes would change its bits.  So a level of zero mass
+        has mu exactly 0, and the DFT is mu's only rounding beyond X's.  When
+        every box holds one point, mu is each row's `_terms` product of DFT
+        factors G @ T less the volume, in blocks of about `_MU_ENTRIES` rows
+        times l-combinations; the factors (`Offsets.dft`) are built once per
         prefix or level, never per block, as `@` rounds a row of a one-row
         batch differently.  So mu has the same bits at any block size.
         """
@@ -623,7 +610,7 @@ class LevelAggregate:
         V = _tensor(np.arange(1, b, dtype=object) * np.arange(2, b + 1), s) * ((-1) ** s * self.scale)
         dtype = _int_dtype(2 * self.scale)  # |A - floor(V / g)| < 2 M
         A = self.box_sums.astype(dtype, copy=False)
-        X = np.empty_like(A, dtype=float)  # in A's layout, which the first matmul's rounding follows
+        X = np.empty(A.shape)
         np.subtract(A, (V // g).astype(dtype)[:, None], out=X, casting="unsafe")  # in integers, then rounded
         del A
         X -= np.array([(v % g) / g for v in V])[:, None]  # int / int rounds once

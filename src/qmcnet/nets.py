@@ -22,6 +22,14 @@ from .errors import InvalidParams, NetFileError, NotPowerCardinality, SizeOverfl
 from .field import enum_limit, enumerate_span, gf_nullspace, require_prime
 
 
+def as_integer(value) -> int:
+    """`operator.index(value)`, which raises TypeError on a float (even 1.0)
+    or a string, and here on a bool too; `int` and numpy take all three."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratingMatrices:
     """d generating matrices, each n x n over F_b."""
@@ -62,12 +70,16 @@ class GeneratingMatrices:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratingMatrices":
-        """Parse `to_json` output; malformed input raises InvalidParams."""
+        """Parse `to_json` output; malformed input raises InvalidParams, as
+        does an entry that is not a JSON integer."""
         try:
             obj = json.loads(text)
-            b, n, d = (operator.index(obj[key]) for key in "bnd")
-            return cls(b, n, d, np.asarray(obj["matrices"]))
-        except (ValueError, KeyError, TypeError) as exc:
+            b, n, d = (as_integer(obj[key]) for key in "bnd")
+            mats = np.asarray(obj["matrices"], dtype=object)
+            for v in mats.flat:
+                as_integer(v)
+            return cls(b, n, d, mats)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidParams(f"bad generating-matrix JSON: {exc!r}") from None
 
 
@@ -91,6 +103,8 @@ class PointSet:
         )
 
     def __post_init__(self):
+        if self.b < 2:
+            raise InvalidParams(f"need base b >= 2, got b = {self.b}")
         nums = np.asarray(self.numerators, dtype=np.int64)
         if nums.ndim != 2 or nums.shape[1] != self.d:
             raise InvalidParams("numerators must have shape (N, d)")

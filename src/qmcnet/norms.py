@@ -11,12 +11,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParams, SizeOverflow
+from .errors import InvalidParams, SizeOverflow
 from .haar import BesovParams, haar_levels, haar_norms
 from .nets import PointSet
-
-#: Largest level cap `coeff_bound_audit` accepts; beyond it, CapExceeded.
-MAX_CAP = 64
 
 
 def disc_eval(p: PointSet, x: Sequence[Fraction]) -> Fraction:
@@ -213,13 +210,13 @@ def coeff_bound_audit(p: PointSet, cap: Optional[int] = None) -> AuditReport:
     its boxes of volume b^-|j| hold b^(n-|j|) points, or at most one when
     |j| >= n.  Regime (iv), the levels with some j_i >= n, is
     not swept: a point k / b^n lies on every such level's grid, so none is
-    interior there and mu = -volume by construction.
+    interior there and mu = -volume by construction.  So a cap past n - 1
+    costs nothing and changes only `cap` and `part_iv_levels_checked`; any
+    cap >= -1 is accepted.
     """
     b, n, d = p.b, p.n, p.d
     if cap is None:
         cap = min(2 * n, n + 2)
-    if cap > MAX_CAP:
-        raise CapExceeded(f"cap {cap} > {MAX_CAP}")
     if cap < -1:
         raise InvalidParams(f"cap {cap} < -1: the audit would sweep no level")
 

@@ -84,7 +84,8 @@ def test_generate_from_matrices(tmp_path):
     assert run(["verify", "--net", out]) == 1
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"b": 3}', "[1]", '{"b": 2.0, "n": 1, "d": 1}'])
+@pytest.mark.parametrize("text", ["{not json", '{"b": 3}', "[1]", '{"b": 2.0, "n": 1, "d": 1}',
+                                  '{"b": 2, "n": 1, "d": 1, "matrices": [[[1.5]]]}'])
 def test_generate_from_a_malformed_matrices_file_is_a_parameter_error(tmp_path, capsys, text):
     # exit 2 with a message, not a JSONDecodeError, KeyError or TypeError traceback
     mpath = tmp_path / "mats.json"
@@ -141,6 +142,7 @@ def test_verify_character_sums_fail_on_another_net(tmp_path, capsys):
         '{"kind": "cs"}',
         '{"kind": "cs", "params": {"b": "x", "d": 1, "w": 2}}',
         '{"kind": "cs", "params": {"b": 3, "d": 1, "w": 2, "betas": 5}}',
+        '{"kind": "cs", "params": {"b": 3, "d": 1, "w": 2, "betas": [[0, 1.5]]}}',
         "[1]",
         "3",
     ],
@@ -227,6 +229,17 @@ def test_verify_malformed_netfile_is_a_parameter_error(tmp_path, bad_line):
     assert run(["verify", "--net", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("text", ["#qmcnet v1 b=1 n=1 d=2 N=1\n0 0\n", "#qmcnet v1 b=0 n=0 d=1 N=1\n0\n"])
+@pytest.mark.parametrize("command", ["norm", "audit"])
+def test_a_netfile_of_base_below_two_is_a_parameter_error(tmp_path, capsys, command, text):
+    # norm raised a ZeroDivisionError and audit a zero-size ValueError, both
+    # exit 1, the verification-failure code
+    path = tmp_path / "small.net"
+    path.write_text(text)
+    assert run([command, "--net", str(path)]) == 2
+    assert "need base b >= 2" in capsys.readouterr().err
+
+
 def test_enumeration_limit_from_environment(monkeypatch):
     monkeypatch.setenv("QMCNET_LIMIT", "1000")
     # b^n = 11^4 points and an 11^4-word null space both exceed 1000
@@ -235,9 +248,17 @@ def test_enumeration_limit_from_environment(monkeypatch):
         dual_set(cs_generating_matrices(CSParams(11, 2, 1)))
 
 
-def test_audit_cap_resource_exit(tmp_path):
-    path = small_netfile(tmp_path)
-    assert run(["audit", "--net", path, "--cap", "100"]) == 3
+def test_audit_cap_past_the_grid_changes_only_the_cap_and_level_count(tmp_path, capsys):
+    # past n - 1 a cap adds only regime-(iv) levels, where no point is
+    # interior: every constant is the default cap's, and no cap is too large
+    path = small_netfile(tmp_path)  # b=3 d=1 n=4: default cap 6
+    assert run(["audit", "--net", path]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert run(["audit", "--net", path, "--cap", "100"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep.pop("cap"), rep.pop("part_iv_levels_checked")) == (100, 102 - 5)  # (cap + 2)^d - (n + 1)^d
+    assert (default.pop("cap"), default.pop("part_iv_levels_checked")) == (6, 8 - 5)
+    assert rep == default
 
 
 def test_norm_sweeps_each_level_once(monkeypatch):

@@ -53,6 +53,8 @@ def test_params_json_roundtrip():
         '{"b": 11.0, "d": 2, "w": 1}',
         '{"b": 11, "d": 2, "w": 1, "betas": 5}',
         '{"b": 11, "d": 2, "w": 1, "betas": [["x"]]}',
+        '{"b": 11, "d": true, "w": 1}',
+        '{"b": 11, "d": 2, "w": 1, "betas": [[0.5, 1, 2, 3], [4, 5, 6, "7"]]}',
     ],
 )
 def test_params_from_malformed_json_raise_invalid_params(text):

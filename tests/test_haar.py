@@ -299,8 +299,29 @@ def test_box_sums_past_int64():
 def test_level_aggregate_matches_oracle_on_repeated_and_grid_points(
     repeated_and_grid_oracle,
 ):
+    edge_only = 0
     for p, refs in repeated_and_grid_oracle:
         _assert_matches_oracle(p, refs, lambda p, j: refs[j])
+        # on a level of single-point boxes `sel` holds each box's last row:
+        # its interior point, one per box in box order, as the oracle's rule
+        # (k_i % b^(n - j_i) != 0 in every active coordinate) finds it
+        for j in refs:
+            agg = level_aggregate(p, j, level_prefix(p, j[:-1]))
+            if agg.counts.max(initial=0) > 1:
+                continue
+            interior, box = np.ones(p.size, dtype=bool), np.zeros(p.size, dtype=np.int64)
+            for i, ji in enumerate(j):
+                if ji >= p.n:
+                    interior[:] = False
+                elif ji >= 0:
+                    step = p.b ** (p.n - ji)
+                    interior &= p.numerators[:, i] % step != 0
+                    box = box * p.b**ji + p.numerators[:, i] // step
+            at = agg.prefix.idx[agg.sel]
+            assert np.array_equal(np.sort(at), np.flatnonzero(interior)), (p.b, p.d, j)
+            assert np.all(np.diff(box[at]) > 0), (p.b, p.d, j)
+            edge_only += agg.occupied < agg.interior.size
+    assert edge_only  # levels where some box holds edge rows alone
 
 
 def _small_sets(repeated_and_grid_oracle):
@@ -1181,23 +1202,21 @@ def test_multi_point_mu_keeps_the_bits_of_the_whole_level_dft(repeated_and_grid_
     # real matmuls into one complex array: mu equals the whole-level form
     # to the last bit (signed zeros aside).  The first matmul rounds by its
     # operand's memory layout, which follows the box sums': they are
-    # box-major at j_d = -1 and where some box holds edge rows alone, and
-    # box-minor elsewhere, as before they were filled block by block, so mu
-    # keeps its bits on levels of both kinds
+    # C-contiguous, boxes fastest, on every level, at j_d = -1 and where
+    # some box holds edge rows alone too
     rng = np.random.default_rng(5)
     sets = [p for p, _ in repeated_and_grid_oracle] + [cs_point_set(CSParams(b=11, d=2, w=1))]
     for b, n, size in [(3, 6, 500), (19, 6, 200)]:
         sets.append(PointSet(b, n, 2, rng.integers(0, b**n, size=(size, 2))))
-    layouts = set()
+    kinds = set()
     for p in sets:
         for agg in haar_levels(p):
             if agg.s == 0 or agg.counts.max(initial=0) <= 1:
                 continue
-            box_major = agg.j[-1] < 0 or agg.occupied < agg.interior.size
-            assert agg.box_sums.flags["F_CONTIGUOUS" if box_major else "C_CONTIGUOUS"], (p.b, agg.j)
+            assert agg.box_sums.flags["C_CONTIGUOUS"], (p.b, agg.j)
             assert np.array_equal(joined_mu_blocks(agg), _whole_level_mu(agg)), (p.b, p.n, agg.j)
-            layouts.add((box_major, agg.s))
-    assert layouts >= {(True, 1), (False, 1), (True, 2), (False, 2)}
+            kinds.add((agg.j[-1] < 0 or agg.occupied < agg.interior.size, agg.s))
+    assert kinds >= {(True, 1), (False, 1), (True, 2), (False, 2)}
 
 
 def test_dft_factors_keep_the_bits_of_the_helmert_matmul():

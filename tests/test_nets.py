@@ -358,7 +358,13 @@ def test_matrices_json_roundtrip():
 @pytest.mark.parametrize(
     "text",
     ["{not json", '{"b": 3}', "[1]", "3", '{"b": 2, "n": 1.0, "d": 1, "matrices": [[[1]]]}',
-     '{"b": 2, "n": 1, "d": 1, "matrices": [[[1], [0, 1]]]}'],
+     '{"b": 2, "n": 1, "d": 1, "matrices": [[[1], [0, 1]]]}',
+     '{"b": 2, "n": true, "d": 1, "matrices": [[[1]]]}',
+     '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, 1.5]]]}',
+     '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, "1"]]]}',
+     '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, true]]]}',
+     '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, 1e0]]]}',
+     '{"b": 2, "n": 1, "d": 1, "matrices": [[[18446744073709551616]]]}'],
 )
 def test_matrices_from_malformed_json_raise_invalid_params(text):
     with pytest.raises(InvalidParams):
