@@ -47,8 +47,6 @@ INTEGRANDS = {
     "product_monomial": (range(1, 6), lambda x, k: x**k, lambda k: 1.0 / (k + 1)),
     "product_cosine": (range(1, 6), lambda x, k: np.cos(np.pi * k * x / 2.0),
                        lambda k: 2.0 * math.sin(math.pi * k / 2.0) / (math.pi * k)),
-    # hat spline iterated k times keeps the hat; use plain hat
-    "tensor_spline": (range(1, 2), lambda x, k: 1.0 - np.abs(2.0 * x - 1.0), lambda k: 0.5),
 }
 
 
@@ -110,6 +108,7 @@ def cmd_verify(args) -> int:
     report: dict = {"schema": 1}
     check = is_net(p)
     report["is_net"] = check.ok
+    report["net_route"] = check.route
     if not check.ok:
         report["witness_shape"] = list(check.witness_shape)
         report["witness_box"] = list(check.witness_box)
@@ -135,7 +134,12 @@ def cmd_verify(args) -> int:
         )
     else:
         report["dual_ok"] = report["char_sum_ok"] = None
-        report["notice"] = "no construction provenance: dual-code and character-sum stages skipped"
+        report["notice"] = (
+            "digital provenance: the net test ran on the matrices; dual-code and "
+            "character-sum stages are not run for this kind"
+            if prov.get("kind") == "digital"
+            else "no construction provenance: dual-code and character-sum stages skipped"
+        )
     report["passed"] = check.ok and all(
         report[stage] in (True, None) for stage in ("dual_ok", "char_sum_ok")
     )

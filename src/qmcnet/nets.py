@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParams, NetFileError, NotPowerCardinality, SizeOverflow
-from .field import enum_limit, enumerate_span, gf_nullspace, require_prime
+from .field import enum_limit, enumerate_span, gf_nullspace, gf_rank, require_prime
 
 
 def as_integer(value) -> int:
@@ -75,12 +75,25 @@ class GeneratingMatrices:
         try:
             obj = json.loads(text)
             b, n, d = (as_integer(obj[key]) for key in "bnd")
-            mats = np.asarray(obj["matrices"], dtype=object)
-            for v in mats.flat:
-                as_integer(v)
-            return cls(b, n, d, mats)
+            mats = _matrix_array(obj["matrices"], d, n)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidParams(f"bad generating-matrix JSON: {exc!r}") from None
+        return cls(b, n, d, mats)
+
+
+def _matrix_array(value, d: int, n: int) -> np.ndarray:
+    """`value` as a (d, n, n) int64 array.  It must be d lists of n lists of
+    n JSON integers (at n = 0, d empty lists, as `tolist` writes them); any
+    other nesting or length raises ValueError, an entry that is not an
+    integer TypeError, one beyond int64 OverflowError."""
+
+    def items(x, length: int) -> list:
+        if not isinstance(x, list) or len(x) != length:
+            raise ValueError(f"expected a list of {length}, got {x!r:.40}")
+        return x
+
+    entries = [as_integer(v) for m in items(value, d) for row in items(m, n) for v in items(row, n)]
+    return np.array(entries, dtype=np.int64).reshape(d, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +143,22 @@ class PointSet:
         return [
             tuple(Fraction(int(k), denom) for k in row) for row in self.numerators
         ]
+
+    @functools.cached_property
+    def matrices(self) -> Optional[GeneratingMatrices]:
+        """The generating matrices of a digital provenance, `{"kind":
+        "digital", "matrices": ...}` as `generate_points` records it, else
+        None; parsed on first read.  They must be d lists of n lists of n
+        JSON integers in [0, b) at a prime b: anything else raises
+        InvalidParams."""
+        prov = self.provenance or {}
+        if prov.get("kind") != "digital":
+            return None
+        try:
+            mats = _matrix_array(prov["matrices"], self.d, self.n)
+            return GeneratingMatrices(self.b, self.n, self.d, mats)
+        except (InvalidParams, ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise InvalidParams(f"bad digital provenance: {exc!r}") from None
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
@@ -201,6 +230,8 @@ def generate_points(g: GeneratingMatrices) -> PointSet:
     numerators, so each span is Horner-packed once and one broadcast XOR
     forms every point; at b > 2 each high word gives one block of b^L
     points, added to the low span mod b and packed into its rows by Horner.
+    The matrices go with the points as their provenance, `{"kind":
+    "digital", "matrices": ...}`, which `is_net` tests by rank.
     """
     b, n, d = g.b, g.n, g.d
     if b**n > enum_limit():
@@ -211,18 +242,19 @@ def generate_points(g: GeneratingMatrices) -> PointSet:
         low += 1
     low_words = block = enumerate_span(basis[:low], b)
     high_words = enumerate_span(basis[low:], b)
+    provenance = {"kind": "digital", "matrices": g.mats.tolist()}
     if b == 2:
         low_nums = _horner(low_words, b, n, np.zeros((len(low_words), d), dtype=np.int64))
         high_nums = _horner(high_words, b, n, np.zeros((len(high_words), d), dtype=np.int64))
         nums = np.bitwise_xor(low_nums[None], high_nums[:, None]).reshape(b**n, d)
-        return PointSet(b, n, d, nums)
+        return PointSet(b, n, d, nums, provenance=provenance)
     nums = np.zeros((b**n, d), dtype=np.int64)
     for r_high, word in enumerate(high_words):
         if r_high:  # high word 0 is the zero word: its block is the low span
             block = np.add(low_words, word, out=None if r_high == 1 else block)
             np.subtract(block, block.dtype.type(b), out=block, where=block >= b)
         _horner(block, b, n, nums[r_high * len(block) : (r_high + 1) * len(block)])
-    return PointSet(b, n, d, nums)
+    return PointSet(b, n, d, nums, provenance=provenance)
 
 
 def _horner(words: np.ndarray, b: int, n: int, out: np.ndarray) -> np.ndarray:
@@ -251,53 +283,78 @@ class NetCheck:
     witness_shape: Optional[tuple[int, ...]] = None
     witness_box: Optional[tuple[int, ...]] = None
     witness_count: Optional[int] = None
+    #: the route that reached the verdict, "matrices" (by rank) or "points"
+    #: (by scanning boxes); both give the same check, so it is not compared
+    route: Optional[str] = field(default=None, compare=False)
 
 
 def is_net(p: PointSet) -> NetCheck:
     """Exact (0,n,d)-net test: every b-adic box of volume b**-n holds one point.
 
-    Checks all shapes (j_1..j_d) with sum j_i = n by digit-prefix bucketing
-    on the numerators; coarser boxes follow by aggregation.  A shape's box
-    key starts as the quotient k_i // b^(n - j_i) of its first coordinate
-    with j_i > 0, and each later one multiplies it by b^(j_i) and adds its
-    own.  With N = b^n points, every box holds one point exactly when every
-    box is hit, so each shape marks one reused boolean array; the counts
-    that name a witness box are computed only for a failing shape.
+    The shapes are the (j_1..j_d) with sum j_i = n, coarser boxes following
+    by aggregation.  When the matrices of p's provenance (`PointSet.matrices`)
+    provably generate it, `generate_points` of them giving its numerators in
+    order, the test runs on the matrices (Niederreiter and Pirsic, Acta
+    Arith. 97 (2001)): a shape's boxes each hold one point exactly when the
+    first j_i rows of the C_i, stacked, have rank n over F_b.  Any other
+    point set is scanned shape by shape (`_scan_shape`).  Either way the
+    first failing shape is scanned for its witness, so both routes return
+    the same check; `route` names the one taken.
     """
     b, n, d = p.b, p.n, p.d
     if p.size != b**n:
         raise NotPowerCardinality(f"N = {p.size} != b**n = {b**n}")
+    g = p.matrices
+    shapes = compositions(n, d)
+    if g is not None and np.array_equal(generate_points(g).numerators, p.numerators):
+        route = "matrices"
+        shapes = [s for s in shapes
+                  if gf_rank(np.concatenate([c[:j] for c, j in zip(g.mats, s)]), b) < n][:1]
+        if not shapes:
+            return NetCheck(ok=True, route=route)
+    else:
+        route = "points"
     columns = p.numerators.T.copy()
-    seen = np.empty(b**n, dtype=bool)
-    for shape in compositions(n, d):
-        # the first quotient is a fresh array, so the in-place steps of the
-        # later coordinates never write to `columns`
-        active = [(column, j) for column, j in zip(columns, shape) if j]
-        if not active:  # n = 0: one box holds every point
-            key = np.zeros(p.size, dtype=np.int64)
-        else:
-            key = active[0][0] // (b ** (n - active[0][1]))
-        for column, j in active[1:]:
-            key *= b**j
-            key += column // (b ** (n - j))
-        seen[:] = False
-        seen[key] = True
-        if seen.all():
-            continue
-        counts = np.bincount(key, minlength=b**n)
-        bad = np.nonzero(counts != 1)[0]
-        box_key = int(bad[0])
-        box = []
-        for j in reversed(shape):
-            box.append(box_key % (b**j))
-            box_key //= b**j
-        return NetCheck(
-            ok=False,
-            witness_shape=shape,
-            witness_box=tuple(reversed(box)),
-            witness_count=int(counts[bad[0]]),
-        )
-    return NetCheck(ok=True)
+    for shape in shapes:
+        witness = _scan_shape(columns, b, n, shape)
+        if witness:
+            return NetCheck(False, shape, *witness, route=route)
+    return NetCheck(ok=True, route=route)
+
+
+def _scan_shape(columns: np.ndarray, b: int, n: int, shape: tuple[int, ...]) -> Optional[tuple]:
+    """(box, count) of the first box of `shape` that does not hold exactly
+    one of the b^n points whose numerators are the rows of `columns`, (d, N);
+    None when each box holds one.
+
+    The box key starts as the quotient k_i // b^(n - j_i) of the first
+    coordinate with j_i > 0, and each later one multiplies it by b^(j_i) and
+    adds its own.  With N = b^n points, every box holds one point exactly
+    when every box is hit, so the keys mark one boolean array; the counts
+    that name the witness box are computed only for a failing shape.
+    """
+    # the first quotient is a fresh array, so the in-place steps of the
+    # later coordinates never write to `columns`
+    active = [(column, j) for column, j in zip(columns, shape) if j]
+    if not active:  # n = 0: one box holds every point
+        key = np.zeros(columns.shape[1], dtype=np.int64)
+    else:
+        key = active[0][0] // (b ** (n - active[0][1]))
+    for column, j in active[1:]:
+        key *= b**j
+        key += column // (b ** (n - j))
+    seen = np.zeros(b**n, dtype=bool)
+    seen[key] = True
+    if seen.all():
+        return None
+    counts = np.bincount(key, minlength=b**n)
+    box_key = int(np.flatnonzero(counts != 1)[0])
+    count = int(counts[box_key])
+    box = []
+    for j in reversed(shape):
+        box.append(box_key % (b**j))
+        box_key //= b**j
+    return tuple(reversed(box)), count
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,4 +533,9 @@ def load_pointset(path: str) -> PointSet:
         raise NetFileError(f"header says N={count}, file has {len(nums)} points")
     if nums.size and (nums.min() < 0 or nums.max() >= b**n):
         raise NetFileError("numerator out of range [0, b**n)")
-    return PointSet(b, n, d, nums, provenance=provenance)
+    p = PointSet(b, n, d, nums, provenance=provenance)
+    try:
+        p.matrices  # a digital provenance is parsed, and so checked, here
+    except InvalidParams as exc:
+        raise NetFileError(str(exc)) from None
+    return p

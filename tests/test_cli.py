@@ -51,7 +51,8 @@ def test_verify_reports_each_stage(tmp_path, capsys):
     assert run(["verify", "--net", cs11]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["char_sum_ok"] is True and rep["dual_ok"] is True and "notice" not in rep
-    # without provenance both stages are skipped and the report says so
+    # with the digital provenance of --matrices both stages are skipped and
+    # the report says so
     mpath = tmp_path / "h.json"
     mpath.write_text(fam.hammersley_matrices(4).to_json())
     h4 = str(tmp_path / "h4.net")
@@ -73,7 +74,7 @@ def test_generate_bad_base_exit_code():
     assert run(["generate", "--base", "12", "--dim", "2"]) == 2
 
 
-def test_generate_from_matrices(tmp_path):
+def test_generate_from_matrices(tmp_path, capsys):
     mat = GeneratingMatrices(2, 3, 2, np.stack([np.eye(3, dtype=np.int64)] * 2))
     mpath = tmp_path / "mats.json"
     mpath.write_text(mat.to_json())
@@ -81,7 +82,41 @@ def test_generate_from_matrices(tmp_path):
     assert run(["generate", "--matrices", str(mpath), "--out", out]) == 0
     # the two identical matrices give a diagonal (duplicated) point set:
     # still a valid netfile, but verify must fail the net property
+    capsys.readouterr()
     assert run(["verify", "--net", out]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["net_route"] == "matrices" and rep["witness_shape"] == [1, 2]
+
+
+def test_verify_a_digital_netfile_by_its_matrices(tmp_path, capsys):
+    g = fam.hammersley_matrices(6)
+    mpath = tmp_path / "h6.json"
+    mpath.write_text(g.to_json())
+    h6 = tmp_path / "h6.net"
+    assert run(["generate", "--matrices", str(mpath), "--out", str(h6)]) == 0
+    lines = h6.read_text().splitlines(keepends=True)
+    prov = json.dumps({"kind": "digital", "matrices": g.mats.tolist()}, sort_keys=True)
+    assert lines[1] == f"#provenance {prov}\n"
+    # the rest of the file is the netfile of the points alone
+    bare = tmp_path / "bare.net"
+    save_pointset(PointSet(2, 6, 2, fam.hammersley(6).numerators), str(bare))
+    assert lines[:1] + lines[2:] == bare.read_text().splitlines(keepends=True)
+
+    def verify(text):
+        h6.write_text("".join(text))
+        code = run(["verify", "--net", str(h6)])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, rep = verify(lines)
+    assert code == 0 and rep["net_route"] == "matrices" and rep["passed"] is True
+    assert "character-sum" in rep["notice"]
+    # the matrices no longer generate the points in order: the boxes are scanned
+    moved = lines[:-1] + [lines[-2]]  # a point on top of another
+    code, rep = verify(moved)
+    assert code == 1 and rep["net_route"] == "points" and rep["is_net"] is False
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:]
+    code, rep = verify(swapped)
+    assert code == 0 and rep["net_route"] == "points" and rep["is_net"] is True
 
 
 @pytest.mark.parametrize("text", ["{not json", '{"b": 3}', "[1]", '{"b": 2.0, "n": 1, "d": 1}',
@@ -119,7 +154,7 @@ def test_verify_enumerates_the_dual_once(tmp_path, monkeypatch, capsys):
     assert calls == [(4, 8)]
     assert capsys.readouterr().out == (
         '{"char_sum_ok": true, "dual_delta_min": 5, "dual_kappa_min": 5, '
-        '"dual_ok": true, "is_net": true, "passed": true, "schema": 1}\n'
+        '"dual_ok": true, "is_net": true, "net_route": "points", "passed": true, "schema": 1}\n'
     )
 
 
@@ -145,6 +180,14 @@ def test_verify_character_sums_fail_on_another_net(tmp_path, capsys):
         '{"kind": "cs", "params": {"b": 3, "d": 1, "w": 2, "betas": [[0, 1.5]]}}',
         "[1]",
         "3",
+        # the digital kind on the b=3, n=4, d=1 netfile: its matrices must
+        # be 1 list of 4 lists of 4 JSON integers in [0, 3)
+        '{"kind": "digital"}',
+        '{"kind": "digital", "matrices": [[[1, 0], [0, 1]]]}',
+        '{"kind": "digital", "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]]}',
+        '{"kind": "digital", "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.5]]]}',
+        '{"kind": "digital", "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "1"]]]}',
+        '{"kind": "digital", "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, true]]]}',
     ],
 )
 def test_verify_malformed_provenance_is_a_parameter_error(tmp_path, capsys, prov):
@@ -240,10 +283,16 @@ def test_a_netfile_of_base_below_two_is_a_parameter_error(tmp_path, capsys, comm
     assert "need base b >= 2" in capsys.readouterr().err
 
 
-def test_enumeration_limit_from_environment(monkeypatch):
+def test_enumeration_limit_from_environment(monkeypatch, tmp_path):
+    mpath = tmp_path / "h12.json"
+    mpath.write_text(fam.hammersley_matrices(12).to_json())
+    h12 = str(tmp_path / "h12.net")
+    assert run(["generate", "--matrices", str(mpath), "--out", h12]) == 0
     monkeypatch.setenv("QMCNET_LIMIT", "1000")
-    # b^n = 11^4 points and an 11^4-word null space both exceed 1000
+    # b^n = 11^4 points and an 11^4-word null space both exceed 1000, and so
+    # does regenerating the 2^12 points of a digital netfile for the rank test
     assert run(["generate", "--base", "11", "--dim", "2"]) == 3
+    assert run(["verify", "--net", h12]) == 3
     with pytest.raises(SizeOverflow):
         dual_set(cs_generating_matrices(CSParams(11, 2, 1)))
 
@@ -342,8 +391,8 @@ def test_integrate_unknown_integrand_is_a_parameter_error(capsys):
 def test_integrand_exact_values():
     spec = IntegrandSpec("product_monomial", 2, 1)
     assert spec.exact() == 0.25
-    spec = IntegrandSpec("tensor_spline", 3, 1)
-    assert spec.exact() == 0.125
+    spec = IntegrandSpec("product_monomial", 3, 3)
+    assert spec.exact() == 0.25**3
     with pytest.raises(InvalidParams):
         IntegrandSpec("mystery", 2, 1)
 

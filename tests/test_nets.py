@@ -82,9 +82,17 @@ def test_generation_and_loading_memory_is_a_few_numerator_arrays(tmp_path, peak_
     assert peak_bytes(load_pointset, path) <= 8 * p.numerators.nbytes
 
 
+def without_provenance(p):
+    """p's numerators alone, so that `is_net` scans its boxes."""
+    return PointSet(p.b, p.n, p.d, p.numerators)
+
+
 def test_hammersley_is_net():
     for n in (1, 2, 4, 6):
-        assert is_net(generate_points(hammersley_matrices(n))).ok
+        p = generate_points(hammersley_matrices(n))
+        assert is_net(p) == NetCheck(True) and is_net(p).route == "matrices"
+        check = is_net(without_provenance(p))
+        assert check.ok and check.route == "points"
 
 
 def test_is_net_detects_duplicate():
@@ -105,11 +113,62 @@ def test_is_net_matches_box_count_oracle():
             sets.append(generate_points(g))
             sets.append(PointSet(b, n, d, rng.integers(0, b**n, size=(b**n, d))))
     verdicts = set()
-    for p in sets:
+    for p in map(without_provenance, sets):
         check = is_net(p)
-        assert check == NetCheck(*net_check_oracle(p))
+        assert check == NetCheck(*net_check_oracle(p)) and check.route == "points"
         verdicts.add(check.ok)
     assert verdicts == {True, False}
+
+
+def random_digital_sets(count, seed):
+    """`count` seeded `generate_points` sets, b in {2, 3, 5, 7}, d <= 3,
+    b^n <= 4096; a quarter of them from matrices with a repeated or
+    zero row, so that nets and non-nets both occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        b = int(rng.choice([2, 3, 5, 7]))
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(0, {2: 12, 3: 7, 5: 5, 7: 4}[b] + 1))
+        mats = rng.integers(0, b, size=(d, n, n))
+        if n and rng.random() < 0.25:
+            i, k = rng.integers(0, d, size=2)
+            mats[i, rng.integers(0, n)] = mats[k, rng.integers(0, n)] * rng.integers(0, b) % b
+        yield generate_points(GeneratingMatrices(b, n, d, mats))
+
+
+def test_is_net_by_matrices_equals_the_scan_of_the_same_points():
+    # the rank route scans only its first failing shape; its witness must
+    # be the one the scan of every shape finds first
+    verdicts = set()
+    for p in random_digital_sets(300, seed=32):
+        by_rank, by_scan = is_net(p), is_net(without_provenance(p))
+        assert (by_rank.route, by_scan.route) == ("matrices", "points")
+        assert by_rank == by_scan  # ok, witness_shape, witness_box, witness_count
+        verdicts.add(by_rank.ok)
+    assert verdicts == {True, False}
+
+
+def test_is_net_scans_points_the_matrices_do_not_generate_in_order():
+    # points reordered, or one moved, keep a valid digital provenance: the
+    # matrices no longer prove anything about them, so the boxes are scanned
+    p = generate_points(hammersley_matrices(4))
+    swapped = p.numerators.copy()
+    swapped[[3, 9]] = swapped[[9, 3]]
+    moved = p.numerators.copy()
+    moved[5] = moved[6]
+    for nums, ok in [(swapped, True), (moved, False)]:
+        q = PointSet(2, 4, 2, nums, provenance=p.provenance)
+        check = is_net(q)
+        assert check.route == "points" and check == NetCheck(*net_check_oracle(q))
+        assert check.ok is ok
+
+
+def test_is_net_regenerates_only_a_digital_provenance(monkeypatch):
+    calls = []
+    monkeypatch.setattr(nets, "generate_points", lambda g: calls.append(g) or generate_points(g))
+    g = cs_generating_matrices(CSParams(3, 1, 2))
+    assert is_net(cs_point_set(CSParams(3, 1, 2))).route == "points" and not calls
+    assert is_net(generate_points(g)).route == "matrices" and calls == [g]
 
 
 def test_is_net_requires_power_cardinality():
@@ -222,7 +281,7 @@ def test_digit_table_is_built_on_first_char_sum_only(tmp_path, monkeypatch):
         return loaded[-1]
 
     monkeypatch.setattr(cli, "load_pointset", recorded)
-    assert cli.main(["verify", "--net", path]) == 0  # no provenance: no character sums
+    assert cli.main(["verify", "--net", path]) == 0  # digital provenance: no character sums
     assert len(loaded) == 1 and "digits" not in vars(loaded[0])
     char_sum(p, (1, 0))
     assert "digits" in vars(p)
@@ -349,10 +408,12 @@ def test_dual_set_builds_its_tuples_on_first_read():
     assert dual != DualSet(3, 3, 2, dual.array)
 
 
-def test_matrices_json_roundtrip():
-    g = hammersley_matrices(3)
-    g2 = GeneratingMatrices.from_json(g.to_json())
-    assert g2 == g
+@pytest.mark.parametrize("b, n, d", [(2, 3, 2), (2, 0, 2), (3, 0, 1), (5, 1, 3)])
+def test_matrices_json_roundtrip(b, n, d):
+    # at n = 0 the matrices are written as d empty lists, [[], []] at d = 2,
+    # which once parsed as shape (2, 0) and raised InvalidParams
+    g = GeneratingMatrices(b, n, d, np.random.default_rng(n).integers(0, b, size=(d, n, n)))
+    assert GeneratingMatrices.from_json(g.to_json()) == g
 
 
 @pytest.mark.parametrize(
@@ -364,7 +425,14 @@ def test_matrices_json_roundtrip():
      '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, "1"]]]}',
      '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, true]]]}',
      '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0], [0, 1e0]]]}',
-     '{"b": 2, "n": 1, "d": 1, "matrices": [[[18446744073709551616]]]}'],
+     '{"b": 2, "n": 1, "d": 1, "matrices": [[[18446744073709551616]]]}',
+     # a flat or mis-shaped list stays an error at n = 0 and beyond
+     '{"b": 2, "n": 0, "d": 2, "matrices": []}',
+     '{"b": 2, "n": 0, "d": 2, "matrices": [[], [], []]}',
+     '{"b": 2, "n": 0, "d": 2, "matrices": [[[]], [[]]]}',
+     '{"b": 2, "n": 0, "d": 1, "matrices": [{}]}',
+     '{"b": 2, "n": 2, "d": 1, "matrices": [1, 0, 0, 1]}',
+     '{"b": 2, "n": 2, "d": 1, "matrices": [[[1, 0, 0, 1]]]}'],
 )
 def test_matrices_from_malformed_json_raise_invalid_params(text):
     with pytest.raises(InvalidParams):
@@ -416,6 +484,43 @@ def test_netfile_writer_matches_the_oracle_across_blocks(monkeypatch):
         save_pointset(ps, new)
         write_pointset_oracle(ps, old)
         assert new.getvalue() == old.getvalue()
+
+
+@pytest.mark.parametrize("g", [hammersley_matrices(4), GeneratingMatrices(3, 0, 2, np.zeros((2, 0, 0))),
+                               cs_generating_matrices(CSParams(3, 1, 2))])
+def test_netfile_carries_the_generating_matrices(tmp_path, g):
+    p = generate_points(g)
+    assert p.provenance == {"kind": "digital", "matrices": g.mats.tolist()}
+    path = str(tmp_path / "g.net")
+    save_pointset(p, path)
+    q = load_pointset(path)
+    assert q == p and q.provenance == p.provenance and q.matrices == g
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    ["missing", "[[[1]]]", "[[[1, 0], [0, 1]]]", "[[[1, 0], [0, 2]], [[0, 1], [1, 0]]]",
+     "[[[1, 0], [0, -1]], [[0, 1], [1, 0]]]", "[[[1, 0], [0, 1.5]], [[0, 1], [1, 0]]]",
+     '[[[1, 0], [0, "1"]], [[0, 1], [1, 0]]]', "[[[1, 0], [0, true]], [[0, 1], [1, 0]]]",
+     "[1, 0, 0, 1, 0, 1, 1, 0]", "{}"],
+)
+def test_netfile_digital_provenance_is_checked_on_loading(tmp_path, matrices):
+    # b = 2, n = 2, d = 2: the matrices must be 2 lists of 2 lists of 2
+    # JSON integers in [0, 2)
+    key = "" if matrices == "missing" else f', "matrices": {matrices}'
+    path = tmp_path / "g.net"
+    path.write_text(f'#qmcnet v1 b=2 n=2 d=2 N=4\n#provenance {{"kind": "digital"{key}}}\n'
+                    "0 0\n1 2\n2 1\n3 3\n")
+    with pytest.raises(NetFileError, match="bad digital provenance"):
+        load_pointset(str(path))
+
+
+def test_netfile_digital_provenance_needs_a_prime_base(tmp_path):
+    path = tmp_path / "g.net"
+    path.write_text('#qmcnet v1 b=4 n=1 d=1 N=4\n#provenance {"kind": "digital", "matrices": [[[1]]]}\n'
+                    "0\n1\n2\n3\n")
+    with pytest.raises(NetFileError, match="not prime"):
+        load_pointset(str(path))
 
 
 def test_netfile_d1_roundtrip(tmp_path):

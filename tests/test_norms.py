@@ -484,8 +484,10 @@ def test_audit_report_json():
 
 
 def test_families_are_nets():
+    # scanned from the points alone, whatever the provenance
     for fam in (hammersley, shifted_hammersley, balanced_hammersley):
-        assert is_net(fam(5)).ok
+        check = is_net(PointSet(2, 5, 2, fam(5).numerators))
+        assert check.ok and check.route == "points"
 
 
 @pytest.mark.parametrize("fam", [hammersley, shifted_hammersley, balanced_hammersley])
