@@ -16,14 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import families as fam
-from .cs import CSParams, cs_code_space, cs_point_set, verify_dual_properties
+from .cs import CSParams, cs_code_space, cs_point_set, dual_code, verify_dual_properties
 from .errors import InvalidParams, QmcNetError, SizeOverflow
 from .haar import BesovParams, haar_norms
 from .nets import (
     GeneratingMatrices,
     PointSet,
     char_sum,
-    dual_frequencies,
     generate_points,
     is_net,
     load_pointset,
@@ -120,17 +119,19 @@ def cmd_verify(args) -> int:
         if (params.b, params.n, params.d) != (p.b, p.n, p.d):
             raise InvalidParams(f"provenance (b, n, d) = {(params.b, params.n, params.d)} "
                                 f"differs from the netfile's {(p.b, p.n, p.d)}")
-        dual = cs_code_space(params).dual
-        rep = verify_dual_properties(dual, params.d, params.n)
+        code = cs_code_space(params)
+        rep = verify_dual_properties(code)
         report["dual_kappa_min"] = rep.kappa_min
         report["dual_delta_min"] = rep.delta_min
         report["dual_ok"] = rep.passed
-        # the dual set from the dual words just enumerated: its four least
-        # nonzero t and (1, 0, ..., 0) are tried
-        t = dual_frequencies(dual.words(), p.b, p.n, p.d)
-        samples = list(t[:4]) + [np.eye(p.d, dtype=t.dtype)[0]]
+        # char_sum is N only when every exponent, linear in t's digits, is 0
+        # mod b: N on the dual's basis rows, read as frequencies, is N on the
+        # dual set.  (1, 0, ..., 0) must give N in the dual and 0 outside it
+        words = np.vstack([dual_code(code).basis, np.eye(1, p.d * p.n, dtype=np.int64)])
+        freqs = words.reshape(-1, p.d, p.n) @ (p.b ** np.arange(p.n, dtype=np.int64))
+        in_dual = ~(code.basis @ words.T % p.b).any(axis=0)
         report["char_sum_ok"] = all(
-            char_sum(p, s) == (p.size if (t == s).all(axis=1).any() else 0) for s in samples
+            char_sum(p, t) == (p.size if member else 0) for t, member in zip(freqs, in_dual)
         )
     else:
         report["dual_ok"] = report["char_sum_ok"] = None

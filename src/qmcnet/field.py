@@ -64,27 +64,32 @@ def root_of_unity(b: int, k: int) -> complex:
 # --- linear algebra over F_b -------------------------------------------------
 
 def gf_rref(mat: np.ndarray, b: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_b; returns (rref, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % b
-    rows, cols = a.shape
+    """Reduced row echelon form over F_b; returns (rref, pivot columns).
+
+    The rows are eliminated as lists of Python ints: at a few dozen columns,
+    one numpy call per row costs more than the row.  Pivots are inverted as
+    x^(b-2), which needs a prime b.
+    """
+    a = np.asarray(mat, dtype=np.int64) % b
+    rows = a.tolist()
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_rows = np.nonzero(a[r:, c])[0]
-        if pivot_rows.size == 0:
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        p = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if p is None:
             continue
-        p = r + int(pivot_rows[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), b - 2, b)) % b
-        for rr in range(rows):
-            if rr != r and a[rr, c]:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % b
+        inv = pow(rows[p][c], b - 2, b)
+        head = [v * inv % b for v in rows[p]]
+        rows[p] = rows[r]
+        rows[r] = head
+        for k, row in enumerate(rows):
+            f = row[c]
+            if f and k != r:
+                rows[k] = [(v - f * h) % b for v, h in zip(row, head)]
         pivots.append(c)
-        r += 1
-    return a, pivots
+        if len(pivots) == len(rows):
+            break
+    return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
 
 
 def gf_rank(mat: np.ndarray, b: int) -> int:

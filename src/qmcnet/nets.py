@@ -397,22 +397,18 @@ class DualSet:
 def dual_set(g: GeneratingMatrices) -> DualSet:
     """Solve C_1^T tbar_1 + ... + C_d^T tbar_d = 0 over F_b, excluding t = 0.
 
-    tbar_i holds the digits of t_i least significant first, matching rbar.
+    tbar_i holds the digits of t_i least significant first, matching rbar:
+    entry i n + nu of a word of the null space is digit nu of t_i.  The
+    frequencies come in lexicographic order.
     """
     b, n, d = g.b, g.n, g.d
     stacked = np.concatenate([g.mats[i].T for i in range(d)], axis=1)  # (n, d*n)
     words = enumerate_span(gf_nullspace(stacked, b), b)
-    array = dual_frequencies(words, b, n, d)
-    array.flags.writeable = False
-    return DualSet(b, n, d, array)
-
-
-def dual_frequencies(words: np.ndarray, b: int, n: int, d: int) -> np.ndarray:
-    """The nonzero dual words as (M, d) int64 frequencies in lexicographic
-    order: entry i n + nu of a word is digit nu of t_i."""
     t = words.reshape(len(words), d, n) @ (b ** np.arange(n, dtype=np.int64))
     t = t[t.any(axis=1)]
-    return t[np.lexsort(t.T[::-1])]
+    array = t[np.lexsort(t.T[::-1])]
+    array.flags.writeable = False
+    return DualSet(b, n, d, array)
 
 
 def char_sum(p: PointSet, t: Sequence[int]) -> complex:

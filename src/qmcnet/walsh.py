@@ -3,7 +3,8 @@
 Fine-Price coefficients of interval indicators, the truncated-series
 decomposition of the discrepancy function into a dual-set sum plus a small
 residual, Walsh transforms on the group F_b^(d n), and the V_(gamma,lambda)
-counting identities.  These run at desk scale and serve mainly as oracles for
+counting identities, whose counts are ranks of the code basis's columns at
+the fixed digits.  These run at desk scale and serve mainly as oracles for
 the Haar-side computations.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cs import CodeSpace, nrt_weight
 from .errors import InvalidParams, InvalidRange, NonTerminatingExpansion, SizeOverflow
-from .field import root_of_unity, roots_of_unity
+from .field import gf_rank, root_of_unity, roots_of_unity
 from .nets import DualSet, GeneratingMatrices, PointSet
 from .norms import disc_eval
 
@@ -319,13 +320,6 @@ class VCountReport:
     sigma: int
 
 
-def _vanishing(patterns: tuple[np.ndarray, np.ndarray], where: np.ndarray) -> int:
-    """How many words of a code vanish at the positions `where`, from its
-    `CodeSpace.zero_patterns` (masks, multiplicities)."""
-    masks, counts = patterns
-    return int(counts[~(masks & np.packbits(where)).any(axis=1)].sum())
-
-
 def v_gamma_lambda(
     c: CodeSpace,
     gamma: Sequence[int],
@@ -334,8 +328,10 @@ def v_gamma_lambda(
 ) -> VCountReport:
     """Counting identity #(C n V_(g,l)) = #C / b^(|l|+sigma) * #(Cperp n Vperp).
 
-    With check_bound, additionally tests the counting proposition
-    #(Cperp n Vperp_(g,l)) <= b^d for |gamma| >= n+1 and |lambda| + d <= n.
+    Both counts are read off one rank over F_b, so the identity holds for
+    every linear code.  With check_bound, additionally tests the counting
+    proposition #(Cperp n Vperp_(g,l)) <= b^d for |gamma| >= n+1 and
+    |lambda| + d <= n.
     """
     d, n, b = c.d, c.n, c.b
     gamma = [int(v) for v in gamma]
@@ -348,11 +344,15 @@ def v_gamma_lambda(
     sigma = sum(1 for g, lm in zip(gamma, lam) if lm < g)
 
     # digit k (1-based) of block i is fixed when k <= lambda_i or k = gamma_i;
-    # V holds the words that vanish there, Vperp those that vanish elsewhere
+    # V holds the words that vanish there, Vperp those that vanish elsewhere.
+    # With r the rank of the basis columns at the fixed digits F, the words
+    # of C that vanish on F form a space of dimension dim - r, and those of
+    # Cperp supported on F, the dependencies among these columns, one of |F| - r
     k = np.arange(1, n + 1)
     fixed = np.concatenate([(k <= lm) | (k == g) for g, lm in zip(gamma, lam)])
-    count_c = _vanishing(c.zero_patterns, fixed)
-    count_d = _vanishing(c.dual.zero_patterns, ~fixed)
+    r = gf_rank(c.basis[:, fixed], b)
+    count_c = b ** (c.dim - r)
+    count_d = b ** (int(fixed.sum()) - r)
 
     identity_ok = count_c * b ** (sum(lam) + sigma) == b**c.dim * count_d
 

@@ -37,6 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qmcnet.cs import dual_code
 from qmcnet.haar import HaarIndex, indicator_coeff, volume_coeff
 from qmcnet.walsh import _digit_dft, fine_price_coeff, walsh_eval_1d
 
@@ -479,7 +480,7 @@ def v_set_counts_oracle(c, pairs) -> list[tuple[int, int]]:
     d, n = c.d, c.n
     tallies = [
         collections.Counter(map(tuple, (span_oracle(basis, c.b) != 0).tolist()))
-        for basis in (c.basis, c.dual.basis)
+        for basis in (c.basis, dual_code(c).basis)
     ]
     out = []
     for gamma, lam in pairs:

@@ -136,9 +136,15 @@ def with_provenance(path, prov):
     return path
 
 
-def test_verify_enumerates_the_dual_once(tmp_path, monkeypatch, capsys):
-    # the character-sum stage reads the dual words of the dual-code stage;
-    # it used to enumerate them again through dual_set
+CS11_VERIFY = (
+    '{"char_sum_ok": true, "dual_delta_min": 5, "dual_kappa_min": 5, '
+    '"dual_ok": true, "is_net": true, "net_route": "points", "passed": true, "schema": 1}\n'
+)
+
+
+def test_verify_enumerates_no_dual_words(tmp_path, monkeypatch, capsys):
+    # the minima come from ranks and the character sums run on the dual's
+    # basis, so no span is enumerated
     cs11 = str(tmp_path / "cs11.net")
     assert run(["generate", "--base", "11", "--dim", "2", "--w", "1", "--out", cs11]) == 0
     capsys.readouterr()
@@ -151,11 +157,32 @@ def test_verify_enumerates_the_dual_once(tmp_path, monkeypatch, capsys):
     for module in (qmcnet.cs, qmcnet.nets):
         monkeypatch.setattr(module, "enumerate_span", counted)
     assert run(["verify", "--net", cs11]) == 0
-    assert calls == [(4, 8)]
-    assert capsys.readouterr().out == (
-        '{"char_sum_ok": true, "dual_delta_min": 5, "dual_kappa_min": 5, '
-        '"dual_ok": true, "is_net": true, "net_route": "points", "passed": true, "schema": 1}\n'
-    )
+    assert calls == []
+    assert capsys.readouterr().out == CS11_VERIFY
+
+
+def test_verify_runs_past_the_enumeration_limit(tmp_path, monkeypatch, capsys):
+    # the dual of CS-11 has 11^4 = 14641 words, above this limit
+    cs11 = str(tmp_path / "cs11.net")
+    assert run(["generate", "--base", "11", "--dim", "2", "--w", "1", "--out", cs11]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("QMCNET_LIMIT", "1000")
+    assert run(["verify", "--net", cs11]) == 0
+    assert capsys.readouterr().out == CS11_VERIFY
+
+
+def test_verify_character_sums_fail_when_a_point_leaves_the_code(tmp_path, capsys):
+    # point 2566 of CS-11 moved from k_2 = 5778 to 3044: one sum on the
+    # dual's basis is not N, though the four least dual frequencies all are
+    p = cs_point_set(CSParams(11, 2, 1))
+    nums = p.numerators.copy()
+    assert nums[2566, 1] == 5778
+    nums[2566, 1] = 3044
+    path = str(tmp_path / "moved.net")
+    save_pointset(PointSet(11, 4, 2, nums, provenance=p.provenance), path)
+    assert run(["verify", "--net", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["dual_ok"] is True and rep["char_sum_ok"] is False
 
 
 def test_verify_character_sums_fail_on_another_net(tmp_path, capsys):

@@ -8,7 +8,6 @@ from qmcnet.cli import main
 from qmcnet.cs import (
     CodeSpace,
     CSParams,
-    _blockwise_v,
     cs_code_space,
     cs_generating_matrices,
     cs_point_set,
@@ -143,42 +142,62 @@ def test_weights():
     assert nrt_weight(0, 3) == 0
     assert nrt_weight(1, 3) == 1
     assert nrt_weight(9, 3) == 3
-    assert _blockwise_v(np.array([[0, 0, 0, 0], [1, 0, 2, 0]]), 1, 4).tolist() == [0, 3]
-    assert _blockwise_v(np.array([[1, 0, 0, 0, 0, 2]]), 2, 3).tolist() == [1 + 3]
+    assert nrt_weight(8, 2) == 4
+    # below base 2 the digit loop would never end (b = 1) or divide by zero
+    for b in (1, 0, -2):
+        with pytest.raises(InvalidParams):
+            nrt_weight(5, b)
 
 
-def _assert_scalar_minima(code, d, n):
-    words = code.words()
-    assert _blockwise_v(words, d, n).tolist() == [v_weight_d(w, d, n) for w in words]
+def _assert_scalar_minima(code):
+    # the rank minima against word-by-word weights over the enumerated dual
+    d, n = code.d, code.n
+    words = dual_code(code).words()
     nonzero = [w for w in words if w.any()]
-    kappa_min = min(kappa_weight_d(w) for w in nonzero)
-    delta_min = min(v_weight_d(w, d, n) for w in nonzero)
-    rep = verify_dual_properties(code, d, n)
+    kappa_min = min((kappa_weight_d(w) for w in nonzero), default=d * n + 1)
+    delta_min = min((v_weight_d(w, d, n) for w in nonzero), default=d * n + 1)
+    rep = verify_dual_properties(code)
     assert (rep.kappa_min, rep.delta_min) == (kappa_min, delta_min)
     assert rep.passed == (kappa_min >= 2 * d + 1 and delta_min >= n + 1)
     assert rep.words_checked == len(words)
 
 
+@pytest.mark.parametrize("b, d, w", [(11, 2, 1), (13, 2, 1), (3, 1, 2), (2, 1, 3), (5, 1, 1)])
+def test_verify_dual_properties_matches_the_enumerated_cs_duals(b, d, w):
+    _assert_scalar_minima(cs_code_space(CSParams(b, d, w)))
+
+
 def test_verify_dual_properties_matches_scalar_minima():
-    # the vectorised minima against word-by-word weights: the CS-11 dual,
-    # then seeded random codes
-    params = CSParams(b=11, d=2, w=1)
-    dual = dual_code(cs_code_space(params))
-    _assert_scalar_minima(dual, params.d, params.n)
+    # seeded random codes, among them the zero code and the whole space
     rng = np.random.default_rng(11)
     for b, d, n in ((2, 2, 3), (3, 2, 2), (5, 1, 4), (3, 3, 2)):
-        for _ in range(3):
-            basis = rng.integers(0, b, size=(int(rng.integers(1, d * n)), d * n))
+        _assert_scalar_minima(CodeSpace(b, d, n, np.zeros((0, d * n), dtype=np.int64)))
+        dims = [d * n] * 3 + [int(rng.integers(1, d * n)) for _ in range(3)]
+        for dim in dims:
+            basis = rng.integers(0, b, size=(dim, d * n))
             if gf_rank(basis, b) == len(basis):
-                _assert_scalar_minima(CodeSpace(b, d, n, basis), d, n)
+                _assert_scalar_minima(CodeSpace(b, d, n, basis))
 
 
 def test_verify_dual_properties_small_instance():
     # d = 1: the dual of a full [n, n] evaluation code is {0}; vacuous pass
-    params = CSParams(b=5, d=1, w=1)
-    dual = dual_code(cs_code_space(params))
-    rep = verify_dual_properties(dual, params.d, params.n)
+    rep = verify_dual_properties(cs_code_space(CSParams(b=5, d=1, w=1)))
     assert rep.passed
+    assert (rep.kappa_min, rep.delta_min, rep.words_checked) == (3, 3, 1)
+
+
+def test_verify_dual_properties_ranks_past_the_enumeration_limit(monkeypatch):
+    # the dual of CS (11, 2, 2) has 11^8 words; its minima come from ranks
+    monkeypatch.setenv("QMCNET_LIMIT", "1000")
+    rep = verify_dual_properties(cs_code_space(CSParams(11, 2, 2)))
+    assert (rep.kappa_min, rep.delta_min, rep.passed) == (7, 9, True)
+    assert rep.words_checked == 11**8
+
+
+def test_codespace_rejects_a_non_prime_base():
+    # over Z/4 the "span" of [2, 0] repeats words and the V-count identity fails
+    with pytest.raises(NotPrime):
+        CodeSpace(4, 1, 2, np.array([[2, 0]], dtype=np.int64))
 
 
 def test_codespace_rejects_dependent_basis():

@@ -33,6 +33,35 @@ def test_gf_rref_and_rank():
     assert pivots == [0, 2]
 
 
+@pytest.mark.parametrize("b", [2, 3, 5, 11, 13])
+def test_gf_rref_is_the_reduced_echelon_form_of_the_row_space(b):
+    # 0-8 rows and 0-11 columns, as many rows as keep the span oracle's
+    # b**rows words at most 3**8
+    rows = next(k for k in range(8, -1, -1) if b**k <= 3**8)
+    rng = np.random.default_rng(b)
+    shapes = [(0, 0), (0, 5), (rows, 0), (2, 3), (rows, 11)]
+    shapes += [(int(rng.integers(0, rows + 1)), int(rng.integers(0, 12))) for _ in range(40)]
+    for k, shape in enumerate(shapes):
+        mat = rng.integers(0, b, size=shape)
+        if k % 3 == 0:
+            mat *= rng.random(shape) < 0.3  # sparse, all zero in places
+        if k % 7 == 0:
+            mat[:] = 0
+        rref, pivots = gf_rref(mat, b)
+        assert rref.shape == mat.shape and rref.dtype == np.int64
+        assert pivots == sorted(set(pivots)) and len(pivots) == gf_rank(mat, b)
+        for r, row in enumerate(rref):
+            if r < len(pivots):
+                c = pivots[r]
+                assert row[c] == 1 and not row[:c].any()
+                assert np.count_nonzero(rref[:, c]) == 1
+            else:
+                assert not row.any()
+        span = {tuple(w) for w in span_oracle(mat, b).tolist()}
+        assert {tuple(w) for w in span_oracle(rref, b).tolist()} == span
+        assert b ** len(pivots) == len(span)
+
+
 def test_nullspace_orthogonality():
     rng = np.random.default_rng(7)
     for b in (2, 3, 5):

@@ -256,3 +256,90 @@ def test_oracles_are_read_by_tests():
     # module, or by another oracle, so a deleted test leaves no orphan behind
     readers = "\n".join(p.read_text() for p in TESTS if p.name.startswith("test_"))
     assert unread_names({"oracles": ORACLES.read_text()}, readers, lambda name: True) == []
+
+
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def defined_names(source: str) -> set[str]:
+    """Names a module binds at top level, and Class.method for each method
+    and property of its top-level classes (`_units`)."""
+    names = {".".join(owner[1:]) for owner, _ in _units("", source) if owner}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def package_reads(source: str) -> list[tuple[str, str]]:
+    """(module, name) for each name of the package the source reads: the
+    names of `from qmcnet.<mod> import ...`, those of `from qmcnet import
+    ...` and the attributes read off them, and ("qmcnet.<mod>", "Class.method")
+    for each triple of a module-level `METHODS` tuple."""
+    tree = ast.parse(source)
+    reads, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module == "qmcnet":
+            for a in node.names:
+                reads.append(("qmcnet", a.name))
+                aliases[a.asname or a.name] = f"qmcnet.{a.name}"
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").startswith("qmcnet."):
+            reads += [(node.module, a.name) for a in node.names]
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "METHODS" for t in node.targets):
+            reads += [(f"qmcnet.{m}", f"{c}.{f}") for m, c, f in ast.literal_eval(node.value)]
+    reads += [
+        (aliases[n.value.id], n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases
+    ]
+    return reads
+
+
+def missing_package_names(readers: dict[str, str], modules: dict[str, str]) -> list[str]:
+    """`reader: module.name` for each `package_reads` name of the reader
+    sources that `modules` (dotted name -> source, "qmcnet" for the
+    package's __init__) do not define; a `from qmcnet import` name may also
+    be a module."""
+    defined = {mod: defined_names(source) for mod, source in modules.items()}
+    return [
+        f"{reader}: {mod}.{name}"
+        for reader, source in readers.items()
+        for mod, name in package_reads(source)
+        if name not in defined.get(mod, ()) and f"{mod}.{name}" not in modules
+    ]
+
+
+def test_scan_flags_a_missing_package_name():
+    modules = {
+        "qmcnet": "from .cs import CodeSpace\n__version__ = '1'\n",
+        "qmcnet.cs": "class CodeSpace:\n    def words(self): pass\ndef dual_code(c): pass\n",
+        "qmcnet.walsh": "def theta(): pass\n",
+    }
+    reader = (
+        "METHODS = (('cs', 'CodeSpace', 'words'), ('cs', 'CodeSpace', 'dual'))\n"
+        "def job():\n"
+        "    from qmcnet import walsh, haar\n"
+        "    from qmcnet.cs import dual_code, zero_patterns\n"
+        "    walsh.theta(), walsh.v_gamma_lambda()\n"
+        "from qmcnet import __version__, CodeSpace\n"
+    )
+    assert missing_package_names({"r.py": reader}, modules) == [
+        "r.py: qmcnet.haar",
+        "r.py: qmcnet.cs.zero_patterns",
+        "r.py: qmcnet.cs.CodeSpace.dual",
+        "r.py: qmcnet.walsh.v_gamma_lambda",
+    ]
+
+
+def test_perfbench_reads_only_names_that_exist():
+    # perfbench imports the package inside its jobs and tracer.py patches
+    # methods by name, so a removed name would fail only the run that reads it
+    readers = {p.name: p.read_text() for p in PERFBENCH}
+    modules = {"qmcnet": (SRC / "__init__.py").read_text()}
+    modules |= {f"qmcnet.{p.stem}": p.read_text() for p in MODULES}
+    assert ("qmcnet.cs", "CodeSpace.words") in package_reads(readers["tracer.py"])
+    assert missing_package_names(readers, modules) == []
